@@ -21,9 +21,9 @@ np.set_printoptions(precision=6, suppress=True)
 
 for name in ("helix345_fz", "helix_r4"):
     spec = catalog.load(name)
-    samples = sample_along_curve(spec)
-    classification = classify_rows(samples, spec.tol_const)
-    residuals = verify_all(samples, classification)
+    trajectory = sample_along_curve(spec)  # every grid quantity, as arrays
+    classification = classify_rows(trajectory, spec.tol_const)
+    residuals = verify_all(trajectory, classification)
 
     print(f"{name}: helix = {classification.helix}, "
           f"parallel gradient = {classification.parallel_gradient}")
@@ -35,27 +35,27 @@ for name in ("helix345_fz", "helix_r4"):
     print(f"  min |H_(n-2)|            : {h.hn2_min:.6f}")
     print(f"  closing identity residual: {h.cor31:.3e}")
 
-    sample = samples[len(samples) // 2]
-    frame = sample.frenet.frame_values()
-    H = sample.harmonic.H_values()
-    coeff = sample.row.grad_norm * math.cos(classification.theta)
+    mid = len(trajectory) // 2
+    frame = trajectory.frame[mid]
+    H = trajectory.harmonic.H_values()[mid]
+    coeff = trajectory.grad_norm[mid] * math.cos(classification.theta)
     axis = frame[0].copy()
     for i, Hi in enumerate(H):
         axis += Hi * frame[i + 2]
     axis *= coeff
     print(f"  reconstructed axis at midpoint: {axis}")
-    print(f"  field gradient                : {sample.row.grad}")
+    print(f"  field gradient                : {trajectory.grad[mid]}")
     print()
 
 spec = catalog.load("helix345_fz")
-samples = sample_along_curve(spec)
-classification = classify_rows(samples, spec.tol_const)
-residuals = verify_all(samples, classification)
+trajectory = sample_along_curve(spec)
+classification = classify_rows(trajectory, spec.tol_const)
+residuals = verify_all(trajectory, classification)
 s = residuals.slant
 print("helix345_fz, slant family (axis from the other end of the frame):")
 print(f"  ladder system residual   : {s.sys_slant:.3e}")
 print(f"  axis reconstruction      : {s.axis_slant:.3e}")
 print(f"  sum H*_i^2 spread        : {s.sumsq_slant_spread:.3e}")
 print(f"  closing identity residual: {s.cor41:.3e}")
-print(f"  sum H_i^2 = tan^2(theta) : {samples[0].harmonic.sumsq_H:.6f}"
+print(f"  sum H_i^2 = tan^2(theta) : {trajectory.harmonic.sumsq_H[0]:.6f}"
       f" vs {math.tan(classification.theta) ** 2:.6f}")

@@ -3,8 +3,7 @@ classification for parametric curves given as closed-form expressions."""
 
 from .classify import (
     Classification,
-    Sample,
-    SampleRow,
+    Trajectory,
     classify,
     classify_rows,
     constancy,
@@ -57,10 +56,9 @@ __all__ = [
     "HarmonicData",
     "HelixResiduals",
     "Jet",
-    "Sample",
-    "SampleRow",
     "SlantResiduals",
     "TheoremResiduals",
+    "Trajectory",
     "classify",
     "classify_rows",
     "constancy",

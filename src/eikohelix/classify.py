@@ -6,12 +6,17 @@ helix when additionally <grad f, V1> is a nonzero constant, and a slant
 helix when <grad f, Vn> is. A vanishing Hessian along the curve marks the
 gradient as parallel (a constant vector), which is the hypothesis under
 which the axis and constancy identities of the verification module apply.
+
+Sampling evaluates every stage once over the whole grid and returns a
+:class:`Trajectory`, one array per quantity; classification reduces those
+arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,28 +24,60 @@ from .dsl import CurveSpec
 from .errors import EmptyInput, EvalError, FrameError
 from .frenet import FrenetData, frenet_apparatus
 from .harmonic import HarmonicData, harmonic_data
-from .jets import default_jet_order, eval_curve_jet, eval_field_jet
+from .jets import FieldJet, default_jet_order, eval_curve_jet, eval_field_jet
 
 
-@dataclass
-class SampleRow:
-    """Field data at one curve sample."""
+@dataclass(eq=False)
+class Trajectory:
+    """Everything computed along the sample grid of N points.
 
-    s: float
-    grad: np.ndarray
-    grad_norm: float
-    ip_tangent: float  # <grad f, V1>
-    ip_last: float  # <grad f, Vn>
-    hessian_norm: float  # Frobenius norm of the field Hessian
+    ``frenet`` and ``harmonic`` hold jets with batch shape (N,); ``field``
+    holds the field value, gradient and Hessian with shapes (N,), (N, n)
+    and (N, n, n). The derived arrays below have the grid as first axis.
+    """
 
-
-@dataclass
-class Sample:
-    """Everything computed at one grid point."""
-
-    row: SampleRow
+    s: np.ndarray
     frenet: FrenetData
     harmonic: HarmonicData
+    field: FieldJet
+
+    def __len__(self) -> int:
+        return len(self.s)
+
+    @property
+    def grad(self) -> np.ndarray:
+        """(N, n) field gradient."""
+        return self.field.gradient
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        """(N, n, n) frame values; frame[:, i] is V_{i+1}."""
+        return self.frenet.frame_values()
+
+    @cached_property
+    def projections(self) -> np.ndarray:
+        """(N, n) array of <grad f, V_i>."""
+        return np.einsum("pc,pic->pi", self.grad, self.frame)
+
+    @property
+    def ip_tangent(self) -> np.ndarray:
+        """<grad f, V1> along the grid."""
+        return self.projections[:, 0]
+
+    @property
+    def ip_last(self) -> np.ndarray:
+        """<grad f, Vn> along the grid."""
+        return self.projections[:, -1]
+
+    @cached_property
+    def grad_norm(self) -> np.ndarray:
+        """|grad f| along the grid."""
+        return np.linalg.norm(self.grad, axis=-1)
+
+    @cached_property
+    def hessian_norm(self) -> np.ndarray:
+        """Frobenius norm of the field Hessian along the grid."""
+        return np.linalg.norm(self.field.hessian, axis=(-2, -1))
 
 
 @dataclass
@@ -71,51 +108,41 @@ def constancy(values, tol: float) -> tuple[bool, float]:
     return spread <= tol * (1.0 + abs(mean)), spread
 
 
-def sample_along_curve(spec: CurveSpec) -> list[Sample]:
-    """Evaluate jets, frame, harmonic curvatures, and field at each grid point.
+def sample_along_curve(spec: CurveSpec) -> Trajectory:
+    """Evaluate jets, frame, harmonic curvatures, and field over the grid.
 
     The grid is ``spec.samples`` equally spaced parameter values including
-    both endpoints. Frame degeneracies propagate with the offending s
-    attached.
+    both endpoints. A failure is reported as the per-point loop would
+    report it: at the first grid point that fails any check, the first
+    check in stage order, with the offending s attached.
     """
-    order = default_jet_order(spec.dimension)
     grid = np.linspace(spec.s_range[0], spec.s_range[1], spec.samples)
-    samples: list[Sample] = []
-    for s in grid:
-        s = float(s)
-        try:
-            jets = eval_curve_jet(spec, s, order)
-            fr = frenet_apparatus(jets, spec.tol_frame, s=s)
-            h = harmonic_data(fr)
-            point = np.array([j.value for j in jets])
-            fj = eval_field_jet(spec, point)
-        except FrameError:
-            raise  # already carries the offending s
-        except EvalError as exc:
-            raise type(exc)(f"{exc} (while sampling at s = {s!r})") from exc
-        frame = fr.frame_values()
-        samples.append(
-            Sample(
-                row=SampleRow(
-                    s=s,
-                    grad=fj.gradient,
-                    grad_norm=float(np.linalg.norm(fj.gradient)),
-                    ip_tangent=float(fj.gradient @ frame[0]),
-                    ip_last=float(fj.gradient @ frame[-1]),
-                    hessian_norm=float(np.linalg.norm(fj.hessian)),
-                ),
-                frenet=fr,
-                harmonic=h,
-            )
-        )
-    return samples
+    return _sample(spec, grid)
 
 
-def classify_rows(samples: list[Sample], tol_const: float) -> Classification:
-    """Classification from precomputed samples."""
-    grad_norms = [s.row.grad_norm for s in samples]
-    ip_tangents = [s.row.ip_tangent for s in samples]
-    ip_lasts = [s.row.ip_last for s in samples]
+def _sample(spec: CurveSpec, grid: np.ndarray) -> Trajectory:
+    try:
+        jets = eval_curve_jet(spec, grid, default_jet_order(spec.dimension))
+        fr = frenet_apparatus(jets, spec.tol_frame, grid)
+        h = harmonic_data(fr)
+        fj = eval_field_jet(spec, np.stack([j.coeffs[0] for j in jets], axis=-1))
+    except (FrameError, EvalError) as exc:
+        first = exc.grid_index or 0
+        if first:
+            # Each check raised for its own first failing point; a check that
+            # runs later may fail at an earlier point, which comes first.
+            _sample(spec, grid[:first])
+        if isinstance(exc, EvalError):
+            raise type(exc)(f"{exc} (while sampling at s = {float(grid[first])!r})") from exc
+        raise
+    return Trajectory(s=grid, frenet=fr, harmonic=h, field=fj)
+
+
+def classify_rows(trajectory: Trajectory, tol_const: float) -> Classification:
+    """Classification from a sampled trajectory."""
+    grad_norms = trajectory.grad_norm
+    ip_tangents = trajectory.ip_tangent
+    ip_lasts = trajectory.ip_last
 
     eikonal, spread_norm = constancy(grad_norms, tol_const)
     tangent_const, spread_tangent = constancy(ip_tangents, tol_const)
@@ -127,7 +154,7 @@ def classify_rows(samples: list[Sample], tol_const: float) -> Classification:
 
     helix = eikonal and tangent_const and abs(mean_tangent) > tol_const
     slant = eikonal and last_const and abs(mean_last) > tol_const
-    parallel = max(s.row.hessian_norm for s in samples) <= tol_const
+    parallel = float(trajectory.hessian_norm.max()) <= tol_const
 
     if mean_norm > 0.0:
         theta: float | None = math.acos(max(-1.0, min(1.0, mean_tangent / mean_norm)))

@@ -61,10 +61,10 @@ def _write_output(text: str, out: str | None) -> None:
 def cmd_classify(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
     try:
-        samples = sample_along_curve(spec)
+        trajectory = sample_along_curve(spec)
     except (FrameError, EvalError) as exc:
         return _error(str(exc), EXIT_DEGENERATE)
-    classification = classify_rows(samples, spec.tol_const)
+    classification = classify_rows(trajectory, spec.tol_const)
     if args.json:
         text = to_json(classify_report(spec, classification))
     else:
@@ -76,18 +76,18 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
     try:
-        samples = sample_along_curve(spec)
+        trajectory = sample_along_curve(spec)
     except (FrameError, EvalError) as exc:
         return _error(str(exc), EXIT_DEGENERATE)
-    classification = classify_rows(samples, spec.tol_const)
-    residuals = verify_all(samples, classification)
+    classification = classify_rows(trajectory, spec.tol_const)
+    residuals = verify_all(trajectory, classification)
     tol = args.tol if args.tol is not None else spec.tol_const
     payload = verify_report(
         spec,
         classification,
         residuals,
         tol,
-        samples=samples if args.table else None,
+        trajectory=trajectory if args.table else None,
     )
     text = to_json(payload) if args.json else render_verify_text(payload)
     _write_output(text, args.out)

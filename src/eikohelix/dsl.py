@@ -251,6 +251,12 @@ class _ExprParser:
                 raise ExprSyntaxError(
                     "exponent of '^' must be a constant expression", tok.position
                 )
+            try:
+                value = constant_value(exponent)
+            except (ArithmeticError, ValueError):  # math domain error, overflow, 1/0
+                value = math.nan
+            if not (isinstance(value, float) and math.isfinite(value)):
+                raise ExprSyntaxError("exponent of '^' has no finite real value", tok.position)
             return Binary("^", base, exponent)
         return base
 

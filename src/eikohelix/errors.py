@@ -1,10 +1,45 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the helpers that raise
+them for the first offending point of a batch."""
 
 from __future__ import annotations
 
+from typing import Callable
+
+import numpy as np
+
 
 class EikohelixError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``grid_index`` is the flat (C-order) batch index of the first offending
+    point when the error comes from a check over a batch of points, else
+    None; on a sample grid it is the grid index.
+    """
+
+    grid_index: int | None = None
+
+
+def raise_first(mask, make_error: Callable[[int], EikohelixError]) -> None:
+    """Raise ``make_error(i)`` for the first batch index i where ``mask`` holds.
+
+    Does nothing when the mask holds nowhere. The raised error carries
+    ``grid_index = i``.
+    """
+    flat = np.ravel(mask)
+    if flat.any():
+        i = int(flat.argmax())
+        error = make_error(i)
+        error.grid_index = i
+        raise error
+
+
+def value_at(values, i: int) -> float | None:
+    """Entry i of a flattened batch as a Python float (None stays None).
+
+    Messages format numbers through this so they read ``0.0``, never a
+    numpy repr.
+    """
+    return None if values is None else float(np.ravel(values)[i])
 
 
 # ---------------------------------------------------------------- parsing
@@ -104,9 +139,9 @@ class FrameError(EikohelixError):
     """Base class for Frenet-frame construction failures."""
 
     def __init__(self, message: str, s: float | None = None):
-        self.s = s
+        self.s = None if s is None else float(s)
         if s is not None:
-            message = f"{message} (at s = {s!r})"
+            message = f"{message} (at s = {self.s!r})"
         super().__init__(message)
 
 

@@ -6,31 +6,39 @@ alpha', alpha'', ..., alpha^(n), all in jet arithmetic. Curvatures are
 k_i = <V_i', V_{i+1}> / speed, which makes every k_i strictly positive for
 a nondegenerate curve and keeps curvature derivatives exact.
 
+The construction runs on a whole batch of parameter values at once (a
+sample grid, or a single point as batch shape ``()``): a vector of jets is
+one :class:`Jet` whose first batch axis runs over the n components. Each
+degeneracy check raises for the first batch point at which it fails.
+
 Curves need not be unit speed: every parameter derivative that feeds a
 frame-relative rate is divided by the speed jet.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCurve, DegenerateCurvature, NotRegular
-from .jets import Jet, jet_sqrt
+from .errors import DegenerateCurve, DegenerateCurvature, NotRegular, raise_first, value_at
+from .jets import Jet, jet_dot, jet_sqrt
 
 
-@dataclass
+@dataclass(eq=False)
 class FrenetData:
-    """Frame, curvatures, and speed of a curve at one parameter value.
+    """Frame, curvatures, and speed of a curve over a batch of parameter values.
 
-    frame[i][c] is the jet of component c of V_{i+1}; curvatures[i] is the
-    jet of k_{i+1}.
+    Every jet has the batch shape of ``s`` (``()`` for one point), except
+    that frame[i], the vector jet of V_{i+1}, carries the n components on an
+    extra first batch axis: its coefficients have shape (K+1, n, *batch).
+    curvatures[i] is the jet of k_{i+1}.
     """
 
-    s: float
+    s: float | np.ndarray
     speed: Jet
-    frame: list[list[Jet]]
+    frame: list[Jet]
     curvatures: list[Jet]
 
     @property
@@ -38,22 +46,21 @@ class FrenetData:
         return len(self.frame)
 
     def frame_values(self) -> np.ndarray:
-        """(n, n) array; row i is the value of V_{i+1}."""
-        return np.array([[c.value for c in row] for row in self.frame])
+        """(*batch, n, n) array; [..., i, :] is the value of V_{i+1}."""
+        return _rows([v.coeffs[0] for v in self.frame])
 
     def frame_d1(self) -> np.ndarray:
-        """(n, n) array of first parameter derivatives of the frame rows."""
-        return np.array([[c.d1 for c in row] for row in self.frame])
+        """(*batch, n, n) array of first parameter derivatives of the frame rows."""
+        return _rows([v.coeffs[1] for v in self.frame])
 
     def curvature_values(self) -> np.ndarray:
-        return np.array([k.value for k in self.curvatures])
+        """(*batch, n-1) array of k_1..k_{n-1}."""
+        return np.stack([k.coeffs[0] for k in self.curvatures], axis=-1)
 
 
-def _dot(u: list[Jet], v: list[Jet]) -> Jet:
-    acc = u[0] * v[0]
-    for a, b in zip(u[1:], v[1:]):
-        acc = acc + a * b
-    return acc
+def _rows(vectors: list[np.ndarray]) -> np.ndarray:
+    """Stack (n, *batch) component arrays into (*batch, rows, n)."""
+    return np.moveaxis(np.stack(vectors), (0, 1), (-2, -1))
 
 
 def directional_derivative(g: Jet, speed: Jet) -> Jet:
@@ -64,15 +71,15 @@ def directional_derivative(g: Jet, speed: Jet) -> Jet:
     return g.derivative() / speed
 
 
-def frenet_apparatus(
-    curve_jets: list[Jet], tol_frame: float, s: float | None = None
-) -> FrenetData:
+def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetData:
     """Build the Frenet frame and curvatures from component jets.
 
-    ``curve_jets`` holds the n component jets of the curve at one parameter
-    value, with order at least n+1. Raises NotRegular when the speed falls
-    below ``tol_frame`` and DegenerateCurve(i) when the i-th derivative is
-    linearly dependent on its predecessors.
+    ``curve_jets`` holds the n component jets of the curve, each with the
+    batch shape of ``s`` and order at least n+1. Raises NotRegular when the
+    speed falls below ``tol_frame``, DegenerateCurve(i) when the i-th
+    derivative is linearly dependent on its predecessors, and
+    DegenerateCurvature when a curvature falls below ``tol_frame``, each
+    for the first batch point that fails it.
     """
     n = len(curve_jets)
     if n < 2:
@@ -82,40 +89,47 @@ def frenet_apparatus(
         raise ValueError(f"need jet order >= {n + 1} for dimension {n}, got {order}")
 
     # derivative vectors alpha', ..., alpha^(n)
-    derivatives: list[list[Jet]] = []
-    current = list(curve_jets)
+    derivatives: list[Jet] = []
+    current = Jet(np.stack([j.coeffs[: order + 1] for j in curve_jets], axis=1))
     for _ in range(n):
-        current = [c.derivative() for c in current]
+        current = current.derivative()
         derivatives.append(current)
 
-    speed_sq = _dot(derivatives[0], derivatives[0])
-    if speed_sq.value <= tol_frame * tol_frame:
-        raise NotRegular(f"curve speed {np.sqrt(max(speed_sq.value, 0.0))!r} below threshold", s)
+    speed_sq = jet_dot(derivatives[0], derivatives[0])
+    raise_first(
+        speed_sq.coeffs[0] <= tol_frame * tol_frame,
+        lambda p: NotRegular(
+            f"curve speed {math.sqrt(max(value_at(speed_sq.coeffs[0], p), 0.0))!r} below threshold",
+            value_at(s, p),
+        ),
+    )
     speed = jet_sqrt(speed_sq)
 
-    frame: list[list[Jet]] = []
+    frame: list[Jet] = []
     scale = 1.0  # running magnitude of the derivative vectors
     for i, deriv in enumerate(derivatives, start=1):
-        vec = list(deriv)
-        for basis in frame:
-            proj = _dot(vec, basis)
-            vec = [c - proj * b for c, b in zip(vec, basis)]
-        for basis in frame:  # one reorthogonalization pass
-            proj = _dot(vec, basis)
-            vec = [c - proj * b for c, b in zip(vec, basis)]
-        norm_sq = _dot(vec, vec)
-        scale = max(scale, float(np.sqrt(sum(c.value**2 for c in deriv))))
-        if norm_sq.value <= (tol_frame * scale) ** 2:
-            raise DegenerateCurve(i, s)
-        norm = jet_sqrt(norm_sq)
-        frame.append([c / norm for c in vec])
+        vec = deriv
+        for _ in range(2):  # Gram-Schmidt and one reorthogonalization pass
+            for basis in frame:
+                vec = vec - jet_dot(vec, basis) * basis
+        norm_sq = jet_dot(vec, vec)
+        scale = np.maximum(scale, np.sqrt((deriv.coeffs[0] ** 2).sum(axis=0)))
+        raise_first(
+            norm_sq.coeffs[0] <= (tol_frame * scale) ** 2,
+            lambda p: DegenerateCurve(i, value_at(s, p)),
+        )
+        frame.append(vec / jet_sqrt(norm_sq))
 
     curvatures: list[Jet] = []
     for i in range(n - 1):
-        v_rate = [c.derivative() for c in frame[i]]
-        k = _dot(v_rate, frame[i + 1]) / speed
-        if k.value <= tol_frame:
-            raise DegenerateCurvature(f"curvature k{i + 1} = {k.value!r} below threshold", s)
+        k = jet_dot(frame[i].derivative(), frame[i + 1]) / speed
+        raise_first(
+            k.coeffs[0] <= tol_frame,
+            lambda p: DegenerateCurvature(
+                f"curvature k{i + 1} = {value_at(k.coeffs[0], p)!r} below threshold",
+                value_at(s, p),
+            ),
+        )
         curvatures.append(k)
 
     return FrenetData(s=s if s is not None else 0.0, speed=speed, frame=frame, curvatures=curvatures)

@@ -18,6 +18,9 @@ identities below use exact derivatives rather than grid differencing.
 For n = 3 the tangent family is {H1} and the normal family is {H*_1}; the
 index-(n-3) entries appearing in the derivative identities resolve to the
 zero conventions above.
+
+Both families are evaluated for every point of the frame's batch at once
+(a whole sample grid, or one point as batch shape ``()``).
 """
 
 from __future__ import annotations
@@ -26,40 +29,46 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCurvature, InsufficientOrder
+from .errors import DegenerateCurvature, InsufficientOrder, raise_first, value_at
 from .frenet import FrenetData, directional_derivative
 from .jets import Jet, jet_constant
 
 
-@dataclass
+@dataclass(eq=False)
 class HarmonicData:
-    """Both harmonic-curvature families at one parameter value.
+    """Both harmonic-curvature families over the frame's batch of points.
 
-    H holds H1..H_{n-2}; Hstar holds H*_0 (identically zero) followed by
-    H*_1..H*_{n-2}. sumsq_* are the value-level sums of squares over each
-    family (H*_0 excluded).
+    H holds the jets of H1..H_{n-2}; Hstar holds H*_0 (identically zero)
+    followed by H*_1..H*_{n-2}. sumsq_* are the value-level sums of squares
+    over each family (H*_0 excluded): floats for one point, arrays over a
+    batch.
     """
 
-    s: float
+    s: float | np.ndarray
     H: list[Jet]
     Hstar: list[Jet]
-    sumsq_H: float
-    sumsq_Hstar: float
+    sumsq_H: float | np.ndarray
+    sumsq_Hstar: float | np.ndarray
 
     def H_values(self) -> np.ndarray:
-        return np.array([h.value for h in self.H])
+        """(*batch, n-2) array of H1..H_{n-2}."""
+        return np.stack([h.coeffs[0] for h in self.H], axis=-1)
 
     def Hstar_values(self) -> np.ndarray:
-        """Values of H*_1..H*_{n-2} (the zero entry H*_0 is dropped)."""
-        return np.array([h.value for h in self.Hstar[1:]])
+        """(*batch, n-2) array of H*_1..H*_{n-2} (the zero entry H*_0 is dropped)."""
+        return np.stack([h.coeffs[0] for h in self.Hstar[1:]], axis=-1)
 
 
 def _check_curvatures(fr: FrenetData) -> None:
     if fr.dimension < 3:
         raise ValueError("harmonic curvatures need dimension >= 3")
     for i, k in enumerate(fr.curvatures, start=1):
-        if not k.value > 0.0:
-            raise DegenerateCurvature(f"curvature k{i} = {k.value!r} not positive", fr.s)
+        raise_first(
+            ~(k.coeffs[0] > 0.0),
+            lambda p: DegenerateCurvature(
+                f"curvature k{i} = {value_at(k.coeffs[0], p)!r} not positive", value_at(fr.s, p)
+            ),
+        )
 
 
 def harmonic_tangent(fr: FrenetData) -> list[Jet]:
@@ -107,8 +116,8 @@ def harmonic_data(fr: FrenetData) -> HarmonicData:
         s=fr.s,
         H=H,
         Hstar=Hstar,
-        sumsq_H=float(sum(h.value**2 for h in H)),
-        sumsq_Hstar=float(sum(h.value**2 for h in Hstar[1:])),
+        sumsq_H=sum(h.value**2 for h in H),
+        sumsq_Hstar=sum(h.value**2 for h in Hstar[1:]),
     )
 
 
@@ -118,7 +127,8 @@ def lemma_residuals(h: HarmonicData, fr: FrenetData) -> tuple[float, float]:
     The tangent family satisfies V1[H_{n-2}] = -k_{n-1} * H_{n-3} exactly
     when the curve is a helix; the normal family satisfies
     V1[H*_{n-2}] = k1 * H*_{n-3} exactly when it is a slant helix. Returns
-    the absolute residuals (r_tangent, r_normal) at the value level.
+    the absolute residuals (r_tangent, r_normal) at the value level, as
+    floats for one point or arrays over the batch.
     """
     n = fr.dimension
     k = fr.curvatures

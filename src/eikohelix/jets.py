@@ -1,20 +1,35 @@
 """Truncated Taylor-series (jet) arithmetic and field derivatives.
 
 A :class:`Jet` of order K stores normalized Taylor coefficients
-``coeffs[j] = g^(j)(s0) / j!`` of a scalar function of the curve parameter.
+``coeffs[j] = g^(j)(s0) / j!`` of a scalar function of the curve parameter,
+for a whole batch of expansion points at once: ``coeffs`` has shape
+``(K+1, *batch)``. A jet over a sample grid of N points has shape (K+1, N);
+a single expansion point is the batch shape ``()``. Every operation acts
+pointwise along the batch with the same arithmetic as for one point, so a
+grid costs one pass of array operations instead of one pass per point
+(univariate Taylor propagation vectorizes over independent expansion
+points). Combining jets of different orders truncates to the smaller
+order; batch shapes broadcast, with batch axes aligned from the right.
+
 All operations propagate exactly truncated series, so derivatives of any
 derived quantity (speed, curvatures, harmonic curvatures) come out exact to
-the carried order rather than finite-differenced. Combining jets of
-different orders truncates to the smaller order.
+the carried order rather than finite-differenced.
 
 :class:`FieldJet` carries value, gradient, and Hessian of a scalar field at
-a point, propagated through expressions as second-order multivariate duals.
+a batch of points, propagated through expressions as second-order
+multivariate duals; there the batch axes lead and the coordinate axes
+trail. One expression walker serves both algebras.
+
+Domain and overflow checks act on the whole batch and raise for the first
+offending point, with ``grid_index`` set on the error (see
+:func:`eikohelix.errors.raise_first`).
 """
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,6 +39,8 @@ from .errors import (
     EvalOverflow,
     InsufficientOrder,
     JetDivisionByZero,
+    raise_first,
+    value_at,
 )
 
 _TINY = 1e-300  # division guard on the value coefficient
@@ -39,8 +56,14 @@ def default_jet_order(dimension: int) -> int:
     return dimension + max(0, dimension - 3) + 1
 
 
+def _scalar(x):
+    """A 0-d value as a Python float; batched values stay arrays."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 class Jet:
-    """Normalized truncated Taylor expansion of a scalar in one variable."""
+    """Normalized truncated Taylor expansions of a scalar in one variable,
+    over a batch of expansion points (coefficient axis first)."""
 
     __slots__ = ("coeffs",)
 
@@ -52,21 +75,27 @@ class Jet:
         return len(self.coeffs) - 1
 
     @property
-    def value(self) -> float:
-        return float(self.coeffs[0])
+    def shape(self) -> tuple[int, ...]:
+        """Batch shape."""
+        return self.coeffs.shape[1:]
 
     @property
-    def d1(self) -> float:
+    def value(self):
+        """Value coefficient: a float for one point, an array for a batch."""
+        return _scalar(self.coeffs[0])
+
+    @property
+    def d1(self):
         """First derivative (equals the order-1 normalized coefficient)."""
         if self.order < 1:
             raise InsufficientOrder("jet carries no first-derivative coefficient")
-        return float(self.coeffs[1])
+        return _scalar(self.coeffs[1])
 
     def derivative(self) -> Jet:
         """Jet of the derivative, one order lower."""
         if self.order < 1:
             raise InsufficientOrder("cannot differentiate an order-0 jet")
-        j = np.arange(1, self.order + 1)
+        j = np.arange(1, self.order + 1).reshape(-1, *[1] * len(self.shape))
         return Jet(self.coeffs[1:] * j)
 
     def truncate(self, order: int) -> Jet:
@@ -96,8 +125,9 @@ class Jet:
         return Jet(b - a)
 
     def __mul__(self, other) -> Jet:
-        a, b = _align(self, _lift(other, self.order))
-        return Jet(np.convolve(a, b)[: len(a)])
+        if not isinstance(other, Jet) and np.ndim(other) == 0:
+            return Jet(self.coeffs * float(other))  # product with a constant series
+        return Jet(_cauchy(*_align(self, _lift(other, self.order))))
 
     __rmul__ = __mul__
 
@@ -111,16 +141,17 @@ class Jet:
         return Jet(-self.coeffs)
 
 
-def jet_constant(value: float, order: int) -> Jet:
-    coeffs = np.zeros(order + 1)
+def jet_constant(value, order: int) -> Jet:
+    """Constant jets; ``value`` may be a float or an array of batch values."""
+    value = np.asarray(value, dtype=float)
+    coeffs = np.zeros((order + 1, *value.shape))
     coeffs[0] = value
     return Jet(coeffs)
 
 
-def jet_param(s: float, order: int) -> Jet:
-    """The jet of the identity function at expansion point s."""
-    coeffs = np.zeros(order + 1)
-    coeffs[0] = s
+def jet_param(s, order: int) -> Jet:
+    """The jet of the identity function at expansion point(s) s."""
+    coeffs = jet_constant(s, order).coeffs
     if order >= 1:
         coeffs[1] = 1.0
     return Jet(coeffs)
@@ -129,22 +160,69 @@ def jet_param(s: float, order: int) -> Jet:
 def _lift(x, order: int) -> Jet:
     if isinstance(x, Jet):
         return x
-    return jet_constant(float(x), order)
+    return jet_constant(x, order)
+
+
+def _pad_batch(coeffs: np.ndarray, ndim: int) -> np.ndarray:
+    """View of ``coeffs`` with batch axes padded on the left to ``ndim``."""
+    pad = ndim - (coeffs.ndim - 1)
+    return coeffs.reshape(coeffs.shape[:1] + (1,) * pad + coeffs.shape[1:]) if pad else coeffs
 
 
 def _align(a: Jet, b: Jet) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of a and b at the smaller order, batch axes made to broadcast."""
     k = min(a.order, b.order)
-    return a.coeffs[: k + 1], b.coeffs[: k + 1]
+    ndim = max(len(a.shape), len(b.shape))
+    return _pad_batch(a.coeffs[: k + 1], ndim), _pad_batch(b.coeffs[: k + 1], ndim)
+
+
+@lru_cache(maxsize=64)
+def _toeplitz_index(size: int) -> np.ndarray:
+    """index[k, j] = k - j below the diagonal, else ``size`` (a zero row)."""
+    k = np.arange(size)
+    diff = k[:, None] - k[None, :]
+    return np.where(diff >= 0, diff, size)
+
+
+def _cauchy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Truncated Cauchy product c[k] = sum_j a[j] b[k-j] of aligned coefficients."""
+    if b.size > a.size:  # spread the smaller operand into the Toeplitz matrix
+        a, b = b, a
+    padded = np.concatenate([b, np.zeros((1, *b.shape[1:]))])
+    return np.einsum("kj...,j...->k...", padded[_toeplitz_index(len(a))], a)
+
+
+def jet_dot(u: Jet, v: Jet) -> Jet:
+    """Inner product of vector jets whose first batch axis runs over components."""
+    a, b = _align(u, v)
+    size = len(a)
+    # m[j, i] = sum_c a[j, c] b[i, c]; the product's coefficient k sums m[j, k-j]
+    m = np.einsum("jc...,ic...->ji...", a, b)
+    padded = np.concatenate([m, np.zeros((size, 1, *m.shape[2:]))], axis=1)
+    return Jet(padded[np.arange(size), _toeplitz_index(size)].sum(axis=1))
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_j a[j] b[j] along the coefficient axis, pointwise over the batch."""
+    return np.einsum("j...,j...->...", a, b)
+
+
+def _weights(coeffs: np.ndarray) -> np.ndarray:
+    """j for j = 1..K, shaped to scale coefficient rows 1..K."""
+    return np.arange(1, len(coeffs)).reshape(-1, *[1] * (coeffs.ndim - 1))
 
 
 def jet_div(num: Jet, den: Jet) -> Jet:
+    b0 = den.coeffs[0]
+    raise_first(
+        np.abs(b0) < _TINY,
+        lambda i: JetDivisionByZero(f"jet division by value {value_at(b0, i)!r}"),
+    )
     a, b = _align(num, den)
-    if abs(b[0]) < _TINY:
-        raise JetDivisionByZero(f"jet division by value {b[0]!r}")
-    q = np.empty_like(a)
+    q = np.empty(np.broadcast_shapes(a.shape, b.shape))
     q[0] = a[0] / b[0]
-    for k in range(1, len(a)):
-        q[k] = (a[k] - np.dot(b[1 : k + 1], q[k - 1 :: -1])) / b[0]
+    for k in range(1, len(q)):
+        q[k] = (a[k] - _inner(b[1 : k + 1], q[k - 1 :: -1])) / b[0]
     return Jet(q)
 
 
@@ -158,57 +236,55 @@ def jet_cos(u: Jet) -> Jet:
 
 def _sin_cos(u: Jet) -> tuple[Jet, Jet]:
     x = u.coeffs
-    k_max = u.order
-    s = np.empty(k_max + 1)
-    c = np.empty(k_max + 1)
-    s[0] = math.sin(x[0])
-    c[0] = math.cos(x[0])
-    j = np.arange(1, k_max + 1)
-    weighted = j * x[1 : k_max + 1]  # j * u_j
-    for k in range(1, k_max + 1):
-        s[k] = np.dot(weighted[:k], c[k - 1 :: -1]) / k
-        c[k] = -np.dot(weighted[:k], s[k - 1 :: -1]) / k
+    s = np.empty_like(x)
+    c = np.empty_like(x)
+    s[0] = np.sin(x[0])
+    c[0] = np.cos(x[0])
+    weighted = _weights(x) * x[1:]  # j * u_j
+    for k in range(1, len(x)):
+        s[k] = _inner(weighted[:k], c[k - 1 :: -1]) / k
+        c[k] = -_inner(weighted[:k], s[k - 1 :: -1]) / k
     return Jet(s), Jet(c)
 
 
 def jet_exp(u: Jet) -> Jet:
     x = u.coeffs
-    k_max = u.order
-    e = np.empty(k_max + 1)
-    try:
-        e[0] = math.exp(x[0])
-    except OverflowError:
-        raise EvalOverflow(f"exp overflow at {x[0]!r}") from None
-    j = np.arange(1, k_max + 1)
-    weighted = j * x[1 : k_max + 1]
-    for k in range(1, k_max + 1):
-        e[k] = np.dot(weighted[:k], e[k - 1 :: -1]) / k
+    e = np.empty_like(x)
+    e[0] = np.exp(x[0])
+    raise_first(
+        np.isinf(e[0]) & np.isfinite(x[0]),
+        lambda i: EvalOverflow(f"exp overflow at {value_at(x[0], i)!r}"),
+    )
+    weighted = _weights(x) * x[1:]
+    for k in range(1, len(x)):
+        e[k] = _inner(weighted[:k], e[k - 1 :: -1]) / k
     return Jet(e)
 
 
 def jet_ln(u: Jet) -> Jet:
     x = u.coeffs
-    if x[0] <= 0.0:
-        raise EvalDomainError(f"ln of non-positive jet value {x[0]!r}")
-    k_max = u.order
-    w = np.empty(k_max + 1)
-    w[0] = math.log(x[0])
-    for k in range(1, k_max + 1):
-        j = np.arange(1, k)
-        acc = np.dot(j * w[1:k], x[k - 1 : 0 : -1]) if k > 1 else 0.0
+    raise_first(
+        x[0] <= 0.0,
+        lambda i: EvalDomainError(f"ln of non-positive jet value {value_at(x[0], i)!r}"),
+    )
+    w = np.empty_like(x)
+    w[0] = np.log(x[0])
+    for k in range(1, len(x)):
+        acc = _inner(_weights(w[:k]) * w[1:k], x[k - 1 : 0 : -1]) if k > 1 else 0.0
         w[k] = (k * x[k] - acc) / (k * x[0])
     return Jet(w)
 
 
 def jet_sqrt(u: Jet) -> Jet:
     x = u.coeffs
-    if x[0] <= 0.0:
-        raise EvalDomainError(f"sqrt of non-positive jet value {x[0]!r}")
-    k_max = u.order
-    r = np.empty(k_max + 1)
-    r[0] = math.sqrt(x[0])
-    for k in range(1, k_max + 1):
-        acc = np.dot(r[1:k], r[k - 1 : 0 : -1]) if k > 1 else 0.0
+    raise_first(
+        x[0] <= 0.0,
+        lambda i: EvalDomainError(f"sqrt of non-positive jet value {value_at(x[0], i)!r}"),
+    )
+    r = np.empty_like(x)
+    r[0] = np.sqrt(x[0])
+    for k in range(1, len(x)):
+        acc = _inner(r[1:k], r[k - 1 : 0 : -1]) if k > 1 else 0.0
         r[k] = (x[k] - acc) / (2.0 * r[0])
     return Jet(r)
 
@@ -233,63 +309,14 @@ def jet_pow(u: Jet, exponent: float) -> Jet:
             base = base * base
             p >>= 1
         return result
-    if u.value <= 0.0:
-        raise EvalDomainError(
-            f"fractional power of non-positive jet value {u.value!r}"
-        )
+    x0 = u.coeffs[0]
+    raise_first(
+        x0 <= 0.0,
+        lambda i: EvalDomainError(
+            f"fractional power of non-positive jet value {value_at(x0, i)!r}"
+        ),
+    )
     return jet_exp(jet_ln(u) * float(exponent))
-
-
-_JET_UNARY = {
-    "neg": lambda u: -u,
-    "sin": jet_sin,
-    "cos": jet_cos,
-    "exp": jet_exp,
-    "sqrt": jet_sqrt,
-    "ln": jet_ln,
-}
-
-
-def eval_expr_jet(expr: Expr, s: float, order: int) -> Jet:
-    """Evaluate a curve-component expression to a jet at expansion point s."""
-    param = jet_param(s, order)
-
-    def walk(node: Expr) -> Jet:
-        if isinstance(node, Constant):
-            return jet_constant(node.value, order)
-        if isinstance(node, Param):
-            return param
-        if isinstance(node, Coord):
-            raise EvalDomainError("coordinate symbol in a curve component")
-        if isinstance(node, Unary):
-            return _JET_UNARY[node.op](walk(node.child))
-        if isinstance(node, Binary):
-            if node.op == "^":
-                return jet_pow(walk(node.left), constant_value(node.right))
-            a = walk(node.left)
-            b = walk(node.right)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            return a / b
-        raise TypeError(f"not an Expr: {node!r}")
-
-    result = walk(expr)
-    if not np.all(np.isfinite(result.coeffs)):
-        raise EvalOverflow(f"non-finite jet coefficients at s = {s!r}")
-    return result
-
-
-def eval_curve_jet(spec: CurveSpec, s: float, order: int | None = None) -> list[Jet]:
-    """Jets of all curve components of ``spec`` at parameter value s."""
-    if order is None:
-        order = default_jet_order(spec.dimension)
-    if order < 1:
-        raise InsufficientOrder("curve jets need order >= 1")
-    return [eval_expr_jet(component, s, order) for component in spec.components]
 
 
 # ------------------------------------------------------------ field duals
@@ -297,32 +324,32 @@ def eval_curve_jet(spec: CurveSpec, s: float, order: int | None = None) -> list[
 
 @dataclass(frozen=True)
 class FieldJet:
-    """Value, gradient, and symmetric Hessian of a scalar field at a point."""
+    """Value, gradient, and symmetric Hessian of a scalar field at a batch of
+    points: shapes (*batch,), (*batch, n) and (*batch, n, n)."""
 
-    value: float
+    value: float | np.ndarray
     gradient: np.ndarray
     hessian: np.ndarray
 
 
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise outer products of the last axes of a and b."""
+    return a[..., :, None] * b[..., None, :]
+
+
 class _Dual2:
-    """Second-order multivariate dual number: (value, gradient, hessian)."""
+    """Second-order multivariate duals (value, gradient, hessian) over a batch."""
 
     __slots__ = ("v", "g", "h")
 
-    def __init__(self, v: float, g: np.ndarray, h: np.ndarray):
-        self.v = v
+    def __init__(self, v, g: np.ndarray, h: np.ndarray):
+        self.v = np.asarray(v, dtype=float)
         self.g = g
         self.h = h
 
     @staticmethod
     def constant(value: float, n: int) -> _Dual2:
-        return _Dual2(float(value), np.zeros(n), np.zeros((n, n)))
-
-    @staticmethod
-    def coordinate(value: float, index: int, n: int) -> _Dual2:
-        g = np.zeros(n)
-        g[index] = 1.0
-        return _Dual2(float(value), g, np.zeros((n, n)))
+        return _Dual2(value, np.zeros(n), np.zeros((n, n)))
 
     def __add__(self, o: _Dual2) -> _Dual2:
         return _Dual2(self.v + o.v, self.g + o.g, self.h + o.h)
@@ -334,102 +361,201 @@ class _Dual2:
         return _Dual2(-self.v, -self.g, -self.h)
 
     def __mul__(self, o: _Dual2) -> _Dual2:
-        cross = np.outer(self.g, o.g)
+        v, ov = self.v[..., None], o.v[..., None]
+        cross = _outer(self.g, o.g)
         return _Dual2(
             self.v * o.v,
-            self.v * o.g + o.v * self.g,
-            self.v * o.h + o.v * self.h + cross + cross.T,
+            v * o.g + ov * self.g,
+            v[..., None] * o.h + ov[..., None] * self.h + cross + np.swapaxes(cross, -1, -2),
         )
 
-    def chain(self, f0: float, f1: float, f2: float) -> _Dual2:
+    def __truediv__(self, o: _Dual2) -> _Dual2:
+        b = o.v
+        raise_first(
+            np.abs(b) < _TINY,
+            lambda i: JetDivisionByZero(f"field division by value {value_at(b, i)!r}"),
+        )
+        return self * o.chain(1.0 / b, -1.0 / (b * b), 2.0 / b**3)
+
+    def chain(self, f0, f1, f2) -> _Dual2:
         """Apply a scalar function given f(v), f'(v), f''(v)."""
-        return _Dual2(f0, f1 * self.g, f1 * self.h + f2 * np.outer(self.g, self.g))
+        f1 = np.asarray(f1)[..., None]
+        f2 = np.asarray(f2)[..., None, None]
+        return _Dual2(f0, f1 * self.g, f1[..., None] * self.h + f2 * _outer(self.g, self.g))
 
 
 def _dual_pow(u: _Dual2, p: float) -> _Dual2:
+    v = u.v
     if p == 0:
-        return _Dual2.constant(1.0, len(u.g))
+        return _Dual2.constant(1.0, u.g.shape[-1])
     if float(p).is_integer():
         p_int = int(p)
-        if u.v == 0.0 and p_int < 0:
-            raise EvalDomainError("negative power of zero")
+        if p_int < 0:
+            raise_first(v == 0.0, lambda i: EvalDomainError("negative power of zero"))
 
-        def mono(c: float, e: int) -> float:
-            # zero coefficient wins before u.v**e can blow up at u.v == 0
-            return c * u.v**e if c != 0.0 else 0.0
+        def mono(c: float, e: int):
+            # zero coefficient wins before v**e can blow up at v == 0;
+            # an overflowing power is inf, which the final finite check reports
+            return c * np.power(v, float(e)) if c != 0.0 else 0.0
 
-        return u.chain(u.v**p_int, mono(p, p_int - 1), mono(p * (p - 1), p_int - 2))
-    if u.v <= 0.0:
-        raise EvalDomainError(f"fractional power of non-positive value {u.v!r}")
-    v = u.v**p
-    return u.chain(v, p * v / u.v, p * (p - 1) * v / (u.v * u.v))
+        return u.chain(np.power(v, float(p_int)), mono(p, p_int - 1), mono(p * (p - 1), p_int - 2))
+    raise_first(
+        v <= 0.0,
+        lambda i: EvalDomainError(f"fractional power of non-positive value {value_at(v, i)!r}"),
+    )
+    vp = np.power(v, p)
+    return u.chain(vp, p * vp / v, p * (p - 1) * vp / (v * v))
 
 
-def _dual_unary(op: str, u: _Dual2) -> _Dual2:
-    if op == "neg":
-        return -u
-    if op == "sin":
-        sv, cv = math.sin(u.v), math.cos(u.v)
-        return u.chain(sv, cv, -sv)
-    if op == "cos":
-        sv, cv = math.sin(u.v), math.cos(u.v)
-        return u.chain(cv, -sv, -cv)
-    if op == "exp":
-        try:
-            ev = math.exp(u.v)
-        except OverflowError:
-            raise EvalOverflow(f"exp overflow at {u.v!r}") from None
-        return u.chain(ev, ev, ev)
-    if op == "sqrt":
-        if u.v <= 0.0:
-            raise EvalDomainError(f"sqrt of non-positive value {u.v!r}")
-        r = math.sqrt(u.v)
-        return u.chain(r, 0.5 / r, -0.25 / (r * u.v))
-    if op == "ln":
-        if u.v <= 0.0:
-            raise EvalDomainError(f"ln of non-positive value {u.v!r}")
-        return u.chain(math.log(u.v), 1.0 / u.v, -1.0 / (u.v * u.v))
-    raise ValueError(f"unknown unary op {op!r}")
+def _dual_exp(u: _Dual2) -> _Dual2:
+    ev = np.exp(u.v)
+    raise_first(
+        np.isinf(ev) & np.isfinite(u.v),
+        lambda i: EvalOverflow(f"exp overflow at {value_at(u.v, i)!r}"),
+    )
+    return u.chain(ev, ev, ev)
+
+
+def _dual_sqrt(u: _Dual2) -> _Dual2:
+    v = u.v
+    raise_first(
+        v <= 0.0, lambda i: EvalDomainError(f"sqrt of non-positive value {value_at(v, i)!r}")
+    )
+    r = np.sqrt(v)
+    return u.chain(r, 0.5 / r, -0.25 / (r * v))
+
+
+def _dual_ln(u: _Dual2) -> _Dual2:
+    v = u.v
+    raise_first(
+        v <= 0.0, lambda i: EvalDomainError(f"ln of non-positive value {value_at(v, i)!r}")
+    )
+    return u.chain(np.log(v), 1.0 / v, -1.0 / (v * v))
+
+
+# ---------------------------------------------------- expression walker
+
+
+class _JetAlgebra:
+    """Curve components: jets in the parameter s."""
+
+    unary = {
+        "neg": operator.neg,
+        "sin": jet_sin,
+        "cos": jet_cos,
+        "exp": jet_exp,
+        "sqrt": jet_sqrt,
+        "ln": jet_ln,
+    }
+    power = staticmethod(jet_pow)
+
+    def __init__(self, s: np.ndarray, order: int):
+        self.order = order
+        self.param = jet_param(s, order)
+
+    def constant(self, value: float) -> Jet:
+        return jet_constant(value, self.order)
+
+    def symbol(self, node: Expr) -> Jet:
+        if isinstance(node, Coord):
+            raise EvalDomainError("coordinate symbol in a curve component")
+        return self.param
+
+
+class _DualAlgebra:
+    """Fields: second-order duals in the coordinates x1..xn."""
+
+    unary = {
+        "neg": operator.neg,
+        "sin": lambda u: u.chain(np.sin(u.v), np.cos(u.v), -np.sin(u.v)),
+        "cos": lambda u: u.chain(np.cos(u.v), -np.sin(u.v), -np.cos(u.v)),
+        "exp": _dual_exp,
+        "sqrt": _dual_sqrt,
+        "ln": _dual_ln,
+    }
+    power = staticmethod(_dual_pow)
+
+    def __init__(self, point: np.ndarray):
+        self.point = point
+        self.n = point.shape[-1]
+
+    def constant(self, value: float) -> _Dual2:
+        return _Dual2.constant(value, self.n)
+
+    def symbol(self, node: Expr) -> _Dual2:
+        if isinstance(node, Param):
+            raise EvalDomainError("parameter symbol in a field expression")
+        g = np.zeros(self.n)
+        g[node.index - 1] = 1.0
+        return _Dual2(self.point[..., node.index - 1], g, np.zeros((self.n, self.n)))
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _evaluate(node: Expr, algebra):
+    """Evaluate an expression tree in the jet or the dual algebra."""
+    if isinstance(node, Constant):
+        return algebra.constant(node.value)
+    if isinstance(node, (Param, Coord)):
+        return algebra.symbol(node)
+    if isinstance(node, Unary):
+        return algebra.unary[node.op](_evaluate(node.child, algebra))
+    if isinstance(node, Binary):
+        left = _evaluate(node.left, algebra)
+        if node.op == "^":
+            return algebra.power(left, constant_value(node.right))
+        return _BINARY[node.op](left, _evaluate(node.right, algebra))
+    raise TypeError(f"not an Expr: {node!r}")
+
+
+def eval_expr_jet(expr: Expr, s, order: int) -> Jet:
+    """Evaluate a curve-component expression to jets at expansion point(s) s.
+
+    ``s`` is a float or an array of points; the result has batch shape
+    ``np.shape(s)``.
+    """
+    s = np.asarray(s, dtype=float)
+    with np.errstate(all="ignore"):
+        result = _evaluate(expr, _JetAlgebra(s, order))
+    coeffs = np.broadcast_to(_pad_batch(result.coeffs, s.ndim), (order + 1, *s.shape)).copy()
+    raise_first(
+        ~np.isfinite(coeffs).all(axis=0),
+        lambda i: EvalOverflow(f"non-finite jet coefficients at s = {value_at(s, i)!r}"),
+    )
+    return Jet(coeffs)
+
+
+def eval_curve_jet(spec: CurveSpec, s, order: int | None = None) -> list[Jet]:
+    """Jets of all curve components of ``spec`` at parameter value(s) s."""
+    if order is None:
+        order = default_jet_order(spec.dimension)
+    if order < 1:
+        raise InsufficientOrder("curve jets need order >= 1")
+    return [eval_expr_jet(component, s, order) for component in spec.components]
 
 
 def eval_field_jet(spec: CurveSpec, point) -> FieldJet:
-    """Exact value, gradient, and Hessian of the spec's field at ``point``."""
+    """Exact value, gradient, and Hessian of the spec's field at ``point``.
+
+    ``point`` has shape (n,) for one point or (*batch, n) for a batch.
+    """
     point = np.asarray(point, dtype=float)
     n = spec.dimension
-    if point.shape != (n,):
-        raise ValueError(f"point must have shape ({n},), got {point.shape}")
-
-    def walk(node: Expr) -> _Dual2:
-        if isinstance(node, Constant):
-            return _Dual2.constant(node.value, n)
-        if isinstance(node, Coord):
-            return _Dual2.coordinate(point[node.index - 1], node.index - 1, n)
-        if isinstance(node, Param):
-            raise EvalDomainError("parameter symbol in a field expression")
-        if isinstance(node, Unary):
-            return _dual_unary(node.op, walk(node.child))
-        if isinstance(node, Binary):
-            if node.op == "^":
-                return _dual_pow(walk(node.left), constant_value(node.right))
-            a = walk(node.left)
-            b = walk(node.right)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            if abs(b.v) < _TINY:
-                raise JetDivisionByZero(f"field division by value {b.v!r}")
-            return a * b.chain(1.0 / b.v, -1.0 / (b.v * b.v), 2.0 / (b.v**3))
-        raise TypeError(f"not an Expr: {node!r}")
-
+    if point.ndim == 0 or point.shape[-1] != n:
+        raise ValueError(f"point must have shape (..., {n}), got {point.shape}")
+    batch = point.shape[:-1]
     with np.errstate(all="ignore"):
-        result = walk(spec.field)
-    if not (
-        math.isfinite(result.v)
-        and np.all(np.isfinite(result.g))
-        and np.all(np.isfinite(result.h))
-    ):
-        raise EvalOverflow(f"non-finite field derivatives at point {point.tolist()!r}")
-    return FieldJet(value=result.v, gradient=result.g, hessian=result.h)
+        result = _evaluate(spec.field, _DualAlgebra(point))
+    value = np.broadcast_to(result.v, batch).copy()
+    gradient = np.broadcast_to(result.g, (*batch, n)).copy()
+    hessian = np.broadcast_to(result.h, (*batch, n, n)).copy()
+    finite = np.isfinite(value) & np.isfinite(gradient).all(axis=-1)
+    finite &= np.isfinite(hessian).all(axis=(-2, -1))
+    raise_first(
+        ~finite,
+        lambda i: EvalOverflow(
+            f"non-finite field derivatives at point {point.reshape(-1, n)[i].tolist()!r}"
+        ),
+    )
+    return FieldJet(value=_scalar(value), gradient=gradient, hessian=hessian)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 
-from .classify import Classification, Sample
+from .classify import Classification, Trajectory
 from .dsl import CurveSpec, format_expr
 from .verify import TheoremResiduals
 
@@ -101,21 +101,21 @@ def verdicts_payload(
     }
 
 
-def samples_payload(samples: list[Sample]) -> list[dict]:
-    rows = []
-    for sample in samples:
-        rows.append(
-            {
-                "s": sample.row.s,
-                "k": [float(v) for v in sample.frenet.curvature_values()],
-                "H": [float(v) for v in sample.harmonic.H_values()],
-                "Hstar": [float(v) for v in sample.harmonic.Hstar_values()],
-                "grad_norm": sample.row.grad_norm,
-                "ip_tangent": sample.row.ip_tangent,
-                "ip_last": sample.row.ip_last,
-            }
-        )
-    return rows
+def samples_payload(trajectory: Trajectory) -> list[dict]:
+    """One row per grid point; every number a Python float."""
+    columns = zip(
+        trajectory.s.tolist(),
+        trajectory.frenet.curvature_values().tolist(),
+        trajectory.harmonic.H_values().tolist(),
+        trajectory.harmonic.Hstar_values().tolist(),
+        trajectory.grad_norm.tolist(),
+        trajectory.ip_tangent.tolist(),
+        trajectory.ip_last.tolist(),
+    )
+    return [
+        {"s": s, "k": k, "H": H, "Hstar": Hstar, "grad_norm": g, "ip_tangent": t, "ip_last": last}
+        for s, k, H, Hstar, g, t, last in columns
+    ]
 
 
 def classify_report(spec: CurveSpec, classification: Classification) -> dict:
@@ -130,7 +130,7 @@ def verify_report(
     classification: Classification,
     residuals: TheoremResiduals,
     tol: float,
-    samples: list[Sample] | None = None,
+    trajectory: Trajectory | None = None,
 ) -> dict:
     payload = {
         "spec": spec_payload(spec),
@@ -138,8 +138,8 @@ def verify_report(
         "residuals": residuals_payload(residuals),
         "verdicts": verdicts_payload(residuals, tol, spec.tol_frame),
     }
-    if samples is not None:
-        payload["samples"] = samples_payload(samples)
+    if trajectory is not None:
+        payload["samples"] = samples_payload(trajectory)
     return payload
 
 

@@ -9,11 +9,12 @@ obeys the closing derivative identity. The slant family mirrors all of
 this with the reversed-index ladder whose axis expansion is
 (H*_{n-2} V1 + ... + H*_1 V_{n-2} + Vn) <grad f, Vn>.
 
-Residuals are maxima over the sample grid: the identities are pointwise,
-and a mean could hide a localized failure. When the hypotheses (helix or
-slant flag, parallel gradient) fail, residuals are still computed where
-possible so a near-helix can be measured, but they carry hypotheses_met =
-False and the report layer suppresses pass/fail.
+Residuals are maxima over the sample grid, computed as array reductions
+over the sampled :class:`~eikohelix.classify.Trajectory`: the identities
+are pointwise, and a mean could hide a localized failure. When the
+hypotheses (helix or slant flag, parallel gradient) fail, residuals are
+still computed where possible so a near-helix can be measured, but they
+carry hypotheses_met = False and the report layer suppresses pass/fail.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import Classification, Sample
+from .classify import Classification, Trajectory
 from .harmonic import lemma_residuals
 
 # Below this angle the gradient is numerically aligned with the tangent and
@@ -70,40 +71,28 @@ def _hypothesis_reason(flag: bool, name: str, classification: Classification) ->
 
 
 def verify_helix_theorems(
-    samples: list[Sample], classification: Classification
+    trajectory: Trajectory, classification: Classification
 ) -> HelixResiduals:
     """Residuals of the tangent-family identities over the grid."""
     theta = classification.theta
     cos_theta = math.cos(theta) if theta is not None else 1.0
     theta_degenerate = theta is not None and abs(theta) < THETA_DEGENERATE
 
-    sys_max = 0.0
-    axis_max = 0.0
-    tan_max = 0.0
-    hn2_min = math.inf
-    cor_max = 0.0
-    sumsq = []
-    for sample in samples:
-        frame = sample.frenet.frame_values()
-        grad = sample.row.grad
-        ip1 = sample.row.ip_tangent
-        H = sample.harmonic.H_values()
-        n = sample.frenet.dimension
+    frame = trajectory.frame
+    grad = trajectory.grad
+    H = trajectory.harmonic.H_values()  # (N, n-2)
+    ip1 = trajectory.ip_tangent[:, None]
 
-        for i in range(1, n - 1):  # ladder entries i = 1 .. n-2
-            sys_max = max(sys_max, abs(grad @ frame[i + 1] - H[i - 1] * ip1))
+    # ladder entries i = 1 .. n-2: <V_{i+2}, grad f> = H_i <V1, grad f>
+    sys_max = np.abs(trajectory.projections[:, 2:] - H * ip1).max()
 
-        axis = frame[0].copy()
-        for i in range(1, n - 1):
-            axis += H[i - 1] * frame[i + 1]
-        axis *= sample.row.grad_norm * cos_theta
-        axis_max = max(axis_max, float(np.linalg.norm(grad - axis)))
+    axis = frame[:, 0] + np.einsum("pi,pic->pc", H, frame[:, 2:])
+    axis *= (trajectory.grad_norm * cos_theta)[:, None]
+    axis_max = np.linalg.norm(grad - axis, axis=-1).max()
 
-        sumsq.append(sample.harmonic.sumsq_H)
-        tan_max = max(tan_max, abs(cos_theta**2 * (1.0 + sample.harmonic.sumsq_H) - 1.0))
-        hn2_min = min(hn2_min, abs(H[-1]))
-        r_tangent, _ = lemma_residuals(sample.harmonic, sample.frenet)
-        cor_max = max(cor_max, r_tangent)
+    sumsq = trajectory.harmonic.sumsq_H
+    tan_max = np.abs(cos_theta**2 * (1.0 + sumsq) - 1.0).max()
+    r_tangent, _ = lemma_residuals(trajectory.harmonic, trajectory.frenet)
 
     met = classification.helix and classification.parallel_gradient and not theta_degenerate
     reason = _hypothesis_reason(classification.helix, "not a helix (tangent angle varies or is zero)", classification)
@@ -112,45 +101,35 @@ def verify_helix_theorems(
     return HelixResiduals(
         hypotheses_met=met,
         reason="" if met else reason,
-        sys_helix=sys_max,
-        axis_helix=axis_max,
-        sumsq_helix_spread=float(max(sumsq) - min(sumsq)),
-        tan_identity=tan_max,
-        hn2_min=hn2_min,
-        cor31=cor_max,
+        sys_helix=float(sys_max),
+        axis_helix=float(axis_max),
+        sumsq_helix_spread=float(np.ptp(sumsq)),
+        tan_identity=float(tan_max),
+        hn2_min=float(np.abs(H[:, -1]).min()),
+        cor31=float(r_tangent.max()),
         theta_degenerate=theta_degenerate,
     )
 
 
 def verify_slant_theorems(
-    samples: list[Sample], classification: Classification
+    trajectory: Trajectory, classification: Classification
 ) -> SlantResiduals:
     """Residuals of the normal-family identities over the grid."""
-    sys_max = 0.0
-    axis_max = 0.0
-    hn2star_min = math.inf
-    cor_max = 0.0
-    sumsq = []
-    for sample in samples:
-        frame = sample.frenet.frame_values()
-        grad = sample.row.grad
-        ipn = sample.row.ip_last
-        Hstar = sample.harmonic.Hstar_values()  # H*_1 .. H*_{n-2}
-        n = sample.frenet.dimension
+    frame = trajectory.frame
+    grad = trajectory.grad
+    Hstar = trajectory.harmonic.Hstar_values()  # H*_1 .. H*_{n-2}, (N, n-2)
+    ipn = trajectory.ip_last
+    n = frame.shape[-1]
 
-        for i in range(1, n - 1):  # <V_{n-(i+1)}, grad f> = H*_i <Vn, grad f>
-            sys_max = max(sys_max, abs(grad @ frame[n - i - 2] - Hstar[i - 1] * ipn))
+    # <V_{n-(i+1)}, grad f> = H*_i <Vn, grad f> for i = 1 .. n-2
+    sys_max = np.abs(trajectory.projections[:, n - 3 :: -1] - Hstar * ipn[:, None]).max()
 
-        axis = frame[-1].copy()
-        for i in range(1, n - 1):  # coefficient of V_j is H*_{n-1-j}
-            axis += Hstar[n - 2 - i] * frame[i - 1]
-        axis *= ipn
-        axis_max = max(axis_max, float(np.linalg.norm(grad - axis)))
+    # the coefficient of V_j (j = 1 .. n-2) is H*_{n-1-j}
+    axis = frame[:, -1] + np.einsum("pi,pic->pc", Hstar[:, ::-1], frame[:, : n - 2])
+    axis *= ipn[:, None]
+    axis_max = np.linalg.norm(grad - axis, axis=-1).max()
 
-        sumsq.append(sample.harmonic.sumsq_Hstar)
-        hn2star_min = min(hn2star_min, abs(Hstar[-1]))
-        _, r_normal = lemma_residuals(sample.harmonic, sample.frenet)
-        cor_max = max(cor_max, r_normal)
+    _, r_normal = lemma_residuals(trajectory.harmonic, trajectory.frenet)
 
     met = classification.slant and classification.parallel_gradient
     reason = _hypothesis_reason(
@@ -159,29 +138,23 @@ def verify_slant_theorems(
     return SlantResiduals(
         hypotheses_met=met,
         reason="" if met else reason,
-        sys_slant=sys_max,
-        axis_slant=axis_max,
-        sumsq_slant_spread=float(max(sumsq) - min(sumsq)),
-        hn2star_min=hn2star_min,
-        cor41=cor_max,
+        sys_slant=float(sys_max),
+        axis_slant=float(axis_max),
+        sumsq_slant_spread=float(np.ptp(trajectory.harmonic.sumsq_Hstar)),
+        hn2star_min=float(np.abs(Hstar[:, -1]).min()),
+        cor41=float(r_normal.max()),
     )
 
 
-def orthogonality_checks(samples: list[Sample]) -> tuple[float, float]:
+def orthogonality_checks(trajectory: Trajectory) -> tuple[float, float]:
     """Grid maxima of |<grad f, V2>| and |<grad f, V_{n-1}>|.
 
     A parallel-gradient helix keeps the gradient orthogonal to V2; a
     parallel-gradient slant helix keeps it orthogonal to V_{n-1}. Both
     maxima are reported unconditionally as diagnostics.
     """
-    max_v2 = 0.0
-    max_vn1 = 0.0
-    for sample in samples:
-        frame = sample.frenet.frame_values()
-        grad = sample.row.grad
-        max_v2 = max(max_v2, abs(float(grad @ frame[1])))
-        max_vn1 = max(max_vn1, abs(float(grad @ frame[-2])))
-    return max_v2, max_vn1
+    projections = trajectory.projections
+    return float(np.abs(projections[:, 1]).max()), float(np.abs(projections[:, -2]).max())
 
 
 @dataclass
@@ -194,8 +167,8 @@ class TheoremResiduals:
     orth_vn1: float
 
 
-def verify_all(samples: list[Sample], classification: Classification) -> TheoremResiduals:
-    helix = verify_helix_theorems(samples, classification)
-    slant = verify_slant_theorems(samples, classification)
-    orth_v2, orth_vn1 = orthogonality_checks(samples)
+def verify_all(trajectory: Trajectory, classification: Classification) -> TheoremResiduals:
+    helix = verify_helix_theorems(trajectory, classification)
+    slant = verify_slant_theorems(trajectory, classification)
+    orth_v2, orth_vn1 = orthogonality_checks(trajectory)
     return TheoremResiduals(helix=helix, slant=slant, orth_v2=orth_v2, orth_vn1=orth_vn1)

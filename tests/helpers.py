@@ -4,7 +4,9 @@ Everything here is deliberately independent of the jet pipeline it checks:
 derivatives come from Richardson-extrapolated central differences or dense
 polynomial fits, frames from plain numpy Gram-Schmidt on those derivatives,
 and the synthetic n=4 systems from direct ODE integration of the frame
-equations with prescribed curvature functions.
+equations with prescribed curvature functions. The one exception is
+``sample_point_by_point``: it runs the package's own stages one point at a
+time, as the reference for which error the batched sampler reports.
 """
 
 from __future__ import annotations
@@ -14,11 +16,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from eikohelix.classify import Sample, SampleRow
+from eikohelix.classify import Trajectory
 from eikohelix.dsl import Binary, Constant, Coord, CurveSpec, Expr, Param, Unary
-from eikohelix.frenet import FrenetData
+from eikohelix.errors import EvalError, FrameError
+from eikohelix.frenet import FrenetData, frenet_apparatus
 from eikohelix.harmonic import harmonic_data
-from eikohelix.jets import Jet, jet_constant, jet_cos, jet_param, jet_sin
+from eikohelix.jets import (
+    FieldJet,
+    Jet,
+    default_jet_order,
+    eval_curve_jet,
+    eval_field_jet,
+    jet_constant,
+    jet_cos,
+    jet_param,
+    jet_sin,
+)
 
 
 # ------------------------------------------------- plain float evaluation
@@ -54,6 +67,29 @@ def eval_float(expr: Expr, s: float | None = None, point=None) -> float:
             return a / b
         return a**b
     raise TypeError(f"not an Expr: {expr!r}")
+
+
+# ------------------------------------------------- per-point reference
+
+
+def sample_point_by_point(spec: CurveSpec) -> None:
+    """Run every stage one grid point at a time, in grid order.
+
+    This is the reference for the error rule of ``sample_along_curve``: the
+    first point that fails any check raises, and at that point the first
+    check in stage order. It returns nothing when no point fails.
+    """
+    order = default_jet_order(spec.dimension)
+    for s in np.linspace(spec.s_range[0], spec.s_range[1], spec.samples):
+        s = float(s)
+        try:
+            jets = eval_curve_jet(spec, s, order)
+            harmonic_data(frenet_apparatus(jets, spec.tol_frame, s=s))
+            eval_field_jet(spec, [j.value for j in jets])
+        except FrameError:
+            raise
+        except EvalError as exc:
+            raise type(exc)(f"{exc} (while sampling at s = {s!r})") from exc
 
 
 # ------------------------------------------------------ finite differences
@@ -372,13 +408,11 @@ def nonhelix_r3(rng: np.random.Generator, samples: int = 33) -> CurveSpec:
 # --------------------------------------------- synthetic n = 4 frame data
 
 
-def _jet_closure_frame(V: np.ndarray, omega: np.ndarray) -> list[list[Jet]]:
-    """Order-1 frame jets: values from V, first derivatives from omega @ V."""
+def _jet_closure_frame(V: np.ndarray, omega: np.ndarray) -> list[Jet]:
+    """Order-1 frame jets over the grid: values from V, first derivatives
+    from omega @ V, for (N, n, n) arrays V and omega."""
     rates = omega @ V
-    return [
-        [Jet([V[i, c], rates[i, c]]) for c in range(V.shape[1])]
-        for i in range(V.shape[0])
-    ]
+    return [Jet(np.stack([V[:, i].T, rates[:, i].T])) for i in range(V.shape[1])]
 
 
 def _omega(k: np.ndarray) -> np.ndarray:
@@ -392,7 +426,7 @@ def _omega(k: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SyntheticSystem:
-    samples: list[Sample]
+    trajectory: Trajectory
     axis: np.ndarray
     expected_sumsq: float
 
@@ -419,35 +453,24 @@ def _integrate_frame(curvature_values, grid: np.ndarray, n: int) -> list[np.ndar
     return [sol.y[:, j].reshape(n, n) for j in range(len(grid))]
 
 
-def _build_samples(grid, frames, curvature_jets, curvature_values, axis, order=4):
-    samples = []
-    n = frames[0].shape[0]
-    for s, V in zip(grid, frames):
-        s = float(s)
-        sj = jet_param(s, order)
-        k_jets = curvature_jets(sj)
-        fr = FrenetData(
-            s=s,
-            speed=jet_constant(1.0, order),
-            frame=_jet_closure_frame(V, _omega(curvature_values(s))),
-            curvatures=k_jets,
-        )
-        h = harmonic_data(fr)
-        samples.append(
-            Sample(
-                row=SampleRow(
-                    s=s,
-                    grad=axis,
-                    grad_norm=float(np.linalg.norm(axis)),
-                    ip_tangent=float(axis @ V[0]),
-                    ip_last=float(axis @ V[-1]),
-                    hessian_norm=0.0,
-                ),
-                frenet=fr,
-                harmonic=h,
-            )
-        )
-    return samples
+def _build_trajectory(grid, frames, curvature_jets, curvature_values, axis, order=4):
+    """Trajectory of a synthetic unit-speed frame system with the constant
+    gradient ``axis`` (a parallel field, so the Hessian vanishes)."""
+    V = np.array(frames)
+    count, n = V.shape[0], V.shape[1]
+    omega = np.array([_omega(curvature_values(float(s))) for s in grid])
+    fr = FrenetData(
+        s=grid,
+        speed=jet_constant(1.0, order),
+        frame=_jet_closure_frame(V, omega),
+        curvatures=curvature_jets(jet_param(grid, order)),
+    )
+    field = FieldJet(
+        value=np.zeros(count),
+        gradient=np.tile(axis, (count, 1)),
+        hessian=np.zeros((count, n, n)),
+    )
+    return Trajectory(s=grid, frenet=fr, harmonic=harmonic_data(fr), field=field)
 
 
 def synthetic_helix_r4(rng: np.random.Generator, count: int = 25) -> SyntheticSystem:
@@ -488,8 +511,8 @@ def synthetic_helix_r4(rng: np.random.Generator, count: int = 25) -> SyntheticSy
     V0 = frames[0]
     axis = lam * (V0[0] + H1_0 * V0[2] + H2_0 * V0[3])
 
-    samples = _build_samples(grid, frames, k_jets, k_values, axis)
-    return SyntheticSystem(samples=samples, axis=axis, expected_sumsq=T * T)
+    trajectory = _build_trajectory(grid, frames, k_jets, k_values, axis)
+    return SyntheticSystem(trajectory=trajectory, axis=axis, expected_sumsq=T * T)
 
 
 def synthetic_slant_r4(rng: np.random.Generator, count: int = 25) -> SyntheticSystem:
@@ -528,5 +551,5 @@ def synthetic_slant_r4(rng: np.random.Generator, count: int = 25) -> SyntheticSy
     V0 = frames[0]
     axis = mu1_0 * V0[0] + mu2_0 * V0[1] + m * V0[3]
 
-    samples = _build_samples(grid, frames, k_jets, k_values, axis)
-    return SyntheticSystem(samples=samples, axis=axis, expected_sumsq=(rho / m) ** 2)
+    trajectory = _build_trajectory(grid, frames, k_jets, k_values, axis)
+    return SyntheticSystem(trajectory=trajectory, axis=axis, expected_sumsq=(rho / m) ** 2)

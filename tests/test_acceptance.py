@@ -50,17 +50,17 @@ def catalog_runs():
         if name == "circle_in_r3":
             continue
         spec = catalog.load(name)
-        samples = sample_along_curve(spec)
-        runs[name] = (spec, samples, classify_rows(samples, spec.tol_const))
+        trajectory = sample_along_curve(spec)
+        runs[name] = (spec, trajectory, classify_rows(trajectory, spec.tol_const))
     return runs
 
 
 def test_criterion_1_reference_reproduction(catalog_runs):
     """Gradient norm sqrt(5) and tangent angle 1/sqrt(2) on paper_3_1."""
-    _, samples, classification = catalog_runs["paper_3_1"]
-    norms = np.array([s.row.grad_norm for s in samples])
-    tangents = np.array([s.row.ip_tangent for s in samples])
-    assert len(samples) == 512
+    _, trajectory, classification = catalog_runs["paper_3_1"]
+    norms = trajectory.grad_norm
+    tangents = trajectory.ip_tangent
+    assert len(trajectory) == 512
     assert np.max(np.abs(norms - ROOT5)) <= 1e-10
     assert norms.max() - norms.min() <= 1e-10
     assert np.max(np.abs(tangents - INV_SQRT2)) <= 1e-10
@@ -77,42 +77,40 @@ def test_criterion_2_frenet_oracle_equivalence(catalog_runs):
         "helix345_fz": (3.0 / 25.0, 4.0 / 25.0),
     }
     for name, (k1, k2) in closed_forms.items():
-        spec, samples, _ = catalog_runs[name]
-        assert len(samples) == 512
-        for sample in samples:
-            k = sample.frenet.curvature_values()
-            assert abs(k[0] - k1) <= 1e-9
-            assert abs(k[1] - k2) <= 1e-9
+        spec, trajectory, _ = catalog_runs[name]
+        assert len(trajectory) == 512
+        k = trajectory.frenet.curvature_values()  # (512, 2)
+        assert np.max(np.abs(k[:, 0] - k1)) <= 1e-9
+        assert np.max(np.abs(k[:, 1] - k2)) <= 1e-9
 
         def curve(s, spec=spec):
             return [eval_float(c, s) for c in spec.components]
 
-        for sample in samples[::8]:
-            _, k_oracle, speed_oracle = fd_frenet(curve, sample.row.s, 3)
-            k = sample.frenet.curvature_values()
-            assert np.max(np.abs(k - k_oracle)) <= 1e-6
-            assert abs(sample.frenet.speed.value - speed_oracle) <= 1e-6
+        speed = trajectory.frenet.speed.value
+        for j in range(0, len(trajectory), 8):
+            _, k_oracle, speed_oracle = fd_frenet(curve, trajectory.s[j], 3)
+            assert np.max(np.abs(k[j] - k_oracle)) <= 1e-6
+            assert abs(speed[j] - speed_oracle) <= 1e-6
     _report(2, "k1, k2 match closed forms (1e-9, all 512 samples) and FD oracle (1e-6)")
 
 
 def test_criterion_3_axis_reconstruction(catalog_runs):
     """Axis formulas reconstruct (0, 0, 1) on helix345_fz at 1e-9."""
-    _, samples, classification = catalog_runs["helix345_fz"]
-    helix = verify_helix_theorems(samples, classification)
-    slant = verify_slant_theorems(samples, classification)
+    _, trajectory, classification = catalog_runs["helix345_fz"]
+    helix = verify_helix_theorems(trajectory, classification)
+    slant = verify_slant_theorems(trajectory, classification)
     assert helix.axis_helix <= 1e-9
     assert slant.axis_slant <= 1e-9
     cos_theta = math.cos(classification.theta)
-    for sample in samples:
-        frame = sample.frenet.frame_values()
-        H1 = sample.harmonic.H[0].value
-        axis = sample.row.grad_norm * cos_theta * (frame[0] + H1 * frame[2])
-        assert np.max(np.abs(axis - [0.0, 0.0, 1.0])) <= 1e-9
+    frame = trajectory.frame  # (N, 3, 3)
+    H1 = trajectory.harmonic.H[0].value[:, None]
+    axis = trajectory.grad_norm[:, None] * cos_theta * (frame[:, 0] + H1 * frame[:, 2])
+    assert np.max(np.abs(axis - [0.0, 0.0, 1.0])) <= 1e-9
     _report(3, "tangent and last-vector axis formulas reconstruct (0,0,1) at 1e-9")
 
 
-def _check_tangent_family(samples, classification, label):
-    r = verify_helix_theorems(samples, classification)
+def _check_tangent_family(trajectory, classification, label):
+    r = verify_helix_theorems(trajectory, classification)
     assert r.hypotheses_met, label
     assert r.sys_helix <= 1e-7, f"{label}: system {r.sys_helix}"
     assert r.tan_identity <= 1e-9, f"{label}: tan identity {r.tan_identity}"
@@ -121,8 +119,8 @@ def _check_tangent_family(samples, classification, label):
     assert r.cor31 <= 1e-7, f"{label}: closing identity {r.cor31}"
 
 
-def _check_normal_family(samples, classification, label):
-    r = verify_slant_theorems(samples, classification)
+def _check_normal_family(trajectory, classification, label):
+    r = verify_slant_theorems(trajectory, classification)
     assert r.hypotheses_met, label
     assert r.sys_slant <= 1e-7, f"{label}: system {r.sys_slant}"
     assert r.sumsq_slant_spread <= 1e-8, f"{label}: sumsq spread {r.sumsq_slant_spread}"
@@ -141,12 +139,12 @@ def test_criterion_4_identity_suite(catalog_runs):
     helix_cases = 0
     slant_cases = 0
 
-    for name, (spec, samples, classification) in catalog_runs.items():
+    for name, (spec, trajectory, classification) in catalog_runs.items():
         if classification.helix and classification.parallel_gradient:
-            _check_tangent_family(samples, classification, name)
+            _check_tangent_family(trajectory, classification, name)
             helix_cases += 1
         if classification.slant and classification.parallel_gradient:
-            _check_normal_family(samples, classification, name)
+            _check_normal_family(trajectory, classification, name)
             slant_cases += 1
     assert helix_cases >= 2  # helix345_fz and helix_r4
     assert slant_cases >= 1
@@ -154,30 +152,30 @@ def test_criterion_4_identity_suite(catalog_runs):
     rng = np.random.default_rng(20260810)
     for _ in range(60):  # n=3 constant-curvature helices, both families
         spec = wcurve_helix_r3(rng).spec
-        samples = sample_along_curve(spec)
-        classification = classify_rows(samples, spec.tol_const)
+        trajectory = sample_along_curve(spec)
+        classification = classify_rows(trajectory, spec.tol_const)
         assert classification.helix and classification.slant
-        _check_tangent_family(samples, classification, "r3 fuzz")
-        _check_normal_family(samples, classification, "r3 fuzz")
+        _check_tangent_family(trajectory, classification, "r3 fuzz")
+        _check_normal_family(trajectory, classification, "r3 fuzz")
 
     for _ in range(20):  # n=4 full-pipeline helices
         spec = lift_helix_r4(rng).spec
-        samples = sample_along_curve(spec)
-        classification = classify_rows(samples, spec.tol_const)
+        trajectory = sample_along_curve(spec)
+        classification = classify_rows(trajectory, spec.tol_const)
         assert classification.helix
-        _check_tangent_family(samples, classification, "r4 lift fuzz")
+        _check_tangent_family(trajectory, classification, "r4 lift fuzz")
 
     for _ in range(10):  # n=4 tangent-family synthetic frame systems
         system = synthetic_helix_r4(rng)
-        classification = classify_rows(system.samples, 1e-8)
+        classification = classify_rows(system.trajectory, 1e-8)
         assert classification.helix
-        _check_tangent_family(system.samples, classification, "r4 synthetic helix")
+        _check_tangent_family(system.trajectory, classification, "r4 synthetic helix")
 
     for _ in range(10):  # n=4 normal-family synthetic frame systems
         system = synthetic_slant_r4(rng)
-        classification = classify_rows(system.samples, 1e-8)
+        classification = classify_rows(system.trajectory, 1e-8)
         assert classification.slant
-        _check_normal_family(system.samples, classification, "r4 synthetic slant")
+        _check_normal_family(system.trajectory, classification, "r4 synthetic slant")
 
     _report(4, "identity suite on catalog helix cases + 100 fuzzed cases (n=3, n=4)")
 
@@ -190,23 +188,22 @@ def test_criterion_5_equivalence_property(catalog_runs):
     const_seen = varying_seen = 0
     for case in range(16):
         spec = wcurve_helix_r3(rng).spec if case % 2 == 0 else nonhelix_r3(rng)
-        samples = sample_along_curve(spec)
+        trajectory = sample_along_curve(spec)
+        residuals = lemma_residuals(trajectory.harmonic, trajectory.frenet)
         for family in (0, 1):
-            sumsq = [
-                (s.harmonic.sumsq_H, s.harmonic.sumsq_Hstar)[family] for s in samples
-            ]
-            spread = max(sumsq) - min(sumsq)
-            residual = max(lemma_residuals(s.harmonic, s.frenet)[family] for s in samples)
+            sumsq = (trajectory.harmonic.sumsq_H, trajectory.harmonic.sumsq_Hstar)[family]
+            spread = sumsq.max() - sumsq.min()
+            residual = residuals[family].max()
             assert (spread <= tol) == (residual <= tol)
             if family == 0:
                 const_seen += spread <= tol
                 varying_seen += spread > tol
     assert const_seen >= 4 and varying_seen >= 4  # both directions exercised
 
-    _, samples, _ = catalog_runs["nonhelix_parabolic"]
-    sumsq = [s.harmonic.sumsq_H for s in samples]
-    spread = max(sumsq) - min(sumsq)
-    residual = max(lemma_residuals(s.harmonic, s.frenet)[0] for s in samples)
+    _, trajectory, _ = catalog_runs["nonhelix_parabolic"]
+    sumsq = trajectory.harmonic.sumsq_H
+    spread = sumsq.max() - sumsq.min()
+    residual = lemma_residuals(trajectory.harmonic, trajectory.frenet)[0].max()
     assert spread > tol and residual > tol
     _report(5, "constancy <=> closing identity at 1e-7, both directions; parabolic fails both")
 
@@ -215,22 +212,21 @@ def test_criterion_6_frame_invariants(catalog_runs):
     """Orthonormality defect <= 1e-10 and frame-equation residual <= 1e-8
     at every sample of every catalog curve, including the n=4 torus curve;
     the planar circle is caught as degenerate."""
-    for name, (_, samples, _) in catalog_runs.items():
-        for sample in samples:
-            frame = sample.frenet.frame_values()
-            n = sample.frenet.dimension
-            defect = np.max(np.abs(frame @ frame.T - np.eye(n)))
-            assert defect <= 1e-10, f"{name}: orthonormality defect {defect}"
-            rates = sample.frenet.frame_d1() / sample.frenet.speed.value
-            k = sample.frenet.curvature_values()
-            for i in range(n):
-                expected = np.zeros(n)
-                if i > 0:
-                    expected -= k[i - 1] * frame[i - 1]
-                if i < n - 1:
-                    expected += k[i] * frame[i + 1]
-                residual = np.max(np.abs(rates[i] - expected))
-                assert residual <= 1e-8, f"{name}: frame equation residual {residual}"
+    for name, (_, trajectory, _) in catalog_runs.items():
+        frame = trajectory.frame  # (N, n, n), every sample at once
+        n = trajectory.frenet.dimension
+        defect = np.max(np.abs(frame @ frame.transpose(0, 2, 1) - np.eye(n)))
+        assert defect <= 1e-10, f"{name}: orthonormality defect {defect}"
+        rates = trajectory.frenet.frame_d1() / trajectory.frenet.speed.value[:, None, None]
+        k = trajectory.frenet.curvature_values()
+        for i in range(n):
+            expected = np.zeros((len(trajectory), n))
+            if i > 0:
+                expected -= k[:, i - 1, None] * frame[:, i - 1]
+            if i < n - 1:
+                expected += k[:, i, None] * frame[:, i + 1]
+            residual = np.max(np.abs(rates[:, i] - expected))
+            assert residual <= 1e-8, f"{name}: frame equation residual {residual}"
     assert catalog.load("wcurve_r4").dimension == 4
     with pytest.raises(DegenerateCurve):
         sample_along_curve(catalog.load("circle_in_r3"))

@@ -18,9 +18,16 @@ from eikohelix.dsl import (
     parse_curve_spec,
     parse_expr_text,
 )
-from eikohelix.errors import DegenerateCurve, EmptyInput
+from eikohelix.errors import (
+    DegenerateCurve,
+    EmptyInput,
+    EvalDomainError,
+    EvalError,
+    FrameError,
+    NotRegular,
+)
 
-from helpers import add_all, lin, linear_field, rotation, wcurve_helix_r3
+from helpers import add_all, lin, linear_field, rotation, sample_point_by_point, wcurve_helix_r3
 
 PAPER_DOC = """\
 dimension = 3
@@ -61,29 +68,29 @@ class TestConstancy:
 class TestSampling:
     def test_paper_rows(self):
         spec = parse_curve_spec(PAPER_DOC)
-        samples = sample_along_curve(spec)
-        assert len(samples) == 512
-        assert samples[0].row.s == 0.0
-        assert samples[-1].row.s == pytest.approx(12.566)
+        trajectory = sample_along_curve(spec)
+        assert len(trajectory) == 512
+        assert trajectory.s[0] == 0.0
+        assert trajectory.s[-1] == pytest.approx(12.566)
         root5 = math.sqrt(5.0)
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        for sample in samples[::37]:
-            assert sample.row.grad_norm == pytest.approx(root5, abs=1e-12)
-            assert sample.row.ip_tangent == pytest.approx(inv_sqrt2, abs=1e-12)
-        is_const, spread = constancy([s.row.ip_tangent for s in samples], 1e-8)
+        for j in range(0, len(trajectory), 37):
+            assert trajectory.grad_norm[j] == pytest.approx(root5, abs=1e-12)
+            assert trajectory.ip_tangent[j] == pytest.approx(inv_sqrt2, abs=1e-12)
+        is_const, spread = constancy(trajectory.ip_tangent, 1e-8)
         assert is_const and spread <= 1e-10
 
     def test_varying_gradient_norm(self):
         doc = HELIX345_FZ.replace('"x3"', '"x1^2 + x2^2 + x3^2"')
-        samples = sample_along_curve(parse_curve_spec(doc))
-        norms = [s.row.grad_norm for s in samples]
-        assert max(norms) - min(norms) > 1.0
+        norms = sample_along_curve(parse_curve_spec(doc)).grad_norm
+        assert norms.max() - norms.min() > 1.0
 
     def test_cauchy_schwarz_rows(self):
         spec = parse_curve_spec(PAPER_DOC)
-        for sample in sample_along_curve(spec)[::61]:
-            assert abs(sample.row.ip_tangent) <= sample.row.grad_norm + 1e-12
-            assert abs(sample.row.ip_last) <= sample.row.grad_norm + 1e-12
+        trajectory = sample_along_curve(spec)
+        for j in range(0, len(trajectory), 61):
+            assert abs(trajectory.ip_tangent[j]) <= trajectory.grad_norm[j] + 1e-12
+            assert abs(trajectory.ip_last[j]) <= trajectory.grad_norm[j] + 1e-12
 
     def test_degeneracy_carries_s(self):
         doc = (
@@ -95,6 +102,85 @@ class TestSampling:
         with pytest.raises(DegenerateCurve) as exc_info:
             sample_along_curve(parse_curve_spec(doc))
         assert exc_info.value.s is not None
+
+
+def grid_doc(curve: str, field: str, s_range: str = "[0, 2]") -> str:
+    return (
+        f"dimension = 3\ncurve = {curve}\nfield = \"{field}\"\n"
+        f"s_range = {s_range}\nsamples = 9\n"
+    )
+
+
+# the third derivative (0, 0, 24(s-1)) vanishes at s = 1.0, the fifth of
+# nine grid points
+QUARTIC = '["s", "s^2", "(s-1)^4"]'
+
+
+class TestFirstOffendingPoint:
+    """A failure is reported at the first grid point that fails any check,
+    and at that point by the first check in stage order: curve jets, frame,
+    harmonic families, field."""
+
+    def test_frame_degeneracy_inside_the_grid(self):
+        with pytest.raises(DegenerateCurve) as exc_info:
+            sample_along_curve(parse_curve_spec(grid_doc(QUARTIC, "x3")))
+        assert exc_info.value.index == 3
+        assert exc_info.value.s == 1.0
+        assert str(exc_info.value) == "derivative 3 linearly dependent on predecessors (at s = 1.0)"
+
+    def test_earlier_field_error_comes_first(self):
+        with pytest.raises(EvalDomainError) as exc_info:
+            sample_along_curve(parse_curve_spec(grid_doc(QUARTIC, "ln(x1 - 0.2)")))
+        assert str(exc_info.value) == "ln of non-positive value -0.2 (while sampling at s = 0.0)"
+
+    def test_frame_degeneracy_ahead_of_later_field_error(self):
+        # the field fails from s = 1.5 on, after the frame fails at s = 1.0
+        with pytest.raises(DegenerateCurve) as exc_info:
+            sample_along_curve(parse_curve_spec(grid_doc(QUARTIC, "ln(1.5 - x1)")))
+        assert exc_info.value.s == 1.0
+
+    def test_curve_domain_error_inside_the_grid(self):
+        doc = grid_doc('["cos(s)", "sin(s)", "s + sqrt(1.5-s)"]', "x3")
+        with pytest.raises(EvalDomainError) as exc_info:
+            sample_along_curve(parse_curve_spec(doc))
+        assert str(exc_info.value).endswith("(while sampling at s = 1.5)")
+
+    def test_matches_point_by_point_loop(self):
+        """Random curves and fields whose domain errors and degeneracies fall
+        at various grid points report the same error as the per-point loop."""
+        rng = np.random.default_rng(2026)
+        shifts = ["0", "0.3", "0.5", "1", "1.25", "1.5", "2"]
+        safe = ["s", "s^2", "cos(s)", "sin(s)", "s^3 - 0.5*s", "cos(2*s)"]
+        risky = ["sqrt({c} - s)", "ln(s - {c})", "s + 1/(s - {c})", "(s - {c})^4", "(s - {c})^-1"]
+        fields = ["x1", "ln(x1 - {c})", "sqrt({c} - x2)", "1/(x1 - {c})", "(x2 - {c})^0.5"]
+        failures = 0
+        for _ in range(40):
+            curve = list(rng.choice(safe, size=3))
+            curve[rng.integers(3)] = str(rng.choice(risky)).format(c=rng.choice(shifts))
+            field = str(rng.choice(fields)).format(c=rng.choice(shifts))
+            spec = parse_curve_spec(grid_doc("[" + ", ".join(f'"{c}"' for c in curve) + "]", field))
+            outcomes = []
+            for run in (sample_along_curve, sample_point_by_point):
+                try:
+                    run(spec)
+                    outcomes.append(None)
+                except (FrameError, EvalError) as exc:
+                    outcomes.append((type(exc), str(exc)))
+            assert outcomes[0] == outcomes[1], spec
+            failures += outcomes[0] is not None
+        assert failures >= 20
+
+    def test_messages_format_plain_floats(self):
+        doc = grid_doc('["cos(s)", "sin(s)", "s + sqrt(1.5-s)"]', "x3")
+        with pytest.raises(EvalDomainError) as exc_info:
+            sample_along_curve(parse_curve_spec(doc))
+        assert str(exc_info.value) == (
+            "sqrt of non-positive jet value 0.0 (while sampling at s = 1.5)"
+        )
+        doc = grid_doc('["s^2", "s^3", "s^4"]', "x3", s_range="[-1, 1]")
+        with pytest.raises(NotRegular) as exc_info:
+            sample_along_curve(parse_curve_spec(doc))
+        assert str(exc_info.value) == "curve speed 0.0 below threshold (at s = 0.0)"
 
 
 class TestClassify:
@@ -217,5 +303,5 @@ class TestInvariances:
 
     def test_classify_rows_matches_classify(self):
         spec = parse_curve_spec(HELIX345_FZ)
-        rows = sample_along_curve(spec)
-        assert classify_rows(rows, spec.tol_const) == classify(spec)
+        trajectory = sample_along_curve(spec)
+        assert classify_rows(trajectory, spec.tol_const) == classify(spec)

@@ -83,6 +83,36 @@ class TestExitCodes:
         assert run_cli("frobnicate").returncode == 2
 
 
+def _write_spec(tmp_path, curve: str, field: str, s_range: str) -> str:
+    path = tmp_path / "case.spec"
+    path.write_text(
+        f'dimension = 3\ncurve = {curve}\nfield = "{field}"\ns_range = {s_range}\nsamples = 9\n',
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+class TestErrorReports:
+    def test_exponent_without_finite_value(self, tmp_path, capsys):
+        path = _write_spec(tmp_path, '["cos(s)", "sin(s)", "s^ln(0-1)"]', "x3", "[0, 2]")
+        assert main(["verify", path]) == 2
+        assert "exponent of '^' has no finite real value" in capsys.readouterr().err
+
+    def test_field_power_overflow(self, tmp_path, capsys):
+        path = _write_spec(tmp_path, '["cos(s)", "sin(s)", "s"]', "(x3*1e200)^2", "[1, 2]")
+        for command in ("verify", "classify"):
+            assert main([command, path]) == 3
+            err = capsys.readouterr().err
+            assert "non-finite field derivatives" in err
+            assert err.rstrip().endswith("(while sampling at s = 1.0)")
+
+    def test_degeneracy_inside_the_grid(self, tmp_path, capsys):
+        path = _write_spec(tmp_path, '["s", "s^2", "(s-1)^4"]', "x3", "[0, 2]")
+        assert main(["verify", path]) == 3
+        err = capsys.readouterr().err
+        assert "derivative 3 linearly dependent on predecessors (at s = 1.0)" in err
+
+
 class TestCatalog:
     def test_listing(self):
         result = run_cli("catalog")

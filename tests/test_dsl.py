@@ -135,6 +135,14 @@ class TestParseExpression:
         with pytest.raises(ExprSyntaxError):
             parse_expr_text("2^s", "curve")
 
+    def test_exponent_without_finite_value_rejected(self):
+        # ln(-1) has no real value and 10^400 overflows; both are parse
+        # errors at the offset of the '^'
+        for source in ("s^ln(0-1)", "s^(10^400)"):
+            with pytest.raises(ExprSyntaxError) as exc_info:
+                parse_expr_text(source, "curve")
+            assert exc_info.value.position == 1
+
     def test_named_constants(self):
         assert parse_expr_text("pi", "curve") == Constant(math.pi)
         assert parse_expr_text("e", "curve") == Constant(math.e)

@@ -202,14 +202,15 @@ class TestDerivativeConsistency:
             "s_range = [0.2, 1.3]\n"
             "samples = 801\n"
         )
-        samples = sample_along_curve(spec)
-        ds = samples[1].row.s - samples[0].row.s
-        for j in range(1, len(samples) - 1, 50):
+        trajectory = sample_along_curve(spec)
+        ds = trajectory.s[1] - trajectory.s[0]
+        for j in range(1, len(trajectory) - 1, 50):
             for hi in range(2):
-                h_prev = samples[j - 1].harmonic.H[hi].value
-                h_next = samples[j + 1].harmonic.H[hi].value
+                H = trajectory.harmonic.H[hi]
+                h_prev = H.value[j - 1]
+                h_next = H.value[j + 1]
                 grid_rate = (h_next - h_prev) / (2 * ds)
-                jet_rate = samples[j].harmonic.H[hi].d1
+                jet_rate = H.d1[j]
                 assert jet_rate == pytest.approx(grid_rate, abs=1e-5)
 
 
@@ -225,11 +226,11 @@ class TestEquivalence:
                 spec = wcurve_helix_r3(rng).spec
             else:
                 spec = nonhelix_r3(rng)
-            samples = sample_along_curve(spec)
-            sumsq = [s.harmonic.sumsq_H for s in samples]
-            spread = max(sumsq) - min(sumsq)
-            max_res = max(lemma_residuals(s.harmonic, s.frenet)[0] for s in samples)
-            hn2_floor = min(abs(s.harmonic.H[-1].value) for s in samples)
+            trajectory = sample_along_curve(spec)
+            sumsq = trajectory.harmonic.sumsq_H
+            spread = sumsq.max() - sumsq.min()
+            max_res = lemma_residuals(trajectory.harmonic, trajectory.frenet)[0].max()
+            hn2_floor = np.abs(trajectory.harmonic.H[-1].value).min()
             assert hn2_floor > 1e-3  # equivalence hypothesis
             assert (spread <= tol) == (max_res <= tol)
             saw_const |= spread <= tol
@@ -241,8 +242,8 @@ class TestEquivalence:
         tol = 1e-7
         for case in range(6):
             spec = wcurve_helix_r3(rng).spec if case % 2 == 0 else nonhelix_r3(rng)
-            samples = sample_along_curve(spec)
-            sumsq = [s.harmonic.sumsq_Hstar for s in samples]
-            spread = max(sumsq) - min(sumsq)
-            max_res = max(lemma_residuals(s.harmonic, s.frenet)[1] for s in samples)
+            trajectory = sample_along_curve(spec)
+            sumsq = trajectory.harmonic.sumsq_Hstar
+            spread = sumsq.max() - sumsq.min()
+            max_res = lemma_residuals(trajectory.harmonic, trajectory.frenet)[1].max()
             assert (spread <= tol) == (max_res <= tol)

@@ -44,29 +44,29 @@ samples = 128
 
 def run(doc: str):
     spec = parse_curve_spec(doc)
-    samples = sample_along_curve(spec)
-    classification = classify_rows(samples, spec.tol_const)
-    return spec, samples, classification
+    trajectory = sample_along_curve(spec)
+    classification = classify_rows(trajectory, spec.tol_const)
+    return spec, trajectory, classification
 
 
 class TestHelix345:
     def test_axis_reconstruction(self):
-        _, samples, classification = run(HELIX345_FZ)
-        r = verify_helix_theorems(samples, classification)
+        _, trajectory, classification = run(HELIX345_FZ)
+        r = verify_helix_theorems(trajectory, classification)
         assert r.hypotheses_met
         assert r.axis_helix <= 1e-9
         # the reconstructed axis is the field gradient (0, 0, 1)
         cos_theta = math.cos(classification.theta)
-        for sample in samples[::17]:
-            frame = sample.frenet.frame_values()
-            H1 = sample.harmonic.H[0].value
-            axis = sample.row.grad_norm * cos_theta * (frame[0] + H1 * frame[2])
+        for j in range(0, len(trajectory), 17):
+            frame = trajectory.frame[j]
+            H1 = trajectory.harmonic.H[0].value[j]
+            axis = trajectory.grad_norm[j] * cos_theta * (frame[0] + H1 * frame[2])
             assert np.max(np.abs(axis - [0.0, 0.0, 1.0])) <= 1e-9
 
     def test_sumsq_and_tan_identity(self):
-        _, samples, classification = run(HELIX345_FZ)
-        r = verify_helix_theorems(samples, classification)
-        assert samples[0].harmonic.sumsq_H == pytest.approx(9.0 / 16.0, abs=1e-12)
+        _, trajectory, classification = run(HELIX345_FZ)
+        r = verify_helix_theorems(trajectory, classification)
+        assert trajectory.harmonic.sumsq_H[0] == pytest.approx(9.0 / 16.0, abs=1e-12)
         # cos^2(theta) (1 + 9/16) = (16/25)(25/16) = 1 exactly
         assert r.tan_identity <= 1e-12
         assert r.sumsq_helix_spread <= 1e-12
@@ -74,27 +74,27 @@ class TestHelix345:
         assert r.cor31 <= 1e-12
 
     def test_slant_axis_reconstruction(self):
-        _, samples, classification = run(HELIX345_FZ)
-        r = verify_slant_theorems(samples, classification)
+        _, trajectory, classification = run(HELIX345_FZ)
+        r = verify_slant_theorems(trajectory, classification)
         assert r.hypotheses_met
         assert r.axis_slant <= 1e-9
         assert r.sumsq_slant_spread <= 1e-12
-        assert samples[0].harmonic.sumsq_Hstar == pytest.approx(16.0 / 9.0, abs=1e-12)
-        for sample in samples[::29]:
-            frame = sample.frenet.frame_values()
-            H1s = sample.harmonic.Hstar_values()[0]
-            axis = sample.row.ip_last * (H1s * frame[0] + frame[2])
+        assert trajectory.harmonic.sumsq_Hstar[0] == pytest.approx(16.0 / 9.0, abs=1e-12)
+        for j in range(0, len(trajectory), 29):
+            frame = trajectory.frame[j]
+            H1s = trajectory.harmonic.Hstar_values()[j, 0]
+            axis = trajectory.ip_last[j] * (H1s * frame[0] + frame[2])
             assert np.max(np.abs(axis - [0.0, 0.0, 1.0])) <= 1e-9
 
     def test_orthogonality(self):
-        _, samples, _ = run(HELIX345_FZ)
-        max_v2, max_vn1 = orthogonality_checks(samples)
+        _, trajectory, _ = run(HELIX345_FZ)
+        max_v2, max_vn1 = orthogonality_checks(trajectory)
         assert max_v2 <= 1e-12
         assert max_vn1 <= 1e-12
 
     def test_family_consistency(self):
         # the axis lies in span{V1, V3}: cos^2(theta) + (<grad,V3>/|grad|)^2 = 1
-        _, samples, classification = run(HELIX345_FZ)
+        _, _, classification = run(HELIX345_FZ)
         cos_theta = math.cos(classification.theta)
         ratio = classification.ip_last / classification.grad_norm
         assert cos_theta**2 + ratio**2 == pytest.approx(1.0, abs=1e-9)
@@ -102,9 +102,9 @@ class TestHelix345:
 
 class TestHypothesisGating:
     def test_paper_case_not_applicable_but_diagnosed(self):
-        _, samples, classification = run(PAPER_DOC)
+        _, trajectory, classification = run(PAPER_DOC)
         assert classification.helix and not classification.parallel_gradient
-        r = verify_helix_theorems(samples, classification)
+        r = verify_helix_theorems(trajectory, classification)
         assert not r.hypotheses_met
         assert "parallel" in r.reason
         assert math.isfinite(r.sys_helix)  # diagnostics still computed
@@ -117,9 +117,9 @@ class TestHypothesisGating:
             "s_range = [0.3, 2.8]\n"
             "samples = 128\n"
         )
-        _, samples, classification = run(doc)
+        _, trajectory, classification = run(doc)
         assert classification.parallel_gradient and not classification.helix
-        r = verify_helix_theorems(samples, classification)
+        r = verify_helix_theorems(trajectory, classification)
         assert not r.hypotheses_met
         assert r.sumsq_helix_spread > 1e-3
         assert r.cor31 > 1e-3
@@ -127,9 +127,9 @@ class TestHypothesisGating:
     def test_low_last_angle_probe(self):
         # gradient orthogonal to the last frame vector: slant hypothesis off
         doc = HELIX345_FZ.replace('"x3"', '"0.6*x1 - 0.8*x2"')
-        _, samples, classification = run(doc)
+        _, trajectory, classification = run(doc)
         assert not classification.slant
-        r = verify_slant_theorems(samples, classification)
+        r = verify_slant_theorems(trajectory, classification)
         assert not r.hypotheses_met
         assert r.reason
 
@@ -143,10 +143,10 @@ class TestHypothesisGating:
             "s_range = [0, 6]\n"
             "samples = 32\n"
         )
-        _, samples, classification = run(doc)
+        _, trajectory, classification = run(doc)
         assert classification.helix
         assert classification.theta < 1e-6
-        r = verify_helix_theorems(samples, classification)
+        r = verify_helix_theorems(trajectory, classification)
         assert r.theta_degenerate
         assert not r.hypotheses_met
         assert "aligned" in r.reason
@@ -158,11 +158,11 @@ class TestFuzzR3:
         for _ in range(10):
             case = wcurve_helix_r3(rng)
             spec = case.spec
-            samples = sample_along_curve(spec)
-            classification = classify_rows(samples, spec.tol_const)
+            trajectory = sample_along_curve(spec)
+            classification = classify_rows(trajectory, spec.tol_const)
             assert classification.helix and classification.slant
             assert classification.parallel_gradient
-            r = verify_all(samples, classification)
+            r = verify_all(trajectory, classification)
             assert r.helix.sys_helix <= 1e-7
             assert r.helix.axis_helix <= 1e-7
             assert r.helix.tan_identity <= 1e-9
@@ -176,7 +176,7 @@ class TestFuzzR3:
             assert r.slant.hn2star_min > 1e-6
             assert r.slant.cor41 <= 1e-7
             # reconstructed axis equals the planted one up to field scale
-            grad = samples[0].row.grad
+            grad = trajectory.grad[0]
             assert np.max(np.abs(grad / np.linalg.norm(grad) - case.axis)) <= 1e-9
 
 
@@ -185,10 +185,10 @@ class TestFuzzR4:
         rng = np.random.default_rng(12)
         for _ in range(5):
             case = lift_helix_r4(rng)
-            samples = sample_along_curve(case.spec)
-            classification = classify_rows(samples, case.spec.tol_const)
+            trajectory = sample_along_curve(case.spec)
+            classification = classify_rows(trajectory, case.spec.tol_const)
             assert classification.helix and classification.parallel_gradient
-            r = verify_helix_theorems(samples, classification)
+            r = verify_helix_theorems(trajectory, classification)
             assert r.sys_helix <= 1e-7
             assert r.axis_helix <= 1e-7
             assert r.tan_identity <= 1e-9
@@ -200,15 +200,15 @@ class TestFuzzR4:
         rng = np.random.default_rng(13)
         for _ in range(4):
             system = synthetic_helix_r4(rng)
-            classification = classify_rows(system.samples, 1e-8)
+            classification = classify_rows(system.trajectory, 1e-8)
             assert classification.helix and classification.parallel_gradient
-            r = verify_helix_theorems(system.samples, classification)
+            r = verify_helix_theorems(system.trajectory, classification)
             assert r.sys_helix <= 1e-7
             assert r.axis_helix <= 1e-7
             assert r.sumsq_helix_spread <= 1e-8
             assert r.hn2_min > 1e-6
             assert r.cor31 <= 1e-7
-            assert system.samples[0].harmonic.sumsq_H == pytest.approx(
+            assert system.trajectory.harmonic.sumsq_H[0] == pytest.approx(
                 system.expected_sumsq, rel=1e-10
             )
 
@@ -216,26 +216,26 @@ class TestFuzzR4:
         rng = np.random.default_rng(14)
         for _ in range(4):
             system = synthetic_slant_r4(rng)
-            classification = classify_rows(system.samples, 1e-8)
+            classification = classify_rows(system.trajectory, 1e-8)
             assert classification.slant and classification.parallel_gradient
             assert not classification.helix  # distinct families in R^4
-            r = verify_slant_theorems(system.samples, classification)
+            r = verify_slant_theorems(system.trajectory, classification)
             assert r.hypotheses_met
             assert r.sys_slant <= 1e-7
             assert r.axis_slant <= 1e-7
             assert r.sumsq_slant_spread <= 1e-8
             assert r.hn2star_min > 1e-6
             assert r.cor41 <= 1e-7
-            assert system.samples[0].harmonic.sumsq_Hstar == pytest.approx(
+            assert system.trajectory.harmonic.sumsq_Hstar[0] == pytest.approx(
                 system.expected_sumsq, rel=1e-10
             )
 
     def test_nonhelix_large_residuals(self):
         rng = np.random.default_rng(15)
         spec = nonhelix_r3(rng)
-        samples = sample_along_curve(spec)
-        classification = classify_rows(samples, spec.tol_const)
-        r = verify_all(samples, classification)
+        trajectory = sample_along_curve(spec)
+        classification = classify_rows(trajectory, spec.tol_const)
+        r = verify_all(trajectory, classification)
         assert not r.helix.hypotheses_met
         assert r.helix.sumsq_helix_spread > 1e-4
         assert r.helix.cor31 > 1e-4
