@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .dsl import CurveSpec
-from .errors import EmptyInput, EvalError, FrameError
+from .errors import EmptyInput, EvalError, EvalOverflow, FrameError, raise_first, value_at
 from .frenet import FrenetData, frenet_apparatus
 from .harmonic import HarmonicData, harmonic_data
 from .jets import FieldJet, default_jet_order, eval_curve_jet, eval_field_jet
@@ -71,8 +71,19 @@ class Trajectory:
 
     @cached_property
     def grad_norm(self) -> np.ndarray:
-        """|grad f| along the grid."""
-        return np.linalg.norm(self.grad, axis=-1)
+        """|grad f| along the grid.
+
+        A row whose squared norm overflows is rescaled by its largest
+        entry; every other row is the plain norm.
+        """
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(self.grad, axis=-1)
+            overflow = ~np.isfinite(norm)
+            if overflow.any():
+                rows = self.grad[overflow]
+                scale = np.abs(rows).max(axis=-1)
+                norm[overflow] = scale * np.linalg.norm(rows / scale[:, None], axis=-1)
+        return norm
 
     @cached_property
     def hessian_norm(self) -> np.ndarray:
@@ -126,6 +137,13 @@ def _sample(spec: CurveSpec, grid: np.ndarray) -> Trajectory:
         fr = frenet_apparatus(jets, spec.tol_frame, grid)
         h = harmonic_data(fr)
         fj = eval_field_jet(spec, np.stack([j.coeffs[0] for j in jets], axis=-1))
+        trajectory = Trajectory(s=grid, frenet=fr, harmonic=h, field=fj)
+        # a finite gradient can still have a norm above the float range; the
+        # projections on V_i are no larger, and classify_rows checks the means
+        norm = trajectory.grad_norm
+        raise_first(
+            ~np.isfinite(norm), lambda i: EvalOverflow(f"|grad f| overflows to {value_at(norm, i)!r}")
+        )
     except (FrameError, EvalError) as exc:
         first = exc.grid_index or 0
         if first:
@@ -135,7 +153,7 @@ def _sample(spec: CurveSpec, grid: np.ndarray) -> Trajectory:
         if isinstance(exc, EvalError):
             raise type(exc)(f"{exc} (while sampling at s = {float(grid[first])!r})") from exc
         raise
-    return Trajectory(s=grid, frenet=fr, harmonic=h, field=fj)
+    return trajectory
 
 
 def classify_rows(trajectory: Trajectory, tol_const: float) -> Classification:
@@ -155,6 +173,11 @@ def classify_rows(trajectory: Trajectory, tol_const: float) -> Classification:
     helix = eikonal and tangent_const and abs(mean_tangent) > tol_const
     slant = eikonal and last_const and abs(mean_last) > tol_const
     parallel = float(trajectory.hessian_norm.max()) <= tol_const
+    aggregates = (mean_norm, mean_tangent, mean_last, spread_norm, spread_tangent, spread_last)
+    if not all(map(math.isfinite, aggregates)):
+        raise EvalOverflow(
+            "mean or spread of |grad f|, <grad f, V1> or <grad f, Vn> over the grid overflows"
+        )
 
     if mean_norm > 0.0:
         theta: float | None = math.acos(max(-1.0, min(1.0, mean_tangent / mean_norm)))

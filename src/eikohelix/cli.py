@@ -14,6 +14,8 @@ evaluation failures.
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 from pathlib import Path
 
@@ -62,9 +64,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
     try:
         trajectory = sample_along_curve(spec)
+        classification = classify_rows(trajectory, spec.tol_const)
     except (FrameError, EvalError) as exc:
         return _error(str(exc), EXIT_DEGENERATE)
-    classification = classify_rows(trajectory, spec.tol_const)
     if args.json:
         text = to_json(classify_report(spec, classification))
     else:
@@ -77,9 +79,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
     try:
         trajectory = sample_along_curve(spec)
+        classification = classify_rows(trajectory, spec.tol_const)
     except (FrameError, EvalError) as exc:
         return _error(str(exc), EXIT_DEGENERATE)
-    classification = classify_rows(trajectory, spec.tol_const)
     residuals = verify_all(trajectory, classification)
     tol = args.tol if args.tol is not None else spec.tol_const
     payload = verify_report(
@@ -110,6 +112,17 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _tolerance(text: str) -> float:
+    """A verdict tolerance: finite and positive, like a spec's tol_const."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {value!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eikohelix",
@@ -131,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("spec", help="path to a curve-spec document")
     p_verify.add_argument("--json", action="store_true", help="emit the JSON report")
     p_verify.add_argument("--table", action="store_true", help="include per-sample rows")
-    p_verify.add_argument("--tol", type=float, help="verdict tolerance (default: spec tol_const)")
+    p_verify.add_argument("--tol", type=_tolerance, help="verdict tolerance (default: spec tol_const)")
     p_verify.add_argument("--out", metavar="PATH", help="write the report to a file")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -146,10 +159,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused by every later call."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors, which matches the spec-error code
         return int(exc.code or 0)

@@ -18,7 +18,17 @@ the carried order rather than finite-differenced.
 :class:`FieldJet` carries value, gradient, and Hessian of a scalar field at
 a batch of points, propagated through expressions as second-order
 multivariate duals; there the batch axes lead and the coordinate axes
-trail. One expression walker serves both algebras.
+trail.
+
+One expression walker serves both algebras, and it evaluates a list of
+expressions as a DAG (the evaluation procedure of reverse- and
+Taylor-mode differentiation): structurally equal subexpressions are
+evaluated once per call, across all components of a curve, and ``sin`` and
+``cos`` of one argument share one recurrence. Subexpressions free of s and
+x_i fold at batch shape (), and a product or quotient of a jet with such a
+constant scales coefficients instead of running a Cauchy product or a
+division recurrence. Each shortcut reproduces the plain tree walk bit for
+bit, signed zeros included.
 
 Domain and overflow checks act on the whole batch and raise for the first
 offending point, with ``grid_index`` set on the error (see
@@ -27,6 +37,7 @@ offending point, with ``grid_index`` set on the error (see
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -212,18 +223,52 @@ def _weights(coeffs: np.ndarray) -> np.ndarray:
     return np.arange(1, len(coeffs)).reshape(-1, *[1] * (coeffs.ndim - 1))
 
 
-def jet_div(num: Jet, den: Jet) -> Jet:
-    b0 = den.coeffs[0]
+def _check_divisor(b0) -> None:
     raise_first(
         np.abs(b0) < _TINY,
         lambda i: JetDivisionByZero(f"jet division by value {value_at(b0, i)!r}"),
     )
+
+
+def jet_div(num: Jet, den: Jet) -> Jet:
+    _check_divisor(den.coeffs[0])
     a, b = _align(num, den)
     q = np.empty(np.broadcast_shapes(a.shape, b.shape))
     q[0] = a[0] / b[0]
     for k in range(1, len(q)):
         q[k] = (a[k] - _inner(b[1 : k + 1], q[k - 1 :: -1])) / b[0]
     return Jet(q)
+
+
+def _times_constant(u: Jet, c0, tail) -> Jet | None:
+    """c * u for the constant jet c = [c0, tail, tail, ...] by scaling.
+
+    The Cauchy product sums c0*u_k with products that are exact zeros, from
+    +0.0, which is c0*u_k + 0.0. A non-finite coefficient of u turns a zero
+    product into nan; then, and for a nan tail, this returns None and only
+    the full product reproduces the result.
+    """
+    if not (math.isfinite(tail) and np.isfinite(u.coeffs).all()):
+        return None
+    product = u.coeffs * c0
+    product += 0.0
+    return Jet(product)
+
+
+def _over_constant(u: Jet, c0, tail) -> Jet | None:
+    """u / c for the constant jet c = [c0, tail, tail, ...] by scaling.
+
+    ``jet_div``'s recurrence subtracts sums of exact zeros tail*q_j, which
+    come out +0.0 and leave u_k unchanged, so q_k = u_k / c0. A non-finite
+    q_j before the last coefficient turns a zero into nan; then, and for a
+    nan tail, this returns None and only ``jet_div`` reproduces the result.
+    The zero-divisor check is ``jet_div``'s.
+    """
+    _check_divisor(c0)
+    quotient = u.coeffs / c0
+    if not (math.isfinite(tail) and np.isfinite(quotient[:-1]).all()):
+        return None
+    return Jet(quotient)
 
 
 def jet_sin(u: Jet) -> Jet:
@@ -301,14 +346,20 @@ def jet_pow(u: Jet, exponent: float) -> Jet:
         p = int(exponent)
         if p < 0:
             return jet_div(jet_constant(1.0, u.order), jet_pow(u, -p))
-        result = jet_constant(1.0, u.order)
+        result = None  # the constant jet 1
         base = u
-        while p:
+        while True:
             if p & 1:
-                result = result * base
-            base = base * base
+                if result is not None:
+                    result = result * base
+                else:
+                    result = _times_constant(base, 1.0, 0.0)
+                    if result is None:
+                        result = jet_constant(1.0, u.order) * base
             p >>= 1
-        return result
+            if not p:
+                return result
+            base = base * base
     x0 = u.coeffs[0]
     raise_first(
         x0 <= 0.0,
@@ -434,6 +485,14 @@ def _dual_ln(u: _Dual2) -> _Dual2:
 
 
 # ---------------------------------------------------- expression walker
+#
+# The walker evaluates every distinct subexpression once, in the order a
+# left-to-right post-order walk of the tree first meets it, so checks run
+# and raise in the tree's order. A subexpression free of s and x_i is
+# evaluated at batch shape (). In the jet algebra it folds to order 1:
+# every higher coefficient of a constant jet equals its order-1 "tail"
+# (0.0, -0.0 or nan), so the order-1 jet carries the full constant exactly
+# and folding runs the same arithmetic on fewer coefficients.
 
 
 class _JetAlgebra:
@@ -454,16 +513,49 @@ class _JetAlgebra:
         self.param = jet_param(s, order)
 
     def constant(self, value: float) -> Jet:
-        return jet_constant(value, self.order)
+        return jet_constant(value, min(self.order, 1))
 
     def symbol(self, node: Expr) -> Jet:
         if isinstance(node, Coord):
             raise EvalDomainError("coordinate symbol in a curve component")
         return self.param
 
+    @staticmethod
+    def sin_cos(u: Jet) -> tuple[Jet, Jet]:
+        return _sin_cos(u)
+
+    def lift(self, c: Jet) -> Jet:
+        """The full-order constant jet of a folded constant."""
+        coeffs = np.full(self.order + 1, c.coeffs[-1])
+        coeffs[0] = c.coeffs[0]
+        return Jet(coeffs)
+
+    def mixed(self, op: str, a: Jet, b: Jet, left_const: bool) -> Jet:
+        """``a op b`` where exactly one operand is a folded constant.
+
+        Products and quotients by the constant scale where that is exact;
+        everything else runs on the constant lifted to full order.
+        """
+        c, u = (a, b) if left_const else (b, a)
+        if op == "*":
+            product = _times_constant(u, c.coeffs[0], c.coeffs[-1])
+            if product is not None:
+                return product
+        elif op == "/" and not left_const:
+            quotient = _over_constant(u, c.coeffs[0], c.coeffs[-1])
+            if quotient is not None:
+                return quotient
+        full = self.lift(c)
+        return _BINARY[op](full, u) if left_const else _BINARY[op](u, full)
+
 
 class _DualAlgebra:
-    """Fields: second-order duals in the coordinates x1..xn."""
+    """Fields: second-order duals in the coordinates x1..xn.
+
+    A constant is a full dual at batch shape (). A product with it has no
+    cheaper exact form: the sign of each zero in the product's gradient
+    and Hessian depends on the other operand's value at every point.
+    """
 
     unary = {
         "neg": operator.neg,
@@ -489,24 +581,163 @@ class _DualAlgebra:
         g[node.index - 1] = 1.0
         return _Dual2(self.point[..., node.index - 1], g, np.zeros((self.n, self.n)))
 
+    @staticmethod
+    def sin_cos(u: _Dual2) -> tuple[_Dual2, _Dual2]:
+        sin, cos = np.sin(u.v), np.cos(u.v)
+        return u.chain(sin, cos, -sin), u.chain(cos, -sin, -cos)
+
+    @staticmethod
+    def mixed(op: str, a: _Dual2, b: _Dual2, left_const: bool) -> _Dual2:
+        return _BINARY[op](a, b)
+
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-def _evaluate(node: Expr, algebra):
-    """Evaluate an expression tree in the jet or the dual algebra."""
-    if isinstance(node, Constant):
-        return algebra.constant(node.value)
-    if isinstance(node, (Param, Coord)):
-        return algebra.symbol(node)
-    if isinstance(node, Unary):
-        return algebra.unary[node.op](_evaluate(node.child, algebra))
-    if isinstance(node, Binary):
-        left = _evaluate(node.left, algebra)
-        if node.op == "^":
-            return algebra.power(left, constant_value(node.right))
-        return _BINARY[node.op](left, _evaluate(node.right, algebra))
-    raise TypeError(f"not an Expr: {node!r}")
+class _Dag:
+    """The distinct subexpressions of a list of expressions, numbered in the
+    order a left-to-right post-order walk first meets them.
+
+    ``nodes[i]`` is one occurrence of subexpression i and ``args[i]`` the
+    ids of its operands in the algebra (the exponent of ``^`` is read with
+    ``constant_value``). ``const[i]`` says whether it is free of s and x_i,
+    ``uses[i]`` how many operand slots and roots read it. Expression e has
+    root id ``roots[e]`` and needs the ids below ``ends[e]``. ``paired``
+    holds the ids that both ``sin`` and ``cos`` take.
+    """
+
+    def __init__(self, exprs):
+        nodes: list[Expr] = []
+        args_of: list[tuple[int, ...]] = []
+        const: list[bool] = []
+        uses: list[int] = []
+        ids: dict = {}
+        trig: dict[str, set[int]] = {"sin": set(), "cos": set()}
+
+        def number(key, node: Expr, args: tuple[int, ...], is_const: bool) -> int:
+            i = ids[key] = len(nodes)
+            nodes.append(node)
+            args_of.append(args)
+            const.append(is_const)
+            uses.append(0)
+            for j in args:
+                uses[j] += 1
+            return i
+
+        def visit(node: Expr) -> int:
+            cls = type(node)
+            if cls is Binary:
+                left = visit(node.left)
+                if node.op == "^":
+                    key = ("^", left, node.right)
+                    i = ids.get(key)
+                    return number(key, node, (left,), const[left]) if i is None else i
+                right = visit(node.right)
+                key = (node.op, left, right)
+                i = ids.get(key)
+                if i is None:
+                    i = number(key, node, (left, right), const[left] and const[right])
+                return i
+            if cls is Unary:
+                child = visit(node.child)
+                key = (node.op, child)
+                i = ids.get(key)
+                if i is None:
+                    i = number(key, node, (child,), const[child])
+                    if node.op in trig:
+                        trig[node.op].add(child)
+                return i
+            if cls is Constant:
+                # 0.0 == -0.0, so the sign is part of the key
+                key = ("c", node.value, math.copysign(1.0, node.value))
+                is_const = True
+            elif cls is Coord:
+                key, is_const = ("x", node.index), False
+            elif cls is Param:
+                key, is_const = ("s",), False
+            else:
+                raise TypeError(f"not an Expr: {node!r}")
+            i = ids.get(key)
+            return number(key, node, (), is_const) if i is None else i
+
+        self.roots: list[int] = []
+        self.ends: list[int] = []
+        for expr in exprs:
+            root = visit(expr)
+            uses[root] += 1
+            self.roots.append(root)
+            self.ends.append(len(nodes))
+        self.nodes, self.args, self.const, self.uses = nodes, args_of, const, uses
+        self.paired = trig["sin"] & trig["cos"]
+
+
+def _evaluate(exprs, algebra):
+    """Yield the value of each expression in turn, in the jet or the dual
+    algebra; a constant jet comes out at order ``min(order, 1)``.
+
+    Each distinct subexpression is evaluated once per call and dropped
+    after its last use. ``sin`` and ``cos`` of one argument share one
+    evaluation.
+    """
+    dag = _Dag(exprs)
+    nodes, args_of, const, uses, paired = dag.nodes, dag.args, dag.const, dag.uses, dag.paired
+    values: list = [None] * len(nodes)
+    pairs: dict[int, tuple] = {}
+    start = 0
+    for root, end in zip(dag.roots, dag.ends):
+        for i in range(start, end):
+            node, args = nodes[i], args_of[i]
+            cls = type(node)
+            if cls is Binary:
+                x = values[args[0]]
+                if node.op == "^":
+                    value = algebra.power(x, constant_value(node.right))
+                elif const[args[0]] == const[args[1]]:
+                    value = _BINARY[node.op](x, values[args[1]])
+                else:
+                    value = algebra.mixed(node.op, x, values[args[1]], const[args[0]])
+            elif cls is Unary:
+                if args[0] in paired and node.op in ("sin", "cos"):
+                    pair = pairs.pop(args[0], None)
+                    if pair is None:
+                        pair = pairs[args[0]] = algebra.sin_cos(values[args[0]])
+                    value = pair[node.op == "cos"]
+                else:
+                    value = algebra.unary[node.op](values[args[0]])
+            elif cls is Constant:
+                value = algebra.constant(node.value)
+            else:
+                value = algebra.symbol(node)
+            values[i] = value
+            for j in args:
+                uses[j] -= 1
+                if not uses[j]:
+                    values[j] = None
+        start = end
+        value = values[root]
+        uses[root] -= 1
+        if not uses[root]:
+            values[root] = None
+        yield value
+
+
+def _curve_jets(exprs, s, order: int) -> list[Jet]:
+    """Jets of curve-component expressions at expansion point(s) s, each
+    checked for finite coefficients before the next is evaluated."""
+    s = np.asarray(s, dtype=float)
+    algebra = _JetAlgebra(s, order)
+    jets = []
+    with np.errstate(all="ignore"):
+        for result in _evaluate(exprs, algebra):
+            if result.order < order:
+                result = algebra.lift(result)
+            coeffs = np.broadcast_to(_pad_batch(result.coeffs, s.ndim), (order + 1, *s.shape)).copy()
+            raise_first(
+                ~np.isfinite(coeffs).all(axis=0),
+                lambda i: EvalOverflow(f"non-finite jet coefficients at s = {value_at(s, i)!r}"),
+            )
+            jets.append(Jet(coeffs))
+    return jets
 
 
 def eval_expr_jet(expr: Expr, s, order: int) -> Jet:
@@ -515,24 +746,19 @@ def eval_expr_jet(expr: Expr, s, order: int) -> Jet:
     ``s`` is a float or an array of points; the result has batch shape
     ``np.shape(s)``.
     """
-    s = np.asarray(s, dtype=float)
-    with np.errstate(all="ignore"):
-        result = _evaluate(expr, _JetAlgebra(s, order))
-    coeffs = np.broadcast_to(_pad_batch(result.coeffs, s.ndim), (order + 1, *s.shape)).copy()
-    raise_first(
-        ~np.isfinite(coeffs).all(axis=0),
-        lambda i: EvalOverflow(f"non-finite jet coefficients at s = {value_at(s, i)!r}"),
-    )
-    return Jet(coeffs)
+    return _curve_jets([expr], s, order)[0]
 
 
 def eval_curve_jet(spec: CurveSpec, s, order: int | None = None) -> list[Jet]:
-    """Jets of all curve components of ``spec`` at parameter value(s) s."""
+    """Jets of all curve components of ``spec`` at parameter value(s) s.
+
+    Subexpressions shared between components are evaluated once.
+    """
     if order is None:
         order = default_jet_order(spec.dimension)
     if order < 1:
         raise InsufficientOrder("curve jets need order >= 1")
-    return [eval_expr_jet(component, s, order) for component in spec.components]
+    return _curve_jets(spec.components, s, order)
 
 
 def eval_field_jet(spec: CurveSpec, point) -> FieldJet:
@@ -546,7 +772,7 @@ def eval_field_jet(spec: CurveSpec, point) -> FieldJet:
         raise ValueError(f"point must have shape (..., {n}), got {point.shape}")
     batch = point.shape[:-1]
     with np.errstate(all="ignore"):
-        result = _evaluate(spec.field, _DualAlgebra(point))
+        (result,) = _evaluate([spec.field], _DualAlgebra(point))
     value = np.broadcast_to(result.v, batch).copy()
     gradient = np.broadcast_to(result.g, (*batch, n)).copy()
     hessian = np.broadcast_to(result.h, (*batch, n, n)).copy()

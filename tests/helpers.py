@@ -4,33 +4,53 @@ Everything here is deliberately independent of the jet pipeline it checks:
 derivatives come from Richardson-extrapolated central differences or dense
 polynomial fits, frames from plain numpy Gram-Schmidt on those derivatives,
 and the synthetic n=4 systems from direct ODE integration of the frame
-equations with prescribed curvature functions. The one exception is
-``sample_point_by_point``: it runs the package's own stages one point at a
-time, as the reference for which error the batched sampler reports.
+equations with prescribed curvature functions. Two exceptions reuse the
+package's own primitives on purpose: ``sample_point_by_point`` runs its
+stages one point at a time, as the reference for which error the batched
+sampler reports, and ``reference_curve_jets``/``reference_field_jet`` walk
+an expression as a tree, as the reference for the DAG walker.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from eikohelix.classify import Trajectory
-from eikohelix.dsl import Binary, Constant, Coord, CurveSpec, Expr, Param, Unary
-from eikohelix.errors import EvalError, FrameError
+from eikohelix.dsl import Binary, Constant, Coord, CurveSpec, Expr, Param, Unary, constant_value
+from eikohelix.errors import (
+    EvalDomainError,
+    EvalError,
+    EvalOverflow,
+    FrameError,
+    raise_first,
+    value_at,
+)
 from eikohelix.frenet import FrenetData, frenet_apparatus
 from eikohelix.harmonic import harmonic_data
 from eikohelix.jets import (
     FieldJet,
     Jet,
+    _Dual2,
+    _dual_exp,
+    _dual_ln,
+    _dual_pow,
+    _dual_sqrt,
+    _pad_batch,
     default_jet_order,
     eval_curve_jet,
     eval_field_jet,
     jet_constant,
     jet_cos,
+    jet_div,
+    jet_exp,
+    jet_ln,
     jet_param,
     jet_sin,
+    jet_sqrt,
 )
 
 
@@ -90,6 +110,148 @@ def sample_point_by_point(spec: CurveSpec) -> None:
             raise
         except EvalError as exc:
             raise type(exc)(f"{exc} (while sampling at s = {s!r})") from exc
+
+
+# ------------------------------------------------- reference tree walker
+
+
+def reference_jet_pow(u: Jet, exponent: float) -> Jet:
+    """``jet_pow`` as the tree walker used it: square-and-multiply from the
+    constant jet 1, squaring once more after the last bit."""
+    if exponent == 0:
+        return jet_constant(1.0, u.order)
+    if float(exponent).is_integer() and abs(exponent) <= 64:
+        p = int(exponent)
+        if p < 0:
+            return jet_div(jet_constant(1.0, u.order), reference_jet_pow(u, -p))
+        result = jet_constant(1.0, u.order)
+        base = u
+        while p:
+            if p & 1:
+                result = result * base
+            base = base * base
+            p >>= 1
+        return result
+    x0 = u.coeffs[0]
+    raise_first(
+        x0 <= 0.0,
+        lambda i: EvalDomainError(
+            f"fractional power of non-positive jet value {value_at(x0, i)!r}"
+        ),
+    )
+    return jet_exp(jet_ln(u) * float(exponent))
+
+
+class ReferenceJetAlgebra:
+    """Curve components as jets; a constant is a full-order constant jet."""
+
+    unary = {
+        "neg": operator.neg,
+        "sin": jet_sin,
+        "cos": jet_cos,
+        "exp": jet_exp,
+        "sqrt": jet_sqrt,
+        "ln": jet_ln,
+    }
+    power = staticmethod(reference_jet_pow)
+
+    def __init__(self, s: np.ndarray, order: int):
+        self.order = order
+        self.param = jet_param(s, order)
+
+    def constant(self, value: float) -> Jet:
+        return jet_constant(value, self.order)
+
+    def symbol(self, node: Expr) -> Jet:
+        if isinstance(node, Coord):
+            raise EvalDomainError("coordinate symbol in a curve component")
+        return self.param
+
+
+class ReferenceDualAlgebra:
+    """Fields as duals; a constant has an n-vector of zeros as gradient."""
+
+    unary = {
+        "neg": operator.neg,
+        "sin": lambda u: u.chain(np.sin(u.v), np.cos(u.v), -np.sin(u.v)),
+        "cos": lambda u: u.chain(np.cos(u.v), -np.sin(u.v), -np.cos(u.v)),
+        "exp": _dual_exp,
+        "sqrt": _dual_sqrt,
+        "ln": _dual_ln,
+    }
+    power = staticmethod(_dual_pow)
+
+    def __init__(self, point: np.ndarray):
+        self.point = point
+        self.n = point.shape[-1]
+
+    def constant(self, value: float) -> _Dual2:
+        return _Dual2.constant(value, self.n)
+
+    def symbol(self, node: Expr) -> _Dual2:
+        if isinstance(node, Param):
+            raise EvalDomainError("parameter symbol in a field expression")
+        g = np.zeros(self.n)
+        g[node.index - 1] = 1.0
+        return _Dual2(self.point[..., node.index - 1], g, np.zeros((self.n, self.n)))
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def reference_evaluate(node: Expr, algebra):
+    """Evaluate an expression tree in the jet or the dual algebra, every
+    node where it occurs."""
+    if isinstance(node, Constant):
+        return algebra.constant(node.value)
+    if isinstance(node, (Param, Coord)):
+        return algebra.symbol(node)
+    if isinstance(node, Unary):
+        return algebra.unary[node.op](reference_evaluate(node.child, algebra))
+    if isinstance(node, Binary):
+        left = reference_evaluate(node.left, algebra)
+        if node.op == "^":
+            return algebra.power(left, constant_value(node.right))
+        return _BINARY[node.op](left, reference_evaluate(node.right, algebra))
+    raise TypeError(f"not an Expr: {node!r}")
+
+
+def reference_curve_jets(exprs, s, order: int) -> list[Jet]:
+    """Jets of curve components by the tree walker, each checked for finite
+    coefficients before the next is evaluated."""
+    s = np.asarray(s, dtype=float)
+    jets = []
+    for expr in exprs:
+        with np.errstate(all="ignore"):
+            result = reference_evaluate(expr, ReferenceJetAlgebra(s, order))
+        coeffs = np.broadcast_to(_pad_batch(result.coeffs, s.ndim), (order + 1, *s.shape)).copy()
+        raise_first(
+            ~np.isfinite(coeffs).all(axis=0),
+            lambda i: EvalOverflow(f"non-finite jet coefficients at s = {value_at(s, i)!r}"),
+        )
+        jets.append(Jet(coeffs))
+    return jets
+
+
+def reference_field_jet(field: Expr, point) -> FieldJet:
+    """Value, gradient and Hessian of a field expression by the tree walker."""
+    point = np.asarray(point, dtype=float)
+    n = point.shape[-1]
+    batch = point.shape[:-1]
+    with np.errstate(all="ignore"):
+        result = reference_evaluate(field, ReferenceDualAlgebra(point))
+    value = np.broadcast_to(result.v, batch).copy()
+    gradient = np.broadcast_to(result.g, (*batch, n)).copy()
+    hessian = np.broadcast_to(result.h, (*batch, n, n)).copy()
+    finite = np.isfinite(value) & np.isfinite(gradient).all(axis=-1)
+    finite &= np.isfinite(hessian).all(axis=(-2, -1))
+    raise_first(
+        ~finite,
+        lambda i: EvalOverflow(
+            f"non-finite field derivatives at point {point.reshape(-1, n)[i].tolist()!r}"
+        ),
+    )
+    return FieldJet(value=value if batch else float(value), gradient=gradient, hessian=hessian)
 
 
 # ------------------------------------------------------ finite differences

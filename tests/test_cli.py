@@ -113,6 +113,59 @@ class TestErrorReports:
         assert "derivative 3 linearly dependent on predecessors (at s = 1.0)" in err
 
 
+class TestGradientOverflow:
+    def test_finite_gradient_with_overflowing_square(self, tmp_path, capsys):
+        # |grad f|^2 = 1e400 overflows although the gradient is finite
+        path = _write_spec(tmp_path, '["3*cos(s/5)", "3*sin(s/5)", "4*s/5"]', "1e200*x3", "[0, 31.4159]")
+        for command in ("verify", "classify"):
+            assert main([command, path, "--json"]) == 0
+            c = json.loads(capsys.readouterr().out)["classification"]
+            assert c["eikonal"] and c["helix"] and c["slant"]
+            assert c["grad_norm"] == 1e200
+
+    def test_gradient_norm_above_float_range(self, tmp_path, capsys):
+        path = _write_spec(tmp_path, '["0.1*cos(s)", "0.1*sin(s)", "s"]', "1.5e308*x1 + 1.5e308*x2", "[0, 3]")
+        for command in ("verify", "classify"):
+            assert main([command, path, "--json"]) == 3
+            err = capsys.readouterr().err
+            assert "|grad f| overflows to inf (while sampling at s = 0.0)" in err
+
+    def test_mean_above_float_range(self, tmp_path, capsys):
+        # every |grad f| = 1e308 is finite, their sum over the grid is not
+        path = _write_spec(tmp_path, '["3*cos(s/5)", "3*sin(s/5)", "4*s/5"]', "1e308*x3", "[0, 1]")
+        assert main(["verify", path, "--json"]) == 3
+        assert "over the grid overflows" in capsys.readouterr().err
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "-inf", "abc"])
+    def test_rejected(self, spec_paths, tol, capsys):
+        assert main(["verify", spec_paths["helix345_fz"], f"--tol={tol}"]) == 2
+        err = capsys.readouterr().err
+        assert "argument --tol" in err
+        if tol != "abc":
+            assert "must be finite and positive" in err
+
+    def test_accepted(self, spec_paths, capsys):
+        assert main(["verify", spec_paths["helix345_fz"], "--json", "--tol=1e-3"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdicts"]["thm31"]["verdict"] == "PASS"
+
+
+class TestRepeatedCalls:
+    def test_flags_do_not_carry_over(self, spec_paths, capsys):
+        spec = spec_paths["helix345_fz"]
+        assert main(["verify", spec, "--json", "--table"]) == 0
+        assert "samples" in json.loads(capsys.readouterr().out)
+        assert main(["verify", spec, "--json"]) == 0
+        assert "samples" not in json.loads(capsys.readouterr().out)
+        assert main(["verify", spec, "--json", "--tol", "1e-20"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdicts"]["thm31"]["verdict"] == "FAIL"
+        assert main(["verify", spec, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdicts"]["thm31"]["verdict"] == "PASS"
+        assert main(["classify", spec, "--json"]) == 0
+        assert set(json.loads(capsys.readouterr().out)) == {"spec", "classification"}
+
+
 class TestCatalog:
     def test_listing(self):
         result = run_cli("catalog")

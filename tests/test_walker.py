@@ -1,0 +1,183 @@
+"""The DAG expression walker against the tree walker it replaced.
+
+The walker evaluates each distinct subexpression once, folds constant
+subexpressions at batch shape (), and multiplies or divides by a constant
+by scaling. None of this may change a number: every coefficient must match
+the tree walker of ``helpers.reference_evaluate`` byte for byte (so signed
+zeros count), and every failure must raise the same exception type with
+the same message and ``grid_index``.
+"""
+
+from __future__ import annotations
+
+import copy
+
+import numpy as np
+import pytest
+
+from eikohelix import catalog, jets
+from eikohelix.dsl import Binary, Constant, Coord, Param, Unary, parse_curve_spec
+from eikohelix.jets import default_jet_order, eval_curve_jet, eval_expr_jet, eval_field_jet
+
+from helpers import reference_curve_jets, reference_field_jet
+
+CONSTANTS = (0.0, -0.0, 1.0, 2.0, 0.6, 2.5, 5.0, 1e200, 1e-300, 1e-320, float("inf"), np.pi)
+EXPONENTS = (2.0, 3.0, 0.0, 1.0, -1.0, -2.0, 0.5, 1.5, -0.5, 65.0)
+UNARY = ("neg", "sin", "cos", "exp", "sqrt", "ln")
+
+
+def _outcome(evaluate):
+    """Coefficient bytes of a result, or the identity of the error raised."""
+    try:
+        result = evaluate()
+    except Exception as exc:  # the comparison is over every exception type
+        return ("error", type(exc), str(exc), getattr(exc, "grid_index", None))
+    if isinstance(result, list):
+        return ("jets", [(j.coeffs.shape, j.coeffs.tobytes()) for j in result])
+    return (
+        "field",
+        np.asarray(result.value).tobytes(),
+        result.gradient.shape,
+        result.gradient.tobytes(),
+        result.hessian.tobytes(),
+    )
+
+
+class _Generator:
+    """Random expressions with constants, constant-only subtrees, repeated
+    subtrees (shared objects and equal copies), sin/cos pairs, integer,
+    negative and fractional powers, and division by constants."""
+
+    def __init__(self, rng: np.random.Generator, symbols):
+        self.rng = rng
+        self.symbols = symbols
+        self.pool = []
+
+    def constant(self):
+        return Constant(float(self.rng.choice(CONSTANTS)))
+
+    def leaf(self, constant_only: bool):
+        if self.pool and self.rng.random() < 0.3:
+            picked = self.pool[self.rng.integers(len(self.pool))]
+            if not constant_only or not _has_symbol(picked):
+                return copy.deepcopy(picked) if self.rng.random() < 0.5 else picked
+        if constant_only or self.rng.random() < 0.4:
+            return self.constant()
+        return self.symbols[self.rng.integers(len(self.symbols))]
+
+    def expr(self, depth: int, constant_only: bool = False):
+        rng = self.rng
+        if depth == 0 or rng.random() < 0.2:
+            return self.leaf(constant_only)
+        kind = rng.integers(7)
+        child = self.expr(depth - 1, constant_only or rng.random() < 0.15)
+        if kind == 0:
+            op = str(rng.choice(UNARY))
+            out = Unary(op, child)
+            if op in ("sin", "cos"):
+                self.pool.append(Unary("cos" if op == "sin" else "sin", child))
+        elif kind == 1:
+            out = Binary("^", child, Constant(float(rng.choice(EXPONENTS))))
+        elif kind == 2:
+            out = Binary("/", child, self.expr(1, constant_only=True))
+        elif kind == 3:
+            out = Binary(str(rng.choice(["*", "-", "+"])), self.constant(), child)
+        else:
+            other = self.expr(depth - 1, constant_only)
+            out = Binary(str(rng.choice(["+", "-", "*", "/"])), child, other)
+        if rng.random() < 0.4:
+            self.pool.append(out)
+        return out
+
+
+def _has_symbol(expr) -> bool:
+    if isinstance(expr, (Param, Coord)):
+        return True
+    if isinstance(expr, Constant):
+        return False
+    if isinstance(expr, Unary):
+        return _has_symbol(expr.child)
+    return _has_symbol(expr.left) or _has_symbol(expr.right)
+
+
+class _Spec:
+    """The parts of a CurveSpec the evaluators read, without its checks."""
+
+    def __init__(self, components, field=None):
+        self.components = tuple(components)
+        self.dimension = len(components)
+        self.field = field
+
+
+class TestAgainstTreeWalker:
+    def test_catalog_specs(self):
+        for name in catalog.names():
+            spec = parse_curve_spec(catalog.get(name).document)
+            grid = np.linspace(spec.s_range[0], spec.s_range[1], spec.samples)
+            order = default_jet_order(spec.dimension)
+            new = _outcome(lambda: eval_curve_jet(spec, grid, order))
+            assert new == _outcome(lambda: reference_curve_jets(spec.components, grid, order)), name
+            points = np.stack([np.asarray(j.coeffs[0]) for j in eval_curve_jet(spec, grid, order)], axis=-1)
+            new = _outcome(lambda: eval_field_jet(spec, points))
+            assert new == _outcome(lambda: reference_field_jet(spec.field, points)), name
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_curve_components(self, seed):
+        rng = np.random.default_rng(seed)
+        outcomes = set()
+        for case in range(60):
+            gen = _Generator(rng, [Param()])
+            exprs = [gen.expr(int(rng.integers(0, 5)), constant_only=rng.random() < 0.1) for _ in range(3)]
+            s = np.linspace(-2.0, 3.0, 11) if case % 4 else 0.7
+            order = int(rng.choice([1, 2, 5]))
+            spec = _Spec(exprs)
+            new = _outcome(lambda: eval_curve_jet(spec, s, order))
+            assert new == _outcome(lambda: reference_curve_jets(exprs, s, order)), (exprs, s, order)
+            outcomes.add(new[0])
+            new = _outcome(lambda: [eval_expr_jet(exprs[0], s, order)])
+            assert new == _outcome(lambda: reference_curve_jets(exprs[:1], s, order))
+        assert outcomes == {"jets", "error"}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_fields(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        outcomes = set()
+        for case in range(60):
+            n = int(rng.integers(2, 5))
+            gen = _Generator(rng, [Coord(i + 1) for i in range(n)])
+            field = gen.expr(int(rng.integers(0, 5)), constant_only=rng.random() < 0.1)
+            shape = (9, n) if case % 4 else (n,)
+            point = rng.normal(size=shape) * rng.choice([1.0, 3.0, 1e150])
+            spec = _Spec([Param()] * n, field)
+            new = _outcome(lambda: eval_field_jet(spec, point))
+            assert new == _outcome(lambda: reference_field_jet(field, point)), (field, point)
+            outcomes.add(new[0])
+        assert outcomes == {"field", "error"}
+
+    def test_signed_zero_constants_stay_apart(self):
+        # 0.0 == -0.0, but s*0.0 and s*-0.0 differ in the sign of zeros
+        exprs = [Binary("*", Param(), Constant(0.0)), Binary("*", Param(), Constant(-0.0))]
+        s = np.linspace(-1.0, 1.0, 5)
+        assert _outcome(lambda: eval_curve_jet(_Spec(exprs), s, 3)) == _outcome(
+            lambda: reference_curve_jets(exprs, s, 3)
+        )
+
+
+class TestSharing:
+    def test_shared_cos_runs_one_recurrence(self, monkeypatch):
+        spec = parse_curve_spec(
+            "dimension = 3\n"
+            'curve = ["3*cos(s/5)", "3*sin(s/5) + cos(s/5)", "4*s/5 - cos(s/5)"]\n'
+            'field = "x3"\n'
+            "s_range = [0, 31.4159]\n"
+        )
+        calls = []
+        recurrence = jets._sin_cos
+
+        def counting(u):
+            calls.append(u.shape)
+            return recurrence(u)
+
+        monkeypatch.setattr(jets, "_sin_cos", counting)
+        eval_curve_jet(spec, np.linspace(0.0, 31.4159, 16))
+        assert calls == [(16,)]
