@@ -71,24 +71,30 @@ class Trajectory:
 
     @cached_property
     def grad_norm(self) -> np.ndarray:
-        """|grad f| along the grid.
-
-        A row whose squared norm overflows is rescaled by its largest
-        entry; every other row is the plain norm.
-        """
-        with np.errstate(over="ignore"):
-            norm = np.linalg.norm(self.grad, axis=-1)
-            overflow = ~np.isfinite(norm)
-            if overflow.any():
-                rows = self.grad[overflow]
-                scale = np.abs(rows).max(axis=-1)
-                norm[overflow] = scale * np.linalg.norm(rows / scale[:, None], axis=-1)
-        return norm
+        """|grad f| along the grid."""
+        return row_norm(self.grad)
 
     @cached_property
     def hessian_norm(self) -> np.ndarray:
         """Frobenius norm of the field Hessian along the grid."""
-        return np.linalg.norm(self.field.hessian, axis=(-2, -1))
+        return row_norm(self.field.hessian, axis=(-2, -1))
+
+
+def row_norm(x: np.ndarray, axis: int | tuple[int, int] = -1) -> np.ndarray:
+    """Euclidean norm of each row of ``x`` over ``axis``, without overflow warnings.
+
+    A row whose plain norm is not finite (its squares overflow) is rescaled
+    by its largest entry; every other row is the plain norm, bit for bit.
+    A row holding an infinite entry comes out nan.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(x, axis=axis)
+        overflow = ~np.isfinite(norm)
+        if overflow.any():
+            rows = x[overflow]
+            scale = np.abs(rows).max(axis=axis, keepdims=True)
+            norm[overflow] = scale.reshape(-1) * np.linalg.norm(rows / scale, axis=axis)
+    return norm
 
 
 @dataclass
@@ -162,13 +168,15 @@ def classify_rows(trajectory: Trajectory, tol_const: float) -> Classification:
     ip_tangents = trajectory.ip_tangent
     ip_lasts = trajectory.ip_last
 
-    eikonal, spread_norm = constancy(grad_norms, tol_const)
-    tangent_const, spread_tangent = constancy(ip_tangents, tol_const)
-    last_const, spread_last = constancy(ip_lasts, tol_const)
+    # an overflowing mean or spread raises EvalOverflow below
+    with np.errstate(over="ignore"):
+        eikonal, spread_norm = constancy(grad_norms, tol_const)
+        tangent_const, spread_tangent = constancy(ip_tangents, tol_const)
+        last_const, spread_last = constancy(ip_lasts, tol_const)
 
-    mean_norm = float(np.mean(grad_norms))
-    mean_tangent = float(np.mean(ip_tangents))
-    mean_last = float(np.mean(ip_lasts))
+        mean_norm = float(np.mean(grad_norms))
+        mean_tangent = float(np.mean(ip_tangents))
+        mean_last = float(np.mean(ip_lasts))
 
     helix = eikonal and tangent_const and abs(mean_tangent) > tol_const
     slant = eikonal and last_const and abs(mean_last) > tol_const

@@ -84,12 +84,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _error(str(exc), EXIT_DEGENERATE)
     residuals = verify_all(trajectory, classification)
     tol = args.tol if args.tol is not None else spec.tol_const
+    # the text report has no table, so the rows are built only for --json
     payload = verify_report(
         spec,
         classification,
         residuals,
         tol,
-        trajectory=trajectory if args.table else None,
+        trajectory=trajectory if args.table and args.json else None,
     )
     text = to_json(payload) if args.json else render_verify_text(payload)
     _write_output(text, args.out)

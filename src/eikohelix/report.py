@@ -3,12 +3,21 @@
 JSON payloads are plain dicts with a fixed key order and floats left to the
 serializer's shortest round-trip formatting, so repeated runs produce
 byte-identical output.
+
+The optional per-sample table is held as flat rows of floats and written by
+one row template with exactly the bytes ``json.dumps(indent=2)`` gives row
+dicts at that depth; floats go through ``%r``, which is ``float.__repr__``,
+the function json uses. Any ``indent`` makes CPython's json fall back to its
+pure-Python encoder, which would otherwise cost more than every stage of the
+computation on a table of a few thousand rows.
 """
 
 from __future__ import annotations
 
 import json
 import math
+
+import numpy as np
 
 from .classify import Classification, Trajectory
 from .dsl import CurveSpec, format_expr
@@ -101,21 +110,31 @@ def verdicts_payload(
     }
 
 
-def samples_payload(trajectory: Trajectory) -> list[dict]:
-    """One row per grid point; every number a Python float."""
-    columns = zip(
-        trajectory.s.tolist(),
-        trajectory.frenet.curvature_values().tolist(),
-        trajectory.harmonic.H_values().tolist(),
-        trajectory.harmonic.Hstar_values().tolist(),
-        trajectory.grad_norm.tolist(),
-        trajectory.ip_tangent.tolist(),
-        trajectory.ip_last.tolist(),
+def samples_payload(trajectory: Trajectory) -> list[list[float]]:
+    """One flat row of Python floats per grid point.
+
+    A row is s, k_1..k_{n-1}, H_1..H_{n-2}, H*_1..H*_{n-2}, grad_norm,
+    ip_tangent, ip_last; ``to_json`` writes it as the object with keys "s",
+    "k", "H", "Hstar", "grad_norm", "ip_tangent", "ip_last". A non-finite
+    entry raises the ValueError that ``json.dumps(allow_nan=False)`` raises
+    for the first one in row order.
+    """
+    table = np.column_stack(
+        (
+            trajectory.s,
+            trajectory.frenet.curvature_values(),
+            trajectory.harmonic.H_values(),
+            trajectory.harmonic.Hstar_values(),
+            trajectory.grad_norm,
+            trajectory.ip_tangent,
+            trajectory.ip_last,
+        )
     )
-    return [
-        {"s": s, "k": k, "H": H, "Hstar": Hstar, "grad_norm": g, "ip_tangent": t, "ip_last": last}
-        for s, k, H, Hstar, g, t, last in columns
-    ]
+    finite = np.isfinite(table)
+    if not finite.all():
+        bad = float(table.flat[np.flatnonzero(~finite)[0]])
+        raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+    return table.tolist()
 
 
 def classify_report(spec: CurveSpec, classification: Classification) -> dict:
@@ -143,8 +162,35 @@ def verify_report(
     return payload
 
 
+def _row_template(n: int) -> str:
+    """A ``%``-template of one ``samples`` row as json's indent-2 layout writes it."""
+
+    def numbers(key: str, count: int) -> str:
+        return f'      "{key}": [\n' + ",\n".join(["        %r"] * count) + "\n      ]"
+
+    fields = [
+        '      "s": %r',
+        numbers("k", n - 1),
+        numbers("H", n - 2),
+        numbers("Hstar", n - 2),
+        '      "grad_norm": %r',
+        '      "ip_tangent": %r',
+        '      "ip_last": %r',
+    ]
+    return "    {\n" + ",\n".join(fields) + "\n    }"
+
+
 def to_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    """The report as indented JSON; ``samples``, when present, is the last key."""
+    rows = payload.get("samples")
+    head = {key: value for key, value in payload.items() if key != "samples"}
+    text = json.dumps(head, indent=2, allow_nan=False)
+    if rows is None:
+        return text + "\n"
+    template = _row_template((len(rows[0]) + 1) // 3)  # a row holds 3n - 1 numbers
+    table = ",\n".join([template % tuple(row) for row in rows])
+    # text ends with the closing "\n}" of the head object
+    return f'{text[:-2]},\n  "samples": [\n{table}\n  ]\n}}\n'
 
 
 # ------------------------------------------------------------- plain text

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import Classification, Trajectory
+from .classify import Classification, Trajectory, row_norm
 from .harmonic import lemma_residuals
 
 # Below this angle the gradient is numerically aligned with the tangent and
@@ -88,7 +88,7 @@ def verify_helix_theorems(
 
     axis = frame[:, 0] + np.einsum("pi,pic->pc", H, frame[:, 2:])
     axis *= (trajectory.grad_norm * cos_theta)[:, None]
-    axis_max = np.linalg.norm(grad - axis, axis=-1).max()
+    axis_max = row_norm(grad - axis).max()
 
     sumsq = trajectory.harmonic.sumsq_H
     tan_max = np.abs(cos_theta**2 * (1.0 + sumsq) - 1.0).max()
@@ -127,7 +127,7 @@ def verify_slant_theorems(
     # the coefficient of V_j (j = 1 .. n-2) is H*_{n-1-j}
     axis = frame[:, -1] + np.einsum("pi,pic->pc", Hstar[:, ::-1], frame[:, : n - 2])
     axis *= ipn[:, None]
-    axis_max = np.linalg.norm(grad - axis, axis=-1).max()
+    axis_max = row_norm(grad - axis).max()
 
     _, r_normal = lemma_residuals(trajectory.harmonic, trajectory.frenet)
 

@@ -8,11 +8,15 @@ equations with prescribed curvature functions. Two exceptions reuse the
 package's own primitives on purpose: ``sample_point_by_point`` runs its
 stages one point at a time, as the reference for which error the batched
 sampler reports, and ``reference_curve_jets``/``reference_field_jet`` walk
-an expression as a tree, as the reference for the DAG walker.
+an expression as a tree, as the reference for the DAG walker; and
+``reference_to_json`` with ``reference_samples_payload`` is the report
+writer that passes every row dict through ``json.dumps``, as the reference
+for the row template.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 from dataclasses import dataclass
@@ -252,6 +256,30 @@ def reference_field_jet(field: Expr, point) -> FieldJet:
         ),
     )
     return FieldJet(value=value if batch else float(value), gradient=gradient, hessian=hessian)
+
+
+# ------------------------------------------------------ reference JSON writer
+
+
+def reference_samples_payload(trajectory: Trajectory) -> list[dict]:
+    """One row dict per grid point; every number a Python float."""
+    columns = zip(
+        trajectory.s.tolist(),
+        trajectory.frenet.curvature_values().tolist(),
+        trajectory.harmonic.H_values().tolist(),
+        trajectory.harmonic.Hstar_values().tolist(),
+        trajectory.grad_norm.tolist(),
+        trajectory.ip_tangent.tolist(),
+        trajectory.ip_last.tolist(),
+    )
+    return [
+        {"s": s, "k": k, "H": H, "Hstar": Hstar, "grad_norm": g, "ip_tangent": t, "ip_last": last}
+        for s, k, H, Hstar, g, t, last in columns
+    ]
+
+
+def reference_to_json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 # ------------------------------------------------------ finite differences

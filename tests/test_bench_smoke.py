@@ -1,4 +1,7 @@
-"""Smoke test of the benchmark harness: one short traced catalog run.
+"""Smoke test of the benchmark harness: short traced runs of two workloads.
+
+``catalog`` writes plain reports; ``dense_table`` writes a --table report,
+whose rows the harness checks against the spec it built.
 
 The traced run wraps the stage functions through module globals of
 ``eikohelix.cli`` and ``eikohelix.classify``; a layer whose function moved
@@ -15,9 +18,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_catalog_benchmark_traced_run():
+def _assert_traced_run_clean(workload: str) -> None:
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "catalog", "--seed", "0",
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "0",
          "--seconds", "1", "--trace", "1"],
         cwd=ROOT,
         capture_output=True,
@@ -30,3 +33,11 @@ def test_catalog_benchmark_traced_run():
     assert result["failed"] == 0, proc.stdout
     absent = sorted(name for name, metric in result["metrics"].items() if metric.get("absent"))
     assert absent == []
+
+
+def test_catalog_benchmark_traced_run():
+    _assert_traced_run_clean("catalog")
+
+
+def test_dense_table_benchmark_traced_run():
+    _assert_traced_run_clean("dense_table")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 
@@ -130,6 +131,23 @@ class TestGradientOverflow:
             err = capsys.readouterr().err
             assert "|grad f| overflows to inf (while sampling at s = 0.0)" in err
 
+    def test_overflowing_residual_norms_stay_finite(self, tmp_path):
+        # |grad f - axis|^2 overflows although both vectors are finite
+        path = _write_spec(tmp_path, '["3*cos(s/5)", "3*sin(s/5)", "4*s/5"]', "1e200*x3", "[0, 31.4159]")
+        result = run_cli("verify", path, "--json")
+        assert result.returncode == 0
+        assert result.stderr == ""
+        residuals = json.loads(result.stdout)["residuals"]
+        for key in ("axis_helix", "axis_slant"):
+            assert isinstance(residuals[key], float) and math.isfinite(residuals[key])
+
+    def test_overflowing_hessian_norm(self, tmp_path):
+        path = _write_spec(tmp_path, '["3*cos(s/5)", "3*sin(s/5)", "4*s/5"]', "1e300*x1^2", "[0, 31.4159]")
+        result = run_cli("verify", path, "--json")
+        assert result.returncode == 0
+        assert result.stderr == ""
+        assert json.loads(result.stdout)["classification"]["parallel_gradient"] is False
+
     def test_mean_above_float_range(self, tmp_path, capsys):
         # every |grad f| = 1e308 is finite, their sum over the grid is not
         path = _write_spec(tmp_path, '["3*cos(s/5)", "3*sin(s/5)", "4*s/5"]', "1e308*x3", "[0, 1]")
@@ -164,6 +182,13 @@ class TestRepeatedCalls:
         assert json.loads(capsys.readouterr().out)["verdicts"]["thm31"]["verdict"] == "PASS"
         assert main(["classify", spec, "--json"]) == 0
         assert set(json.loads(capsys.readouterr().out)) == {"spec", "classification"}
+
+    def test_text_report_ignores_table(self, spec_paths, capsys):
+        spec = spec_paths["helix345_fz"]
+        assert main(["verify", spec]) == 0
+        plain = capsys.readouterr().out
+        assert main(["verify", spec, "--table"]) == 0
+        assert capsys.readouterr().out == plain
 
 
 class TestCatalog:
