@@ -27,13 +27,13 @@ for name in ("helix345_fz", "helix_r4"):
 
     print(f"{name}: helix = {classification.helix}, "
           f"parallel gradient = {classification.parallel_gradient}")
-    h = residuals.helix
-    print(f"  ladder system residual   : {h.sys_helix:.3e}")
-    print(f"  axis reconstruction      : {h.axis_helix:.3e}")
-    print(f"  sum H_i^2 spread         : {h.sumsq_helix_spread:.3e}")
-    print(f"  angle identity           : {h.tan_identity:.3e}")
-    print(f"  min |H_(n-2)|            : {h.hn2_min:.6f}")
-    print(f"  closing identity residual: {h.cor31:.3e}")
+    r = residuals.values  # grid maxima, keyed as the report's residuals block
+    print(f"  ladder system residual   : {r['sys_helix']:.3e}")
+    print(f"  axis reconstruction      : {r['axis_helix']:.3e}")
+    print(f"  sum H_i^2 spread         : {r['sumsq_helix_spread']:.3e}")
+    print(f"  angle identity           : {r['tan_identity']:.3e}")
+    print(f"  min |H_(n-2)|            : {r['hn2_min']:.6f}")
+    print(f"  closing identity residual: {r['cor31']:.3e}")
 
     mid = len(trajectory) // 2
     frame = trajectory.frame[mid]
@@ -51,11 +51,11 @@ spec = catalog.load("helix345_fz")
 trajectory = sample_along_curve(spec)
 classification = classify_rows(trajectory, spec.tol_const)
 residuals = verify_all(trajectory, classification)
-s = residuals.slant
+r = residuals.values
 print("helix345_fz, slant family (axis from the other end of the frame):")
-print(f"  ladder system residual   : {s.sys_slant:.3e}")
-print(f"  axis reconstruction      : {s.axis_slant:.3e}")
-print(f"  sum H*_i^2 spread        : {s.sumsq_slant_spread:.3e}")
-print(f"  closing identity residual: {s.cor41:.3e}")
+print(f"  ladder system residual   : {r['sys_slant']:.3e}")
+print(f"  axis reconstruction      : {r['axis_slant']:.3e}")
+print(f"  sum H*_i^2 spread        : {r['sumsq_slant_spread']:.3e}")
+print(f"  closing identity residual: {r['cor41']:.3e}")
 print(f"  sum H_i^2 = tan^2(theta) : {trajectory.harmonic.sumsq_H[0]:.6f}"
       f" vs {math.tan(classification.theta) ** 2:.6f}")

@@ -35,15 +35,7 @@ from .jets import (
     eval_expr_jet,
     eval_field_jet,
 )
-from .verify import (
-    HelixResiduals,
-    SlantResiduals,
-    TheoremResiduals,
-    orthogonality_checks,
-    verify_all,
-    verify_helix_theorems,
-    verify_slant_theorems,
-)
+from .verify import TheoremResiduals, verify_all
 
 __version__ = "0.1.0"
 
@@ -54,9 +46,7 @@ __all__ = [
     "FieldJet",
     "FrenetData",
     "HarmonicData",
-    "HelixResiduals",
     "Jet",
-    "SlantResiduals",
     "TheoremResiduals",
     "Trajectory",
     "classify",
@@ -74,13 +64,10 @@ __all__ = [
     "harmonic_normal",
     "harmonic_tangent",
     "lemma_residuals",
-    "orthogonality_checks",
     "parse_curve_spec",
     "parse_expr_text",
     "parse_expression",
     "sample_along_curve",
     "tokenize",
     "verify_all",
-    "verify_helix_theorems",
-    "verify_slant_theorems",
 ]

@@ -124,7 +124,8 @@ _OP_CHARS = "+-*/^"
 def tokenize(source: str) -> list[Token]:
     """Split an expression source string into tokens.
 
-    Numbers support decimal and exponent notation. Identifiers are
+    Numbers support decimal and exponent notation, with the digits
+    ``float`` accepts (``str.isdecimal``; "²" is illegal). Identifiers are
     alphanumeric starting with a letter. Raises IllegalCharacter with the
     0-based offset of the first unrecognized character.
     """
@@ -148,21 +149,21 @@ def tokenize(source: str) -> list[Token]:
             tokens.append(Token("rparen", ch, i))
             i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
+        if ch.isdecimal() or (ch == "." and i + 1 < n and source[i + 1].isdecimal()):
             start = i
-            while i < n and source[i].isdigit():
+            while i < n and source[i].isdecimal():
                 i += 1
             if i < n and source[i] == ".":
                 i += 1
-                while i < n and source[i].isdigit():
+                while i < n and source[i].isdecimal():
                     i += 1
             if i < n and source[i] in "eE":
                 j = i + 1
                 if j < n and source[j] in "+-":
                     j += 1
-                if j < n and source[j].isdigit():
+                if j < n and source[j].isdecimal():
                     i = j
-                    while i < n and source[i].isdigit():
+                    while i < n and source[i].isdecimal():
                         i += 1
             tokens.append(Token("num", source[start:i], start))
             continue
@@ -287,7 +288,7 @@ class _ExprParser:
                     "parameter 's' not allowed in a field expression", tok.position
                 )
             return Param()
-        if name.startswith("x") and name[1:].isdigit():
+        if name.startswith("x") and name[1:].isdecimal():
             index = int(name[1:])
             if self.kind != "field":
                 raise WrongSymbolKind(
@@ -371,7 +372,7 @@ class CurveSpec:
                 f"{len(self.components)} curve components for dimension {self.dimension}"
             )
         lo, hi = self.s_range
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        if not (lo < hi and math.isfinite(hi - lo)):  # a finite width needs finite ends
             raise SpecDocumentError(f"invalid s_range {self.s_range!r}")
         if self.samples < 8:
             raise SpecDocumentError(f"samples must be >= 8, got {self.samples}")

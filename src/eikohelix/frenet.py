@@ -109,7 +109,10 @@ def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetD
     scale = 1.0  # running magnitude of the derivative vectors
     for i, deriv in enumerate(derivatives, start=1):
         vec = deriv
-        for _ in range(2):  # Gram-Schmidt and one reorthogonalization pass
+        # Gram-Schmidt and one reorthogonalization pass ("twice is enough").
+        # With one pass max |V V^T - I| reaches 9e-12 at n = 13 (2e-15 at
+        # n = 5) instead of 7e-16, and n = 4 residuals grow tenfold.
+        for _ in range(2):
             for basis in frame:
                 vec = vec - jet_dot(vec, basis) * basis
         norm_sq = jet_dot(vec, vec)

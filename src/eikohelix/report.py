@@ -59,55 +59,36 @@ def classification_payload(c: Classification) -> dict:
 
 
 def residuals_payload(r: TheoremResiduals) -> dict:
-    def finite(x: float):
-        return x if math.isfinite(x) else None
-
-    return {
-        "sys_helix": finite(r.helix.sys_helix),
-        "axis_helix": finite(r.helix.axis_helix),
-        "sumsq_helix_spread": finite(r.helix.sumsq_helix_spread),
-        "tan_identity": finite(r.helix.tan_identity),
-        "hn2_min": finite(r.helix.hn2_min),
-        "cor31": finite(r.helix.cor31),
-        "sys_slant": finite(r.slant.sys_slant),
-        "axis_slant": finite(r.slant.axis_slant),
-        "sumsq_slant_spread": finite(r.slant.sumsq_slant_spread),
-        "hn2star_min": finite(r.slant.hn2star_min),
-        "cor41": finite(r.slant.cor41),
-        "orth_v2": finite(r.orth_v2),
-        "orth_vn1": finite(r.orth_vn1),
-    }
+    return {key: value if math.isfinite(value) else None for key, value in r.values.items()}
 
 
-def _verdict(met: bool, reason: str, ok: bool) -> dict:
-    if not met:
-        return {"verdict": NOT_APPLICABLE, "reason": reason}
-    return {"verdict": PASS if ok else FAIL}
+# verdict -> (family, residual that must be <= tol, residual that must be > tol_frame)
+VERDICT_RULES = {
+    "thm31": ("helix", "sys_helix", None),
+    "thm32": ("helix", "axis_helix", None),
+    "thm33": ("helix", "sumsq_helix_spread", "hn2_min"),
+    "cor31": ("helix", "cor31", None),
+    "thm41": ("slant", "sys_slant", None),
+    "thm42": ("slant", "axis_slant", None),
+    "thm43": ("slant", "sumsq_slant_spread", "hn2star_min"),
+    "cor41": ("slant", "cor41", None),
+}
 
 
-def verdicts_payload(
-    residuals: TheoremResiduals, tol: float, tol_frame: float
-) -> dict:
-    h = residuals.helix
-    s = residuals.slant
-    return {
-        "thm31": _verdict(h.hypotheses_met, h.reason, h.sys_helix <= tol),
-        "thm32": _verdict(h.hypotheses_met, h.reason, h.axis_helix <= tol),
-        "thm33": _verdict(
-            h.hypotheses_met,
-            h.reason,
-            h.sumsq_helix_spread <= tol and h.hn2_min > tol_frame,
-        ),
-        "cor31": _verdict(h.hypotheses_met, h.reason, h.cor31 <= tol),
-        "thm41": _verdict(s.hypotheses_met, s.reason, s.sys_slant <= tol),
-        "thm42": _verdict(s.hypotheses_met, s.reason, s.axis_slant <= tol),
-        "thm43": _verdict(
-            s.hypotheses_met,
-            s.reason,
-            s.sumsq_slant_spread <= tol and s.hn2star_min > tol_frame,
-        ),
-        "cor41": _verdict(s.hypotheses_met, s.reason, s.cor41 <= tol),
-    }
+def verdicts_payload(residuals: TheoremResiduals, tol: float, tol_frame: float) -> dict:
+    """PASS/FAIL by VERDICT_RULES, or NOT-APPLICABLE with the family's reason.
+
+    A nan residual fails its comparison, so its verdict is FAIL.
+    """
+    values, payload = residuals.values, {}
+    for name, (family, small, nonzero) in VERDICT_RULES.items():
+        reason = residuals.reasons[family]
+        if reason:
+            payload[name] = {"verdict": NOT_APPLICABLE, "reason": reason}
+        else:
+            ok = values[small] <= tol and (nonzero is None or values[nonzero] > tol_frame)
+            payload[name] = {"verdict": PASS if ok else FAIL}
+    return payload
 
 
 def samples_payload(trajectory: Trajectory) -> list[list[float]]:

@@ -20,7 +20,7 @@ from eikohelix.dsl import parse_curve_spec
 from eikohelix.errors import DegenerateCurve
 from eikohelix.harmonic import lemma_residuals
 from eikohelix.jets import eval_expr_jet, eval_field_jet
-from eikohelix.verify import verify_all, verify_helix_theorems, verify_slant_theorems
+from eikohelix.verify import verify_all
 
 from helpers import (
     RICHARDSON,
@@ -97,10 +97,9 @@ def test_criterion_2_frenet_oracle_equivalence(catalog_runs):
 def test_criterion_3_axis_reconstruction(catalog_runs):
     """Axis formulas reconstruct (0, 0, 1) on helix345_fz at 1e-9."""
     _, trajectory, classification = catalog_runs["helix345_fz"]
-    helix = verify_helix_theorems(trajectory, classification)
-    slant = verify_slant_theorems(trajectory, classification)
-    assert helix.axis_helix <= 1e-9
-    assert slant.axis_slant <= 1e-9
+    r = verify_all(trajectory, classification)
+    assert r.values["axis_helix"] <= 1e-9
+    assert r.values["axis_slant"] <= 1e-9
     cos_theta = math.cos(classification.theta)
     frame = trajectory.frame  # (N, 3, 3)
     H1 = trajectory.harmonic.H[0].value[:, None]
@@ -110,22 +109,24 @@ def test_criterion_3_axis_reconstruction(catalog_runs):
 
 
 def _check_tangent_family(trajectory, classification, label):
-    r = verify_helix_theorems(trajectory, classification)
-    assert r.hypotheses_met, label
-    assert r.sys_helix <= 1e-7, f"{label}: system {r.sys_helix}"
-    assert r.tan_identity <= 1e-9, f"{label}: tan identity {r.tan_identity}"
-    assert r.sumsq_helix_spread <= 1e-8, f"{label}: sumsq spread {r.sumsq_helix_spread}"
-    assert r.hn2_min > 1e-6, f"{label}: |H_(n-2)| {r.hn2_min}"
-    assert r.cor31 <= 1e-7, f"{label}: closing identity {r.cor31}"
+    r = verify_all(trajectory, classification)
+    v = r.values
+    assert not r.reasons["helix"], label
+    assert v["sys_helix"] <= 1e-7, f"{label}: system {v['sys_helix']}"
+    assert v["tan_identity"] <= 1e-9, f"{label}: tan identity {v['tan_identity']}"
+    assert v["sumsq_helix_spread"] <= 1e-8, f"{label}: sumsq spread {v['sumsq_helix_spread']}"
+    assert v["hn2_min"] > 1e-6, f"{label}: |H_(n-2)| {v['hn2_min']}"
+    assert v["cor31"] <= 1e-7, f"{label}: closing identity {v['cor31']}"
 
 
 def _check_normal_family(trajectory, classification, label):
-    r = verify_slant_theorems(trajectory, classification)
-    assert r.hypotheses_met, label
-    assert r.sys_slant <= 1e-7, f"{label}: system {r.sys_slant}"
-    assert r.sumsq_slant_spread <= 1e-8, f"{label}: sumsq spread {r.sumsq_slant_spread}"
-    assert r.hn2star_min > 1e-6, f"{label}: |H*_(n-2)| {r.hn2star_min}"
-    assert r.cor41 <= 1e-7, f"{label}: closing identity {r.cor41}"
+    r = verify_all(trajectory, classification)
+    v = r.values
+    assert not r.reasons["slant"], label
+    assert v["sys_slant"] <= 1e-7, f"{label}: system {v['sys_slant']}"
+    assert v["sumsq_slant_spread"] <= 1e-8, f"{label}: sumsq spread {v['sumsq_slant_spread']}"
+    assert v["hn2star_min"] > 1e-6, f"{label}: |H*_(n-2)| {v['hn2star_min']}"
+    assert v["cor41"] <= 1e-7, f"{label}: closing identity {v['cor41']}"
 
 
 def test_criterion_4_identity_suite(catalog_runs):

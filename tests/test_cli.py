@@ -114,6 +114,25 @@ class TestErrorReports:
         assert "derivative 3 linearly dependent on predecessors (at s = 1.0)" in err
 
 
+class TestSpecErrors:
+    @pytest.mark.parametrize(
+        "curve, field",
+        [('["cos(s)", "sin(s)", "s*²"]', "x3"), ('["cos(s)", "sin(s)", "s"]', "x²")],
+        ids=["superscript_number", "superscript_coordinate"],
+    )
+    def test_non_decimal_digit(self, tmp_path, curve, field):
+        path = _write_spec(tmp_path, curve, field, "[0, 3]")
+        result = run_cli("verify", path)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
+
+    def test_s_range_width_overflows(self, tmp_path, capsys):
+        path = _write_spec(tmp_path, '["cos(s)", "sin(s)", "s"]', "x3", "[-1e308, 1e308]")
+        assert main(["verify", path]) == 2
+        assert "invalid s_range" in capsys.readouterr().err
+
+
 class TestGradientOverflow:
     def test_finite_gradient_with_overflowing_square(self, tmp_path, capsys):
         # |grad f|^2 = 1e400 overflows although the gradient is finite

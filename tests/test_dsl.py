@@ -76,6 +76,16 @@ class TestTokenize:
         tokens = tokenize("1.5e-3 + 2E6")[:-1]
         assert [t.text for t in tokens] == ["1.5e-3", "+", "2E6"]
 
+    def test_non_decimal_digits_are_illegal(self):
+        # "²" passes str.isdigit but float() rejects it
+        for source, position in (("s*²", 2), ("3²", 1), ("2.5²", 3)):
+            with pytest.raises(IllegalCharacter) as exc_info:
+                tokenize(source)
+            assert exc_info.value.position == position, source
+
+    def test_decimal_digits_beyond_ascii(self):
+        assert [t.text for t in tokenize("٣.٥e٢ + s")[:-1]] == ["٣.٥e٢", "+", "s"]
+
     def test_positions_recorded(self):
         tokens = tokenize("s + 12")
         assert [t.position for t in tokens[:-1]] == [0, 2, 4]
@@ -108,6 +118,13 @@ class TestParseExpression:
     def test_unknown_identifier(self):
         with pytest.raises(UnknownIdentifier):
             parse_expr_text("tan(s)", "curve")
+
+    def test_coordinate_index_digits(self):
+        with pytest.raises(UnknownIdentifier) as exc_info:
+            parse_expr_text("1 + x²", "field", 3)
+        assert exc_info.value.position == 4
+        assert parse_expr_text("x٣", "field", 3) == Coord(3)
+        assert parse_expr_text("٣*s", "curve") == Binary("*", Constant(3.0), Param())
 
     def test_precedence(self):
         # ^ binds tighter than unary minus, which binds tighter than * /
@@ -199,6 +216,11 @@ class TestParseCurveSpec:
             parse_curve_spec(EXAMPLE_DOC + "tol_frame = -1\n")
         with pytest.raises(SpecDocumentError):
             parse_curve_spec(EXAMPLE_DOC.replace("samples = 512", "samples = 4"))
+
+    @pytest.mark.parametrize("s_range", ["[-1e308, 1e308]", "[-inf, 0]", "[0, nan]", "[0, inf]"])
+    def test_s_range_width_must_be_finite(self, s_range):
+        with pytest.raises(SpecDocumentError, match="invalid s_range"):
+            parse_curve_spec(EXAMPLE_DOC.replace("[0, 12.566]", s_range))
 
     def test_document_round_trip(self):
         spec = parse_curve_spec(EXAMPLE_DOC)

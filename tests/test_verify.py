@@ -1,5 +1,5 @@
 """Verification-module tests: axis reconstruction, identity residuals,
-hypothesis gating, and the synthetic n=4 frame systems."""
+hypothesis gating, the synthetic n=4 frame systems, and the verdict rule."""
 
 from __future__ import annotations
 
@@ -10,12 +10,8 @@ import pytest
 
 from eikohelix.classify import classify_rows, sample_along_curve
 from eikohelix.dsl import parse_curve_spec
-from eikohelix.verify import (
-    orthogonality_checks,
-    verify_all,
-    verify_helix_theorems,
-    verify_slant_theorems,
-)
+from eikohelix.report import FAIL, NOT_APPLICABLE, PASS, residuals_payload, verdicts_payload
+from eikohelix.verify import TheoremResiduals, verify_all
 
 from helpers import (
     lift_helix_r4,
@@ -52,9 +48,9 @@ def run(doc: str):
 class TestHelix345:
     def test_axis_reconstruction(self):
         _, trajectory, classification = run(HELIX345_FZ)
-        r = verify_helix_theorems(trajectory, classification)
-        assert r.hypotheses_met
-        assert r.axis_helix <= 1e-9
+        r = verify_all(trajectory, classification)
+        assert not r.reasons["helix"]
+        assert r.values["axis_helix"] <= 1e-9
         # the reconstructed axis is the field gradient (0, 0, 1)
         cos_theta = math.cos(classification.theta)
         for j in range(0, len(trajectory), 17):
@@ -65,20 +61,20 @@ class TestHelix345:
 
     def test_sumsq_and_tan_identity(self):
         _, trajectory, classification = run(HELIX345_FZ)
-        r = verify_helix_theorems(trajectory, classification)
+        r = verify_all(trajectory, classification)
         assert trajectory.harmonic.sumsq_H[0] == pytest.approx(9.0 / 16.0, abs=1e-12)
         # cos^2(theta) (1 + 9/16) = (16/25)(25/16) = 1 exactly
-        assert r.tan_identity <= 1e-12
-        assert r.sumsq_helix_spread <= 1e-12
-        assert r.hn2_min == pytest.approx(0.75, abs=1e-12)
-        assert r.cor31 <= 1e-12
+        assert r.values["tan_identity"] <= 1e-12
+        assert r.values["sumsq_helix_spread"] <= 1e-12
+        assert r.values["hn2_min"] == pytest.approx(0.75, abs=1e-12)
+        assert r.values["cor31"] <= 1e-12
 
     def test_slant_axis_reconstruction(self):
         _, trajectory, classification = run(HELIX345_FZ)
-        r = verify_slant_theorems(trajectory, classification)
-        assert r.hypotheses_met
-        assert r.axis_slant <= 1e-9
-        assert r.sumsq_slant_spread <= 1e-12
+        r = verify_all(trajectory, classification)
+        assert not r.reasons["slant"]
+        assert r.values["axis_slant"] <= 1e-9
+        assert r.values["sumsq_slant_spread"] <= 1e-12
         assert trajectory.harmonic.sumsq_Hstar[0] == pytest.approx(16.0 / 9.0, abs=1e-12)
         for j in range(0, len(trajectory), 29):
             frame = trajectory.frame[j]
@@ -87,10 +83,10 @@ class TestHelix345:
             assert np.max(np.abs(axis - [0.0, 0.0, 1.0])) <= 1e-9
 
     def test_orthogonality(self):
-        _, trajectory, _ = run(HELIX345_FZ)
-        max_v2, max_vn1 = orthogonality_checks(trajectory)
-        assert max_v2 <= 1e-12
-        assert max_vn1 <= 1e-12
+        _, trajectory, classification = run(HELIX345_FZ)
+        r = verify_all(trajectory, classification)
+        assert r.values["orth_v2"] <= 1e-12
+        assert r.values["orth_vn1"] <= 1e-12
 
     def test_family_consistency(self):
         # the axis lies in span{V1, V3}: cos^2(theta) + (<grad,V3>/|grad|)^2 = 1
@@ -104,10 +100,9 @@ class TestHypothesisGating:
     def test_paper_case_not_applicable_but_diagnosed(self):
         _, trajectory, classification = run(PAPER_DOC)
         assert classification.helix and not classification.parallel_gradient
-        r = verify_helix_theorems(trajectory, classification)
-        assert not r.hypotheses_met
-        assert "parallel" in r.reason
-        assert math.isfinite(r.sys_helix)  # diagnostics still computed
+        r = verify_all(trajectory, classification)
+        assert "parallel" in r.reasons["helix"]
+        assert math.isfinite(r.values["sys_helix"])  # diagnostics still computed
 
     def test_nonhelix_fails_residuals(self):
         doc = (
@@ -119,19 +114,18 @@ class TestHypothesisGating:
         )
         _, trajectory, classification = run(doc)
         assert classification.parallel_gradient and not classification.helix
-        r = verify_helix_theorems(trajectory, classification)
-        assert not r.hypotheses_met
-        assert r.sumsq_helix_spread > 1e-3
-        assert r.cor31 > 1e-3
+        r = verify_all(trajectory, classification)
+        assert r.reasons["helix"]
+        assert r.values["sumsq_helix_spread"] > 1e-3
+        assert r.values["cor31"] > 1e-3
 
     def test_low_last_angle_probe(self):
         # gradient orthogonal to the last frame vector: slant hypothesis off
         doc = HELIX345_FZ.replace('"x3"', '"0.6*x1 - 0.8*x2"')
         _, trajectory, classification = run(doc)
         assert not classification.slant
-        r = verify_slant_theorems(trajectory, classification)
-        assert not r.hypotheses_met
-        assert r.reason
+        r = verify_all(trajectory, classification)
+        assert r.reasons["slant"]
 
     def test_near_axis_tangent_flagged(self):
         # tangent numerically aligned with the axis: the tangent-family
@@ -146,10 +140,9 @@ class TestHypothesisGating:
         _, trajectory, classification = run(doc)
         assert classification.helix
         assert classification.theta < 1e-6
-        r = verify_helix_theorems(trajectory, classification)
+        r = verify_all(trajectory, classification)
         assert r.theta_degenerate
-        assert not r.hypotheses_met
-        assert "aligned" in r.reason
+        assert "aligned" in r.reasons["helix"]
 
 
 class TestFuzzR3:
@@ -163,18 +156,18 @@ class TestFuzzR3:
             assert classification.helix and classification.slant
             assert classification.parallel_gradient
             r = verify_all(trajectory, classification)
-            assert r.helix.sys_helix <= 1e-7
-            assert r.helix.axis_helix <= 1e-7
-            assert r.helix.tan_identity <= 1e-9
-            assert r.helix.sumsq_helix_spread <= 1e-8
-            assert r.helix.hn2_min > 1e-6
-            assert r.helix.hn2_min == pytest.approx(case.expected_H1, rel=1e-9)
-            assert r.helix.cor31 <= 1e-7
-            assert r.slant.sys_slant <= 1e-7
-            assert r.slant.axis_slant <= 1e-7
-            assert r.slant.sumsq_slant_spread <= 1e-8
-            assert r.slant.hn2star_min > 1e-6
-            assert r.slant.cor41 <= 1e-7
+            assert r.values["sys_helix"] <= 1e-7
+            assert r.values["axis_helix"] <= 1e-7
+            assert r.values["tan_identity"] <= 1e-9
+            assert r.values["sumsq_helix_spread"] <= 1e-8
+            assert r.values["hn2_min"] > 1e-6
+            assert r.values["hn2_min"] == pytest.approx(case.expected_H1, rel=1e-9)
+            assert r.values["cor31"] <= 1e-7
+            assert r.values["sys_slant"] <= 1e-7
+            assert r.values["axis_slant"] <= 1e-7
+            assert r.values["sumsq_slant_spread"] <= 1e-8
+            assert r.values["hn2star_min"] > 1e-6
+            assert r.values["cor41"] <= 1e-7
             # reconstructed axis equals the planted one up to field scale
             grad = trajectory.grad[0]
             assert np.max(np.abs(grad / np.linalg.norm(grad) - case.axis)) <= 1e-9
@@ -188,13 +181,13 @@ class TestFuzzR4:
             trajectory = sample_along_curve(case.spec)
             classification = classify_rows(trajectory, case.spec.tol_const)
             assert classification.helix and classification.parallel_gradient
-            r = verify_helix_theorems(trajectory, classification)
-            assert r.sys_helix <= 1e-7
-            assert r.axis_helix <= 1e-7
-            assert r.tan_identity <= 1e-9
-            assert r.sumsq_helix_spread <= 1e-8
-            assert r.hn2_min > 1e-6
-            assert r.cor31 <= 1e-7
+            r = verify_all(trajectory, classification)
+            assert r.values["sys_helix"] <= 1e-7
+            assert r.values["axis_helix"] <= 1e-7
+            assert r.values["tan_identity"] <= 1e-9
+            assert r.values["sumsq_helix_spread"] <= 1e-8
+            assert r.values["hn2_min"] > 1e-6
+            assert r.values["cor31"] <= 1e-7
 
     def test_synthetic_helix_systems(self):
         rng = np.random.default_rng(13)
@@ -202,12 +195,12 @@ class TestFuzzR4:
             system = synthetic_helix_r4(rng)
             classification = classify_rows(system.trajectory, 1e-8)
             assert classification.helix and classification.parallel_gradient
-            r = verify_helix_theorems(system.trajectory, classification)
-            assert r.sys_helix <= 1e-7
-            assert r.axis_helix <= 1e-7
-            assert r.sumsq_helix_spread <= 1e-8
-            assert r.hn2_min > 1e-6
-            assert r.cor31 <= 1e-7
+            r = verify_all(system.trajectory, classification)
+            assert r.values["sys_helix"] <= 1e-7
+            assert r.values["axis_helix"] <= 1e-7
+            assert r.values["sumsq_helix_spread"] <= 1e-8
+            assert r.values["hn2_min"] > 1e-6
+            assert r.values["cor31"] <= 1e-7
             assert system.trajectory.harmonic.sumsq_H[0] == pytest.approx(
                 system.expected_sumsq, rel=1e-10
             )
@@ -219,13 +212,13 @@ class TestFuzzR4:
             classification = classify_rows(system.trajectory, 1e-8)
             assert classification.slant and classification.parallel_gradient
             assert not classification.helix  # distinct families in R^4
-            r = verify_slant_theorems(system.trajectory, classification)
-            assert r.hypotheses_met
-            assert r.sys_slant <= 1e-7
-            assert r.axis_slant <= 1e-7
-            assert r.sumsq_slant_spread <= 1e-8
-            assert r.hn2star_min > 1e-6
-            assert r.cor41 <= 1e-7
+            r = verify_all(system.trajectory, classification)
+            assert not r.reasons["slant"]
+            assert r.values["sys_slant"] <= 1e-7
+            assert r.values["axis_slant"] <= 1e-7
+            assert r.values["sumsq_slant_spread"] <= 1e-8
+            assert r.values["hn2star_min"] > 1e-6
+            assert r.values["cor41"] <= 1e-7
             assert system.trajectory.harmonic.sumsq_Hstar[0] == pytest.approx(
                 system.expected_sumsq, rel=1e-10
             )
@@ -236,6 +229,82 @@ class TestFuzzR4:
         trajectory = sample_along_curve(spec)
         classification = classify_rows(trajectory, spec.tol_const)
         r = verify_all(trajectory, classification)
-        assert not r.helix.hypotheses_met
-        assert r.helix.sumsq_helix_spread > 1e-4
-        assert r.helix.cor31 > 1e-4
+        assert r.reasons["helix"]
+        assert r.values["sumsq_helix_spread"] > 1e-4
+        assert r.values["cor31"] > 1e-4
+
+
+# verdict -> (residual that must be <= tol, residual that must be > tol_frame)
+RULES = {
+    "thm31": ("sys_helix", None),
+    "thm32": ("axis_helix", None),
+    "thm33": ("sumsq_helix_spread", "hn2_min"),
+    "cor31": ("cor31", None),
+    "thm41": ("sys_slant", None),
+    "thm42": ("axis_slant", None),
+    "thm43": ("sumsq_slant_spread", "hn2star_min"),
+    "cor41": ("cor41", None),
+}
+HELIX_VERDICTS = ("thm31", "thm32", "thm33", "cor31")
+TOL, TOL_FRAME = 1e-8, 1e-6
+
+
+def _residuals(helix_reason: str = "", slant_reason: str = "", **changes) -> TheoremResiduals:
+    """Residuals that PASS every verdict at TOL and TOL_FRAME, with ``changes`` applied."""
+    values = {
+        "sys_helix": 0.0, "axis_helix": 0.0, "sumsq_helix_spread": 0.0, "tan_identity": 0.0,
+        "hn2_min": 1.0, "cor31": 0.0, "sys_slant": 0.0, "axis_slant": 0.0,
+        "sumsq_slant_spread": 0.0, "hn2star_min": 1.0, "cor41": 0.0, "orth_v2": 0.0, "orth_vn1": 0.0,
+    }  # fmt: skip
+    assert changes.keys() <= values.keys()
+    values.update(changes)
+    return TheoremResiduals(values, {"helix": helix_reason, "slant": slant_reason}, False)
+
+
+def _verdicts(residuals: TheoremResiduals) -> dict[str, str]:
+    return {name: v["verdict"] for name, v in verdicts_payload(residuals, TOL, TOL_FRAME).items()}
+
+
+class TestVerdictRule:
+    def test_all_pass(self):
+        assert _verdicts(_residuals()) == dict.fromkeys(RULES, PASS)
+
+    @pytest.mark.parametrize("verdict", RULES)
+    def test_residual_at_tol_passes(self, verdict):
+        small, _ = RULES[verdict]
+        assert _verdicts(_residuals(**{small: TOL})) == dict.fromkeys(RULES, PASS)
+        above = _verdicts(_residuals(**{small: math.nextafter(TOL, math.inf)}))
+        assert above == {**dict.fromkeys(RULES, PASS), verdict: FAIL}
+
+    @pytest.mark.parametrize("verdict", ["thm33", "thm43"])
+    def test_last_harmonic_curvature_at_tol_frame_fails(self, verdict):
+        _, nonzero = RULES[verdict]
+        at = _verdicts(_residuals(**{nonzero: TOL_FRAME}))
+        assert at == {**dict.fromkeys(RULES, PASS), verdict: FAIL}
+        above = _verdicts(_residuals(**{nonzero: math.nextafter(TOL_FRAME, math.inf)}))
+        assert above == dict.fromkeys(RULES, PASS)
+
+    @pytest.mark.parametrize("key", ["sys_helix", "hn2_min", "sumsq_slant_spread", "hn2star_min", "cor41"])
+    def test_nan_residual_fails_and_shows_null(self, key):
+        residuals = _residuals(**{key: math.nan})
+        failed = {name for name, rule in RULES.items() if key in rule}
+        assert _verdicts(residuals) == {name: FAIL if name in failed else PASS for name in RULES}
+        payload = residuals_payload(residuals)
+        assert payload[key] is None
+        assert list(payload) == list(residuals.values)
+
+    @pytest.mark.parametrize(
+        "values", [{}, {"sys_helix": math.nan, "hn2_min": 0.0, "sys_slant": 1.0}], ids=["passing", "failing"]
+    )
+    def test_reason_gives_not_applicable(self, values):
+        helix = "not a helix (tangent angle varies or is zero)"
+        slant = "gradient not parallel (Hessian nonzero along curve)"
+        payload = verdicts_payload(_residuals(helix, slant, **values), TOL, TOL_FRAME)
+        assert payload == {
+            name: {"verdict": NOT_APPLICABLE, "reason": helix if name in HELIX_VERDICTS else slant}
+            for name in RULES
+        }
+        # a reason in one family leaves the other family's verdicts to the values
+        verdicts = _verdicts(_residuals(helix, **values))
+        assert {verdicts[name] for name in HELIX_VERDICTS} == {NOT_APPLICABLE}
+        assert verdicts["thm41"] == (FAIL if values else PASS)
