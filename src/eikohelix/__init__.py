@@ -19,14 +19,8 @@ from .dsl import (
     parse_expression,
     tokenize,
 )
-from .frenet import FrenetData, directional_derivative, frenet_apparatus
-from .harmonic import (
-    HarmonicData,
-    harmonic_data,
-    harmonic_normal,
-    harmonic_tangent,
-    lemma_residuals,
-)
+from .frenet import frenet_apparatus
+from .harmonic import harmonic_data, lemma_residuals
 from .jets import (
     FieldJet,
     Jet,
@@ -44,8 +38,6 @@ __all__ = [
     "CurveSpec",
     "Expr",
     "FieldJet",
-    "FrenetData",
-    "HarmonicData",
     "Jet",
     "TheoremResiduals",
     "Trajectory",
@@ -53,7 +45,6 @@ __all__ = [
     "classify_rows",
     "constancy",
     "default_jet_order",
-    "directional_derivative",
     "eval_curve_jet",
     "eval_expr_jet",
     "eval_field_jet",
@@ -61,8 +52,6 @@ __all__ = [
     "format_expr",
     "frenet_apparatus",
     "harmonic_data",
-    "harmonic_normal",
-    "harmonic_tangent",
     "lemma_residuals",
     "parse_curve_spec",
     "parse_expr_text",

@@ -22,7 +22,7 @@ from pathlib import Path
 from . import catalog as catalog_module
 from .classify import classify_rows, sample_along_curve
 from .dsl import parse_curve_spec
-from .errors import DslError, EvalError, FrameError
+from .errors import DimensionMismatch, DslError, EvalError, FrameError
 from .report import (
     classify_report,
     render_classify_text,
@@ -43,9 +43,14 @@ def _load_spec(path: str):
     except OSError as exc:
         raise SystemExit(_error(f"cannot read spec file {path!r}: {exc}", EXIT_SPEC_ERROR))
     try:
-        return parse_curve_spec(text)
+        spec = parse_curve_spec(text)
+        if spec.dimension < 3:  # a CurveSpec may be planar; the pipeline may not
+            raise DimensionMismatch(
+                f"harmonic curvatures need dimension >= 3, got {spec.dimension}"
+            )
     except DslError as exc:
         raise SystemExit(_error(f"{path}: {exc}", EXIT_SPEC_ERROR))
+    return spec
 
 
 def _error(message: str, code: int) -> int:

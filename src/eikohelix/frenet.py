@@ -13,6 +13,11 @@ degeneracy check raises for the first batch point at which it fails.
 
 Curves need not be unit speed: every parameter derivative that feeds a
 frame-relative rate is divided by the speed jet.
+
+Each quantity is carried only to the jet order its consumers need (see
+:func:`eikohelix.jets.frame_jet_order`): the curve at 2n-2, the derivative
+vectors and so V_1..V_{n-1} at n-1, and V_n and each k_i at n-2, which
+leaves the last harmonic curvatures of both families at order 1.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCurve, DegenerateCurvature, NotRegular, raise_first, value_at
-from .jets import Jet, jet_dot, jet_sqrt
+from .jets import Jet, frame_jet_order, jet_dot, jet_sqrt
 
 
 @dataclass(eq=False)
@@ -88,12 +93,13 @@ def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetD
     if order < n + 1:
         raise ValueError(f"need jet order >= {n + 1} for dimension {n}, got {order}")
 
-    # derivative vectors alpha', ..., alpha^(n)
+    # derivative vectors alpha', ..., alpha^(n), each cut to the budget
+    budget = frame_jet_order(n)
     derivatives: list[Jet] = []
     current = Jet(np.stack([j.coeffs[: order + 1] for j in curve_jets], axis=1))
     for _ in range(n):
         current = current.derivative()
-        derivatives.append(current)
+        derivatives.append(current.truncate(min(current.order, budget)))
 
     speed_sq = jet_dot(derivatives[0], derivatives[0])
     raise_first(

@@ -71,6 +71,13 @@ def _check_curvatures(fr: FrenetData) -> None:
         )
 
 
+# The InsufficientOrder guards below cannot fire from the sampler: at the
+# default jet order every k_i carries order n-2 (jets.frame_jet_order), so
+# H_{n-2} and H*_{n-2} keep order 1. They stay for frames built by a direct
+# call from curve jets of a lower order, which they report instead of
+# failing on a missing coefficient.
+
+
 def harmonic_tangent(fr: FrenetData) -> list[Jet]:
     """Tangent-family harmonic curvatures H1..H_{n-2} as jets."""
     _check_curvatures(fr)

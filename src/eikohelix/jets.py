@@ -57,14 +57,32 @@ from .errors import (
 _TINY = 1e-300  # division guard on the value coefficient
 
 
+def frame_jet_order(dimension: int) -> int:
+    """Jet order of the frame vectors V_1..V_{n-1}: the pipeline's budget.
+
+    Work back from the last consumer. The identities closing both harmonic
+    families, V1[H_{n-2}] = -k_{n-1} H_{n-3} and V1[H*_{n-2}] = k_1 H*_{n-3},
+    read H_{n-2} and H*_{n-2} to order 1. Each level of the recurrence takes
+    one rate V1[.] of the level before, so H_1 = k_1/k_2 and H*_1 are
+    needed to order 1 + (n-3) = n-2, and so is every k_i. Since
+    k_i = <V_i', V_{i+1}> / speed, V_1..V_{n-1} are needed to order n-1;
+    Gram-Schmidt projects each later vector onto every earlier one, so no
+    earlier V_i can be cut below the order of the latest. V_n enters only
+    k_{n-1}, without a derivative, so it is needed to order n-2.
+    """
+    return dimension - 1
+
+
 def default_jet_order(dimension: int) -> int:
     """Jet order carried through curve evaluation for an n-dimensional curve.
 
-    The frame construction consumes n derivative levels, the harmonic
-    recurrence one more per level above the first, and the derivative
-    identities one final level; n + max(0, n-3) + 1 covers all of it.
+    V_n comes from alpha^(n), which must reach one order below the frame
+    budget (:func:`frame_jet_order`), n-2; so the curve carries
+    n + (n-2) = 2n-2, and at least n+1, the order the frame construction
+    requires (which matters only for n = 2). The budget: curve at 2n-2,
+    V_1..V_{n-1} at n-1, V_n and each k_i at n-2.
     """
-    return dimension + max(0, dimension - 3) + 1
+    return dimension + max(1, frame_jet_order(dimension) - 1)
 
 
 def _scalar(x):

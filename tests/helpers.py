@@ -11,7 +11,9 @@ sampler reports, and ``reference_curve_jets``/``reference_field_jet`` walk
 an expression as a tree, as the reference for the DAG walker; and
 ``reference_to_json`` with ``reference_samples_payload`` is the report
 writer that passes every row dict through ``json.dumps``, as the reference
-for the row template.
+for the row template; and ``reference_frenet_apparatus`` carries every
+derivative vector at its full order, as the reference for the jet-order
+budget.
 """
 
 from __future__ import annotations
@@ -24,7 +26,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from eikohelix.classify import Trajectory
-from eikohelix.dsl import Binary, Constant, Coord, CurveSpec, Expr, Param, Unary, constant_value
+from eikohelix.dsl import (
+    Binary,
+    Constant,
+    Coord,
+    CurveSpec,
+    Expr,
+    Param,
+    Unary,
+    constant_value,
+    parse_curve_spec,
+)
 from eikohelix.errors import (
     EvalDomainError,
     EvalError,
@@ -50,6 +62,7 @@ from eikohelix.jets import (
     jet_constant,
     jet_cos,
     jet_div,
+    jet_dot,
     jet_exp,
     jet_ln,
     jet_param,
@@ -114,6 +127,46 @@ def sample_point_by_point(spec: CurveSpec) -> None:
             raise
         except EvalError as exc:
             raise type(exc)(f"{exc} (while sampling at s = {s!r})") from exc
+
+
+# ------------------------------------------------- reference frame
+
+
+def reference_frenet_apparatus(curve_jets: list[Jet], s) -> FrenetData:
+    """The frame with each alpha^(i) carried at its full order, 2n-2-i.
+
+    The same Gram-Schmidt with one reorthogonalization pass as
+    ``frenet_apparatus``, without the cut to ``frame_jet_order`` and
+    without the degeneracy checks.
+    """
+    n = len(curve_jets)
+    current = Jet(np.stack([j.coeffs for j in curve_jets], axis=1))
+    derivatives = []
+    for _ in range(n):
+        current = current.derivative()
+        derivatives.append(current)
+    speed = jet_sqrt(jet_dot(derivatives[0], derivatives[0]))
+    frame: list[Jet] = []
+    for vec in derivatives:
+        for _ in range(2):
+            for basis in frame:
+                vec = vec - jet_dot(vec, basis) * basis
+        frame.append(vec / jet_sqrt(jet_dot(vec, vec)))
+    curvatures = [jet_dot(frame[i].derivative(), frame[i + 1]) / speed for i in range(n - 1)]
+    return FrenetData(s=s, speed=speed, frame=frame, curvatures=curvatures)
+
+
+def wcurve_lift(n: int, samples: int) -> CurveSpec:
+    """The W-curve lift helix in R^n (odd n): cos(j s)/j, sin(j s)/j, 0.7 s."""
+    components = []
+    for j in range(1, (n - 1) // 2 + 1):
+        components += [f"cos({j}*s)/{j}", f"sin({j}*s)/{j}"]
+    components.append("0.7*s")
+    curve = ", ".join(f'"{c}"' for c in components)
+    return parse_curve_spec(
+        f'dimension = {n}\ncurve = [{curve}]\nfield = "x{n}"\n'
+        f"s_range = [0.3, 5.9]\nsamples = {samples}\n"
+    )
 
 
 # ------------------------------------------------- reference tree walker

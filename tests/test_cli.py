@@ -127,6 +127,20 @@ class TestSpecErrors:
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("command", ["classify", "verify"])
+    def test_planar_spec(self, tmp_path, command):
+        # a CurveSpec may be planar, but H_1 = k_1/k_2 needs n >= 3
+        path = tmp_path / "planar.spec"
+        path.write_text(
+            'dimension = 2\ncurve = ["cos(s)", "sin(s)"]\nfield = "x1"\ns_range = [0, 3]\n',
+            encoding="utf-8",
+        )
+        result = run_cli(command, str(path))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "harmonic curvatures need dimension >= 3, got 2" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_s_range_width_overflows(self, tmp_path, capsys):
         path = _write_spec(tmp_path, '["cos(s)", "sin(s)", "s"]', "x3", "[-1e308, 1e308]")
         assert main(["verify", path]) == 2

@@ -8,12 +8,22 @@ import math
 import numpy as np
 import pytest
 
+from eikohelix import catalog
+from eikohelix.classify import sample_along_curve
 from eikohelix.dsl import parse_curve_spec
 from eikohelix.errors import DegenerateCurve, NotRegular
 from eikohelix.frenet import directional_derivative, frenet_apparatus
-from eikohelix.jets import eval_curve_jet, jet_constant, jet_param, jet_sin
+from eikohelix.harmonic import harmonic_data, lemma_residuals
+from eikohelix.jets import default_jet_order, eval_curve_jet, jet_constant, jet_param, jet_sin
 
-from helpers import classical_kappa_tau, eval_float, fd_frenet, fit_derivatives
+from helpers import (
+    classical_kappa_tau,
+    eval_float,
+    fd_frenet,
+    fit_derivatives,
+    reference_frenet_apparatus,
+    wcurve_lift,
+)
 
 HELIX345 = """\
 dimension = 3
@@ -207,3 +217,34 @@ class TestDirectionalDerivative:
     def test_order_drops_by_one(self):
         g = jet_param(0.5, 4)
         assert directional_derivative(g, jet_constant(1.0, 4)).order == 3
+
+
+class TestOrderBudget:
+    """The frame cut to ``frame_jet_order`` against the frame at full order."""
+
+    # the W-curve lift at odd n, and two catalog curves in R^4
+    @pytest.mark.parametrize("case", [*range(3, 14, 2), "wcurve_r4", "helix_r4"])
+    def test_orders_and_bytes_match_full_order(self, case):
+        spec = wcurve_lift(case, samples=16) if isinstance(case, int) else catalog.load(case)
+        n = spec.dimension
+        trajectory = sample_along_curve(spec)
+        fr, h = trajectory.frenet, trajectory.harmonic
+        assert [v.order for v in fr.frame] == [n - 1] * (n - 1) + [n - 2]
+        assert [k.order for k in fr.curvatures] == [n - 2] * (n - 1)
+        # the last entries keep order 1, so the InsufficientOrder guards in
+        # harmonic.py cannot fire from the sampler
+        assert h.H[-1].order == 1 and h.Hstar[-1].order == 1
+
+        jets = eval_curve_jet(spec, trajectory.s, default_jet_order(n))
+        ref = reference_frenet_apparatus(jets, trajectory.s)
+        ref_h = harmonic_data(ref)
+        pairs = [
+            (fr.frame_values(), ref.frame_values()),
+            (fr.frame_d1(), ref.frame_d1()),
+            (fr.curvature_values(), ref.curvature_values()),
+            (h.H_values(), ref_h.H_values()),
+            (h.Hstar_values(), ref_h.Hstar_values()),
+            *zip(lemma_residuals(h, fr), lemma_residuals(ref_h, ref)),
+        ]
+        for got, want in pairs:
+            assert got.tobytes() == want.tobytes()

@@ -17,6 +17,7 @@ from eikohelix.errors import EvalDomainError, EvalOverflow, JetDivisionByZero
 from eikohelix.jets import (
     Jet,
     default_jet_order,
+    frame_jet_order,
     eval_curve_jet,
     eval_expr_jet,
     eval_field_jet,
@@ -134,6 +135,8 @@ class TestCurveJets:
     def test_default_order(self):
         assert default_jet_order(3) == 4
         assert default_jet_order(4) == 6
+        assert default_jet_order(13) == 24
+        assert [frame_jet_order(n) for n in (3, 4, 13)] == [2, 3, 12]
         spec = parse_curve_spec(EXAMPLE_DOC)
         assert eval_curve_jet(spec, 1.0)[0].order == 4
 

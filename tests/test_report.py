@@ -14,12 +14,11 @@ import pytest
 
 from eikohelix import catalog
 from eikohelix.classify import classify_rows, sample_along_curve
-from eikohelix.dsl import parse_curve_spec
 from eikohelix.errors import FrameError
 from eikohelix.report import classify_report, samples_payload, to_json, verify_report
 from eikohelix.verify import verify_all
 
-from helpers import reference_samples_payload, reference_to_json
+from helpers import reference_samples_payload, reference_to_json, wcurve_lift
 
 
 def _verify_payloads(spec):
@@ -36,19 +35,6 @@ def _assert_table_matches_reference(spec):
     _, payload, trajectory = _verify_payloads(spec)
     reference = dict(payload, samples=reference_samples_payload(trajectory))
     assert to_json(payload) == reference_to_json(reference)
-
-
-def wcurve_lift(n: int, samples: int):
-    """The W-curve lift helix in R^n (odd n): cos(j s)/j, sin(j s)/j, 0.7 s."""
-    components = []
-    for j in range(1, (n - 1) // 2 + 1):
-        components += [f"cos({j}*s)/{j}", f"sin({j}*s)/{j}"]
-    components.append("0.7*s")
-    curve = ", ".join(f'"{c}"' for c in components)
-    return parse_curve_spec(
-        f'dimension = {n}\ncurve = [{curve}]\nfield = "x{n}"\n'
-        f"s_range = [0.3, 5.9]\nsamples = {samples}\n"
-    )
 
 
 @pytest.mark.parametrize("name", catalog.names())
