@@ -7,8 +7,8 @@ Subcommands:
     catalog [--emit NAME PATH]
 
 Exit codes: 0 for a completed run (whatever the classification or verdicts
-say), 2 for spec/parse/usage errors, 3 for degenerate-curve or numeric
-evaluation failures.
+say), 2 for spec/parse/usage errors and unreadable or unwritable files, 3 for
+degenerate-curve or numeric evaluation failures.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ EXIT_DEGENERATE = 3
 def _load_spec(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit(_error(f"cannot read spec file {path!r}: {exc}", EXIT_SPEC_ERROR))
     try:
         spec = parse_curve_spec(text)
@@ -58,9 +58,16 @@ def _error(message: str, code: int) -> int:
     return code
 
 
+def _write_file(text: str, path: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise SystemExit(_error(f"cannot write {path!r}: {exc}", EXIT_SPEC_ERROR))
+
+
 def _write_output(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write_file(text, out)
     else:
         sys.stdout.write(text)
 
@@ -110,7 +117,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         except KeyError:
             known = ", ".join(catalog_module.names())
             return _error(f"unknown catalog entry {name!r} (known: {known})", EXIT_SPEC_ERROR)
-        Path(path).write_text(entry.document, encoding="utf-8")
+        _write_file(entry.document, path)
         print(f"wrote {entry.name} to {path}")
         return EXIT_OK
     for entry in catalog_module.entries():

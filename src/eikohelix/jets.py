@@ -17,8 +17,10 @@ the carried order rather than finite-differenced.
 
 :class:`FieldJet` carries value, gradient, and Hessian of a scalar field at
 a batch of points, propagated through expressions as second-order
-multivariate duals; there the batch axes lead and the coordinate axes
-trail.
+multivariate duals. The duals use the jets' layout, coordinate axes first
+and batch axes last, so each elementwise op is one loop over the batch;
+:func:`eval_field_jet` copies the result once into the public
+:class:`FieldJet` shapes, where the batch axes lead.
 
 One expression walker serves both algebras, and it evaluates a list of
 expressions as a DAG (the evaluation procedure of reverse- and
@@ -394,7 +396,8 @@ def jet_pow(u: Jet, exponent: float) -> Jet:
 @dataclass(frozen=True)
 class FieldJet:
     """Value, gradient, and symmetric Hessian of a scalar field at a batch of
-    points: shapes (*batch,), (*batch, n) and (*batch, n, n)."""
+    points: C-contiguous arrays of shapes (*batch,), (*batch, n) and
+    (*batch, n, n)."""
 
     value: float | np.ndarray
     gradient: np.ndarray
@@ -402,12 +405,29 @@ class FieldJet:
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise outer products of the last axes of a and b."""
-    return a[..., :, None] * b[..., None, :]
+    """Pointwise outer products of the first axes of a and b."""
+    return a[:, None] * b
+
+
+@lru_cache(maxsize=64)
+def _dual_basis(n: int, batch_ndim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Zero gradient, zero Hessian, and the unit gradients e_1..e_n (stacked),
+    with size-1 batch axes; read-only, since every dual op makes new arrays."""
+    ones = (1,) * batch_ndim
+    basis = np.zeros((n, *ones)), np.zeros((n, n, *ones)), np.eye(n).reshape(n, n, *ones)
+    for array in basis:
+        array.flags.writeable = False
+    return basis
 
 
 class _Dual2:
-    """Second-order multivariate duals (value, gradient, hessian) over a batch."""
+    """Second-order multivariate duals (value, gradient, hessian) over a batch.
+
+    As in :class:`Jet`, the coordinate axes lead and the batch axes trail:
+    ``v`` has shape (*batch,), ``g`` (n, *batch) and ``h`` (n, n, *batch),
+    so every elementwise op is one loop over the batch. A constant or a
+    coordinate symbol has size-1 batch axes in ``g`` and ``h``.
+    """
 
     __slots__ = ("v", "g", "h")
 
@@ -415,10 +435,6 @@ class _Dual2:
         self.v = np.asarray(v, dtype=float)
         self.g = g
         self.h = h
-
-    @staticmethod
-    def constant(value: float, n: int) -> _Dual2:
-        return _Dual2(value, np.zeros(n), np.zeros((n, n)))
 
     def __add__(self, o: _Dual2) -> _Dual2:
         return _Dual2(self.v + o.v, self.g + o.g, self.h + o.h)
@@ -430,12 +446,12 @@ class _Dual2:
         return _Dual2(-self.v, -self.g, -self.h)
 
     def __mul__(self, o: _Dual2) -> _Dual2:
-        v, ov = self.v[..., None], o.v[..., None]
+        v, ov = self.v, o.v
         cross = _outer(self.g, o.g)
         return _Dual2(
-            self.v * o.v,
+            v * ov,
             v * o.g + ov * self.g,
-            v[..., None] * o.h + ov[..., None] * self.h + cross + np.swapaxes(cross, -1, -2),
+            v * o.h + ov * self.h + cross + np.swapaxes(cross, 0, 1),
         )
 
     def __truediv__(self, o: _Dual2) -> _Dual2:
@@ -446,17 +462,19 @@ class _Dual2:
         )
         return self * o.chain(1.0 / b, -1.0 / (b * b), 2.0 / b**3)
 
-    def chain(self, f0, f1, f2) -> _Dual2:
-        """Apply a scalar function given f(v), f'(v), f''(v)."""
-        f1 = np.asarray(f1)[..., None]
-        f2 = np.asarray(f2)[..., None, None]
-        return _Dual2(f0, f1 * self.g, f1[..., None] * self.h + f2 * _outer(self.g, self.g))
+    def chain(self, f0, f1, f2, gg: np.ndarray | None = None) -> _Dual2:
+        """Apply a scalar function given f(v), f'(v), f''(v); ``gg`` is
+        g ⊗ g when the caller already has it."""
+        if gg is None:
+            gg = _outer(self.g, self.g)
+        return _Dual2(f0, f1 * self.g, f1 * self.h + f2 * gg)
 
 
 def _dual_pow(u: _Dual2, p: float) -> _Dual2:
     v = u.v
     if p == 0:
-        return _Dual2.constant(1.0, u.g.shape[-1])
+        zero_g, zero_h, _ = _dual_basis(len(u.g), u.g.ndim - 1)
+        return _Dual2(1.0, zero_g, zero_h)
     if float(p).is_integer():
         p_int = int(p)
         if p_int < 0:
@@ -587,22 +605,22 @@ class _DualAlgebra:
 
     def __init__(self, point: np.ndarray):
         self.point = point
-        self.n = point.shape[-1]
+        self.zero_g, self.zero_h, self.units = _dual_basis(point.shape[-1], point.ndim - 1)
 
     def constant(self, value: float) -> _Dual2:
-        return _Dual2.constant(value, self.n)
+        return _Dual2(value, self.zero_g, self.zero_h)
 
     def symbol(self, node: Expr) -> _Dual2:
         if isinstance(node, Param):
             raise EvalDomainError("parameter symbol in a field expression")
-        g = np.zeros(self.n)
-        g[node.index - 1] = 1.0
-        return _Dual2(self.point[..., node.index - 1], g, np.zeros((self.n, self.n)))
+        i = node.index - 1
+        return _Dual2(self.point[..., i], self.units[i], self.zero_h)
 
     @staticmethod
     def sin_cos(u: _Dual2) -> tuple[_Dual2, _Dual2]:
         sin, cos = np.sin(u.v), np.cos(u.v)
-        return u.chain(sin, cos, -sin), u.chain(cos, -sin, -cos)
+        gg = _outer(u.g, u.g)
+        return u.chain(sin, cos, -sin, gg), u.chain(cos, -sin, -cos, gg)
 
     @staticmethod
     def mixed(op: str, a: _Dual2, b: _Dual2, left_const: bool) -> _Dual2:
@@ -791,15 +809,20 @@ def eval_field_jet(spec: CurveSpec, point) -> FieldJet:
     batch = point.shape[:-1]
     with np.errstate(all="ignore"):
         (result,) = _evaluate([spec.field], _DualAlgebra(point))
-    value = np.broadcast_to(result.v, batch).copy()
-    gradient = np.broadcast_to(result.g, (*batch, n)).copy()
-    hessian = np.broadcast_to(result.h, (*batch, n, n)).copy()
-    finite = np.isfinite(value) & np.isfinite(gradient).all(axis=-1)
-    finite &= np.isfinite(hessian).all(axis=(-2, -1))
-    raise_first(
-        ~finite,
-        lambda i: EvalOverflow(
-            f"non-finite field derivatives at point {point.reshape(-1, n)[i].tolist()!r}"
-        ),
-    )
+    # one copy each, from the batch-last duals to the public batch-first shapes
+    k = len(batch)
+    value, gradient, hessian = np.empty(batch), np.empty((*batch, n)), np.empty((*batch, n, n))
+    value[...] = result.v
+    gradient[...] = result.g.transpose(*range(1, k + 1), 0)
+    hessian[...] = result.h.transpose(*range(2, k + 2), 0, 1)
+    # the per-point mask is built only when some entry is not finite
+    if not (np.isfinite(value).all() and np.isfinite(gradient).all() and np.isfinite(hessian).all()):
+        finite = np.isfinite(value) & np.isfinite(gradient).all(axis=-1)
+        finite &= np.isfinite(hessian).all(axis=(-2, -1))
+        raise_first(
+            ~finite,
+            lambda i: EvalOverflow(
+                f"non-finite field derivatives at point {point.reshape(-1, n)[i].tolist()!r}"
+            ),
+        )
     return FieldJet(value=_scalar(value), gradient=gradient, hessian=hessian)

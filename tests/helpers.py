@@ -4,16 +4,17 @@ Everything here is deliberately independent of the jet pipeline it checks:
 derivatives come from Richardson-extrapolated central differences or dense
 polynomial fits, frames from plain numpy Gram-Schmidt on those derivatives,
 and the synthetic n=4 systems from direct ODE integration of the frame
-equations with prescribed curvature functions. Two exceptions reuse the
+equations with prescribed curvature functions. These exceptions reuse the
 package's own primitives on purpose: ``sample_point_by_point`` runs its
 stages one point at a time, as the reference for which error the batched
 sampler reports, and ``reference_curve_jets``/``reference_field_jet`` walk
 an expression as a tree, as the reference for the DAG walker; and
 ``reference_to_json`` with ``reference_samples_payload`` is the report
 writer that passes every row dict through ``json.dumps``, as the reference
-for the row template; and ``reference_frenet_apparatus`` carries every
+for the row template; ``reference_frenet_apparatus`` carries every
 derivative vector at its full order, as the reference for the jet-order
-budget.
+budget; and the batch-first ``_Dual2`` is the field-dual algebra before
+its batch axes moved last, as the reference for that layout.
 """
 
 from __future__ import annotations
@@ -42,19 +43,16 @@ from eikohelix.errors import (
     EvalError,
     EvalOverflow,
     FrameError,
+    JetDivisionByZero,
     raise_first,
     value_at,
 )
 from eikohelix.frenet import FrenetData, frenet_apparatus
 from eikohelix.harmonic import harmonic_data
 from eikohelix.jets import (
+    _TINY,
     FieldJet,
     Jet,
-    _Dual2,
-    _dual_exp,
-    _dual_ln,
-    _dual_pow,
-    _dual_sqrt,
     _pad_batch,
     default_jet_order,
     eval_curve_jet,
@@ -167,6 +165,113 @@ def wcurve_lift(n: int, samples: int) -> CurveSpec:
         f'dimension = {n}\ncurve = [{curve}]\nfield = "x{n}"\n'
         f"s_range = [0.3, 5.9]\nsamples = {samples}\n"
     )
+
+
+# ------------------------------------------------- reference duals, batch first
+#
+# The field duals as they were before the batch axes moved last, kept as
+# the reference for the batch-last ``_Dual2`` in ``eikohelix.jets``.
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise outer products of the last axes of a and b."""
+    return a[..., :, None] * b[..., None, :]
+
+
+class _Dual2:
+    """Second-order multivariate duals (value, gradient, hessian) over a batch."""
+
+    __slots__ = ("v", "g", "h")
+
+    def __init__(self, v, g: np.ndarray, h: np.ndarray):
+        self.v = np.asarray(v, dtype=float)
+        self.g = g
+        self.h = h
+
+    @staticmethod
+    def constant(value: float, n: int) -> _Dual2:
+        return _Dual2(value, np.zeros(n), np.zeros((n, n)))
+
+    def __add__(self, o: _Dual2) -> _Dual2:
+        return _Dual2(self.v + o.v, self.g + o.g, self.h + o.h)
+
+    def __sub__(self, o: _Dual2) -> _Dual2:
+        return _Dual2(self.v - o.v, self.g - o.g, self.h - o.h)
+
+    def __neg__(self) -> _Dual2:
+        return _Dual2(-self.v, -self.g, -self.h)
+
+    def __mul__(self, o: _Dual2) -> _Dual2:
+        v, ov = self.v[..., None], o.v[..., None]
+        cross = _outer(self.g, o.g)
+        return _Dual2(
+            self.v * o.v,
+            v * o.g + ov * self.g,
+            v[..., None] * o.h + ov[..., None] * self.h + cross + np.swapaxes(cross, -1, -2),
+        )
+
+    def __truediv__(self, o: _Dual2) -> _Dual2:
+        b = o.v
+        raise_first(
+            np.abs(b) < _TINY,
+            lambda i: JetDivisionByZero(f"field division by value {value_at(b, i)!r}"),
+        )
+        return self * o.chain(1.0 / b, -1.0 / (b * b), 2.0 / b**3)
+
+    def chain(self, f0, f1, f2) -> _Dual2:
+        """Apply a scalar function given f(v), f'(v), f''(v)."""
+        f1 = np.asarray(f1)[..., None]
+        f2 = np.asarray(f2)[..., None, None]
+        return _Dual2(f0, f1 * self.g, f1[..., None] * self.h + f2 * _outer(self.g, self.g))
+
+
+def _dual_pow(u: _Dual2, p: float) -> _Dual2:
+    v = u.v
+    if p == 0:
+        return _Dual2.constant(1.0, u.g.shape[-1])
+    if float(p).is_integer():
+        p_int = int(p)
+        if p_int < 0:
+            raise_first(v == 0.0, lambda i: EvalDomainError("negative power of zero"))
+
+        def mono(c: float, e: int):
+            # zero coefficient wins before v**e can blow up at v == 0;
+            # an overflowing power is inf, which the final finite check reports
+            return c * np.power(v, float(e)) if c != 0.0 else 0.0
+
+        return u.chain(np.power(v, float(p_int)), mono(p, p_int - 1), mono(p * (p - 1), p_int - 2))
+    raise_first(
+        v <= 0.0,
+        lambda i: EvalDomainError(f"fractional power of non-positive value {value_at(v, i)!r}"),
+    )
+    vp = np.power(v, p)
+    return u.chain(vp, p * vp / v, p * (p - 1) * vp / (v * v))
+
+
+def _dual_exp(u: _Dual2) -> _Dual2:
+    ev = np.exp(u.v)
+    raise_first(
+        np.isinf(ev) & np.isfinite(u.v),
+        lambda i: EvalOverflow(f"exp overflow at {value_at(u.v, i)!r}"),
+    )
+    return u.chain(ev, ev, ev)
+
+
+def _dual_sqrt(u: _Dual2) -> _Dual2:
+    v = u.v
+    raise_first(
+        v <= 0.0, lambda i: EvalDomainError(f"sqrt of non-positive value {value_at(v, i)!r}")
+    )
+    r = np.sqrt(v)
+    return u.chain(r, 0.5 / r, -0.25 / (r * v))
+
+
+def _dual_ln(u: _Dual2) -> _Dual2:
+    v = u.v
+    raise_first(
+        v <= 0.0, lambda i: EvalDomainError(f"ln of non-positive value {value_at(v, i)!r}")
+    )
+    return u.chain(np.log(v), 1.0 / v, -1.0 / (v * v))
 
 
 # ------------------------------------------------- reference tree walker

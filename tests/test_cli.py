@@ -141,10 +141,39 @@ class TestSpecErrors:
         assert "harmonic curvatures need dimension >= 3, got 2" in result.stderr
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("command", ["classify", "verify"])
+    def test_spec_not_utf8(self, tmp_path, command):
+        path = tmp_path / "latin.spec"
+        path.write_bytes(
+            b'# \xff\xfe\ndimension = 3\ncurve = ["cos(s)", "sin(s)", "s"]\n'
+            b'field = "x3"\ns_range = [0, 3]\n'
+        )
+        result = run_cli(command, str(path))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: cannot read spec file ")
+        assert result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
+
     def test_s_range_width_overflows(self, tmp_path, capsys):
         path = _write_spec(tmp_path, '["cos(s)", "sin(s)", "s"]', "x3", "[-1e308, 1e308]")
         assert main(["verify", path]) == 2
         assert "invalid s_range" in capsys.readouterr().err
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["verify", "classify", "catalog"])
+    def test_missing_directory(self, spec_paths, tmp_path, command):
+        out = tmp_path / "no_such_dir" / "report.json"
+        if command == "catalog":
+            result = run_cli("catalog", "--emit", "paper_3_1", str(out))
+        else:
+            result = run_cli(command, spec_paths["helix345_fz"], "--out", str(out))
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"error: cannot write {str(out)!r}: ")
+        assert result.stderr.count("\n") == 1
+        assert "Traceback" not in result.stderr
+        assert result.stdout == ""
+        assert not out.parent.exists()
 
 
 class TestGradientOverflow:

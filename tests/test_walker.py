@@ -2,10 +2,12 @@
 
 The walker evaluates each distinct subexpression once, folds constant
 subexpressions at batch shape (), and multiplies or divides by a constant
-by scaling. None of this may change a number: every coefficient must match
-the tree walker of ``helpers.reference_evaluate`` byte for byte (so signed
-zeros count), and every failure must raise the same exception type with
-the same message and ``grid_index``.
+by scaling; the field duals carry the batch on the trailing axis. None of
+this may change a number: every coefficient must match the tree walker of
+``helpers.reference_evaluate``, whose field duals carry the batch on the
+leading axes, byte for byte (so signed zeros count), and every failure
+must raise the same exception type with the same message and
+``grid_index``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 from eikohelix import catalog, jets
-from eikohelix.dsl import Binary, Constant, Coord, Param, Unary, parse_curve_spec
+from eikohelix.dsl import Binary, Constant, Coord, Param, Unary, parse_curve_spec, parse_expr_text
 from eikohelix.jets import default_jet_order, eval_curve_jet, eval_expr_jet, eval_field_jet
 
 from helpers import reference_curve_jets, reference_field_jet
@@ -161,6 +163,85 @@ class TestAgainstTreeWalker:
         assert _outcome(lambda: eval_curve_jet(_Spec(exprs), s, 3)) == _outcome(
             lambda: reference_curve_jets(exprs, s, 3)
         )
+
+
+BATCH_SHAPES = ((), (7,), (3, 4))
+BATCH_IDS = ["point", "grid", "two_axes"]
+
+
+def _field_outcome(field, point):
+    """``_outcome`` of ``eval_field_jet``, asserted equal to the reference's,
+    with the public shapes and C order of a result checked too."""
+    spec = _Spec([Param()] * point.shape[-1], field)
+    new = _outcome(lambda: eval_field_jet(spec, point))
+    assert new == _outcome(lambda: reference_field_jet(field, point)), (field, point)
+    if new[0] == "field":
+        fj = eval_field_jet(spec, point)
+        batch, n = point.shape[:-1], point.shape[-1]
+        assert np.shape(fj.value) == batch
+        assert fj.gradient.shape == (*batch, n) and fj.hessian.shape == (*batch, n, n)
+        assert fj.gradient.flags.c_contiguous and fj.hessian.flags.c_contiguous
+    return new
+
+
+class TestDualLayout:
+    """Batch-last field duals against the batch-first reference at every n
+    the pipeline runs and at batch shapes (), (N,) and (3, 4)."""
+
+    @pytest.mark.parametrize("n", range(2, 14))
+    def test_random_fields(self, n):
+        rng = np.random.default_rng(200 + n)
+        outcomes = set()
+        for case in range(30):
+            gen = _Generator(rng, [Coord(i + 1) for i in range(n)])
+            field = gen.expr(int(rng.integers(0, 5)), constant_only=rng.random() < 0.1)
+            batch = BATCH_SHAPES[case % 3]
+            point = rng.normal(size=(*batch, n)) * rng.choice([1.0, 3.0, 1e150])
+            outcomes.add((len(batch), _field_outcome(field, point)[0]))
+        assert {kind for _, kind in outcomes} == {"field", "error"}
+        assert {k for k, kind in outcomes if kind == "field"} == {0, 1, 2}
+
+    @pytest.mark.parametrize("n", range(2, 14))
+    @pytest.mark.parametrize("batch", BATCH_SHAPES, ids=BATCH_IDS)
+    def test_symbol_and_constant_fields(self, n, batch):
+        # the size-1 batch axes of a constant's or a symbol's gradient and
+        # Hessian must broadcast out to the whole batch
+        point = np.random.default_rng(n).normal(size=(*batch, n))
+        for text in (f"x{min(n, 3)}", "2.5", "-0.0*x1"):
+            field = parse_expr_text(text, "field", n)
+            assert _field_outcome(field, point)[0] == "field", text
+
+    def test_hessian_keeps_its_rounding_asymmetry(self):
+        # H[i, j] of a product sums A + g_i h_j + g_j h_i and H[j, i] adds
+        # the cross terms in the other order, so the two can differ in the
+        # last bit; the layout must keep each entry where it was
+        field = parse_expr_text("(x1*x2 + x3)*(x2*x3 + x1)", "field", 3)
+        point = np.random.default_rng(0).normal(size=(64, 3))
+        assert _field_outcome(field, point)[0] == "field"
+        hessian = eval_field_jet(_Spec([Param()] * 3, field), point).hessian
+        assert (hessian != np.swapaxes(hessian, -1, -2)).any()
+
+    @pytest.mark.parametrize("batch", BATCH_SHAPES, ids=BATCH_IDS)
+    @pytest.mark.parametrize(
+        "text, bad, expected",
+        [
+            ("ln(x1) + x2", -1.0, "EvalDomainError"),
+            ("x2/(x1 - 1)", 1.0, "JetDivisionByZero"),
+            ("x1*x1*x1 + x3", 1e120, "EvalOverflow"),
+            ("exp(x1) + x3", 800.0, "EvalOverflow"),
+        ],
+        ids=["ln", "division", "non_finite", "exp"],
+    )
+    def test_errors_name_the_first_bad_point(self, batch, text, bad, expected):
+        n = 4
+        point = np.random.default_rng(7).uniform(2.0, 3.0, size=(*batch, n))
+        flat = point.reshape(-1, n)
+        last = len(flat) - 1
+        for index in (last, 0):  # set the last bad point first, then an earlier one
+            flat[index, 0] = bad
+            outcome = _field_outcome(parse_expr_text(text, "field", n), point)
+            assert outcome[0] == "error" and outcome[1].__name__ == expected, outcome
+            assert outcome[3] == index
 
 
 class TestSharing:
