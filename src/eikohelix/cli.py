@@ -6,9 +6,12 @@ Subcommands:
     verify <spec> [--json] [--table] [--tol X] [--out PATH]
     catalog [--emit NAME PATH]
 
-Exit codes: 0 for a completed run (whatever the classification or verdicts
-say), 2 for spec/parse/usage errors and unreadable or unwritable files, 3 for
-degenerate-curve or numeric evaluation failures.
+``classify`` and ``verify`` run one pipeline (``cmd_report``): load the
+spec, sample it, classify it; ``verify`` goes on to the identity residuals
+and verdicts. Exit codes: 0 for a completed run (whatever the
+classification or verdicts say), 2 for spec/parse/usage errors and
+unreadable or unwritable files, 3 for degenerate-curve or numeric
+evaluation failures.
 """
 
 from __future__ import annotations
@@ -65,47 +68,28 @@ def _write_file(text: str, path: str) -> None:
         raise SystemExit(_error(f"cannot write {path!r}: {exc}", EXIT_SPEC_ERROR))
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out:
-        _write_file(text, out)
+def cmd_report(args: argparse.Namespace) -> int:
+    """classify and verify: sample the spec's curve, classify it, and report."""
+    spec = _load_spec(args.spec)
+    try:
+        trajectory = sample_along_curve(spec)
+        classification = classify_rows(trajectory, spec.tol_const)
+    except (FrameError, EvalError) as exc:
+        return _error(str(exc), EXIT_DEGENERATE)
+    if args.command == "classify":
+        payload, render = classify_report(spec, classification), render_classify_text
+    else:
+        residuals = verify_all(trajectory, classification)
+        tol = args.tol if args.tol is not None else spec.tol_const
+        # the text report has no table, so the rows are built only for --json
+        table = trajectory if args.table and args.json else None
+        payload = verify_report(spec, classification, residuals, tol, trajectory=table)
+        render = render_verify_text
+    text = to_json(payload) if args.json else render(payload)
+    if args.out:
+        _write_file(text, args.out)
     else:
         sys.stdout.write(text)
-
-
-def cmd_classify(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.spec)
-    try:
-        trajectory = sample_along_curve(spec)
-        classification = classify_rows(trajectory, spec.tol_const)
-    except (FrameError, EvalError) as exc:
-        return _error(str(exc), EXIT_DEGENERATE)
-    if args.json:
-        text = to_json(classify_report(spec, classification))
-    else:
-        text = render_classify_text(spec, classification)
-    _write_output(text, args.out)
-    return EXIT_OK
-
-
-def cmd_verify(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.spec)
-    try:
-        trajectory = sample_along_curve(spec)
-        classification = classify_rows(trajectory, spec.tol_const)
-    except (FrameError, EvalError) as exc:
-        return _error(str(exc), EXIT_DEGENERATE)
-    residuals = verify_all(trajectory, classification)
-    tol = args.tol if args.tol is not None else spec.tol_const
-    # the text report has no table, so the rows are built only for --json
-    payload = verify_report(
-        spec,
-        classification,
-        residuals,
-        tol,
-        trajectory=trajectory if args.table and args.json else None,
-    )
-    text = to_json(payload) if args.json else render_verify_text(payload)
-    _write_output(text, args.out)
     return EXIT_OK
 
 
@@ -147,19 +131,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_classify = sub.add_parser("classify", help="classify a curve/field spec")
-    p_classify.add_argument("spec", help="path to a curve-spec document")
-    p_classify.add_argument("--json", action="store_true", help="emit the JSON report")
-    p_classify.add_argument("--out", metavar="PATH", help="write the report to a file")
-    p_classify.set_defaults(func=cmd_classify)
-
-    p_verify = sub.add_parser("verify", help="classify and verify the identity suite")
-    p_verify.add_argument("spec", help="path to a curve-spec document")
-    p_verify.add_argument("--json", action="store_true", help="emit the JSON report")
-    p_verify.add_argument("--table", action="store_true", help="include per-sample rows")
-    p_verify.add_argument("--tol", type=_tolerance, help="verdict tolerance (default: spec tol_const)")
-    p_verify.add_argument("--out", metavar="PATH", help="write the report to a file")
-    p_verify.set_defaults(func=cmd_verify)
+    for name, summary in (
+        ("classify", "classify a curve/field spec"),
+        ("verify", "classify and verify the identity suite"),
+    ):
+        command = sub.add_parser(name, help=summary)
+        command.add_argument("spec", help="path to a curve-spec document")
+        command.add_argument("--json", action="store_true", help="emit the JSON report")
+        if name == "verify":
+            command.add_argument("--table", action="store_true", help="include per-sample rows")
+            command.add_argument("--tol", type=_tolerance, help="verdict tolerance (default: spec tol_const)")
+        command.add_argument("--out", metavar="PATH", help="write the report to a file")
+        command.set_defaults(func=cmd_report)
 
     p_catalog = sub.add_parser("catalog", help="list or emit built-in specs")
     p_catalog.add_argument(

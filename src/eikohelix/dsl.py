@@ -32,6 +32,7 @@ NAMED_CONSTANTS = {"pi": math.pi, "e": math.e}
 DEFAULT_SAMPLES = 512
 DEFAULT_TOL_CONST = 1e-8
 DEFAULT_TOL_FRAME = 1e-10
+_MAX_DEPTH = 100  # deepest expression tree and nesting the parser accepts
 
 
 # --------------------------------------------------------------------- AST
@@ -181,11 +182,24 @@ def tokenize(source: str) -> list[Token]:
 # ------------------------------------------------------------------ parser
 
 
+def _deeper(tok: Token, depth: int) -> int:
+    """``depth + 1``, if that is at most _MAX_DEPTH; ``tok`` is where it is reached."""
+    if depth >= _MAX_DEPTH:
+        raise ExprSyntaxError(f"expression nests deeper than {_MAX_DEPTH} levels", tok.position)
+    return depth + 1
+
+
 class _ExprParser:
     """Recursive-descent parser with precedence ^ > unary- > */ > +-.
 
     ``^`` is right-associative and its exponent must be a constant
     expression; the other binary operators are left-associative.
+
+    The methods below ``parse`` return a subexpression with its tree depth
+    (a leaf is 1 deep). The parser refuses a tree deeper than _MAX_DEPTH, and
+    more than _MAX_DEPTH nested signs, parentheses, function arguments and
+    exponents, so that neither it nor the recursive walkers over its trees
+    come near Python's recursion limit.
     """
 
     def __init__(self, tokens: list[Token], kind: str, dimension: int):
@@ -195,6 +209,7 @@ class _ExprParser:
         self.kind = kind
         self.dimension = dimension
         self.pos = 0
+        self.nesting = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -212,42 +227,47 @@ class _ExprParser:
         return self.advance()
 
     def parse(self) -> Expr:
-        expr = self.sum()
+        expr, _ = self.sum()
         tok = self.peek()
         if tok.kind != "end":
             raise ExprSyntaxError(f"unexpected {tok.text!r} after expression", tok.position)
         return expr
 
-    def sum(self) -> Expr:
-        expr = self.term()
+    def sum(self) -> tuple[Expr, int]:
+        expr, depth = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            expr = Binary(op, expr, self.term())
-        return expr
+            tok = self.advance()
+            right, d = self.term()
+            expr, depth = Binary(tok.text, expr, right), _deeper(tok, max(depth, d))
+        return expr, depth
 
-    def term(self) -> Expr:
-        expr = self.factor()
+    def term(self) -> tuple[Expr, int]:
+        expr, depth = self.factor()
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            expr = Binary(op, expr, self.factor())
-        return expr
+            tok = self.advance()
+            right, d = self.factor()
+            expr, depth = Binary(tok.text, expr, right), _deeper(tok, max(depth, d))
+        return expr, depth
 
-    def factor(self) -> Expr:
+    def factor(self) -> tuple[Expr, int]:
         tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
+        self.nesting = _deeper(tok, self.nesting)
+        if tok.kind == "op" and tok.text in "+-":
             self.advance()
-            return Unary("neg", self.factor())
-        if tok.kind == "op" and tok.text == "+":
-            self.advance()
-            return self.factor()
-        return self.power()
+            expr, depth = self.factor()
+            if tok.text == "-":
+                expr, depth = Unary("neg", expr), _deeper(tok, depth)
+        else:
+            expr, depth = self.power()
+        self.nesting -= 1
+        return expr, depth
 
-    def power(self) -> Expr:
-        base = self.atom()
+    def power(self) -> tuple[Expr, int]:
+        base, depth = self.atom()
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
             self.advance()
-            exponent = self.factor()  # right-assoc; allows 2^-3 and 2^3^2
+            exponent, d = self.factor()  # right-assoc; allows 2^-3 and 2^3^2
             if not is_constant_expr(exponent):
                 raise ExprSyntaxError(
                     "exponent of '^' must be a constant expression", tok.position
@@ -258,13 +278,13 @@ class _ExprParser:
                 value = math.nan
             if not (isinstance(value, float) and math.isfinite(value)):
                 raise ExprSyntaxError("exponent of '^' has no finite real value", tok.position)
-            return Binary("^", base, exponent)
-        return base
+            return Binary("^", base, exponent), _deeper(tok, max(depth, d))
+        return base, depth
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         tok = self.advance()
         if tok.kind == "num":
-            return Constant(float(tok.text))
+            return Constant(float(tok.text)), 1
         if tok.kind == "lparen":
             expr = self.sum()
             self.expect("rparen")
@@ -273,21 +293,21 @@ class _ExprParser:
             return self.identifier(tok)
         raise ExprSyntaxError(f"unexpected {tok.text or 'end'!r}", tok.position)
 
-    def identifier(self, tok: Token) -> Expr:
+    def identifier(self, tok: Token) -> tuple[Expr, int]:
         name = tok.text
         if name in FUNCTIONS:
             self.expect("lparen")
-            arg = self.sum()
+            arg, depth = self.sum()
             self.expect("rparen")
-            return Unary(name, arg)
+            return Unary(name, arg), _deeper(tok, depth)
         if name in NAMED_CONSTANTS:
-            return Constant(NAMED_CONSTANTS[name])
+            return Constant(NAMED_CONSTANTS[name]), 1
         if name == "s":
             if self.kind != "curve":
                 raise WrongSymbolKind(
                     "parameter 's' not allowed in a field expression", tok.position
                 )
-            return Param()
+            return Param(), 1
         if name.startswith("x") and name[1:].isdecimal():
             index = int(name[1:])
             if self.kind != "field":
@@ -296,7 +316,7 @@ class _ExprParser:
                 )
             if not 1 <= index <= self.dimension:
                 raise CoordOutOfRange(index, self.dimension, tok.position)
-            return Coord(index)
+            return Coord(index), 1
         raise UnknownIdentifier(name, tok.position)
 
 

@@ -395,9 +395,11 @@ def jet_pow(u: Jet, exponent: float) -> Jet:
 
 @dataclass(frozen=True)
 class FieldJet:
-    """Value, gradient, and symmetric Hessian of a scalar field at a batch of
-    points: C-contiguous arrays of shapes (*batch,), (*batch, n) and
-    (*batch, n, n)."""
+    """Value, gradient, and Hessian of a scalar field at a batch of points:
+    C-contiguous arrays of shapes (*batch,), (*batch, n) and (*batch, n, n).
+    The Hessian is symmetric only up to rounding: entries (i, j) and (j, i)
+    sum the same products in different orders and can differ in the last
+    bit."""
 
     value: float | np.ndarray
     gradient: np.ndarray

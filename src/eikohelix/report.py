@@ -187,42 +187,34 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def classification_text(c: Classification) -> list[str]:
-    lines = [
-        f"eikonal            : {_fmt(c.eikonal)}   (grad_norm = {_fmt(c.grad_norm)}, spread = {_fmt(c.spreads['grad_norm'])})",
-        f"helix              : {_fmt(c.helix)}   (<grad f, V1> = {_fmt(c.ip_tangent)}, spread = {_fmt(c.spreads['ip_tangent'])})",
-        f"slant helix        : {_fmt(c.slant)}   (<grad f, Vn> = {_fmt(c.ip_last)}, spread = {_fmt(c.spreads['ip_last'])})",
-        f"parallel gradient  : {_fmt(c.parallel_gradient)}",
-        f"theta              : {_fmt(c.theta)}",
-    ]
-    return lines
-
-
-def render_classify_text(spec: CurveSpec, classification: Classification) -> str:
-    lines = [
-        f"curve ({spec.dimension}-dimensional): " + ", ".join(format_expr(c) for c in spec.components),
-        f"field: {format_expr(spec.field)}",
-        f"grid: {spec.samples} samples on [{_fmt(spec.s_range[0])}, {_fmt(spec.s_range[1])}]",
-        "",
-    ]
-    lines += classification_text(classification)
-    return "\n".join(lines) + "\n"
-
-
-def render_verify_text(payload: dict) -> str:
-    spec = payload["spec"]
-    lines = [
+def _header(spec: dict) -> list[str]:
+    """The lines both text reports open with, from a ``spec`` payload."""
+    return [
         f"curve ({spec['dimension']}-dimensional): " + ", ".join(spec["curve"]),
         f"field: {spec['field']}",
         f"grid: {spec['samples']} samples on [{_fmt(spec['s_range'][0])}, {_fmt(spec['s_range'][1])}]",
         "",
-        "classification:",
     ]
+
+
+def render_classify_text(payload: dict) -> str:
     c = payload["classification"]
-    for key in ("eikonal", "helix", "slant", "parallel_gradient"):
+    spreads = c["spreads"]
+    lines = _header(payload["spec"]) + [
+        f"eikonal            : {_fmt(c['eikonal'])}   (grad_norm = {_fmt(c['grad_norm'])}, spread = {_fmt(spreads['grad_norm'])})",
+        f"helix              : {_fmt(c['helix'])}   (<grad f, V1> = {_fmt(c['ip_tangent'])}, spread = {_fmt(spreads['ip_tangent'])})",
+        f"slant helix        : {_fmt(c['slant'])}   (<grad f, Vn> = {_fmt(c['ip_last'])}, spread = {_fmt(spreads['ip_last'])})",
+        f"parallel gradient  : {_fmt(c['parallel_gradient'])}",
+        f"theta              : {_fmt(c['theta'])}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def render_verify_text(payload: dict) -> str:
+    lines = _header(payload["spec"]) + ["classification:"]
+    c = payload["classification"]
+    for key in ("eikonal", "helix", "slant", "parallel_gradient", "theta", "grad_norm"):
         lines.append(f"  {key:<18}: {_fmt(c[key])}")
-    lines.append(f"  {'theta':<18}: {_fmt(c['theta'])}")
-    lines.append(f"  {'grad_norm':<18}: {_fmt(c['grad_norm'])}")
     lines.append("")
     lines.append("residuals (grid maxima):")
     for key, value in payload["residuals"].items():

@@ -13,8 +13,11 @@ an expression as a tree, as the reference for the DAG walker; and
 writer that passes every row dict through ``json.dumps``, as the reference
 for the row template; ``reference_frenet_apparatus`` carries every
 derivative vector at its full order, as the reference for the jet-order
-budget; and the batch-first ``_Dual2`` is the field-dual algebra before
-its batch axes moved last, as the reference for that layout.
+budget; the batch-first ``_Dual2`` is the field-dual algebra before
+its batch axes moved last, as the reference for that layout; and
+``reference_harmonic_tangent``/``reference_harmonic_normal`` with
+``reference_lemma_residuals`` write the two harmonic families apart, as
+the reference for their one recurrence.
 """
 
 from __future__ import annotations
@@ -43,12 +46,13 @@ from eikohelix.errors import (
     EvalError,
     EvalOverflow,
     FrameError,
+    InsufficientOrder,
     JetDivisionByZero,
     raise_first,
     value_at,
 )
-from eikohelix.frenet import FrenetData, frenet_apparatus
-from eikohelix.harmonic import harmonic_data
+from eikohelix.frenet import FrenetData, directional_derivative, frenet_apparatus
+from eikohelix.harmonic import HarmonicData, _check_curvatures, harmonic_data
 from eikohelix.jets import (
     _TINY,
     FieldJet,
@@ -154,17 +158,86 @@ def reference_frenet_apparatus(curve_jets: list[Jet], s) -> FrenetData:
     return FrenetData(s=s, speed=speed, frame=frame, curvatures=curvatures)
 
 
-def wcurve_lift(n: int, samples: int) -> CurveSpec:
-    """The W-curve lift helix in R^n (odd n): cos(j s)/j, sin(j s)/j, 0.7 s."""
+def wcurve_lift(n: int, samples: int, quadratic: bool = False) -> CurveSpec:
+    """The W-curve lift in R^n: cos(j s)/j, sin(j s)/j for j = 1..(n-1)//2,
+    then a rise. At odd n it is 0.7 s (a helix) or, if ``quadratic``, 0.7 s^2;
+    an even n rises by 0.7 s and 0.3 s^2 in its last two coordinates."""
     components = []
     for j in range(1, (n - 1) // 2 + 1):
         components += [f"cos({j}*s)/{j}", f"sin({j}*s)/{j}"]
-    components.append("0.7*s")
+    if n % 2 == 0:
+        components += ["0.7*s", "0.3*s^2"]
+    else:
+        components.append("0.7*s^2" if quadratic else "0.7*s")
     curve = ", ".join(f'"{c}"' for c in components)
     return parse_curve_spec(
         f'dimension = {n}\ncurve = [{curve}]\nfield = "x{n}"\n'
         f"s_range = [0.3, 5.9]\nsamples = {samples}\n"
     )
+
+
+# ------------------------------------------------- reference harmonic families
+#
+# The two families and their closing residuals as they were written before
+# they became one recurrence, kept as the reference for it.
+
+
+def reference_harmonic_tangent(fr: FrenetData) -> list[Jet]:
+    """Tangent-family harmonic curvatures H1..H_{n-2} as jets."""
+    _check_curvatures(fr)
+    n = fr.dimension
+    k = fr.curvatures
+    H: list[Jet] = [k[0] / k[1]]
+    prev2 = jet_constant(0.0, H[0].order)  # H_0 := 0
+    for i in range(2, n - 1):
+        if H[-1].order < 1:
+            raise InsufficientOrder(f"jet order exhausted computing H{i}")
+        rate = directional_derivative(H[-1], fr.speed)
+        H_i = (rate + k[i - 1] * prev2) / k[i]
+        prev2 = H[-1]
+        H.append(H_i)
+    if H[-1].order < 1:
+        raise InsufficientOrder("last tangent-family entry lost its derivative")
+    return H
+
+
+def reference_harmonic_normal(fr: FrenetData) -> list[Jet]:
+    """Normal-family harmonic curvatures H*_0..H*_{n-2} as jets."""
+    _check_curvatures(fr)
+    n = fr.dimension
+    k = fr.curvatures
+    first = k[n - 2] / k[n - 3]
+    Hstar: list[Jet] = [jet_constant(0.0, first.order), first]
+    for i in range(2, n - 1):
+        if Hstar[-1].order < 1:
+            raise InsufficientOrder(f"jet order exhausted computing H*{i}")
+        rate = directional_derivative(Hstar[-1], fr.speed)
+        H_i = (k[n - i - 1] * Hstar[-2] - rate) / k[n - i - 2]
+        Hstar.append(H_i)
+    if Hstar[-1].order < 1:
+        raise InsufficientOrder("last normal-family entry lost its derivative")
+    return Hstar
+
+
+def reference_lemma_residuals(h: HarmonicData, fr: FrenetData) -> tuple[float, float]:
+    """Residuals of the derivative identities closing each family.
+
+    The tangent family satisfies V1[H_{n-2}] = -k_{n-1} * H_{n-3} exactly
+    when the curve is a helix; the normal family satisfies
+    V1[H*_{n-2}] = k1 * H*_{n-3} exactly when it is a slant helix. Returns
+    the absolute residuals (r_tangent, r_normal) at the value level, as
+    floats for one point or arrays over the batch.
+    """
+    n = fr.dimension
+    k = fr.curvatures
+    H_last_rate = directional_derivative(h.H[-1], fr.speed).value
+    H_prev = h.H[n - 4].value if n >= 4 else 0.0  # H_{n-3}; zero for n = 3
+    r_tangent = abs(H_last_rate + k[n - 2].value * H_prev)
+
+    Hstar_last_rate = directional_derivative(h.Hstar[-1], fr.speed).value
+    Hstar_prev = h.Hstar[n - 3].value  # H*_{n-3}; Hstar[0] = 0 covers n = 3
+    r_normal = abs(Hstar_last_rate - k[0].value * Hstar_prev)
+    return r_tangent, r_normal
 
 
 # ------------------------------------------------- reference duals, batch first

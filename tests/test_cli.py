@@ -333,3 +333,68 @@ class TestDeterminism:
         assert code == 0
         captured = capsys.readouterr().out
         assert captured == run_cli("classify", spec_paths["helix345_fz"], "--json").stdout
+
+
+def _deep_spec(tmp_path, component: str) -> str:
+    path = tmp_path / "deep.spec"
+    path.write_text(
+        f'dimension = 3\ncurve = ["cos(s)", "sin(s)", "{component}"]\nfield = "x3"\n'
+        "s_range = [0, 6]\nsamples = 16\n",
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+class TestDeepExpressions:
+    """Expressions nested past dsl._MAX_DEPTH = 100 levels are spec errors,
+    reported where the parser reaches level 101."""
+
+    @pytest.mark.parametrize(
+        "component, offset",
+        [("(" * 200 + "s" + ")" * 200, 100), ("s" + "+s" * 999, 199), ("-" * 2000 + "s", 100)],
+        ids=["parentheses", "sum", "signs"],
+    )
+    @pytest.mark.parametrize("command", ["verify", "classify"])
+    def test_rejected(self, tmp_path, component, offset, command):
+        result = run_cli(command, _deep_spec(tmp_path, component))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert f"expression nests deeper than 100 levels (at offset {offset})" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize(
+        "component",
+        ["(" * 99 + "s" + ")" * 99, "s" + "+s" * 99, "-" * 99 + "s"],
+        ids=["parentheses", "sum", "signs"],
+    )
+    def test_at_the_bound(self, tmp_path, component):
+        result = run_cli("verify", _deep_spec(tmp_path, component), "--json")
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["classification"]["helix"]
+
+
+class TestSharedPipeline:
+    """classify and verify run one pipeline and open with one header."""
+
+    @pytest.mark.parametrize("name", [n for n in catalog.names() if n != "circle_in_r3"])
+    def test_classify_is_part_of_verify(self, spec_paths, name, capsys):
+        outputs = {}
+        for argv in (["classify", "--json"], ["verify", "--json"], ["classify"], ["verify"]):
+            assert main([argv[0], spec_paths[name], *argv[1:]]) == 0
+            outputs[" ".join(argv)] = capsys.readouterr().out
+        classify = json.loads(outputs["classify --json"])
+        verify = json.loads(outputs["verify --json"])
+        assert classify == {"spec": verify["spec"], "classification": verify["classification"]}
+        header = outputs["classify"].split("\n\n")[0]
+        assert header.startswith("curve (") and header.count("\n") == 2
+        assert outputs["verify"].split("\n\n")[0] == header
+
+    def test_degenerate_line_is_shared(self, spec_paths, capsys):
+        errors = set()
+        for argv in (["classify"], ["classify", "--json"], ["verify"], ["verify", "--json"]):
+            assert main([argv[0], spec_paths["circle_in_r3"], *argv[1:]]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+            errors.add(captured.err)
+        (line,) = errors
+        assert line.startswith("error: ") and "derivative 3" in line

@@ -2,21 +2,26 @@
 
 from __future__ import annotations
 
+import inspect
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eikohelix.dsl import (
+    _MAX_DEPTH,
     Binary,
     Constant,
     Coord,
     CurveSpec,
     Param,
     Unary,
+    constant_value,
     format_curve_spec,
     format_expr,
+    is_constant_expr,
     parse_curve_spec,
     parse_expr_text,
     parse_expression,
@@ -33,6 +38,7 @@ from eikohelix.errors import (
     UnknownIdentifier,
     WrongSymbolKind,
 )
+from eikohelix.jets import eval_expr_jet
 
 EXAMPLE_DOC = """\
 dimension = 3
@@ -168,6 +174,42 @@ class TestParseExpression:
         for bad in ("s +", "(s", "sin s", "s 2", ""):
             with pytest.raises(ExprSyntaxError):
                 parse_expr_text(bad, "curve")
+
+
+# shape -> (source nested k levels deep, offset where level 101 is reached)
+DEEP_SHAPES = {
+    "parentheses": (lambda k: "(" * (k - 1) + "s" + ")" * (k - 1), 100),
+    "functions": (lambda k: "sin(" * (k - 1) + "s" + ")" * (k - 1), 400),
+    "signs": (lambda k: "-" * (k - 1) + "s", 100),
+    "sum": (lambda k: "s" + "+s" * (k - 1), 199),
+    "product": (lambda k: "s" + "*s" * (k - 1), 199),
+    "powers": (lambda k: "2" + "^1" * (k - 1), 200),
+}
+
+
+class TestDepthBound:
+    @pytest.mark.parametrize("shape", DEEP_SHAPES)
+    def test_past_the_bound(self, shape):
+        source, offset = DEEP_SHAPES[shape]
+        with pytest.raises(ExprSyntaxError) as exc_info:
+            parse_expr_text(source(_MAX_DEPTH + 1), "curve")
+        assert exc_info.value.position == offset
+        assert "expression nests deeper than 100 levels" in str(exc_info.value)
+
+    @pytest.mark.parametrize("shape", DEEP_SHAPES)
+    def test_walkers_at_the_bound(self, shape):
+        """The deepest tree the parser accepts leaves every recursive walker
+        far inside the recursion limit: each runs with 150 frames to spare."""
+        expr = parse_expr_text(DEEP_SHAPES[shape][0](_MAX_DEPTH), "curve")
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 150)
+        try:
+            text = format_expr(expr)
+            value = constant_value(expr) if is_constant_expr(expr) else eval_expr_jet(expr, 0.5, 2)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert parse_expr_text(text, "curve") == expr
+        assert value == 2.0 or value.order == 2
 
 
 class TestParseCurveSpec:

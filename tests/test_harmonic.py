@@ -6,13 +6,31 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from eikohelix import catalog
 from eikohelix.classify import sample_along_curve
 from eikohelix.dsl import parse_curve_spec
-from eikohelix.frenet import frenet_apparatus
-from eikohelix.harmonic import harmonic_data, harmonic_normal, harmonic_tangent, lemma_residuals
-from eikohelix.jets import eval_curve_jet
+from eikohelix.errors import InsufficientOrder
+from eikohelix.frenet import FrenetData, frenet_apparatus
+from eikohelix.harmonic import (
+    HarmonicData,
+    harmonic_data,
+    harmonic_normal,
+    harmonic_tangent,
+    lemma_residuals,
+)
+from eikohelix.jets import Jet, default_jet_order, eval_curve_jet
 
-from helpers import eval_float, fd_frenet, nonhelix_r3, wcurve_helix_r3
+from helpers import (
+    eval_float,
+    fd_frenet,
+    lift_helix_r4,
+    nonhelix_r3,
+    reference_harmonic_normal,
+    reference_harmonic_tangent,
+    reference_lemma_residuals,
+    wcurve_helix_r3,
+    wcurve_lift,
+)
 
 HELIX345 = """\
 dimension = 3
@@ -247,3 +265,94 @@ class TestEquivalence:
             spread = sumsq.max() - sumsq.min()
             max_res = lemma_residuals(trajectory.harmonic, trajectory.frenet)[1].max()
             assert (spread <= tol) == (max_res <= tol)
+
+
+def bits(x):
+    """Type, shape and bytes of a float, an array or a jet."""
+    x = x.coeffs if isinstance(x, Jet) else x
+    return type(x), np.shape(x), np.asarray(x).tobytes()
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type and message of the InsufficientOrder it raises."""
+    try:
+        return fn(*args)
+    except InsufficientOrder as exc:
+        return type(exc), str(exc)
+
+
+def reference_data(fr):
+    H = reference_harmonic_tangent(fr)
+    Hstar = reference_harmonic_normal(fr)
+    return HarmonicData(
+        s=fr.s,
+        H=H,
+        Hstar=Hstar,
+        sumsq_H=sum(h.value**2 for h in H),
+        sumsq_Hstar=sum(h.value**2 for h in Hstar[1:]),
+    )
+
+
+def assert_matches_reference(fr) -> bool:
+    """Both families, their sums of squares and closing residuals equal the
+    two families written apart, bit for bit, or fail with the same
+    InsufficientOrder. Returns whether the families were computed."""
+    pairs = (
+        (harmonic_tangent, reference_harmonic_tangent),
+        (harmonic_normal, reference_harmonic_normal),
+    )
+    for new, ref in pairs:
+        got, want = outcome(new, fr), outcome(ref, fr)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert [bits(h) for h in got] == [bits(h) for h in want]
+    got, want = outcome(harmonic_data, fr), outcome(reference_data, fr)
+    if isinstance(want, tuple):
+        assert got == want
+        return False
+    for name in ("H", "Hstar"):
+        assert [bits(h) for h in getattr(got, name)] == [bits(h) for h in getattr(want, name)]
+    assert bits(got.sumsq_H) == bits(want.sumsq_H)
+    assert bits(got.sumsq_Hstar) == bits(want.sumsq_Hstar)
+    residuals = lemma_residuals(got, fr)
+    assert [bits(r) for r in residuals] == [bits(r) for r in reference_lemma_residuals(want, fr)]
+    return True
+
+
+class TestOneRecurrence:
+    """The merged recurrence against the two families written apart."""
+
+    @pytest.mark.parametrize("n", range(3, 14))
+    @pytest.mark.parametrize("quadratic", [False, True], ids=["linear", "quadratic"])
+    def test_wcurve_lift(self, n, quadratic):
+        spec = wcurve_lift(n, 12, quadratic)
+        assert assert_matches_reference(sample_along_curve(spec).frenet)
+        for s in (0.3, 1.7):
+            fr = frenet_apparatus(eval_curve_jet(spec, s), spec.tol_frame, s=s)
+            assert assert_matches_reference(fr)
+
+    @pytest.mark.parametrize("name", [n for n in catalog.names() if n != "circle_in_r3"])
+    def test_catalog(self, name):
+        assert assert_matches_reference(sample_along_curve(catalog.load(name)).frenet)
+
+    def test_fuzz_families(self):
+        rng = np.random.default_rng(808)
+        for _ in range(4):
+            for spec in (wcurve_helix_r3(rng).spec, lift_helix_r4(rng).spec, nonhelix_r3(rng)):
+                assert assert_matches_reference(sample_along_curve(spec).frenet)
+
+    @pytest.mark.parametrize("n", range(3, 14))
+    def test_insufficient_order(self, n):
+        """Curve jets below the default order starve the normal family (its
+        last curvatures carry the least order); curvatures cut to each lower
+        order starve the tangent family too."""
+        spec = wcurve_lift(n, 12, quadratic=True)
+        starved = 0
+        for order in range(n + 1, default_jet_order(n) + 1):
+            fr = frenet_apparatus(eval_curve_jet(spec, 1.1, order), spec.tol_frame, s=1.1)
+            starved += not assert_matches_reference(fr)
+            for cut in range(n - 1):
+                k = [c.truncate(min(cut, c.order)) for c in fr.curvatures]
+                assert_matches_reference(FrenetData(fr.s, fr.speed, fr.frame, k))
+        assert starved == n - 3
