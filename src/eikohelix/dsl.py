@@ -11,6 +11,7 @@ settings.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -182,18 +183,47 @@ def tokenize(source: str) -> list[Token]:
 # ------------------------------------------------------------------ parser
 
 
-def _deeper(tok: Token, depth: int) -> int:
-    """``depth + 1``, if that is at most _MAX_DEPTH; ``tok`` is where it is reached."""
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+
+
+def _deeper(depth: int, position: int | None = None) -> int:
+    """``depth + 1``, if that is at most _MAX_DEPTH; ``position`` is where it is reached."""
     if depth >= _MAX_DEPTH:
-        raise ExprSyntaxError(f"expression nests deeper than {_MAX_DEPTH} levels", tok.position)
+        raise ExprSyntaxError(f"expression nests deeper than {_MAX_DEPTH} levels", position)
     return depth + 1
+
+
+def _check_leaf(leaf: Param | Coord, kind: str, dimension: int, name: str, position: int | None = None):
+    """``s`` only in a curve component; ``x1 .. x<dimension>`` only in a field."""
+    if isinstance(leaf, Param):
+        if kind != "curve":
+            raise WrongSymbolKind("parameter 's' not allowed in a field expression", position)
+    elif kind != "field":
+        raise WrongSymbolKind(f"coordinate {name!r} not allowed in a curve component", position)
+    elif not 1 <= leaf.index <= dimension:
+        raise CoordOutOfRange(leaf.index, dimension, position)
+    return leaf
+
+
+def _check_exponent(exponent: Expr, position: int | None = None) -> None:
+    """The exponent of ``^`` is a constant expression with a finite real value."""
+    if not is_constant_expr(exponent):
+        raise ExprSyntaxError("exponent of '^' must be a constant expression", position)
+    try:
+        value = constant_value(exponent)
+    except (ArithmeticError, ValueError):  # math domain error, overflow, 1/0
+        value = math.nan
+    if not (isinstance(value, float) and math.isfinite(value)):
+        raise ExprSyntaxError("exponent of '^' has no finite real value", position)
 
 
 class _ExprParser:
     """Recursive-descent parser with precedence ^ > unary- > */ > +-.
 
-    ``^`` is right-associative and its exponent must be a constant
-    expression; the other binary operators are left-associative.
+    ``+ - * /`` are parsed by one precedence-climbing loop (``binary``) that
+    takes each operator's binding strength from _PRECEDENCE, the table the
+    printer reads; all four are left-associative. ``^`` is right-associative
+    and its exponent must be a constant expression.
 
     The methods below ``parse`` return a subexpression with its tree depth
     (a leaf is 1 deep). The parser refuses a tree deeper than _MAX_DEPTH, and
@@ -227,36 +257,31 @@ class _ExprParser:
         return self.advance()
 
     def parse(self) -> Expr:
-        expr, _ = self.sum()
+        expr, _ = self.binary()
         tok = self.peek()
         if tok.kind != "end":
             raise ExprSyntaxError(f"unexpected {tok.text!r} after expression", tok.position)
         return expr
 
-    def sum(self) -> tuple[Expr, int]:
-        expr, depth = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            tok = self.advance()
-            right, d = self.term()
-            expr, depth = Binary(tok.text, expr, right), _deeper(tok, max(depth, d))
-        return expr, depth
-
-    def term(self) -> tuple[Expr, int]:
+    def binary(self, floor: int = 1) -> tuple[Expr, int]:
+        """Factors joined by the operators of + - * / that bind at least ``floor`` tightly."""
         expr, depth = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            tok = self.advance()
-            right, d = self.factor()
-            expr, depth = Binary(tok.text, expr, right), _deeper(tok, max(depth, d))
+        tok = self.peek()
+        while tok.kind == "op" and tok.text in "+-*/" and _PRECEDENCE[tok.text] >= floor:
+            self.advance()
+            right, d = self.binary(_PRECEDENCE[tok.text] + 1)
+            expr, depth = Binary(tok.text, expr, right), _deeper(max(depth, d), tok.position)
+            tok = self.peek()
         return expr, depth
 
     def factor(self) -> tuple[Expr, int]:
         tok = self.peek()
-        self.nesting = _deeper(tok, self.nesting)
+        self.nesting = _deeper(self.nesting, tok.position)
         if tok.kind == "op" and tok.text in "+-":
             self.advance()
             expr, depth = self.factor()
             if tok.text == "-":
-                expr, depth = Unary("neg", expr), _deeper(tok, depth)
+                expr, depth = Unary("neg", expr), _deeper(depth, tok.position)
         else:
             expr, depth = self.power()
         self.nesting -= 1
@@ -268,17 +293,8 @@ class _ExprParser:
         if tok.kind == "op" and tok.text == "^":
             self.advance()
             exponent, d = self.factor()  # right-assoc; allows 2^-3 and 2^3^2
-            if not is_constant_expr(exponent):
-                raise ExprSyntaxError(
-                    "exponent of '^' must be a constant expression", tok.position
-                )
-            try:
-                value = constant_value(exponent)
-            except (ArithmeticError, ValueError):  # math domain error, overflow, 1/0
-                value = math.nan
-            if not (isinstance(value, float) and math.isfinite(value)):
-                raise ExprSyntaxError("exponent of '^' has no finite real value", tok.position)
-            return Binary("^", base, exponent), _deeper(tok, max(depth, d))
+            _check_exponent(exponent, tok.position)
+            return Binary("^", base, exponent), _deeper(max(depth, d), tok.position)
         return base, depth
 
     def atom(self) -> tuple[Expr, int]:
@@ -286,7 +302,7 @@ class _ExprParser:
         if tok.kind == "num":
             return Constant(float(tok.text)), 1
         if tok.kind == "lparen":
-            expr = self.sum()
+            expr = self.binary()
             self.expect("rparen")
             return expr
         if tok.kind == "ident":
@@ -297,26 +313,14 @@ class _ExprParser:
         name = tok.text
         if name in FUNCTIONS:
             self.expect("lparen")
-            arg, depth = self.sum()
+            arg, depth = self.binary()
             self.expect("rparen")
-            return Unary(name, arg), _deeper(tok, depth)
+            return Unary(name, arg), _deeper(depth, tok.position)
         if name in NAMED_CONSTANTS:
             return Constant(NAMED_CONSTANTS[name]), 1
-        if name == "s":
-            if self.kind != "curve":
-                raise WrongSymbolKind(
-                    "parameter 's' not allowed in a field expression", tok.position
-                )
-            return Param(), 1
-        if name.startswith("x") and name[1:].isdecimal():
-            index = int(name[1:])
-            if self.kind != "field":
-                raise WrongSymbolKind(
-                    f"coordinate {name!r} not allowed in a curve component", tok.position
-                )
-            if not 1 <= index <= self.dimension:
-                raise CoordOutOfRange(index, self.dimension, tok.position)
-            return Coord(index), 1
+        if name == "s" or (name.startswith("x") and name[1:].isdecimal()):
+            leaf = Param() if name == "s" else Coord(int(name[1:]))
+            return _check_leaf(leaf, self.kind, self.dimension, name, tok.position), 1
         raise UnknownIdentifier(name, tok.position)
 
 
@@ -334,9 +338,6 @@ def parse_expr_text(source: str, kind: str, dimension: int = 0) -> Expr:
 
 
 # ---------------------------------------------------------------- printing
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
 
 def format_expr(expr: Expr) -> str:
     """Render an Expr as parseable source text with minimal parentheses."""
@@ -399,6 +400,38 @@ class CurveSpec:
         for name, tol in (("tol_const", self.tol_const), ("tol_frame", self.tol_frame)):
             if not (math.isfinite(tol) and tol > 0):
                 raise SpecDocumentError(f"{name} must be finite and positive, got {tol!r}")
+        # the parser's rules, without offsets, for trees that may be built in Python,
+        # walked one level at a time so that a deep tree cannot exhaust the stack
+        exponents = []
+        for kind, expr in [*(("curve", c) for c in self.components), ("field", self.field)]:
+            level, depth = [expr], 0
+            while level:
+                depth, below = _deeper(depth), []  # the nodes of ``level`` are ``depth`` deep
+                for node in level:
+                    if isinstance(node, Binary):
+                        below += (node.left, node.right)
+                        if node.op == "^":
+                            exponents.append(node.right)
+                    elif isinstance(node, Unary):
+                        below.append(node.child)
+                    elif isinstance(node, (Param, Coord)):
+                        _check_leaf(node, kind, self.dimension, format_expr(node))
+                level = below
+        for exponent in exponents:  # recursive walkers, safe once the depth is bounded
+            _check_exponent(exponent)
+
+
+def spec_payload(spec: CurveSpec) -> dict:
+    """A spec's document keys and values, in document order; the report's ``spec`` block."""
+    return {
+        "dimension": spec.dimension,
+        "curve": [format_expr(c) for c in spec.components],
+        "field": format_expr(spec.field),
+        "s_range": [spec.s_range[0], spec.s_range[1]],
+        "samples": spec.samples,
+        "tol_const": spec.tol_const,
+        "tol_frame": spec.tol_frame,
+    }
 
 
 # ------------------------------------------------------- document parsing
@@ -518,7 +551,11 @@ def parse_curve_spec(document: str) -> CurveSpec:
         except SpecDocumentError:
             raise
         except DslError as exc:
-            raise SpecDocumentError(f"in expression {source!r}: {exc}", lineno) from exc
+            quoted = repr(source)
+            if len(source) > 80:  # a window of 40 characters around the offset
+                start = min(max((exc.position or 0) - 20, 0), len(source) - 40)
+                quoted = f"of {len(source)} characters, near {source[start:start + 40]!r}"
+            raise SpecDocumentError(f"in expression {quoted}: {exc}", lineno) from exc
 
     components = tuple(parse_wrapped(src, "curve", curve_line) for src in curve_value)
     field_expr = parse_wrapped(field_value, "field", field_line)
@@ -545,16 +582,11 @@ def parse_curve_spec(document: str) -> CurveSpec:
     )
 
 
+def format_document(payload: dict) -> str:
+    """One ``key = <JSON value>`` line per key: the layout ``parse_curve_spec`` reads."""
+    return "".join(f"{key} = {json.dumps(value)}\n" for key, value in payload.items())
+
+
 def format_curve_spec(spec: CurveSpec) -> str:
     """Render a CurveSpec back to document text (parse round-trips)."""
-    curve = ", ".join(f'"{format_expr(c)}"' for c in spec.components)
-    lines = [
-        f"dimension = {spec.dimension}",
-        f"curve = [{curve}]",
-        f'field = "{format_expr(spec.field)}"',
-        f"s_range = [{spec.s_range[0]!r}, {spec.s_range[1]!r}]",
-        f"samples = {spec.samples}",
-        f"tol_const = {spec.tol_const!r}",
-        f"tol_frame = {spec.tol_frame!r}",
-    ]
-    return "\n".join(lines) + "\n"
+    return format_document(spec_payload(spec))

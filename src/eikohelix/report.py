@@ -20,24 +20,12 @@ import math
 import numpy as np
 
 from .classify import Classification, Trajectory
-from .dsl import CurveSpec, format_expr
+from .dsl import CurveSpec, spec_payload
 from .verify import TheoremResiduals
 
 PASS = "PASS"
 FAIL = "FAIL"
 NOT_APPLICABLE = "NOT-APPLICABLE"
-
-
-def spec_payload(spec: CurveSpec) -> dict:
-    return {
-        "dimension": spec.dimension,
-        "curve": [format_expr(c) for c in spec.components],
-        "field": format_expr(spec.field),
-        "s_range": [spec.s_range[0], spec.s_range[1]],
-        "samples": spec.samples,
-        "tol_const": spec.tol_const,
-        "tol_frame": spec.tol_frame,
-    }
 
 
 def classification_payload(c: Classification) -> dict:

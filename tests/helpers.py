@@ -14,10 +14,14 @@ writer that passes every row dict through ``json.dumps``, as the reference
 for the row template; ``reference_frenet_apparatus`` carries every
 derivative vector at its full order, as the reference for the jet-order
 budget; the batch-first ``_Dual2`` is the field-dual algebra before
-its batch axes moved last, as the reference for that layout; and
+its batch axes moved last, as the reference for that layout;
 ``reference_harmonic_tangent``/``reference_harmonic_normal`` with
 ``reference_lemma_residuals`` write the two harmonic families apart, as
-the reference for their one recurrence.
+the reference for their one recurrence; ``ReferenceExprParser`` parses
+``+ - * /`` with one method per precedence level, as the reference for the
+parser's one precedence-climbing loop; and
+``reference_format_curve_spec`` writes a document line by line, as the
+reference for the one document writer.
 """
 
 from __future__ import annotations
@@ -31,23 +35,33 @@ import numpy as np
 
 from eikohelix.classify import Trajectory
 from eikohelix.dsl import (
+    _MAX_DEPTH,
+    FUNCTIONS,
+    NAMED_CONSTANTS,
     Binary,
     Constant,
     Coord,
     CurveSpec,
     Expr,
     Param,
+    Token,
     Unary,
     constant_value,
+    format_expr,
+    is_constant_expr,
     parse_curve_spec,
 )
 from eikohelix.errors import (
+    CoordOutOfRange,
     EvalDomainError,
     EvalError,
     EvalOverflow,
+    ExprSyntaxError,
     FrameError,
     InsufficientOrder,
     JetDivisionByZero,
+    UnknownIdentifier,
+    WrongSymbolKind,
     raise_first,
     value_at,
 )
@@ -106,6 +120,162 @@ def eval_float(expr: Expr, s: float | None = None, point=None) -> float:
             return a / b
         return a**b
     raise TypeError(f"not an Expr: {expr!r}")
+
+
+# ------------------------------------------------- reference spec language
+
+
+def _deeper(tok: Token, depth: int) -> int:
+    """``depth + 1``, if that is at most _MAX_DEPTH; ``tok`` is where it is reached."""
+    if depth >= _MAX_DEPTH:
+        raise ExprSyntaxError(f"expression nests deeper than {_MAX_DEPTH} levels", tok.position)
+    return depth + 1
+
+
+class ReferenceExprParser:
+    """Recursive-descent parser with precedence ^ > unary- > */ > +-.
+
+    ``^`` is right-associative and its exponent must be a constant
+    expression; the other binary operators are left-associative.
+
+    The methods below ``parse`` return a subexpression with its tree depth
+    (a leaf is 1 deep). The parser refuses a tree deeper than _MAX_DEPTH, and
+    more than _MAX_DEPTH nested signs, parentheses, function arguments and
+    exponents, so that neither it nor the recursive walkers over its trees
+    come near Python's recursion limit.
+    """
+
+    def __init__(self, tokens: list[Token], kind: str, dimension: int):
+        if kind not in ("curve", "field"):
+            raise ValueError("kind must be 'curve' or 'field'")
+        self.tokens = tokens
+        self.kind = kind
+        self.dimension = dimension
+        self.pos = 0
+        self.nesting = 0
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str, text: str | None = None) -> Token:
+        tok = self.peek()
+        if tok.kind != kind or (text is not None and tok.text != text):
+            want = text or kind
+            raise ExprSyntaxError(f"expected {want!r}, found {tok.text or 'end'!r}", tok.position)
+        return self.advance()
+
+    def parse(self) -> Expr:
+        expr, _ = self.sum()
+        tok = self.peek()
+        if tok.kind != "end":
+            raise ExprSyntaxError(f"unexpected {tok.text!r} after expression", tok.position)
+        return expr
+
+    def sum(self) -> tuple[Expr, int]:
+        expr, depth = self.term()
+        while self.peek().kind == "op" and self.peek().text in "+-":
+            tok = self.advance()
+            right, d = self.term()
+            expr, depth = Binary(tok.text, expr, right), _deeper(tok, max(depth, d))
+        return expr, depth
+
+    def term(self) -> tuple[Expr, int]:
+        expr, depth = self.factor()
+        while self.peek().kind == "op" and self.peek().text in "*/":
+            tok = self.advance()
+            right, d = self.factor()
+            expr, depth = Binary(tok.text, expr, right), _deeper(tok, max(depth, d))
+        return expr, depth
+
+    def factor(self) -> tuple[Expr, int]:
+        tok = self.peek()
+        self.nesting = _deeper(tok, self.nesting)
+        if tok.kind == "op" and tok.text in "+-":
+            self.advance()
+            expr, depth = self.factor()
+            if tok.text == "-":
+                expr, depth = Unary("neg", expr), _deeper(tok, depth)
+        else:
+            expr, depth = self.power()
+        self.nesting -= 1
+        return expr, depth
+
+    def power(self) -> tuple[Expr, int]:
+        base, depth = self.atom()
+        tok = self.peek()
+        if tok.kind == "op" and tok.text == "^":
+            self.advance()
+            exponent, d = self.factor()  # right-assoc; allows 2^-3 and 2^3^2
+            if not is_constant_expr(exponent):
+                raise ExprSyntaxError(
+                    "exponent of '^' must be a constant expression", tok.position
+                )
+            try:
+                value = constant_value(exponent)
+            except (ArithmeticError, ValueError):  # math domain error, overflow, 1/0
+                value = math.nan
+            if not (isinstance(value, float) and math.isfinite(value)):
+                raise ExprSyntaxError("exponent of '^' has no finite real value", tok.position)
+            return Binary("^", base, exponent), _deeper(tok, max(depth, d))
+        return base, depth
+
+    def atom(self) -> tuple[Expr, int]:
+        tok = self.advance()
+        if tok.kind == "num":
+            return Constant(float(tok.text)), 1
+        if tok.kind == "lparen":
+            expr = self.sum()
+            self.expect("rparen")
+            return expr
+        if tok.kind == "ident":
+            return self.identifier(tok)
+        raise ExprSyntaxError(f"unexpected {tok.text or 'end'!r}", tok.position)
+
+    def identifier(self, tok: Token) -> tuple[Expr, int]:
+        name = tok.text
+        if name in FUNCTIONS:
+            self.expect("lparen")
+            arg, depth = self.sum()
+            self.expect("rparen")
+            return Unary(name, arg), _deeper(tok, depth)
+        if name in NAMED_CONSTANTS:
+            return Constant(NAMED_CONSTANTS[name]), 1
+        if name == "s":
+            if self.kind != "curve":
+                raise WrongSymbolKind(
+                    "parameter 's' not allowed in a field expression", tok.position
+                )
+            return Param(), 1
+        if name.startswith("x") and name[1:].isdecimal():
+            index = int(name[1:])
+            if self.kind != "field":
+                raise WrongSymbolKind(
+                    f"coordinate {name!r} not allowed in a curve component", tok.position
+                )
+            if not 1 <= index <= self.dimension:
+                raise CoordOutOfRange(index, self.dimension, tok.position)
+            return Coord(index), 1
+        raise UnknownIdentifier(name, tok.position)
+
+
+def reference_format_curve_spec(spec: CurveSpec) -> str:
+    """Render a CurveSpec back to document text (parse round-trips)."""
+    curve = ", ".join(f'"{format_expr(c)}"' for c in spec.components)
+    lines = [
+        f"dimension = {spec.dimension}",
+        f"curve = [{curve}]",
+        f'field = "{format_expr(spec.field)}"',
+        f"s_range = [{spec.s_range[0]!r}, {spec.s_range[1]!r}]",
+        f"samples = {spec.samples}",
+        f"tol_const = {spec.tol_const!r}",
+        f"tol_frame = {spec.tol_frame!r}",
+    ]
+    return "\n".join(lines) + "\n"
 
 
 # ------------------------------------------------- per-point reference

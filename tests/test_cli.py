@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import eikohelix
 from eikohelix import catalog
 from eikohelix.cli import main
 from eikohelix.dsl import parse_curve_spec
@@ -371,6 +374,21 @@ class TestDeepExpressions:
         result = run_cli("verify", _deep_spec(tmp_path, component), "--json")
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)["classification"]["helix"]
+
+    def test_long_source_is_quoted_in_a_window(self, tmp_path):
+        """Past 80 characters the error line quotes 40 of them around the offset."""
+        _deep_spec(tmp_path, "-" * 2000 + "s")
+        src = str(Path(eikohelix.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run(
+            [sys.executable, "-m", "eikohelix", "verify", "deep.spec"],
+            capture_output=True, text=True, cwd=tmp_path, env=env,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert len(result.stderr) < 200
+        assert f"near {'-' * 40!r}" in result.stderr and "at offset 100" in result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestSharedPipeline:

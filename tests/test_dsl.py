@@ -2,22 +2,28 @@
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 import math
+import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eikohelix import catalog
 from eikohelix.dsl import (
     _MAX_DEPTH,
+    FUNCTIONS,
     Binary,
     Constant,
     Coord,
     CurveSpec,
     Param,
     Unary,
+    _ExprParser,
     constant_value,
     format_curve_spec,
     format_expr,
@@ -39,6 +45,17 @@ from eikohelix.errors import (
     WrongSymbolKind,
 )
 from eikohelix.jets import eval_expr_jet
+
+from helpers import (
+    ReferenceExprParser,
+    add_all,
+    lift_helix_r4,
+    nonhelix_r3,
+    random_expr,
+    reference_format_curve_spec,
+    wcurve_helix_r3,
+    wcurve_lift,
+)
 
 EXAMPLE_DOC = """\
 dimension = 3
@@ -243,6 +260,21 @@ class TestParseCurveSpec:
             parse_curve_spec(doc)
         assert exc_info.value.line == 3
 
+    @pytest.mark.parametrize(
+        "length, offset, start", [(80, 79, None), (81, 80, 41), (2001, 1000, 980), (2001, 5, 0)]
+    )
+    def test_expression_quoted_in_error(self, length, offset, start):
+        """Sources up to 80 characters are quoted whole; longer ones by the
+        40 characters around the offset."""
+        legal = ("s+" * length)[:length]
+        source = legal[:offset] + "@" + legal[offset + 1 :]
+        doc = EXAMPLE_DOC.replace('"s/sqrt(2)"', f'"{source}"')
+        with pytest.raises(SpecDocumentError) as exc_info:
+            parse_curve_spec(doc)
+        quoted = repr(source) if start is None else f"of {length} characters, near {source[start:start + 40]!r}"
+        at = f"illegal character '@' (at offset {offset}) (line 2)"
+        assert str(exc_info.value) == f"in expression {quoted}: {at}"
+
     def test_unknown_key_rejected(self):
         with pytest.raises(SpecDocumentError):
             parse_curve_spec(EXAMPLE_DOC + "extra = 1\n")
@@ -341,3 +373,191 @@ def test_curvespec_validation():
             s_range=(0.0, 1.0),
             tol_const=0.0,
         )
+
+
+# ------------------------------------------ one operator loop, one writer
+
+
+def _outcome(parser, source: str, kind: str, dimension: int):
+    """The parsed tree, or the error's type, message and offset."""
+    try:
+        return parser(tokenize(source), kind, dimension).parse()
+    except DslError as exc:
+        return type(exc), str(exc), exc.position
+
+
+_PIECES = ["s", "x1", "x3", "2", "0.5", "1e3", "pi", "+", "-", "*", "/", "^", "(", ")", "sin(", "ln(", " "]
+_EXPONENTS = ["2", "-1", "(1/2)", "3^2", "s", "(0-1)^0.5", "2*3", "ln(0)"]
+
+
+def _random_text(rng: random.Random, depth: int) -> str:
+    """A random expression source of sums, products, signs, parentheses,
+    powers and functions, not always legal."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(["s", "x1", "x2", "3", "0.5", "pi", "1e400"])
+    r = rng.random()
+    if r < 0.55:
+        op = rng.choice(["+", "-", "*", "/", " + ", " - ", " * ", " / "])
+        return _random_text(rng, depth - 1) + op + _random_text(rng, depth - 1)
+    if r < 0.65:
+        return f"({_random_text(rng, depth - 1)})"
+    if r < 0.75:
+        return rng.choice("+-") + _random_text(rng, depth - 1)
+    if r < 0.87:
+        return f"{_random_text(rng, depth - 1)}^{rng.choice(_EXPONENTS)}"
+    return f"{rng.choice(FUNCTIONS)}({_random_text(rng, depth - 1)})"
+
+
+def _random_source(rng: random.Random) -> str:
+    if rng.random() < 0.4:  # token soup
+        return "".join(rng.choice(_PIECES) for _ in range(rng.randint(1, 12)))
+    text = _random_text(rng, rng.randint(1, 5))
+    if rng.random() < 0.3:  # one piece overwritten
+        i = rng.randrange(len(text) + 1)
+        text = text[:i] + rng.choice(_PIECES) + text[i + 1 :]
+    return text
+
+
+# deep shapes that mix the operator levels with the nesting counts
+_MIXED_DEEP = {
+    "sum of products of functions": lambda k: "s+s*sin(" * (k - 1) + "s" + ")" * (k - 1),
+    "quotients in parentheses": lambda k: "s/(" * (k - 1) + "s" + ")" * (k - 1),
+    "signed differences": lambda k: "s-" * (k - 1) + "-s",
+    "products of sums": lambda k: "(s+" * (k - 1) + "s" + ")*s" * (k - 1),
+    "powers of products": lambda k: "2*" * (k - 1) + "s^2" + "^1" * (k - 1),
+}
+
+
+class TestOneOperatorLoop:
+    """The parser's one precedence-climbing loop for + - * / against the
+    parser with one method per precedence level (helpers.ReferenceExprParser):
+    the same tree, or the same error type, message and offset."""
+
+    def test_generated_strings(self):
+        rng = random.Random(20121)
+        parsed, differences = 0, []
+        for _ in range(100_000):
+            source = _random_source(rng)
+            kind = rng.choice(["curve", "field"])
+            new = _outcome(_ExprParser, source, kind, 2)
+            if new != _outcome(ReferenceExprParser, source, kind, 2):
+                differences.append(source)
+            parsed += not isinstance(new, tuple)
+        assert differences == []
+        assert parsed > 10_000  # most of the legal strings exercise precedence
+
+    @pytest.mark.parametrize("shape", [*DEEP_SHAPES, *_MIXED_DEEP])
+    @pytest.mark.parametrize("kind", ["curve", "field"])
+    def test_at_the_depth_bound(self, shape, kind):
+        make = DEEP_SHAPES[shape][0] if shape in DEEP_SHAPES else _MIXED_DEEP[shape]
+        for k in (_MAX_DEPTH - 1, _MAX_DEPTH, _MAX_DEPTH + 1):
+            source = make(k)
+            new = _outcome(_ExprParser, source, kind, 3)
+            assert new == _outcome(ReferenceExprParser, source, kind, 3), (shape, k)
+
+
+# SHA-256 of each catalog document before the entries were written by
+# format_document
+CATALOG_SHA256 = {
+    "paper_3_1": "30d9513b2bc27a962235dd96f23a1307c1ec930608ffce05b0e860202217774d",
+    "helix345_fz": "e90004a41f96b2dc3b5e7729d554fe70dd98b57054e3b73e70eda993aee5c899",
+    "wcurve_r4": "74f07662aa28be263ca1ae4a415d0b13458adaf22bee6a4278bdb7248e0794fd",
+    "helix_r4": "e97504daf0dc63effcfb07384a986b5359fdb71cad08e235205b5b90be1a397c",
+    "circle_in_r3": "78085db25ab4a9e74acc201c4158408a566aeed99fe5d8ed78306b81ab44e10d",
+    "nonhelix_parabolic": "291510a5a24d700082c8f89af96ae90b6ba3dc8c202b3f2b7e65dbfb112d854f",
+}
+
+
+def _writer_specs() -> list[CurveSpec]:
+    """The catalog specs, the fuzz families, the W-curve lifts and random
+    expression trees, at varied tolerances."""
+    rng = np.random.default_rng(44)
+    specs = [catalog.load(name) for name in catalog.names()]
+    for _ in range(8):
+        specs += [wcurve_helix_r3(rng).spec, lift_helix_r4(rng).spec, nonhelix_r3(rng)]
+    specs += [wcurve_lift(n, 16, quadratic) for n in range(3, 14) for quadratic in (False, True)]
+    for i in range(30):
+        curve = tuple(random_expr(rng, 4, Param()) for _ in range(3))
+        field = add_all([random_expr(rng, 3, Coord(j)) for j in (1, 2, 3)])
+        lo = float(rng.uniform(-5, 5))
+        specs.append(
+            CurveSpec(3, curve, field, (lo, lo + float(rng.uniform(0.1, 9))), samples=8 + i,
+                      tol_const=float(rng.uniform(1e-12, 1e-3)), tol_frame=10.0 ** -(i % 15))
+        )
+    return specs
+
+
+class TestDocumentWriter:
+    @pytest.mark.parametrize("name", catalog.names())
+    def test_catalog_document_bytes(self, name):
+        document = catalog.get(name).document.encode("utf-8")
+        assert hashlib.sha256(document).hexdigest() == CATALOG_SHA256[name]
+
+    def test_format_curve_spec_matches_line_writer(self):
+        specs = _writer_specs()
+        assert len(specs) == 82
+        for spec in specs:
+            text = format_curve_spec(spec)
+            assert text == reference_format_curve_spec(spec)
+            parse_curve_spec(text)  # the reader takes it back
+
+
+# ------------------------------------------------------ hand-built specs
+
+
+def _hand_built(curve_last=Param(), field=Coord(3)) -> CurveSpec:
+    return CurveSpec(3, (Unary("cos", Param()), Unary("sin", Param()), curve_last), field, (0.0, 1.0))
+
+
+def _parser_message(source: str, kind: str) -> str:
+    """What the parser says about ``source`` in R^3, without the offset."""
+    with pytest.raises(DslError) as exc_info:
+        parse_expr_text(source, kind, 3)
+    return str(exc_info.value).rsplit(" (at offset ", 1)[0]
+
+
+class TestHandBuiltSpecs:
+    """A CurveSpec built in Python meets the parser's rules; the errors are
+    the parser's, without an offset."""
+
+    @pytest.mark.parametrize("index", [0, -1])
+    def test_coordinate_below_one(self, index):
+        with pytest.raises(CoordOutOfRange) as exc_info:
+            _hand_built(field=Coord(index))
+        assert str(exc_info.value) == f"coordinate x{index} out of range for dimension 3"
+        assert exc_info.value.position is None
+
+    def test_coordinate_past_dimension(self):
+        with pytest.raises(CoordOutOfRange) as exc_info:
+            _hand_built(field=Binary("+", Coord(1), Coord(4)))
+        assert str(exc_info.value) == _parser_message("x1 + x4", "field")
+
+    @pytest.mark.parametrize(
+        "field, source",
+        [
+            (Binary("^", Coord(1), Coord(2)), "x1^x2"),
+            (Binary("^", Coord(1), Unary("ln", Unary("neg", Constant(1.0)))), "x1^ln(-1)"),
+        ],
+        ids=["not constant", "no finite value"],
+    )
+    def test_exponents(self, field, source):
+        with pytest.raises(ExprSyntaxError) as exc_info:
+            _hand_built(field=field)
+        assert str(exc_info.value) == _parser_message(source, "field")
+        with pytest.raises(ExprSyntaxError):
+            _hand_built(curve_last=Binary("^", Param(), Param()))
+
+    def test_symbols_of_the_wrong_kind(self):
+        with pytest.raises(WrongSymbolKind) as exc_info:
+            _hand_built(field=Binary("*", Coord(1), Param()))
+        assert str(exc_info.value) == _parser_message("x1*s", "field")
+        with pytest.raises(WrongSymbolKind) as exc_info:
+            _hand_built(curve_last=Binary("+", Param(), Coord(2)))
+        assert str(exc_info.value) == _parser_message("s + x2", "curve")
+
+    def test_deep_tree(self):
+        with pytest.raises(ExprSyntaxError) as exc_info:
+            _hand_built(curve_last=add_all([Param()] * 1000))
+        assert str(exc_info.value) == "expression nests deeper than 100 levels"
+        spec = _hand_built(curve_last=add_all([Param()] * _MAX_DEPTH))  # at the bound
+        assert parse_curve_spec(format_curve_spec(spec)) == spec
