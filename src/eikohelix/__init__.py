@@ -20,7 +20,7 @@ from .dsl import (
     tokenize,
 )
 from .frenet import frenet_apparatus
-from .harmonic import harmonic_data, lemma_residuals
+from .harmonic import harmonic_data
 from .jets import (
     FieldJet,
     Jet,
@@ -52,7 +52,6 @@ __all__ = [
     "format_expr",
     "frenet_apparatus",
     "harmonic_data",
-    "lemma_residuals",
     "parse_curve_spec",
     "parse_expr_text",
     "parse_expression",

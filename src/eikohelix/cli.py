@@ -10,8 +10,8 @@ Subcommands:
 spec, sample it, classify it; ``verify`` goes on to the identity residuals
 and verdicts. Exit codes: 0 for a completed run (whatever the
 classification or verdicts say), 2 for spec/parse/usage errors and
-unreadable or unwritable files, 3 for degenerate-curve or numeric
-evaluation failures.
+unreadable or unwritable files, and grids too large for memory; 3 for
+degenerate-curve or numeric evaluation failures.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ EXIT_DEGENERATE = 3
 
 def _load_spec(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise SystemExit(_error(f"cannot read spec file {path!r}: {exc}", EXIT_SPEC_ERROR))
     try:
@@ -71,6 +71,14 @@ def _write_file(text: str, path: str) -> None:
 def cmd_report(args: argparse.Namespace) -> int:
     """classify and verify: sample the spec's curve, classify it, and report."""
     spec = _load_spec(args.spec)
+    try:
+        return _report(args, spec)
+    except MemoryError:  # a grid too large to hold is a spec error
+        size = f"samples = {spec.samples} at dimension = {spec.dimension}"
+        return _error(f"{args.spec}: not enough memory for {size}", EXIT_SPEC_ERROR)
+
+
+def _report(args: argparse.Namespace, spec) -> int:
     try:
         trajectory = sample_along_curve(spec)
         classification = classify_rows(trajectory, spec.tol_const)

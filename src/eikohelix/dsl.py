@@ -193,12 +193,14 @@ def _deeper(depth: int, position: int | None = None) -> int:
     return depth + 1
 
 
-def _check_leaf(leaf: Param | Coord, kind: str, dimension: int, name: str, position: int | None = None):
-    """``s`` only in a curve component; ``x1 .. x<dimension>`` only in a field."""
+def _check_leaf(leaf: Param | Coord, kind: str, dimension: int, name: str = "", position: int | None = None):
+    """``s`` only in a curve component; ``x1 .. x<dimension>`` only in a field. ``name`` is
+    the leaf's source text; a leaf built in Python is named by the printer, if it errs."""
     if isinstance(leaf, Param):
         if kind != "curve":
             raise WrongSymbolKind("parameter 's' not allowed in a field expression", position)
     elif kind != "field":
+        name = name or format_expr(leaf)
         raise WrongSymbolKind(f"coordinate {name!r} not allowed in a curve component", position)
     elif not 1 <= leaf.index <= dimension:
         raise CoordOutOfRange(leaf.index, dimension, position)
@@ -415,7 +417,7 @@ class CurveSpec:
                     elif isinstance(node, Unary):
                         below.append(node.child)
                     elif isinstance(node, (Param, Coord)):
-                        _check_leaf(node, kind, self.dimension, format_expr(node))
+                        _check_leaf(node, kind, self.dimension)
                 level = below
         for exponent in exponents:  # recursive walkers, safe once the depth is bounded
             _check_exponent(exponent)

@@ -9,21 +9,25 @@ characterizing curves whose unit tangent keeps a constant angle with a
 fixed axis. The normal family is the same recurrence run on the reversed
 curvatures k_{n-1}, ..., k_1 with the sign of the rate flipped,
 
-    H*_0 = 0,  H*_1 = k_{n-1}/k_{n-2},
+    H*_0 := 0,  H*_1 = k_{n-1}/k_{n-2},
     H*_i = (k_{n-i} * H*_{i-2} - V1[H*_{i-1}]) / k_{n-(i+1)},
 
-characterizing curves whose last frame vector does. Taken one step past
-its end, where no curvature is left to divide by, each recurrence gives the
-derivative identity that closes its family (``lemma_residuals``). V1[g] is
-the rate of g along the unit tangent (g' / speed), evaluated on jets so the
-derivative identities use exact derivatives rather than grid differencing.
+characterizing curves whose last frame vector does. One loop runs each
+family one step past its end: the steps that divide by a curvature give
+the entries 1..n-2, and the last step, with no curvature left to divide
+by, gives the residual of the derivative identity that closes the family,
 
-For n = 3 the tangent family is {H1} and the normal family is {H*_1}; the
-index-(n-3) entries appearing in the derivative identities resolve to the
-zero conventions above.
+    V1[H_{n-2}] + k_{n-1} * H_{n-3} = 0     exactly when the curve is a helix,
+    k_1 * H*_{n-3} - V1[H*_{n-2}] = 0       exactly when it is a slant helix.
 
-Both families are evaluated for every point of the frame's batch at once
-(a whole sample grid, or one point as batch shape ``()``).
+V1[g] is the rate of g along the unit tangent (g' / speed), evaluated on
+jets so the derivative identities use exact derivatives rather than grid
+differencing. For n = 3 the families are {H1} and {H*_1}, and the
+index-(n-3) entry of each closing identity is the zero H_0 (H*_0).
+
+``harmonic_data`` is the layer's one entry point. It evaluates both
+families and their closing residuals for every point of the frame's batch
+at once (a whole sample grid, or one point as batch shape ``()``).
 """
 
 from __future__ import annotations
@@ -41,10 +45,11 @@ from .jets import Jet, jet_constant
 class HarmonicData:
     """Both harmonic-curvature families over the frame's batch of points.
 
-    H holds the jets of H1..H_{n-2}; Hstar holds H*_0 (identically zero)
-    followed by H*_1..H*_{n-2}. sumsq_* are the value-level sums of squares
-    over each family (H*_0 excluded): floats for one point, arrays over a
-    batch.
+    H and Hstar hold the jets of H_1..H_{n-2} and H*_1..H*_{n-2}; the zero
+    entries H_0 and H*_0 are not stored. sumsq_* are the value-level sums of
+    squares over each family, and closing_H and closing_Hstar the absolute
+    residuals of the identities that close the tangent and normal family:
+    floats for one point, arrays over a batch.
     """
 
     s: float | np.ndarray
@@ -52,14 +57,16 @@ class HarmonicData:
     Hstar: list[Jet]
     sumsq_H: float | np.ndarray
     sumsq_Hstar: float | np.ndarray
+    closing_H: float | np.ndarray
+    closing_Hstar: float | np.ndarray
 
     def H_values(self) -> np.ndarray:
-        """(*batch, n-2) array of H1..H_{n-2}."""
+        """(*batch, n-2) array of H_1..H_{n-2}."""
         return np.stack([h.coeffs[0] for h in self.H], axis=-1)
 
     def Hstar_values(self) -> np.ndarray:
-        """(*batch, n-2) array of H*_1..H*_{n-2} (the zero entry H*_0 is dropped)."""
-        return np.stack([h.coeffs[0] for h in self.Hstar[1:]], axis=-1)
+        """(*batch, n-2) array of H*_1..H*_{n-2}."""
+        return np.stack([h.coeffs[0] for h in self.Hstar], axis=-1)
 
 
 def _check_curvatures(fr: FrenetData) -> None:
@@ -90,60 +97,40 @@ def _families(fr: FrenetData):
 # failing on a missing coefficient.
 
 
-def _recurrence(fr: FrenetData, family) -> list[Jet]:
-    """[G_0 = 0, G_1 = c_1/c_2, ..., G_{n-2}] for curvatures c_1..c_{n-1}
-    in the family's order, G_i = step(V1[G_{i-1}], c_i, G_{i-2}) / c_{i+1}."""
+def _recurrence(fr: FrenetData, family) -> tuple[list[Jet], float | np.ndarray]:
+    """([G_1, ..., G_{n-2}], closing residual) for curvatures c_1..c_{n-1} in
+    the family's order: G_0 = 0, G_1 = c_1/c_2 and
+    G_i = step(V1[G_{i-1}], c_i, G_{i-2}) / c_{i+1}. The step past the end,
+    i = n-1, has no c_n to divide by; |step(V1[G_{n-2}], c_{n-1}, G_{n-3})|
+    at the value level is the closing residual."""
     symbol, name, c, step = family
+    n = fr.dimension
     first = c[0] / c[1]
     G: list[Jet] = [jet_constant(0.0, first.order), first]
-    for i in range(2, fr.dimension - 1):
+    for i in range(2, n):
         if G[-1].order < 1:
-            raise InsufficientOrder(f"jet order exhausted computing {symbol}{i}")
+            raise InsufficientOrder(
+                f"jet order exhausted computing {symbol}{i}"
+                if i < n - 1
+                else f"last {name}-family entry lost its derivative"
+            )
         rate = directional_derivative(G[-1], fr.speed)
+        if i == n - 1:
+            return G[1:], abs(step(rate.value, c[-1].value, G[-2].value))
         G.append(step(rate, c[i - 1], G[-2]) / c[i])
-    if G[-1].order < 1:
-        raise InsufficientOrder(f"last {name}-family entry lost its derivative")
-    return G
-
-
-def harmonic_tangent(fr: FrenetData) -> list[Jet]:
-    """Tangent-family harmonic curvatures H1..H_{n-2} as jets."""
-    _check_curvatures(fr)
-    return _recurrence(fr, _families(fr)[0])[1:]
-
-
-def harmonic_normal(fr: FrenetData) -> list[Jet]:
-    """Normal-family harmonic curvatures H*_0..H*_{n-2} as jets."""
-    _check_curvatures(fr)
-    return _recurrence(fr, _families(fr)[1])
 
 
 def harmonic_data(fr: FrenetData) -> HarmonicData:
-    """Evaluate both families and their sums of squares at fr's sample."""
+    """Evaluate both families, their sums of squares and their closing
+    residuals at fr's points."""
     _check_curvatures(fr)
-    tangent, normal = (_recurrence(fr, family) for family in _families(fr))
+    (H, closing_H), (Hstar, closing_Hstar) = (_recurrence(fr, f) for f in _families(fr))
     return HarmonicData(
         s=fr.s,
-        H=tangent[1:],
-        Hstar=normal,
-        sumsq_H=sum(h.value**2 for h in tangent[1:]),
-        sumsq_Hstar=sum(h.value**2 for h in normal[1:]),
-    )
-
-
-def lemma_residuals(h: HarmonicData, fr: FrenetData) -> tuple[float, float]:
-    """Residuals of the derivative identities closing each family.
-
-    Each is the family's recurrence taken one step past its end, where no
-    curvature is left to divide by: the tangent family satisfies
-    V1[H_{n-2}] = -k_{n-1} * H_{n-3} exactly when the curve is a helix, the
-    normal family V1[H*_{n-2}] = k1 * H*_{n-3} exactly when it is a slant
-    helix. Returns the absolute residuals (r_tangent, r_normal) at the
-    value level, as floats for one point or arrays over the batch.
-    """
-    tangent = (h.Hstar[0], *h.H)  # H_0 = H*_0 = 0
-    families = zip((tangent, h.Hstar), _families(fr))
-    return tuple(
-        abs(step(directional_derivative(G[-1], fr.speed).value, c[-1].value, G[-2].value))
-        for G, (_, _, c, step) in families
+        H=H,
+        Hstar=Hstar,
+        sumsq_H=sum(h.value**2 for h in H),
+        sumsq_Hstar=sum(h.value**2 for h in Hstar),
+        closing_H=closing_H,
+        closing_Hstar=closing_Hstar,
     )

@@ -7,7 +7,11 @@ H_{n-2} Vn), the sum of squared harmonic curvatures is a nonzero constant
 with cos^2(theta) (1 + sum H_i^2) = 1, and the last harmonic curvature
 obeys the closing derivative identity. The slant family mirrors all of
 this with the reversed-index ladder whose axis expansion is
-(H*_{n-2} V1 + ... + H*_1 V_{n-2} + Vn) <grad f, Vn>.
+(H*_{n-2} V1 + ... + H*_1 V_{n-2} + Vn) <grad f, Vn>. The closing
+identities' pointwise residuals come with the families from
+:func:`~eikohelix.harmonic.harmonic_data` (``closing_H`` and
+``closing_Hstar``, the step of each recurrence past its end); their grid
+maxima are cor31 and cor41.
 
 Residuals are maxima over the sample grid, computed as array reductions
 over the sampled :class:`~eikohelix.classify.Trajectory`: the identities
@@ -25,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import Classification, Trajectory, row_norm
-from .harmonic import lemma_residuals
 
 # Below this angle the gradient is numerically aligned with the tangent and
 # the tangent-family constancy statement degenerates (all H_i would need to
@@ -65,7 +68,6 @@ def verify_all(trajectory: Trajectory, classification: Classification) -> Theore
     Hstar = harmonic.Hstar_values()  # H*_1 .. H*_{n-2}, (N, n-2)
     ipn = trajectory.ip_last[:, None]
     n = frame.shape[-1]
-    r_tangent, r_normal = lemma_residuals(harmonic, trajectory.frenet)
 
     axis_helix = frame[:, 0] + np.einsum("pi,pic->pc", H, frame[:, 2:])
     axis_helix *= (trajectory.grad_norm * cos_theta)[:, None]
@@ -80,13 +82,13 @@ def verify_all(trajectory: Trajectory, classification: Classification) -> Theore
         "sumsq_helix_spread": np.ptp(harmonic.sumsq_H),
         "tan_identity": np.abs(cos_theta**2 * (1.0 + harmonic.sumsq_H) - 1.0).max(),
         "hn2_min": np.abs(H[:, -1]).min(),  # the characterization needs H_{n-2} nonzero
-        "cor31": r_tangent.max(),
+        "cor31": harmonic.closing_H.max(),
         # <V_{n-(i+1)}, grad f> = H*_i <Vn, grad f> for i = 1 .. n-2
         "sys_slant": np.abs(projections[:, n - 3 :: -1] - Hstar * ipn).max(),
         "axis_slant": row_norm(grad - axis_slant).max(),
         "sumsq_slant_spread": np.ptp(harmonic.sumsq_Hstar),
         "hn2star_min": np.abs(Hstar[:, -1]).min(),
-        "cor41": r_normal.max(),
+        "cor41": harmonic.closing_Hstar.max(),
         # diagnostics: a parallel gradient stays orthogonal to V2 along a
         # helix and to V_{n-1} along a slant helix
         "orth_v2": np.abs(projections[:, 1]).max(),

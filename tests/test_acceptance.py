@@ -18,7 +18,6 @@ from eikohelix import catalog
 from eikohelix.classify import classify_rows, sample_along_curve
 from eikohelix.dsl import parse_curve_spec
 from eikohelix.errors import DegenerateCurve
-from eikohelix.harmonic import lemma_residuals
 from eikohelix.jets import eval_expr_jet, eval_field_jet
 from eikohelix.verify import verify_all
 
@@ -190,11 +189,11 @@ def test_criterion_5_equivalence_property(catalog_runs):
     for case in range(16):
         spec = wcurve_helix_r3(rng).spec if case % 2 == 0 else nonhelix_r3(rng)
         trajectory = sample_along_curve(spec)
-        residuals = lemma_residuals(trajectory.harmonic, trajectory.frenet)
+        h = trajectory.harmonic
         for family in (0, 1):
-            sumsq = (trajectory.harmonic.sumsq_H, trajectory.harmonic.sumsq_Hstar)[family]
+            sumsq = (h.sumsq_H, h.sumsq_Hstar)[family]
             spread = sumsq.max() - sumsq.min()
-            residual = residuals[family].max()
+            residual = (h.closing_H, h.closing_Hstar)[family].max()
             assert (spread <= tol) == (residual <= tol)
             if family == 0:
                 const_seen += spread <= tol
@@ -204,7 +203,7 @@ def test_criterion_5_equivalence_property(catalog_runs):
     _, trajectory, _ = catalog_runs["nonhelix_parabolic"]
     sumsq = trajectory.harmonic.sumsq_H
     spread = sumsq.max() - sumsq.min()
-    residual = lemma_residuals(trajectory.harmonic, trajectory.frenet)[0].max()
+    residual = trajectory.harmonic.closing_H.max()
     assert spread > tol and residual > tol
     _report(5, "constancy <=> closing identity at 1e-7, both directions; parabolic fails both")
 

@@ -157,6 +157,34 @@ class TestSpecErrors:
         assert result.stderr.count("\n") == 1
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("command", ["classify", "verify"])
+    def test_grid_too_large_for_memory(self, tmp_path, command):
+        # 10^15 samples need 8 PB for the grid alone, more than any address
+        # space, so the first allocation fails at once and uses no memory
+        path = tmp_path / "huge.spec"
+        path.write_text(
+            'dimension = 3\ncurve = ["cos(s)", "sin(s)", "s"]\nfield = "x3"\n'
+            "s_range = [0, 3]\nsamples = 1000000000000000\n",
+            encoding="utf-8",
+        )
+        result = run_cli(command, str(path))
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "samples = 1000000000000000 at dimension = 3" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_byte_order_mark(self, spec_paths, tmp_path, capsys):
+        """A spec saved with a UTF-8 byte-order mark reads as the same document."""
+        plain = Path(spec_paths["helix345_fz"])
+        marked = tmp_path / plain.name
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outputs = []
+        for path in (plain, marked):
+            assert main(["verify", str(path), "--json"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0].err == outputs[1].err == ""
+        assert outputs[1].out == outputs[0].out
+
     def test_s_range_width_overflows(self, tmp_path, capsys):
         path = _write_spec(tmp_path, '["cos(s)", "sin(s)", "s"]', "x3", "[-1e308, 1e308]")
         assert main(["verify", path]) == 2

@@ -3,6 +3,8 @@ recurrence oracle and the derivative-identity equivalence."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,7 @@ from eikohelix.classify import sample_along_curve
 from eikohelix.dsl import parse_curve_spec
 from eikohelix.errors import InsufficientOrder
 from eikohelix.frenet import FrenetData, frenet_apparatus
-from eikohelix.harmonic import (
-    HarmonicData,
-    harmonic_data,
-    harmonic_normal,
-    harmonic_tangent,
-    lemma_residuals,
-)
+from eikohelix.harmonic import HarmonicData, harmonic_data
 from eikohelix.jets import Jet, default_jet_order, eval_curve_jet
 
 from helpers import (
@@ -66,21 +62,21 @@ class TestTangentFamily:
     def test_helix345_ratio(self):
         for s in (0.0, 11.0, 26.5):
             _, fr = frenet_at(HELIX345, s)
-            (H1,) = harmonic_tangent(fr)
+            (H1,) = harmonic_data(fr).H
             assert H1.value == pytest.approx(0.75, abs=1e-12)
             assert H1.d1 == pytest.approx(0.0, abs=1e-12)
 
     def test_paper_curve_ratio(self):
         for s in (0.0, 4.2, 12.566):
             _, fr = frenet_at(PAPER_CURVE, s)
-            (H1,) = harmonic_tangent(fr)
+            (H1,) = harmonic_data(fr).H
             assert H1.value == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_curvature_r4_second_entry_vanishes(self):
         # constant curvatures make H1 constant, so H2 = (0 + k2*0)/k3 = 0
         for s in (0.7, 3.0, 5.5):
             _, fr = frenet_at(TORUS_R4, s)
-            H = harmonic_tangent(fr)
+            H = harmonic_data(fr).H
             assert len(H) == 2
             assert H[0].d1 == pytest.approx(0.0, abs=1e-12)
             assert H[1].value == pytest.approx(0.0, abs=1e-12)
@@ -89,19 +85,18 @@ class TestTangentFamily:
 class TestNormalFamily:
     def test_helix345_reversed_ratio(self):
         _, fr = frenet_at(HELIX345, 3.3)
-        Hstar = harmonic_normal(fr)
-        assert Hstar[0].value == 0.0
-        assert Hstar[1].value == pytest.approx(4.0 / 3.0, abs=1e-12)
+        Hstar = harmonic_data(fr).Hstar
+        assert Hstar[0].value == pytest.approx(4.0 / 3.0, abs=1e-12)
 
     def test_paper_curve(self):
         _, fr = frenet_at(PAPER_CURVE, 2.0)
-        assert harmonic_normal(fr)[1].value == pytest.approx(1.0, abs=1e-12)
+        assert harmonic_data(fr).Hstar[0].value == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_curvature_r4_second_entry_vanishes(self):
         _, fr = frenet_at(TORUS_R4, 1.9)
-        Hstar = harmonic_normal(fr)
-        assert len(Hstar) == 3
-        assert Hstar[2].value == pytest.approx(0.0, abs=1e-12)
+        Hstar = harmonic_data(fr).Hstar
+        assert len(Hstar) == 2
+        assert Hstar[1].value == pytest.approx(0.0, abs=1e-12)
 
     def test_insufficient_order_reported(self):
         from eikohelix.errors import InsufficientOrder
@@ -119,9 +114,8 @@ class TestLemmaResiduals:
         for s in (0.0, 14.0, 30.0):
             _, fr = frenet_at(HELIX345, s)
             h = harmonic_data(fr)
-            r_tangent, r_normal = lemma_residuals(h, fr)
-            assert r_tangent == pytest.approx(0.0, abs=1e-12)
-            assert r_normal == pytest.approx(0.0, abs=1e-12)
+            assert h.closing_H == pytest.approx(0.0, abs=1e-12)
+            assert h.closing_Hstar == pytest.approx(0.0, abs=1e-12)
 
     def test_nonhelix_residual_large(self):
         doc = (
@@ -132,8 +126,7 @@ class TestLemmaResiduals:
         )
         _, fr = frenet_at(doc, 1.0)
         h = harmonic_data(fr)
-        r_tangent, _ = lemma_residuals(h, fr)
-        assert r_tangent > 0.01
+        assert h.closing_H > 0.01
 
     def test_sumsq_values(self):
         _, fr = frenet_at(HELIX345, 8.0)
@@ -168,7 +161,7 @@ class TestRecurrenceOracle:
 
             for s0 in (1.0, 3.7):
                 fr = frenet_apparatus(eval_curve_jet(spec, s0), spec.tol_frame, s=s0)
-                H = harmonic_tangent(fr)
+                H = harmonic_data(fr).H
                 _, k_o, speed_o = fd_frenet(curve, s0, 4)
                 assert H[0].value == pytest.approx(k_o[0] / k_o[1], rel=1e-6)
                 h = 1e-3
@@ -196,7 +189,7 @@ class TestRecurrenceOracle:
 
         for s0 in (0.45, 0.9):
             fr = frenet_apparatus(eval_curve_jet(spec, s0), spec.tol_frame, s=s0)
-            H = harmonic_tangent(fr)
+            H = harmonic_data(fr).H
             _, k_o, speed_o = fd_frenet(curve, s0, 4)
             h = 1e-3
             rate_fd = (H1_fd(s0 + h) - H1_fd(s0 - h)) / (2 * h) / speed_o
@@ -247,7 +240,7 @@ class TestEquivalence:
             trajectory = sample_along_curve(spec)
             sumsq = trajectory.harmonic.sumsq_H
             spread = sumsq.max() - sumsq.min()
-            max_res = lemma_residuals(trajectory.harmonic, trajectory.frenet)[0].max()
+            max_res = trajectory.harmonic.closing_H.max()
             hn2_floor = np.abs(trajectory.harmonic.H[-1].value).min()
             assert hn2_floor > 1e-3  # equivalence hypothesis
             assert (spread <= tol) == (max_res <= tol)
@@ -263,7 +256,7 @@ class TestEquivalence:
             trajectory = sample_along_curve(spec)
             sumsq = trajectory.harmonic.sumsq_Hstar
             spread = sumsq.max() - sumsq.min()
-            max_res = lemma_residuals(trajectory.harmonic, trajectory.frenet)[1].max()
+            max_res = trajectory.harmonic.closing_Hstar.max()
             assert (spread <= tol) == (max_res <= tol)
 
 
@@ -283,13 +276,16 @@ def outcome(fn, *args):
 
 def reference_data(fr):
     H = reference_harmonic_tangent(fr)
-    Hstar = reference_harmonic_normal(fr)
+    Hstar = reference_harmonic_normal(fr)  # H*_0, H*_1 .. H*_{n-2}
+    closing = reference_lemma_residuals(SimpleNamespace(H=H, Hstar=Hstar), fr)
     return HarmonicData(
         s=fr.s,
         H=H,
-        Hstar=Hstar,
+        Hstar=Hstar[1:],
         sumsq_H=sum(h.value**2 for h in H),
         sumsq_Hstar=sum(h.value**2 for h in Hstar[1:]),
+        closing_H=closing[0],
+        closing_Hstar=closing[1],
     )
 
 
@@ -297,26 +293,14 @@ def assert_matches_reference(fr) -> bool:
     """Both families, their sums of squares and closing residuals equal the
     two families written apart, bit for bit, or fail with the same
     InsufficientOrder. Returns whether the families were computed."""
-    pairs = (
-        (harmonic_tangent, reference_harmonic_tangent),
-        (harmonic_normal, reference_harmonic_normal),
-    )
-    for new, ref in pairs:
-        got, want = outcome(new, fr), outcome(ref, fr)
-        if isinstance(want, tuple):
-            assert got == want
-        else:
-            assert [bits(h) for h in got] == [bits(h) for h in want]
     got, want = outcome(harmonic_data, fr), outcome(reference_data, fr)
     if isinstance(want, tuple):
         assert got == want
         return False
     for name in ("H", "Hstar"):
         assert [bits(h) for h in getattr(got, name)] == [bits(h) for h in getattr(want, name)]
-    assert bits(got.sumsq_H) == bits(want.sumsq_H)
-    assert bits(got.sumsq_Hstar) == bits(want.sumsq_Hstar)
-    residuals = lemma_residuals(got, fr)
-    assert [bits(r) for r in residuals] == [bits(r) for r in reference_lemma_residuals(want, fr)]
+    for name in ("sumsq_H", "sumsq_Hstar", "closing_H", "closing_Hstar"):
+        assert bits(getattr(got, name)) == bits(getattr(want, name))
     return True
 
 

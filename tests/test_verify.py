@@ -19,6 +19,7 @@ from helpers import (
     synthetic_helix_r4,
     synthetic_slant_r4,
     wcurve_helix_r3,
+    wcurve_lift,
 )
 
 HELIX345_FZ = """\
@@ -308,3 +309,43 @@ class TestVerdictRule:
         verdicts = _verdicts(_residuals(helix, **values))
         assert {verdicts[name] for name in HELIX_VERDICTS} == {NOT_APPLICABLE}
         assert verdicts["thm41"] == (FAIL if values else PASS)
+
+
+def _lift_run(n: int, quadratic: bool):
+    spec = wcurve_lift(n, 64, quadratic)
+    trajectory = sample_along_curve(spec)
+    classification = classify_rows(trajectory, spec.tol_const)
+    residuals = verify_all(trajectory, classification)
+    payload = verdicts_payload(residuals, spec.tol_const, spec.tol_frame)
+    return spec, classification, residuals, {name: v["verdict"] for name, v in payload.items()}
+
+
+class TestOddDimensions:
+    """Verdicts of the W-curve lift at every odd n from 3 to 13, where both
+    closing identities (cor31, cor41) are taken at their highest index."""
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            *range(3, 12, 2),
+            pytest.param(13, marks=pytest.mark.xfail(strict=True, reason=(
+                "ROADMAP item 1: thm33 and cor41 FAIL at n = 13 against the absolute "
+                "tol_const (cor41 = 1.7e-8 > 1e-8) until residuals carry their scales"
+            ))),
+        ],
+    )  # fmt: skip
+    def test_helix_passes_every_verdict(self, n):
+        _, classification, _, verdicts = _lift_run(n, quadratic=False)
+        assert classification.helix and classification.slant
+        assert verdicts == dict.fromkeys(RULES, PASS)
+
+    @pytest.mark.parametrize("n", range(3, 14, 2))
+    def test_quadratic_twin_is_not_applicable(self, n):
+        spec, classification, residuals, verdicts = _lift_run(n, quadratic=True)
+        assert not classification.helix and not classification.slant
+        assert verdicts == dict.fromkeys(RULES, NOT_APPLICABLE)
+        # the closing identities still measure the twin's distance from a helix
+        margin = 1e7 * spec.tol_const
+        cor31, cor41 = residuals.values["cor31"], residuals.values["cor41"]
+        print(f"n = {n}: cor31 = {cor31:.3g}, cor41 = {cor41:.3g}, margin {margin:.3g}")
+        assert cor31 > margin and cor41 > margin
