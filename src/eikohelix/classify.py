@@ -111,18 +111,17 @@ class Classification:
     tol_const: float
 
 
-def constancy(values, tol: float) -> tuple[bool, float]:
-    """Spread-based constancy test with a relative-absolute hybrid threshold.
+def constancy(values, tol: float, scale: float) -> tuple[bool, float]:
+    """Spread-based constancy test: constant means max - min <= tol * scale.
 
-    Returns (is_const, max - min); constant means the spread is at most
-    tol * (1 + |mean|), so the test is scale-free for large values.
+    ``scale`` carries the units of the values, so the verdict does not
+    depend on them. Returns (is_const, max - min).
     """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise EmptyInput("constancy of an empty list")
     spread = float(arr.max() - arr.min())
-    mean = float(arr.mean())
-    return spread <= tol * (1.0 + abs(mean)), spread
+    return spread <= tol * scale, spread
 
 
 def sample_along_curve(spec: CurveSpec) -> Trajectory:
@@ -163,24 +162,31 @@ def _sample(spec: CurveSpec, grid: np.ndarray) -> Trajectory:
 
 
 def classify_rows(trajectory: Trajectory, tol_const: float) -> Classification:
-    """Classification from a sampled trajectory."""
+    """Classification from a sampled trajectory.
+
+    Each test compares with ``tol_const`` times a scale in the units of what
+    it tests: mean |grad f| for the three spreads and the two nonzero means,
+    and mean |grad f| / L for max |Hess f|, L = mean speed * (s_end - s_start).
+    """
     grad_norms = trajectory.grad_norm
     ip_tangents = trajectory.ip_tangent
     ip_lasts = trajectory.ip_last
 
     # an overflowing mean or spread raises EvalOverflow below
     with np.errstate(over="ignore"):
-        eikonal, spread_norm = constancy(grad_norms, tol_const)
-        tangent_const, spread_tangent = constancy(ip_tangents, tol_const)
-        last_const, spread_last = constancy(ip_lasts, tol_const)
-
         mean_norm = float(np.mean(grad_norms))
+        eikonal, spread_norm = constancy(grad_norms, tol_const, mean_norm)
+        tangent_const, spread_tangent = constancy(ip_tangents, tol_const, mean_norm)
+        last_const, spread_last = constancy(ip_lasts, tol_const, mean_norm)
+
         mean_tangent = float(np.mean(ip_tangents))
         mean_last = float(np.mean(ip_lasts))
 
-    helix = eikonal and tangent_const and abs(mean_tangent) > tol_const
-    slant = eikonal and last_const and abs(mean_last) > tol_const
-    parallel = float(trajectory.hessian_norm.max()) <= tol_const
+    small = tol_const * mean_norm
+    helix = eikonal and tangent_const and abs(mean_tangent) > small
+    slant = eikonal and last_const and abs(mean_last) > small
+    length = float(np.mean(trajectory.frenet.speed.value) * (trajectory.s[-1] - trajectory.s[0]))
+    parallel = float(trajectory.hessian_norm.max()) <= small / length
     aggregates = (mean_norm, mean_tangent, mean_last, spread_norm, spread_tangent, spread_last)
     if not all(map(math.isfinite, aggregates)):
         raise EvalOverflow(
@@ -211,5 +217,5 @@ def classify_rows(trajectory: Trajectory, tol_const: float) -> Classification:
 
 
 def classify(spec: CurveSpec) -> Classification:
-    """Sample the spec's curve and classify it against its field."""
+    """Sample the spec's curve and classify it against its field at its relative tol_const."""
     return classify_rows(sample_along_curve(spec), spec.tol_const)

@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument("--json", action="store_true", help="emit the JSON report")
         if name == "verify":
             command.add_argument("--table", action="store_true", help="include per-sample rows")
-            command.add_argument("--tol", type=_tolerance, help="verdict tolerance (default: spec tol_const)")
+            command.add_argument("--tol", type=_tolerance, help="verdict tolerance relative to each residual's scale (default: spec tol_const)")
         command.add_argument("--out", metavar="PATH", help="write the report to a file")
         command.set_defaults(func=cmd_report)
 

@@ -81,10 +81,10 @@ def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetD
 
     ``curve_jets`` holds the n component jets of the curve, each with the
     batch shape of ``s`` and order at least n+1. Raises NotRegular when the
-    speed falls below ``tol_frame``, DegenerateCurve(i) when the i-th
-    derivative is linearly dependent on its predecessors, and
-    DegenerateCurvature when a curvature falls below ``tol_frame``, each
-    for the first batch point that fails it.
+    speed falls below ``tol_frame``, DegenerateCurve(i) when Gram-Schmidt
+    leaves at most ``tol_frame`` times |alpha^(i)| of the i-th derivative,
+    and DegenerateCurvature when a curvature falls below ``tol_frame``,
+    each for the first batch point that fails it.
     """
     n = len(curve_jets)
     if n < 2:
@@ -112,7 +112,6 @@ def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetD
     speed = jet_sqrt(speed_sq)
 
     frame: list[Jet] = []
-    scale = 1.0  # running magnitude of the derivative vectors
     for i, deriv in enumerate(derivatives, start=1):
         vec = deriv
         # Gram-Schmidt and one reorthogonalization pass ("twice is enough").
@@ -122,9 +121,8 @@ def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetD
             for basis in frame:
                 vec = vec - jet_dot(vec, basis) * basis
         norm_sq = jet_dot(vec, vec)
-        scale = np.maximum(scale, np.sqrt((deriv.coeffs[0] ** 2).sum(axis=0)))
         raise_first(
-            norm_sq.coeffs[0] <= (tol_frame * scale) ** 2,
+            norm_sq.coeffs[0] <= tol_frame**2 * (deriv.coeffs[0] ** 2).sum(axis=0),
             lambda p: DegenerateCurve(i, value_at(s, p)),
         )
         frame.append(vec / jet_sqrt(norm_sq))

@@ -50,7 +50,7 @@ def residuals_payload(r: TheoremResiduals) -> dict:
     return {key: value if math.isfinite(value) else None for key, value in r.values.items()}
 
 
-# verdict -> (family, residual that must be <= tol, residual that must be > tol_frame)
+# verdict -> (family, residual that must be <= tol * its scale, residual that must be > tol_frame)
 VERDICT_RULES = {
     "thm31": ("helix", "sys_helix", None),
     "thm32": ("helix", "axis_helix", None),
@@ -66,15 +66,16 @@ VERDICT_RULES = {
 def verdicts_payload(residuals: TheoremResiduals, tol: float, tol_frame: float) -> dict:
     """PASS/FAIL by VERDICT_RULES, or NOT-APPLICABLE with the family's reason.
 
-    A nan residual fails its comparison, so its verdict is FAIL.
+    A residual passes when it is at most ``tol`` times its scale in
+    ``residuals.scales``; a nan residual fails, so its verdict is FAIL.
     """
-    values, payload = residuals.values, {}
+    values, scales, payload = residuals.values, residuals.scales, {}
     for name, (family, small, nonzero) in VERDICT_RULES.items():
         reason = residuals.reasons[family]
         if reason:
             payload[name] = {"verdict": NOT_APPLICABLE, "reason": reason}
         else:
-            ok = values[small] <= tol and (nonzero is None or values[nonzero] > tol_frame)
+            ok = values[small] <= tol * scales[small] and (nonzero is None or values[nonzero] > tol_frame)
             payload[name] = {"verdict": PASS if ok else FAIL}
     return payload
 

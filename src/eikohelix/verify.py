@@ -38,14 +38,16 @@ THETA_DEGENERATE = 1e-6
 
 @dataclass
 class TheoremResiduals:
-    """Grid maxima of every identity, and why a family's hypotheses fail.
+    """Grid maxima of every identity, their scales, and why a family's hypotheses fail.
 
-    ``values`` is keyed and ordered as the report's ``residuals`` block;
+    ``values`` is keyed and ordered as the report's ``residuals`` block, and
+    ``scales``, keyed alike, holds each residual's scale in its own units;
     ``reasons`` maps "helix" and "slant" to "" when the family's hypotheses
     hold and to the reason they fail otherwise.
     """
 
     values: dict[str, float]
+    scales: dict[str, float]
     reasons: dict[str, str]
     theta_degenerate: bool
 
@@ -55,7 +57,7 @@ def _reason(*checks: tuple[bool, str]) -> str:
 
 
 def verify_all(trajectory: Trajectory, classification: Classification) -> TheoremResiduals:
-    """Residuals of both families' identities over the grid."""
+    """Residuals of both families' identities over the grid, and their scales."""
     theta = classification.theta
     cos_theta = math.cos(theta) if theta is not None else 1.0
     theta_degenerate = theta is not None and abs(theta) < THETA_DEGENERATE
@@ -75,24 +77,28 @@ def verify_all(trajectory: Trajectory, classification: Classification) -> Theore
     axis_slant = frame[:, -1] + np.einsum("pi,pic->pc", Hstar[:, ::-1], frame[:, : n - 2])
     axis_slant *= ipn
 
-    values = {
+    grad_max = trajectory.grad_norm.max()
+    k = trajectory.frenet.curvature_values()
+    # key -> (grid maximum, scale in the residual's units; H and H* have none)
+    residuals = {
         # <V_{i+2}, grad f> = H_i <V1, grad f> for i = 1 .. n-2
-        "sys_helix": np.abs(projections[:, 2:] - H * trajectory.ip_tangent[:, None]).max(),
-        "axis_helix": row_norm(grad - axis_helix).max(),
-        "sumsq_helix_spread": np.ptp(harmonic.sumsq_H),
-        "tan_identity": np.abs(cos_theta**2 * (1.0 + harmonic.sumsq_H) - 1.0).max(),
-        "hn2_min": np.abs(H[:, -1]).min(),  # the characterization needs H_{n-2} nonzero
-        "cor31": harmonic.closing_H.max(),
+        "sys_helix": (np.abs(projections[:, 2:] - H * trajectory.ip_tangent[:, None]).max(), grad_max),
+        "axis_helix": (row_norm(grad - axis_helix).max(), grad_max),
+        "sumsq_helix_spread": (np.ptp(harmonic.sumsq_H), 1.0 + harmonic.sumsq_H.mean()),
+        "tan_identity": (np.abs(cos_theta**2 * (1.0 + harmonic.sumsq_H) - 1.0).max(), 1.0),
+        "hn2_min": (np.abs(H[:, -1]).min(), 1.0),  # the characterization needs H_{n-2} nonzero
+        # the closing step's operands: k_{n-1} H_{n-3} and V1[H_{n-2}]
+        "cor31": (harmonic.closing_H.max(), k[:, -1].max() * np.abs(H).max()),
         # <V_{n-(i+1)}, grad f> = H*_i <Vn, grad f> for i = 1 .. n-2
-        "sys_slant": np.abs(projections[:, n - 3 :: -1] - Hstar * ipn).max(),
-        "axis_slant": row_norm(grad - axis_slant).max(),
-        "sumsq_slant_spread": np.ptp(harmonic.sumsq_Hstar),
-        "hn2star_min": np.abs(Hstar[:, -1]).min(),
-        "cor41": harmonic.closing_Hstar.max(),
+        "sys_slant": (np.abs(projections[:, n - 3 :: -1] - Hstar * ipn).max(), grad_max),
+        "axis_slant": (row_norm(grad - axis_slant).max(), grad_max),
+        "sumsq_slant_spread": (np.ptp(harmonic.sumsq_Hstar), 1.0 + harmonic.sumsq_Hstar.mean()),
+        "hn2star_min": (np.abs(Hstar[:, -1]).min(), 1.0),
+        "cor41": (harmonic.closing_Hstar.max(), k[:, 0].max() * np.abs(Hstar).max()),
         # diagnostics: a parallel gradient stays orthogonal to V2 along a
         # helix and to V_{n-1} along a slant helix
-        "orth_v2": np.abs(projections[:, 1]).max(),
-        "orth_vn1": np.abs(projections[:, -2]).max(),
+        "orth_v2": (np.abs(projections[:, 1]).max(), grad_max),
+        "orth_vn1": (np.abs(projections[:, -2]).max(), grad_max),
     }
 
     not_parallel = (not classification.parallel_gradient, "gradient not parallel (Hessian nonzero along curve)")
@@ -108,7 +114,8 @@ def verify_all(trajectory: Trajectory, classification: Classification) -> Theore
         ),
     }
     return TheoremResiduals(
-        values={key: float(value) for key, value in values.items()},
+        values={key: float(value) for key, (value, _) in residuals.items()},
+        scales={key: float(scale) for key, (_, scale) in residuals.items()},
         reasons=reasons,
         theta_degenerate=theta_degenerate,
     )

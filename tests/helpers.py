@@ -848,6 +848,17 @@ def add_all(terms: list[Expr]) -> Expr:
     return acc
 
 
+def substitute(expr: Expr, leaf) -> Expr:
+    """``expr`` with every ``s`` and ``x_i`` node replaced by ``leaf(node)``."""
+    if isinstance(expr, (Param, Coord)):
+        return leaf(expr)
+    if isinstance(expr, Unary):
+        return Unary(expr.op, substitute(expr.child, leaf))
+    if isinstance(expr, Binary):
+        return Binary(expr.op, substitute(expr.left, leaf), substitute(expr.right, leaf))
+    return expr
+
+
 def random_expr(rng: np.random.Generator, depth: int, leaf: Expr) -> Expr:
     """A random safe expression over the given leaf symbol.
 

@@ -14,7 +14,6 @@ from eikohelix.dsl import (
     Constant,
     Coord,
     CurveSpec,
-    Unary,
     parse_curve_spec,
     parse_expr_text,
 )
@@ -27,7 +26,15 @@ from eikohelix.errors import (
     NotRegular,
 )
 
-from helpers import add_all, lin, linear_field, rotation, sample_point_by_point, wcurve_helix_r3
+from helpers import (
+    add_all,
+    lin,
+    linear_field,
+    rotation,
+    sample_point_by_point,
+    substitute,
+    wcurve_helix_r3,
+)
 
 PAPER_DOC = """\
 dimension = 3
@@ -49,20 +56,26 @@ samples = 128
 class TestConstancy:
     def test_identical_values(self):
         root5 = math.sqrt(5.0)
-        assert constancy([root5, root5, root5], 1e-8) == (True, 0.0)
+        assert constancy([root5, root5, root5], 1e-8, root5) == (True, 0.0)
 
     def test_forced_failure(self):
-        is_const, spread = constancy([1.0, 1.0 + 1e-3], 1e-8)
+        is_const, spread = constancy([1.0, 1.0 + 1e-3], 1e-8, 1.0)
         assert not is_const
         assert spread == pytest.approx(1e-3)
 
     def test_relative_scaling(self):
-        # spread 1e-4 counts as constant against values of magnitude 1e6
-        assert constancy([1e6, 1e6 + 1e-4], 1e-8)[0]
+        # the spread is compared with tol * scale, not with the values: 1e-4
+        # is constant against a scale of 1e6 and not against a scale of 1
+        assert constancy([1e6, 1e6 + 1e-4], 1e-8, 1e6)[0]
+        assert not constancy([1e6, 1e6 + 1e-4], 1e-8, 1.0)[0]
+        boundary = 1e-8 * 3.7
+        assert constancy([0.0, boundary], 1e-8, 3.7) == (True, boundary)
+        assert not constancy([0.0, math.nextafter(boundary, 1.0)], 1e-8, 3.7)[0]
+        assert not constancy([0.0, math.nan], 1e-8, 3.7)[0]
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            constancy([], 1e-8)
+            constancy([], 1e-8, 1.0)
 
 
 class TestSampling:
@@ -77,7 +90,7 @@ class TestSampling:
         for j in range(0, len(trajectory), 37):
             assert trajectory.grad_norm[j] == pytest.approx(root5, abs=1e-12)
             assert trajectory.ip_tangent[j] == pytest.approx(inv_sqrt2, abs=1e-12)
-        is_const, spread = constancy(trajectory.ip_tangent, 1e-8)
+        is_const, spread = constancy(trajectory.ip_tangent, 1e-8, trajectory.grad_norm.mean())
         assert is_const and spread <= 1e-10
 
     def test_varying_gradient_norm(self):
@@ -205,15 +218,17 @@ class TestClassify:
         for doc in (PAPER_DOC, HELIX345_FZ):
             c = classify(parse_curve_spec(doc))
             if c.helix:
-                assert c.eikonal and abs(c.ip_tangent) > c.tol_const
+                assert c.eikonal and abs(c.ip_tangent) > c.tol_const * c.grad_norm
             if c.slant:
-                assert c.eikonal and abs(c.ip_last) > c.tol_const
+                assert c.eikonal and abs(c.ip_last) > c.tol_const * c.grad_norm
 
 
 class TestInvariances:
     def test_field_scaling_changes_values_not_flags(self):
         base = classify(parse_curve_spec(PAPER_DOC))
-        for factor in (3.7, -2.2):
+        # the nonzero means and max |Hess f| are compared with tol_const times
+        # scales in their units, so 1e-9 keeps the helix flag and no parallel one
+        for factor in (3.7, -2.2, 1e-9, 1e9):
             doc = PAPER_DOC.replace(
                 '"x1^2 + x2 + x3^2"', f'"({factor})*(x1^2 + x2 + x3^2)"'
             )
@@ -242,28 +257,22 @@ class TestInvariances:
                 for i in range(3)
             )
 
-            def substitute(expr):
-                if isinstance(expr, Coord):
-                    j = expr.index - 1
-                    return add_all(
-                        [
-                            lin(
-                                rot[i, j],
-                                Binary("-", Coord(i + 1), Constant(float(shift[i]))),
-                            )
-                            for i in range(3)
-                        ]
-                    )
-                if isinstance(expr, Unary):
-                    return Unary(expr.op, substitute(expr.child))
-                if isinstance(expr, Binary):
-                    return Binary(expr.op, substitute(expr.left), substitute(expr.right))
-                return expr
+            def pulled_back(coord):
+                j = coord.index - 1
+                return add_all(
+                    [
+                        lin(
+                            rot[i, j],
+                            Binary("-", Coord(i + 1), Constant(float(shift[i]))),
+                        )
+                        for i in range(3)
+                    ]
+                )
 
             moved = CurveSpec(
                 dimension=3,
                 components=moved_components,
-                field=substitute(base_spec.field),
+                field=substitute(base_spec.field, pulled_back),
                 s_range=base_spec.s_range,
                 samples=base_spec.samples,
             )

@@ -235,7 +235,7 @@ class TestFuzzR4:
         assert r.values["cor31"] > 1e-4
 
 
-# verdict -> (residual that must be <= tol, residual that must be > tol_frame)
+# verdict -> (residual that must be <= tol * its scale, residual that must be > tol_frame)
 RULES = {
     "thm31": ("sys_helix", None),
     "thm32": ("axis_helix", None),
@@ -250,16 +250,21 @@ HELIX_VERDICTS = ("thm31", "thm32", "thm33", "cor31")
 TOL, TOL_FRAME = 1e-8, 1e-6
 
 
+VALUES = {
+    "sys_helix": 0.0, "axis_helix": 0.0, "sumsq_helix_spread": 0.0, "tan_identity": 0.0,
+    "hn2_min": 1.0, "cor31": 0.0, "sys_slant": 0.0, "axis_slant": 0.0,
+    "sumsq_slant_spread": 0.0, "hn2star_min": 1.0, "cor41": 0.0, "orth_v2": 0.0, "orth_vn1": 0.0,
+}  # fmt: skip
+# a distinct scale per key, none of them 1, so that a verdict reading the
+# wrong scale, or none, moves its boundary
+SCALES = {key: 0.3 * 1.9**i for i, key in enumerate(VALUES)}
+
+
 def _residuals(helix_reason: str = "", slant_reason: str = "", **changes) -> TheoremResiduals:
     """Residuals that PASS every verdict at TOL and TOL_FRAME, with ``changes`` applied."""
-    values = {
-        "sys_helix": 0.0, "axis_helix": 0.0, "sumsq_helix_spread": 0.0, "tan_identity": 0.0,
-        "hn2_min": 1.0, "cor31": 0.0, "sys_slant": 0.0, "axis_slant": 0.0,
-        "sumsq_slant_spread": 0.0, "hn2star_min": 1.0, "cor41": 0.0, "orth_v2": 0.0, "orth_vn1": 0.0,
-    }  # fmt: skip
-    assert changes.keys() <= values.keys()
-    values.update(changes)
-    return TheoremResiduals(values, {"helix": helix_reason, "slant": slant_reason}, False)
+    assert changes.keys() <= VALUES.keys()
+    values = {**VALUES, **changes}
+    return TheoremResiduals(values, SCALES, {"helix": helix_reason, "slant": slant_reason}, False)
 
 
 def _verdicts(residuals: TheoremResiduals) -> dict[str, str]:
@@ -273,8 +278,9 @@ class TestVerdictRule:
     @pytest.mark.parametrize("verdict", RULES)
     def test_residual_at_tol_passes(self, verdict):
         small, _ = RULES[verdict]
-        assert _verdicts(_residuals(**{small: TOL})) == dict.fromkeys(RULES, PASS)
-        above = _verdicts(_residuals(**{small: math.nextafter(TOL, math.inf)}))
+        boundary = TOL * SCALES[small]
+        assert _verdicts(_residuals(**{small: boundary})) == dict.fromkeys(RULES, PASS)
+        above = _verdicts(_residuals(**{small: math.nextafter(boundary, math.inf)}))
         assert above == {**dict.fromkeys(RULES, PASS), verdict: FAIL}
 
     @pytest.mark.parametrize("verdict", ["thm33", "thm43"])
@@ -329,8 +335,8 @@ class TestOddDimensions:
         [
             *range(3, 12, 2),
             pytest.param(13, marks=pytest.mark.xfail(strict=True, reason=(
-                "ROADMAP item 1: thm33 and cor41 FAIL at n = 13 against the absolute "
-                "tol_const (cor41 = 1.7e-8 > 1e-8) until residuals carry their scales"
+                "cor41 FAILs at n = 13: 1.6e-8 of its scale k_1 max|H*|, above tol_const "
+                "= 1e-8; that is the float64 rounding floor (ROADMAP items 3 and 7)"
             ))),
         ],
     )  # fmt: skip
