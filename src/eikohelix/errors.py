@@ -146,7 +146,7 @@ class FrameError(EikohelixError):
 
 
 class NotRegular(FrameError):
-    """Curve speed fell below the degeneracy threshold."""
+    """The curve stops: alpha' = 0, so the frame has no tangent."""
 
 
 class DegenerateCurve(FrameError):
@@ -158,7 +158,7 @@ class DegenerateCurve(FrameError):
 
 
 class DegenerateCurvature(FrameError):
-    """A curvature value fell below the degeneracy threshold."""
+    """A curvature the harmonic families divide by is not positive, or is nan."""
 
 
 class InsufficientOrder(EikohelixError):

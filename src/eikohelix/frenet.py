@@ -2,14 +2,15 @@
 
 The frame V1..Vn comes from modified Gram-Schmidt (with one
 reorthogonalization pass) applied to the derivative vectors
-alpha', alpha'', ..., alpha^(n), all in jet arithmetic. Curvatures are
-k_i = <V_i', V_{i+1}> / speed, which makes every k_i strictly positive for
-a nondegenerate curve and keeps curvature derivatives exact.
+alpha', alpha'', ..., alpha^(n), all in jet arithmetic. Its one degeneracy
+test, at each step i, is relative to |alpha^(i)| and so free of units:
+step 1 gives the speed, and step i + 1 keeps k_i > 0 in
+k_i = <V_i', V_{i+1}> / speed, which keeps curvature derivatives exact.
 
 The construction runs on a whole batch of parameter values at once (a
 sample grid, or a single point as batch shape ``()``): a vector of jets is
 one :class:`Jet` whose first batch axis runs over the n components. Each
-degeneracy check raises for the first batch point at which it fails.
+check raises for the first batch point at which it fails.
 
 Curves need not be unit speed: every parameter derivative that feeds a
 frame-relative rate is divided by the speed jet.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCurve, DegenerateCurvature, NotRegular, raise_first, value_at
+from .errors import DegenerateCurve, EvalOverflow, NotRegular, raise_first, value_at
 from .jets import Jet, frame_jet_order, jet_dot, jet_sqrt
 
 
@@ -80,11 +81,11 @@ def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetD
     """Build the Frenet frame and curvatures from component jets.
 
     ``curve_jets`` holds the n component jets of the curve, each with the
-    batch shape of ``s`` and order at least n+1. Raises NotRegular when the
-    speed falls below ``tol_frame``, DegenerateCurve(i) when Gram-Schmidt
-    leaves at most ``tol_frame`` times |alpha^(i)| of the i-th derivative,
-    and DegenerateCurvature when a curvature falls below ``tol_frame``,
-    each for the first batch point that fails it.
+    batch shape of ``s`` and order at least n+1. Raises EvalOverflow when
+    |alpha^(i)|^2 or the squared norm Gram-Schmidt leaves of alpha^(i) is not
+    finite, and DegenerateCurve(i) when that norm is at most ``tol_frame``
+    times |alpha^(i)| (NotRegular at i = 1, where it means alpha' = 0), each
+    for the first batch point that fails it.
     """
     n = len(curve_jets)
     if n < 2:
@@ -101,42 +102,34 @@ def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetD
         current = current.derivative()
         derivatives.append(current.truncate(min(current.order, budget)))
 
-    speed_sq = jet_dot(derivatives[0], derivatives[0])
-    raise_first(
-        speed_sq.coeffs[0] <= tol_frame * tol_frame,
-        lambda p: NotRegular(
-            f"curve speed {math.sqrt(max(value_at(speed_sq.coeffs[0], p), 0.0))!r} below threshold",
-            value_at(s, p),
-        ),
-    )
-    speed = jet_sqrt(speed_sq)
-
     frame: list[Jet] = []
-    for i, deriv in enumerate(derivatives, start=1):
-        vec = deriv
-        # Gram-Schmidt and one reorthogonalization pass ("twice is enough").
-        # With one pass max |V V^T - I| reaches 9e-12 at n = 13 (2e-15 at
-        # n = 5) instead of 7e-16, and n = 4 residuals grow tenfold.
-        for _ in range(2):
-            for basis in frame:
-                vec = vec - jet_dot(vec, basis) * basis
-        norm_sq = jet_dot(vec, vec)
-        raise_first(
-            norm_sq.coeffs[0] <= tol_frame**2 * (deriv.coeffs[0] ** 2).sum(axis=0),
-            lambda p: DegenerateCurve(i, value_at(s, p)),
-        )
-        frame.append(vec / jet_sqrt(norm_sq))
+    with np.errstate(all="ignore"):  # an overflow raises EvalOverflow below
+        for i, deriv in enumerate(derivatives, start=1):
+            vec = deriv
+            # Gram-Schmidt and one reorthogonalization pass ("twice is enough").
+            # With one pass max |V V^T - I| reaches 9e-12 at n = 13 (2e-15 at
+            # n = 5) instead of 7e-16, and n = 4 residuals grow tenfold.
+            for _ in range(2):
+                for basis in frame:
+                    vec = vec - jet_dot(vec, basis) * basis
+            norm_sq = jet_dot(vec, vec)
+            deriv_sq = (deriv.coeffs[0] ** 2).sum(axis=0)
+            raise_first(
+                ~(np.isfinite(deriv_sq) & np.isfinite(norm_sq.coeffs).all(axis=0)),
+                lambda p: EvalOverflow(f"derivative {i} of the curve overflows in the frame"),
+            )
+            raise_first(
+                norm_sq.coeffs[0] <= tol_frame**2 * deriv_sq,
+                lambda p: DegenerateCurve(i, value_at(s, p)) if i > 1 else NotRegular(
+                    f"curve speed {math.sqrt(value_at(norm_sq.coeffs[0], p))!r} below threshold", value_at(s, p)
+                ),
+            )
+            norm = jet_sqrt(norm_sq)
+            frame.append(vec / norm)
+            if i == 1:
+                speed = norm
 
-    curvatures: list[Jet] = []
-    for i in range(n - 1):
-        k = jet_dot(frame[i].derivative(), frame[i + 1]) / speed
-        raise_first(
-            k.coeffs[0] <= tol_frame,
-            lambda p: DegenerateCurvature(
-                f"curvature k{i + 1} = {value_at(k.coeffs[0], p)!r} below threshold",
-                value_at(s, p),
-            ),
-        )
-        curvatures.append(k)
+        # each k_i > 0, as step i + 1 above left V_{i+1} a positive share
+        curvatures = [jet_dot(frame[i].derivative(), frame[i + 1]) / speed for i in range(n - 1)]
 
     return FrenetData(s=s if s is not None else 0.0, speed=speed, frame=frame, curvatures=curvatures)

@@ -116,6 +116,16 @@ class TestErrorReports:
         err = capsys.readouterr().err
         assert "derivative 3 linearly dependent on predecessors (at s = 1.0)" in err
 
+    def test_overflow_in_the_frame(self, tmp_path):
+        # |alpha'|^2 = 2e400: one error line, no numpy RuntimeWarning ahead
+        # of it, and not reported as a dependent derivative
+        path = _write_spec(tmp_path, '["1e200*cos(s)", "1e200*sin(s)", "1e200*s"]', "x3", "[0, 6]")
+        result = run_cli("verify", path)
+        assert result.returncode == 3
+        assert result.stderr == (
+            "error: derivative 1 of the curve overflows in the frame (while sampling at s = 0.0)\n"
+        )
+
 
 class TestSpecErrors:
     @pytest.mark.parametrize(

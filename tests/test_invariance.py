@@ -31,6 +31,7 @@ from eikohelix.dsl import (
     parse_curve_spec,
     parse_expr_text,
 )
+from eikohelix.errors import EvalOverflow
 from eikohelix.report import NOT_APPLICABLE, PASS, VERDICT_RULES, verdicts_payload
 from eikohelix.verify import verify_all
 
@@ -139,9 +140,13 @@ def test_field_affine_map(name, exponent, sign, offset):
 
 @pytest.mark.parametrize("name", CASES)
 @FEW
-@given(scale=_decades(-6, 6), seed=st.integers(0, 2**32 - 1))
+@given(scale=_decades(-30, 30), seed=st.integers(0, 2**32 - 1))
 @example(scale=1e-6, seed=1)
 @example(scale=1e6, seed=2)
+@example(scale=1e-12, seed=3)
+@example(scale=1e12, seed=4)
+@example(scale=1e-30, seed=5)
+@example(scale=1e30, seed=6)
 def test_similarity_map(name, scale, seed):
     """alpha -> scale*Q*alpha + b, with the field carried along as
     f(Q^T (x - b) / scale), for a rotation Q and b from the seed."""
@@ -166,12 +171,26 @@ def test_similarity_map(name, scale, seed):
 
 @pytest.mark.parametrize("name", CASES)
 @FEW
-@given(rate=_decades(-6, 6), shift=st.floats(-10, 10))
+@given(rate=_decades(-6, 12), shift=st.floats(-10, 10))
 @example(rate=1e-6, shift=10.0)
 @example(rate=1e6, shift=-10.0)
+@example(rate=1e12, shift=-10.0)
 def test_affine_reparametrisation(name, rate, shift):
-    """s -> rate*s + shift, with s_range mapped to match."""
+    """s -> rate*s + shift, with s_range mapped to match.
+
+    The rate stays at or above 1e-6 for a float64 reason: alpha^(2n-2), the
+    highest curve derivative the frame takes, grows like rate^-(2n-2), so
+    at n = 11 a rate of 1e-12 overflows it (test_rate_below_range_overflows).
+    """
     _assert_unchanged(name, _reparametrised(_base(name)[0], rate, shift))
+
+
+def test_rate_below_range_overflows():
+    # the n = 11 lift at rate 1e-12 carries derivatives near 1e12^20 = 1e240,
+    # whose squares leave the float range inside Gram-Schmidt
+    spec = _reparametrised(wcurve_lift(11, SAMPLES), 1e-12, 0.0)
+    with pytest.raises(EvalOverflow, match="overflows in the frame"):
+        sample_along_curve(spec)
 
 
 # ------------------------------------------------- defects of absolute tolerances
@@ -203,6 +222,16 @@ class TestNamedDefects:
         # the helix family stays out through the theta ~ 0 guard
         aligned = {"verdict": NOT_APPLICABLE, "reason": "axis aligned with tangent (theta ~ 0)"}
         assert payload == {name: aligned if name in HELIX_VERDICTS else {"verdict": PASS} for name in VERDICT_RULES}
+
+    @pytest.mark.parametrize("scale", [1e-11, 1e11, 1e-100, 1e100])
+    def test_scaled_helix_is_regular(self, scale):
+        # the curve scaled by `scale`, the field carried along as x3 / scale;
+        # each exited 3 while the frame tested the speed (NotRegular) and each
+        # k_i (DegenerateCurvature) against tol_frame absolutely
+        spec = parse_curve_spec(catalog.get("helix345_fz").document)
+        curve = tuple(lin(scale, c) for c in spec.components)
+        scaled = replace(spec, components=curve, field=lin(1.0 / scale, spec.field))
+        assert _outcome(scaled)[1] == dict.fromkeys(VERDICT_RULES, PASS)
 
     def test_reparametrised_lift_is_not_degenerate(self, tmp_path, capsys):
         # after s -> 100*s + 5, Gram-Schmidt leaves 1.9e-11 of alpha^(6) at
