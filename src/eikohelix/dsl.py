@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+import re
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -34,6 +36,10 @@ DEFAULT_SAMPLES = 512
 DEFAULT_TOL_CONST = 1e-8
 DEFAULT_TOL_FRAME = 1e-10
 _MAX_DEPTH = 100  # deepest expression tree and nesting the parser accepts
+# the binary operators on floats, jets and field duals alike
+BINARY_OPERATORS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": operator.pow
+}
 
 
 # --------------------------------------------------------------------- AST
@@ -98,15 +104,7 @@ def constant_value(expr: Expr) -> float:
             return -v
         return getattr(math, "log" if expr.op == "ln" else expr.op)(v)
     if isinstance(expr, Binary):
-        a = constant_value(expr.left)
-        b = constant_value(expr.right)
-        return {
-            "+": lambda: a + b,
-            "-": lambda: a - b,
-            "*": lambda: a * b,
-            "/": lambda: a / b,
-            "^": lambda: a**b,
-        }[expr.op]()
+        return BINARY_OPERATORS[expr.op](constant_value(expr.left), constant_value(expr.right))
     raise ExprSyntaxError("expression is not constant")
 
 
@@ -120,63 +118,35 @@ class Token:
     position: int
 
 
-_OP_CHARS = "+-*/^"
+# one named group per token kind, tried in order; without re.ASCII, \d is
+# str.isdecimal (the digits float accepts) and \w is str.isalnum or "_"
+_TOKEN = re.compile(
+    r"(?P<space>[ \t\r\n]+)|(?P<op>[-+*/^])|(?P<lparen>\()|(?P<rparen>\))"
+    r"|(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?)|(?P<ident>\w+)"
+)
 
 
 def tokenize(source: str) -> list[Token]:
     """Split an expression source string into tokens.
 
     Numbers support decimal and exponent notation, with the digits
-    ``float`` accepts (``str.isdecimal``; "²" is illegal). Identifiers are
-    alphanumeric starting with a letter. Raises IllegalCharacter with the
-    0-based offset of the first unrecognized character.
+    ``float`` accepts (``str.isdecimal``; "²" is illegal); an exponent needs
+    a digit, so ``2e`` is a number and a word. A word is ``str.isalnum``
+    characters and ``_``, starting with a letter or ``_``. Whitespace is
+    space, tab, CR and LF. Raises IllegalCharacter with the 0-based offset
+    of the first unrecognized character.
     """
     tokens: list[Token] = []
     i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch in _OP_CHARS:
-            tokens.append(Token("op", ch, i))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(Token("lparen", ch, i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(Token("rparen", ch, i))
-            i += 1
-            continue
-        if ch.isdecimal() or (ch == "." and i + 1 < n and source[i + 1].isdecimal()):
-            start = i
-            while i < n and source[i].isdecimal():
-                i += 1
-            if i < n and source[i] == ".":
-                i += 1
-                while i < n and source[i].isdecimal():
-                    i += 1
-            if i < n and source[i] in "eE":
-                j = i + 1
-                if j < n and source[j] in "+-":
-                    j += 1
-                if j < n and source[j].isdecimal():
-                    i = j
-                    while i < n and source[i].isdecimal():
-                        i += 1
-            tokens.append(Token("num", source[start:i], start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            tokens.append(Token("ident", source[start:i], start))
-            continue
-        raise IllegalCharacter(ch, i)
-    tokens.append(Token("end", "", n))
+    while i < len(source):
+        match = _TOKEN.match(source, i)
+        kind = match and match.lastgroup
+        if kind is None or (kind == "ident" and not (source[i].isalpha() or source[i] == "_")):
+            raise IllegalCharacter(source[i], i)
+        if kind != "space":
+            tokens.append(Token(kind, match.group(), i))
+        i = match.end()
+    tokens.append(Token("end", "", len(source)))
     return tokens
 
 
@@ -454,29 +424,19 @@ def _parse_scalar(text: str, line: int):
 
 
 def _split_list(body: str, line: int) -> list[str]:
-    items: list[str] = []
-    depth = 0
-    in_string = False
-    current = ""
-    for ch in body:
-        if in_string:
-            current += ch
-            if ch == '"':
-                in_string = False
-            continue
-        if ch == '"':
-            in_string = True
-            current += ch
-        elif ch == "," and depth == 0:
+    """Split a list body on the commas outside strings and brackets."""
+    items, current, depth = [], "", 0
+    # a whole string, a run of plain characters, or one of '",()[]'
+    for piece in re.findall(r'"[^"]*"|[^",()\[\]]+|.', body):
+        if piece == '"':  # no closing quote follows
+            raise SpecDocumentError("unterminated list or string", line)
+        if piece == "," and depth == 0:
             items.append(current)
             current = ""
-        else:
-            if ch in "([":
-                depth += 1
-            elif ch in ")]":
-                depth -= 1
-            current += ch
-    if in_string or depth != 0:
+            continue
+        depth += (piece in ("(", "[")) - (piece in (")", "]"))
+        current += piece
+    if depth != 0:
         raise SpecDocumentError("unterminated list or string", line)
     if current.strip():
         items.append(current)

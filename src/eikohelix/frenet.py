@@ -6,6 +6,8 @@ alpha', alpha'', ..., alpha^(n), all in jet arithmetic. Its one degeneracy
 test, at each step i, is relative to |alpha^(i)| and so free of units:
 step 1 gives the speed, and step i + 1 keeps k_i > 0 in
 k_i = <V_i', V_{i+1}> / speed, which keeps curvature derivatives exact.
+Each step first scales alpha^(i) by a power of two near its size, so the
+size of a curve neither overflows nor underflows the squares it takes.
 
 The construction runs on a whole batch of parameter values at once (a
 sample grid, or a single point as batch shape ``()``): a vector of jets is
@@ -23,7 +25,6 @@ leaves the last harmonic curvatures of both families at order 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,11 +82,15 @@ def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetD
     """Build the Frenet frame and curvatures from component jets.
 
     ``curve_jets`` holds the n component jets of the curve, each with the
-    batch shape of ``s`` and order at least n+1. Raises EvalOverflow when
-    |alpha^(i)|^2 or the squared norm Gram-Schmidt leaves of alpha^(i) is not
-    finite, and DegenerateCurve(i) when that norm is at most ``tol_frame``
-    times |alpha^(i)| (NotRegular at i = 1, where it means alpha' = 0), each
-    for the first batch point that fails it.
+    batch shape of ``s`` and order at least n+1. Step i first divides
+    alpha^(i) at each point by 2^e, e the binary exponent of its largest
+    value component: a power of two is exact, so the frame, speed and
+    curvatures keep their bits while the squares stay in float64's range.
+    Raises EvalOverflow when |alpha^(i)|^2 or the squared norm Gram-Schmidt
+    leaves of alpha^(i) is not finite after that scaling, and
+    DegenerateCurve(i) when that norm is at most ``tol_frame`` times
+    |alpha^(i)| (NotRegular at i = 1, where it means alpha' = 0), each for
+    the first batch point that fails it.
     """
     n = len(curve_jets)
     if n < 2:
@@ -105,7 +110,8 @@ def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetD
     frame: list[Jet] = []
     with np.errstate(all="ignore"):  # an overflow raises EvalOverflow below
         for i, deriv in enumerate(derivatives, start=1):
-            vec = deriv
+            exponent = np.frexp(np.abs(deriv.coeffs[0]).max(axis=0))[1]
+            deriv = vec = Jet(np.ldexp(deriv.coeffs, -exponent))
             # Gram-Schmidt and one reorthogonalization pass ("twice is enough").
             # With one pass max |V V^T - I| reaches 9e-12 at n = 13 (2e-15 at
             # n = 5) instead of 7e-16, and n = 4 residuals grow tenfold.
@@ -121,13 +127,14 @@ def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetD
             raise_first(
                 norm_sq.coeffs[0] <= tol_frame**2 * deriv_sq,
                 lambda p: DegenerateCurve(i, value_at(s, p)) if i > 1 else NotRegular(
-                    f"curve speed {math.sqrt(value_at(norm_sq.coeffs[0], p))!r} below threshold", value_at(s, p)
+                    f"curve speed {value_at(np.ldexp(np.sqrt(norm_sq.coeffs[0]), exponent), p)!r} below threshold",
+                    value_at(s, p),
                 ),
             )
             norm = jet_sqrt(norm_sq)
             frame.append(vec / norm)
             if i == 1:
-                speed = norm
+                speed = Jet(np.ldexp(norm.coeffs, exponent))
 
         # each k_i > 0, as step i + 1 above left V_{i+1} a positive share
         curvatures = [jet_dot(frame[i].derivative(), frame[i + 1]) / speed for i in range(n - 1)]

@@ -46,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dsl import Binary, Constant, Coord, CurveSpec, Expr, Param, Unary, constant_value
+from .dsl import BINARY_OPERATORS, Binary, Constant, Coord, CurveSpec, Expr, Param, Unary, constant_value
 from .errors import (
     EvalDomainError,
     EvalOverflow,
@@ -357,12 +357,13 @@ def jet_sqrt(u: Jet) -> Jet:
 def jet_pow(u: Jet, exponent: float) -> Jet:
     """u raised to a constant real power.
 
-    Integer exponents are exact for any base via repeated multiplication;
-    fractional exponents require a positive value coefficient.
+    Every integer exponent, however large, goes by square-and-multiply, so
+    it takes any base, as the field duals' power does; fractional exponents
+    require a positive value coefficient.
     """
     if exponent == 0:
         return jet_constant(1.0, u.order)
-    if float(exponent).is_integer() and abs(exponent) <= 64:
+    if float(exponent).is_integer():
         p = int(exponent)
         if p < 0:
             return jet_div(jet_constant(1.0, u.order), jet_pow(u, -p))
@@ -584,7 +585,7 @@ class _JetAlgebra:
             if quotient is not None:
                 return quotient
         full = self.lift(c)
-        return _BINARY[op](full, u) if left_const else _BINARY[op](u, full)
+        return BINARY_OPERATORS[op](full, u) if left_const else BINARY_OPERATORS[op](u, full)
 
 
 class _DualAlgebra:
@@ -626,10 +627,7 @@ class _DualAlgebra:
 
     @staticmethod
     def mixed(op: str, a: _Dual2, b: _Dual2, left_const: bool) -> _Dual2:
-        return _BINARY[op](a, b)
-
-
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+        return BINARY_OPERATORS[op](a, b)
 
 
 class _Dag:
@@ -731,7 +729,7 @@ def _evaluate(exprs, algebra):
                 if node.op == "^":
                     value = algebra.power(x, constant_value(node.right))
                 elif const[args[0]] == const[args[1]]:
-                    value = _BINARY[node.op](x, values[args[1]])
+                    value = BINARY_OPERATORS[node.op](x, values[args[1]])
                 else:
                     value = algebra.mixed(node.op, x, values[args[1]], const[args[0]])
             elif cls is Unary:

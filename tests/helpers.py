@@ -19,9 +19,10 @@ its batch axes moved last, as the reference for that layout;
 ``reference_lemma_residuals`` write the two harmonic families apart, as
 the reference for their one recurrence; ``ReferenceExprParser`` parses
 ``+ - * /`` with one method per precedence level, as the reference for the
-parser's one precedence-climbing loop; and
-``reference_format_curve_spec`` writes a document line by line, as the
-reference for the one document writer.
+parser's one precedence-climbing loop; ``reference_tokenize`` and
+``reference_split_list`` scan one character at a time, as the reference for
+the scanners' compiled patterns; and ``reference_format_curve_spec`` writes
+a document line by line, as the reference for the one document writer.
 """
 
 from __future__ import annotations
@@ -58,8 +59,10 @@ from eikohelix.errors import (
     EvalOverflow,
     ExprSyntaxError,
     FrameError,
+    IllegalCharacter,
     InsufficientOrder,
     JetDivisionByZero,
+    SpecDocumentError,
     UnknownIdentifier,
     WrongSymbolKind,
     raise_first,
@@ -261,6 +264,88 @@ class ReferenceExprParser:
                 raise CoordOutOfRange(index, self.dimension, tok.position)
             return Coord(index), 1
         raise UnknownIdentifier(name, tok.position)
+
+
+def reference_tokenize(source: str) -> list[Token]:
+    """``tokenize`` as a loop over characters."""
+    tokens: list[Token] = []
+    i = 0
+    n = len(source)
+    while i < n:
+        ch = source[i]
+        if ch in " \t\r\n":
+            i += 1
+            continue
+        if ch in "+-*/^":
+            tokens.append(Token("op", ch, i))
+            i += 1
+            continue
+        if ch == "(":
+            tokens.append(Token("lparen", ch, i))
+            i += 1
+            continue
+        if ch == ")":
+            tokens.append(Token("rparen", ch, i))
+            i += 1
+            continue
+        if ch.isdecimal() or (ch == "." and i + 1 < n and source[i + 1].isdecimal()):
+            start = i
+            while i < n and source[i].isdecimal():
+                i += 1
+            if i < n and source[i] == ".":
+                i += 1
+                while i < n and source[i].isdecimal():
+                    i += 1
+            if i < n and source[i] in "eE":
+                j = i + 1
+                if j < n and source[j] in "+-":
+                    j += 1
+                if j < n and source[j].isdecimal():
+                    i = j
+                    while i < n and source[i].isdecimal():
+                        i += 1
+            tokens.append(Token("num", source[start:i], start))
+            continue
+        if ch.isalpha() or ch == "_":
+            start = i
+            while i < n and (source[i].isalnum() or source[i] == "_"):
+                i += 1
+            tokens.append(Token("ident", source[start:i], start))
+            continue
+        raise IllegalCharacter(ch, i)
+    tokens.append(Token("end", "", n))
+    return tokens
+
+
+def reference_split_list(body: str, line: int) -> list[str]:
+    """``dsl._split_list`` as a loop over characters."""
+    items: list[str] = []
+    depth = 0
+    in_string = False
+    current = ""
+    for ch in body:
+        if in_string:
+            current += ch
+            if ch == '"':
+                in_string = False
+            continue
+        if ch == '"':
+            in_string = True
+            current += ch
+        elif ch == "," and depth == 0:
+            items.append(current)
+            current = ""
+        else:
+            if ch in "([":
+                depth += 1
+            elif ch in ")]":
+                depth -= 1
+            current += ch
+    if in_string or depth != 0:
+        raise SpecDocumentError("unterminated list or string", line)
+    if current.strip():
+        items.append(current)
+    return items
 
 
 def reference_format_curve_spec(spec: CurveSpec) -> str:
@@ -525,7 +610,7 @@ def reference_jet_pow(u: Jet, exponent: float) -> Jet:
     constant jet 1, squaring once more after the last bit."""
     if exponent == 0:
         return jet_constant(1.0, u.order)
-    if float(exponent).is_integer() and abs(exponent) <= 64:
+    if float(exponent).is_integer():
         p = int(exponent)
         if p < 0:
             return jet_div(jet_constant(1.0, u.order), reference_jet_pow(u, -p))

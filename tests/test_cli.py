@@ -117,9 +117,11 @@ class TestErrorReports:
         assert "derivative 3 linearly dependent on predecessors (at s = 1.0)" in err
 
     def test_overflow_in_the_frame(self, tmp_path):
-        # |alpha'|^2 = 2e400: one error line, no numpy RuntimeWarning ahead
-        # of it, and not reported as a dependent derivative
-        path = _write_spec(tmp_path, '["1e200*cos(s)", "1e200*sin(s)", "1e200*s"]', "x3", "[0, 6]")
+        # at s = 0, alpha' = (1 + 2e200*s, -sin(s), cos(s)) has values near 1,
+        # so the frame's rescaling halves it and |alpha'|^2 still has a Taylor
+        # coefficient near (1e200)^2 = 1e400: one error line, no numpy
+        # RuntimeWarning ahead of it, and not reported as a dependent derivative
+        path = _write_spec(tmp_path, '["s + 1e200*s^2", "cos(s)", "sin(s)"]', "x3", "[0, 6]")
         result = run_cli("verify", path)
         assert result.returncode == 3
         assert result.stderr == (

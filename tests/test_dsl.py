@@ -24,6 +24,7 @@ from eikohelix.dsl import (
     Param,
     Unary,
     _ExprParser,
+    _split_list,
     constant_value,
     format_curve_spec,
     format_expr,
@@ -53,6 +54,8 @@ from helpers import (
     nonhelix_r3,
     random_expr,
     reference_format_curve_spec,
+    reference_split_list,
+    reference_tokenize,
     wcurve_helix_r3,
     wcurve_lift,
 )
@@ -112,6 +115,37 @@ class TestTokenize:
     def test_positions_recorded(self):
         tokens = tokenize("s + 12")
         assert [t.position for t in tokens[:-1]] == [0, 2, 4]
+
+    @pytest.mark.parametrize(
+        "source, tokens",
+        [
+            ("1.e5", [("num", "1.e5", 0)]),
+            (".5", [("num", ".5", 0)]),
+            ("5.", [("num", "5.", 0)]),
+            # an exponent needs a digit; without one the "e" starts a word
+            ("2e", [("num", "2", 0), ("ident", "e", 1)]),
+            ("1e+", [("num", "1", 0), ("ident", "e", 1), ("op", "+", 2)]),
+            ("1.2.3", [("num", "1.2", 0), ("num", ".3", 3)]),
+            ("_x1", [("ident", "_x1", 0)]),
+            ("x_1", [("ident", "x_1", 0)]),
+            ("é", [("ident", "é", 0)]),
+            ("xⅫ", [("ident", "xⅫ", 0)]),
+        ],
+    )
+    def test_token_boundaries(self, source, tokens):
+        found = tokenize(source)
+        assert [(t.kind, t.text, t.position) for t in found] == [*tokens, ("end", "", len(source))]
+
+    @pytest.mark.parametrize(
+        "source, char, position",
+        [("²x", "²", 0), ("½", "½", 0), ("Ⅻ", "Ⅻ", 0), ("s\f1", "\f", 1), ("s\v1", "\v", 1), ("s + .", ".", 4)],
+    )
+    def test_illegal_first_characters(self, source, char, position):
+        # a word starts with a letter or "_"; whitespace is " \t\r\n" only
+        with pytest.raises(IllegalCharacter) as exc_info:
+            tokenize(source)
+        assert (exc_info.value.char, exc_info.value.position) == (char, position)
+        assert str(exc_info.value) == f"illegal character {char!r} (at offset {position})"
 
 
 class TestParseExpression:
@@ -300,6 +334,32 @@ class TestParseCurveSpec:
         spec = parse_curve_spec(EXAMPLE_DOC)
         assert parse_curve_spec(format_curve_spec(spec)) == spec
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("[0, 12.566]", '[0, "]', "unterminated list or string (line 4)"),
+            ('"sin(s/sqrt(2))"]', '"sin(s/sqrt(2))]', "unterminated list or string (line 2)"),
+            ("[0, 12.566]", "[(1, 2)]", "cannot parse value '(1, 2)' (line 4)"),
+            ("[0, 12.566]", "[1, 2]]", "unterminated list or string (line 4)"),
+            ("[0, 12.566]", "[1,, 2]", "cannot parse value '' (line 4)"),
+            ('"x1^2 + x2 + x3^2"', '"a" "b"', "in expression 'a\" \"b': illegal character '\"' (at offset 1) (line 3)"),
+            ('"x1^2 + x2 + x3^2"', '"', "cannot parse value '\"' (line 3)"),
+            ("samples = 512", "samples 512", "expected 'key = value', got 'samples 512' (line 5)"),
+            ("samples = 512", "1key = 1", "bad key '1key' (line 5)"),
+            ("samples = 512", "field = 1", "duplicate key 'field' (line 5)"),
+            ("samples = 512", "extra = 1", "unknown key 'extra' (line 5)"),
+        ],
+    )
+    def test_malformed_documents(self, old, new, message):
+        assert old in EXAMPLE_DOC
+        with pytest.raises(SpecDocumentError) as exc_info:
+            parse_curve_spec(EXAMPLE_DOC.replace(old, new))
+        assert str(exc_info.value) == message
+        assert exc_info.value.line == int(message.rsplit(" ", 1)[1][:-1])
+
+    def test_trailing_comma_in_list(self):
+        assert parse_curve_spec(EXAMPLE_DOC.replace("[0, 12.566]", "[1, 2,]")).s_range == (1.0, 2.0)
+
 
 # ------------------------------------------------- property-based checks
 
@@ -454,6 +514,45 @@ class TestOneOperatorLoop:
             source = make(k)
             new = _outcome(_ExprParser, source, kind, 3)
             assert new == _outcome(ReferenceExprParser, source, kind, 3), (shape, k)
+
+
+# every branch of both scanners, with digits, letters and numerics beyond
+# ASCII and the whitespace that the tokenizer refuses
+_TOKEN_CHARS = [*"0123456789.eE+-*/^() \t\r\nxs_@", "٣", "𝟘", "²", "½", "Ⅻ", "é", "\f", "\v"]
+_LIST_CHARS = '",()[] a1.\t-é'
+
+
+def _scanned(scanner, *args):
+    """The scanner's result, or the error's type, message and offset."""
+    try:
+        return scanner(*args)
+    except DslError as exc:
+        return type(exc), str(exc), exc.position
+
+
+class TestScanners:
+    """The scanners' compiled patterns against the character loops of
+    helpers.reference_tokenize and helpers.reference_split_list."""
+
+    def test_tokenize(self):
+        rng = random.Random(4960)
+        tokenized = 0
+        for _ in range(30_000):
+            source = "".join(rng.choice(_TOKEN_CHARS) for _ in range(rng.randint(0, 14)))
+            new = _scanned(tokenize, source)
+            assert new == _scanned(reference_tokenize, source), source
+            tokenized += isinstance(new, list)
+        assert tokenized > 5_000
+
+    def test_split_list(self):
+        rng = random.Random(1211)
+        split = 0
+        for _ in range(30_000):
+            body = "".join(rng.choice(_LIST_CHARS) for _ in range(rng.randint(0, 16)))
+            new = _scanned(_split_list, body, 7)
+            assert new == _scanned(reference_split_list, body, 7), body
+            split += isinstance(new, list)
+        assert split > 5_000
 
 
 # SHA-256 of each catalog document before the entries were written by

@@ -171,25 +171,26 @@ def test_similarity_map(name, scale, seed):
 
 @pytest.mark.parametrize("name", CASES)
 @FEW
-@given(rate=_decades(-6, 12), shift=st.floats(-10, 10))
+@given(rate=_decades(-12, 12), shift=st.floats(-10, 10))
 @example(rate=1e-6, shift=10.0)
 @example(rate=1e6, shift=-10.0)
+@example(rate=1e-12, shift=10.0)
 @example(rate=1e12, shift=-10.0)
 def test_affine_reparametrisation(name, rate, shift):
     """s -> rate*s + shift, with s_range mapped to match.
 
-    The rate stays at or above 1e-6 for a float64 reason: alpha^(2n-2), the
+    The rate stays at or above 1e-12 for a float64 reason: alpha^(2n-2), the
     highest curve derivative the frame takes, grows like rate^-(2n-2), so
-    at n = 11 a rate of 1e-12 overflows it (test_rate_below_range_overflows).
+    at n = 11 a rate of 1e-18 overflows it (test_rate_below_range_overflows).
     """
     _assert_unchanged(name, _reparametrised(_base(name)[0], rate, shift))
 
 
 def test_rate_below_range_overflows():
-    # the n = 11 lift at rate 1e-12 carries derivatives near 1e12^20 = 1e240,
-    # whose squares leave the float range inside Gram-Schmidt
-    spec = _reparametrised(wcurve_lift(11, SAMPLES), 1e-12, 0.0)
-    with pytest.raises(EvalOverflow, match="overflows in the frame"):
+    # the n = 11 lift at rate 1e-18 carries Taylor coefficients near
+    # 1e18^20 = 1e360, past the float range in the curve jets themselves
+    spec = _reparametrised(wcurve_lift(11, SAMPLES), 1e-18, 0.0)
+    with pytest.raises(EvalOverflow, match="non-finite jet coefficients"):
         sample_along_curve(spec)
 
 
@@ -223,11 +224,13 @@ class TestNamedDefects:
         aligned = {"verdict": NOT_APPLICABLE, "reason": "axis aligned with tangent (theta ~ 0)"}
         assert payload == {name: aligned if name in HELIX_VERDICTS else {"verdict": PASS} for name in VERDICT_RULES}
 
-    @pytest.mark.parametrize("scale", [1e-11, 1e11, 1e-100, 1e100])
+    @pytest.mark.parametrize("scale", [1e-11, 1e11, 1e-100, 1e100, 1e-170, 1e160])
     def test_scaled_helix_is_regular(self, scale):
         # the curve scaled by `scale`, the field carried along as x3 / scale;
-        # each exited 3 while the frame tested the speed (NotRegular) and each
-        # k_i (DegenerateCurvature) against tol_frame absolutely
+        # 1e+-11 and 1e+-100 exited 3 while the frame tested the speed
+        # (NotRegular) and each k_i (DegenerateCurvature) against tol_frame
+        # absolutely, 1e-170 and 1e160 while the frame squared unscaled
+        # derivatives (|alpha'|^2 underflowed to 0 or overflowed)
         spec = parse_curve_spec(catalog.get("helix345_fz").document)
         curve = tuple(lin(scale, c) for c in spec.components)
         scaled = replace(spec, components=curve, field=lin(1.0 / scale, spec.field))

@@ -90,6 +90,14 @@ class TestJetBasics:
         inv2 = jet_pow(u, -2)
         assert np.allclose((inv2 * u * u).coeffs, [1, 0, 0, 0], atol=1e-14)
 
+    @pytest.mark.parametrize("p", [65, -65])
+    def test_large_integer_pow_of_negative_base(self, p):
+        # every integer exponent goes by square-and-multiply, as in the field
+        # duals; above 64 this once took exp(p*ln(s)), undefined at s < 0
+        jet = eval_expr_jet(parse_expr_text(f"s^({p})", "curve"), -1.1, 3)
+        closed = [(-1.1) ** p, p * (-1.1) ** (p - 1)]
+        assert np.allclose(jet.coeffs[:2], closed, rtol=1e-13, atol=0.0)
+
     def test_mixed_order_truncation(self):
         a = jet_param(1.0, 5)
         b = jet_param(1.0, 2)
