@@ -83,18 +83,14 @@ class Trajectory:
 def row_norm(x: np.ndarray, axis: int | tuple[int, int] = -1) -> np.ndarray:
     """Euclidean norm of each row of ``x`` over ``axis``, without overflow warnings.
 
-    A row whose plain norm is not finite (its squares overflow) is rescaled
-    by its largest entry; every other row is the plain norm, bit for bit.
-    A row holding an infinite entry comes out nan.
+    ``x`` is divided by 2^e, e the binary exponent of its largest entry, and
+    the norms multiplied back: a power of two is exact, so the squares stay
+    in range whatever the units of ``x``. One e serves the whole array, so
+    a row more than about 1e154 below its largest row can still underflow.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.linalg.norm(x, axis=axis)
-        overflow = ~np.isfinite(norm)
-        if overflow.any():
-            rows = x[overflow]
-            scale = np.abs(rows).max(axis=axis, keepdims=True)
-            norm[overflow] = scale.reshape(-1) * np.linalg.norm(rows / scale, axis=axis)
-    return norm
+    e = np.frexp(np.abs(x).max())[1]
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.linalg.norm(np.ldexp(x, -e), axis=axis), e)
 
 
 @dataclass
@@ -166,7 +162,7 @@ def classify_rows(trajectory: Trajectory, tol_const: float) -> Classification:
 
     Each test compares with ``tol_const`` times a scale in the units of what
     it tests: mean |grad f| for the three spreads and the two nonzero means,
-    and mean |grad f| / L for max |Hess f|, L = mean speed * (s_end - s_start).
+    and mean |grad f| for max |Hess f| * L, L = mean speed * (s_end - s_start).
     """
     grad_norms = trajectory.grad_norm
     ip_tangents = trajectory.ip_tangent
@@ -186,7 +182,7 @@ def classify_rows(trajectory: Trajectory, tol_const: float) -> Classification:
     helix = eikonal and tangent_const and abs(mean_tangent) > small
     slant = eikonal and last_const and abs(mean_last) > small
     length = float(np.mean(trajectory.frenet.speed.value) * (trajectory.s[-1] - trajectory.s[0]))
-    parallel = float(trajectory.hessian_norm.max()) <= small / length
+    parallel = float(trajectory.hessian_norm.max()) * length <= small
     aggregates = (mean_norm, mean_tangent, mean_last, spread_norm, spread_tangent, spread_last)
     if not all(map(math.isfinite, aggregates)):
         raise EvalOverflow(

@@ -16,6 +16,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     CoordOutOfRange,
@@ -111,8 +112,7 @@ def constant_value(expr: Expr) -> float:
 # ------------------------------------------------------------------ tokens
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # num | ident | op | lparen | rparen | end
     text: str
     position: int

@@ -125,7 +125,7 @@ class EvalOverflow(EvalError):
 
 
 class JetDivisionByZero(EvalError):
-    """Division by a jet whose value coefficient is (near) zero."""
+    """Division by a jet or field value that is exactly zero."""
 
 
 class EmptyInput(EikohelixError):
@@ -158,7 +158,8 @@ class DegenerateCurve(FrameError):
 
 
 class DegenerateCurvature(FrameError):
-    """A curvature the harmonic families divide by is not positive, or is nan."""
+    """A curvature the harmonic families divide by is not positive and finite:
+    rounding left it <= 0 or nan, or a subnormal speed made it infinite."""
 
 
 class InsufficientOrder(EikohelixError):

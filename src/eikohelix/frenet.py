@@ -86,11 +86,11 @@ def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetD
     alpha^(i) at each point by 2^e, e the binary exponent of its largest
     value component: a power of two is exact, so the frame, speed and
     curvatures keep their bits while the squares stay in float64's range.
-    Raises EvalOverflow when |alpha^(i)|^2 or the squared norm Gram-Schmidt
-    leaves of alpha^(i) is not finite after that scaling, and
-    DegenerateCurve(i) when that norm is at most ``tol_frame`` times
-    |alpha^(i)| (NotRegular at i = 1, where it means alpha' = 0), each for
-    the first batch point that fails it.
+    The scaling holds |alpha^(i)|^2 to at most n, so an overflow shows in
+    the squared norm Gram-Schmidt leaves of alpha^(i): raises EvalOverflow
+    when a coefficient of it is not finite, and DegenerateCurve(i) when that
+    norm is at most ``tol_frame`` times |alpha^(i)| (NotRegular at i = 1,
+    where it means alpha' = 0), each for the first batch point that fails it.
     """
     n = len(curve_jets)
     if n < 2:
@@ -99,17 +99,14 @@ def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetD
     if order < n + 1:
         raise ValueError(f"need jet order >= {n + 1} for dimension {n}, got {order}")
 
-    # derivative vectors alpha', ..., alpha^(n), each cut to the budget
     budget = frame_jet_order(n)
-    derivatives: list[Jet] = []
-    current = Jet(np.stack([j.coeffs[: order + 1] for j in curve_jets], axis=1))
-    for _ in range(n):
-        current = current.derivative()
-        derivatives.append(current.truncate(min(current.order, budget)))
-
     frame: list[Jet] = []
+    current = Jet(np.stack([j.coeffs[: order + 1] for j in curve_jets], axis=1))
     with np.errstate(all="ignore"):  # an overflow raises EvalOverflow below
-        for i, deriv in enumerate(derivatives, start=1):
+        for i in range(1, n + 1):
+            # the derivative vector alpha^(i), cut to the budget
+            current = current.derivative()
+            deriv = current.truncate(min(current.order, budget))
             exponent = np.frexp(np.abs(deriv.coeffs[0]).max(axis=0))[1]
             deriv = vec = Jet(np.ldexp(deriv.coeffs, -exponent))
             # Gram-Schmidt and one reorthogonalization pass ("twice is enough").
@@ -119,13 +116,12 @@ def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetD
                 for basis in frame:
                     vec = vec - jet_dot(vec, basis) * basis
             norm_sq = jet_dot(vec, vec)
-            deriv_sq = (deriv.coeffs[0] ** 2).sum(axis=0)
             raise_first(
-                ~(np.isfinite(deriv_sq) & np.isfinite(norm_sq.coeffs).all(axis=0)),
+                ~np.isfinite(norm_sq.coeffs).all(axis=0),
                 lambda p: EvalOverflow(f"derivative {i} of the curve overflows in the frame"),
             )
             raise_first(
-                norm_sq.coeffs[0] <= tol_frame**2 * deriv_sq,
+                norm_sq.coeffs[0] <= tol_frame**2 * (deriv.coeffs[0] ** 2).sum(axis=0),
                 lambda p: DegenerateCurve(i, value_at(s, p)) if i > 1 else NotRegular(
                     f"curve speed {value_at(np.ldexp(np.sqrt(norm_sq.coeffs[0]), exponent), p)!r} below threshold",
                     value_at(s, p),

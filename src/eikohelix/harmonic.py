@@ -74,9 +74,9 @@ def _check_curvatures(fr: FrenetData) -> None:
         raise ValueError("harmonic curvatures need dimension >= 3")
     for i, k in enumerate(fr.curvatures, start=1):
         raise_first(
-            ~(k.coeffs[0] > 0.0),
+            ~((k.coeffs[0] > 0.0) & np.isfinite(k.coeffs[0])),
             lambda p: DegenerateCurvature(
-                f"curvature k{i} = {value_at(k.coeffs[0], p)!r} not positive", value_at(fr.s, p)
+                f"curvature k{i} = {value_at(k.coeffs[0], p)!r} not positive and finite", value_at(fr.s, p)
             ),
         )
 

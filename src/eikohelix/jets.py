@@ -56,8 +56,6 @@ from .errors import (
     value_at,
 )
 
-_TINY = 1e-300  # division guard on the value coefficient
-
 
 def frame_jet_order(dimension: int) -> int:
     """Jet order of the frame vectors V_1..V_{n-1}: the pipeline's budget.
@@ -243,11 +241,10 @@ def _weights(coeffs: np.ndarray) -> np.ndarray:
     return np.arange(1, len(coeffs)).reshape(-1, *[1] * (coeffs.ndim - 1))
 
 
-def _check_divisor(b0) -> None:
-    raise_first(
-        np.abs(b0) < _TINY,
-        lambda i: JetDivisionByZero(f"jet division by value {value_at(b0, i)!r}"),
-    )
+def _check_divisor(b0, kind: str = "jet") -> None:
+    """Raise JetDivisionByZero at the first divisor that is exactly 0; an
+    overflowing quotient is left to each stage's finite checks."""
+    raise_first(b0 == 0.0, lambda i: JetDivisionByZero(f"{kind} division by value {value_at(b0, i)!r}"))
 
 
 def jet_div(num: Jet, den: Jet) -> Jet:
@@ -459,10 +456,7 @@ class _Dual2:
 
     def __truediv__(self, o: _Dual2) -> _Dual2:
         b = o.v
-        raise_first(
-            np.abs(b) < _TINY,
-            lambda i: JetDivisionByZero(f"field division by value {value_at(b, i)!r}"),
-        )
+        _check_divisor(b, "field")
         return self * o.chain(1.0 / b, -1.0 / (b * b), 2.0 / b**3)
 
     def chain(self, f0, f1, f2, gg: np.ndarray | None = None) -> _Dual2:

@@ -71,7 +71,6 @@ from eikohelix.errors import (
 from eikohelix.frenet import FrenetData, directional_derivative, frenet_apparatus
 from eikohelix.harmonic import HarmonicData, _check_curvatures, harmonic_data
 from eikohelix.jets import (
-    _TINY,
     FieldJet,
     Jet,
     _pad_batch,
@@ -541,7 +540,7 @@ class _Dual2:
     def __truediv__(self, o: _Dual2) -> _Dual2:
         b = o.v
         raise_first(
-            np.abs(b) < _TINY,
+            b == 0.0,
             lambda i: JetDivisionByZero(f"field division by value {value_at(b, i)!r}"),
         )
         return self * o.chain(1.0 / b, -1.0 / (b * b), 2.0 / b**3)

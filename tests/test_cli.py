@@ -128,6 +128,35 @@ class TestErrorReports:
             "error: derivative 1 of the curve overflows in the frame (while sampling at s = 0.0)\n"
         )
 
+    def test_overflow_in_the_derivatives(self, tmp_path):
+        # the jets of 1e308*s^4 are finite, but the frame's second derivative
+        # multiplies one by 12: one error line, no RuntimeWarning ahead of it
+        path = _write_spec(tmp_path, '["cos(s)", "sin(s)", "1e308*s^4"]', "x3", "[0, 0.01]")
+        result = run_cli("verify", path)
+        assert result.returncode == 3
+        assert result.stderr == (
+            "error: derivative 2 of the curve overflows in the frame (while sampling at s = 0.0)\n"
+        )
+
+    def test_subnormal_speed(self, tmp_path):
+        # helix345_fz scaled by 1e-310 has a subnormal speed, so
+        # k_i = <V_i', V_{i+1}> / speed overflows: DegenerateCurvature's
+        # one error line, no traceback
+        curve = '["1e-310*(3*cos(s/5))", "1e-310*(3*sin(s/5))", "1e-310*(4*s/5)"]'
+        result = run_cli("verify", _write_spec(tmp_path, curve, "x3", "[0, 31.4159]"), "--json", "--table")
+        assert result.returncode == 3
+        assert result.stderr == "error: curvature k1 = inf not positive and finite (at s = 0.0)\n"
+
+    def test_length_below_float_range(self, tmp_path):
+        # the curve's length 1e-170 * 1e-170 underflows to 0.0; the
+        # parallel-gradient test multiplies by it instead of dividing
+        curve = '["1e-170*cos(s)", "1e-170*sin(s)", "1e-170*s"]'
+        result = run_cli("verify", _write_spec(tmp_path, curve, "1e170*x3", "[0, 1e-170]"), "--json")
+        assert result.returncode == 0
+        assert result.stderr == ""
+        verdicts = json.loads(result.stdout)["verdicts"]
+        assert [v["verdict"] for v in verdicts.values()] == ["PASS"] * 8
+
 
 class TestSpecErrors:
     @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ finite-difference oracles."""
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from eikohelix import catalog
 from eikohelix.classify import sample_along_curve
 from eikohelix.dsl import parse_curve_spec
-from eikohelix.errors import DegenerateCurve, NotRegular
+from eikohelix.errors import DegenerateCurve, EvalOverflow, NotRegular
 from eikohelix.frenet import directional_derivative, frenet_apparatus
 from eikohelix.harmonic import harmonic_data
 from eikohelix.jets import default_jet_order, eval_curve_jet, jet_constant, jet_param, jet_sin
@@ -84,6 +85,25 @@ class TestDegeneracies:
         )
         with pytest.raises(NotRegular):
             apparatus_at(doc, 0.0)
+
+    def test_overflowing_derivative_raises_without_warning(self):
+        # the jets of 1e308*s^4 are finite, but differentiating them twice
+        # multiplies a coefficient by 12; that overflow must surface as the
+        # frame's EvalOverflow and not first as a numpy RuntimeWarning
+        doc = (
+            "dimension = 3\n"
+            'curve = ["cos(s)", "sin(s)", "1e308*s^4"]\n'
+            'field = "x3"\n'
+            "s_range = [0, 0.01]\n"
+            "samples = 8\n"
+        )
+        spec = parse_curve_spec(doc)
+        grid = np.linspace(0.0, 0.01, 8)
+        jets = eval_curve_jet(spec, grid, default_jet_order(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvalOverflow, match="derivative 2 of the curve overflows in the frame"):
+                frenet_apparatus(jets, spec.tol_frame, grid)
 
 
 class TestFrameInvariants:
