@@ -126,8 +126,15 @@ def sample_along_curve(spec: CurveSpec) -> Trajectory:
     The grid is ``spec.samples`` equally spaced parameter values including
     both endpoints. A failure is reported as the per-point loop would
     report it: at the first grid point that fails any check, the first
-    check in stage order, with the offending s attached.
+    check in stage order, with the offending s attached. A grid whose
+    float64 bytes numpy cannot count in ``np.intp`` raises MemoryError, as
+    one too large to allocate does.
     """
+    # linspace counts the samples in float64; past np.intp it raises
+    # ValueError or returns an empty grid instead of a MemoryError
+    limit = np.iinfo(np.intp).max
+    if float(min(spec.samples, limit)) * np.dtype(float).itemsize > limit:
+        raise MemoryError(f"no float64 grid of {spec.samples} samples")
     grid = np.linspace(spec.s_range[0], spec.s_range[1], spec.samples)
     return _sample(spec, grid)
 

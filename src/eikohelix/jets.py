@@ -27,10 +27,10 @@ expressions as a DAG (the evaluation procedure of reverse- and
 Taylor-mode differentiation): structurally equal subexpressions are
 evaluated once per call, across all components of a curve, and ``sin`` and
 ``cos`` of one argument share one recurrence. Subexpressions free of s and
-x_i fold at batch shape (), and a product or quotient of a jet with such a
-constant scales coefficients instead of running a Cauchy product or a
-division recurrence. Each shortcut reproduces the plain tree walk bit for
-bit, signed zeros included.
+x_i are evaluated at batch shape (), and a product or quotient of a jet
+with such a constant scales coefficients instead of running a Cauchy
+product or a division recurrence. Each shortcut reproduces the plain tree
+walk bit for bit, signed zeros included.
 
 Domain and overflow checks act on the whole batch and raise for the first
 offending point, with ``grid_index`` set on the error (see
@@ -140,31 +140,31 @@ class Jet:
     # arithmetic ------------------------------------------------------
 
     def __add__(self, other) -> Jet:
-        a, b = _align(self, _lift(other, self.order))
+        a, b = _align(self, _as_jet(other, self.order))
         return Jet(a + b)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> Jet:
-        a, b = _align(self, _lift(other, self.order))
+        a, b = _align(self, _as_jet(other, self.order))
         return Jet(a - b)
 
     def __rsub__(self, other) -> Jet:
-        a, b = _align(self, _lift(other, self.order))
+        a, b = _align(self, _as_jet(other, self.order))
         return Jet(b - a)
 
     def __mul__(self, other) -> Jet:
         if not isinstance(other, Jet) and np.ndim(other) == 0:
             return Jet(self.coeffs * float(other))  # product with a constant series
-        return Jet(_cauchy(*_align(self, _lift(other, self.order))))
+        return Jet(_cauchy(*_align(self, _as_jet(other, self.order))))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> Jet:
-        return jet_div(self, _lift(other, self.order))
+        return jet_div(self, _as_jet(other, self.order))
 
     def __rtruediv__(self, other) -> Jet:
-        return jet_div(_lift(other, self.order), self)
+        return jet_div(_as_jet(other, self.order), self)
 
     def __neg__(self) -> Jet:
         return Jet(-self.coeffs)
@@ -186,7 +186,7 @@ def jet_param(s, order: int) -> Jet:
     return Jet(coeffs)
 
 
-def _lift(x, order: int) -> Jet:
+def _as_jet(x, order: int) -> Jet:
     if isinstance(x, Jet):
         return x
     return jet_constant(x, order)
@@ -260,10 +260,12 @@ def jet_div(num: Jet, den: Jet) -> Jet:
 def _times_constant(u: Jet, c0, tail) -> Jet | None:
     """c * u for the constant jet c = [c0, tail, tail, ...] by scaling.
 
-    The Cauchy product sums c0*u_k with products that are exact zeros, from
-    +0.0, which is c0*u_k + 0.0. A non-finite coefficient of u turns a zero
-    product into nan; then, and for a nan tail, this returns None and only
-    the full product reproduces the result.
+    Every higher coefficient of a constant jet equals its last one, the
+    tail (0.0, -0.0 or nan). The Cauchy product sums c0*u_k with products
+    that are exact zeros, from +0.0, which is c0*u_k + 0.0. A non-finite
+    coefficient of u turns a zero product into nan; then, and for a nan
+    tail, this returns None and only the full product reproduces the
+    result.
     """
     if not (math.isfinite(tail) and np.isfinite(u.coeffs).all()):
         return None
@@ -358,22 +360,15 @@ def jet_pow(u: Jet, exponent: float) -> Jet:
     it takes any base, as the field duals' power does; fractional exponents
     require a positive value coefficient.
     """
-    if exponent == 0:
-        return jet_constant(1.0, u.order)
     if float(exponent).is_integer():
         p = int(exponent)
         if p < 0:
             return jet_div(jet_constant(1.0, u.order), jet_pow(u, -p))
-        result = None  # the constant jet 1
+        result = jet_constant(1.0, u.order)
         base = u
         while True:
             if p & 1:
-                if result is not None:
-                    result = result * base
-                else:
-                    result = _times_constant(base, 1.0, 0.0)
-                    if result is None:
-                        result = jet_constant(1.0, u.order) * base
+                result = result * base
             p >>= 1
             if not p:
                 return result
@@ -409,10 +404,9 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[:, None] * b
 
 
-@lru_cache(maxsize=64)
 def _dual_basis(n: int, batch_ndim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Zero gradient, zero Hessian, and the unit gradients e_1..e_n (stacked),
-    with size-1 batch axes; read-only, since every dual op makes new arrays."""
+    with size-1 batch axes; read-only, as one evaluation's duals share them."""
     ones = (1,) * batch_ndim
     basis = np.zeros((n, *ones)), np.zeros((n, n, *ones)), np.eye(n).reshape(n, n, *ones)
     for array in basis:
@@ -522,10 +516,7 @@ def _dual_ln(u: _Dual2) -> _Dual2:
 # The walker evaluates every distinct subexpression once, in the order a
 # left-to-right post-order walk of the tree first meets it, so checks run
 # and raise in the tree's order. A subexpression free of s and x_i is
-# evaluated at batch shape (). In the jet algebra it folds to order 1:
-# every higher coefficient of a constant jet equals its order-1 "tail"
-# (0.0, -0.0 or nan), so the order-1 jet carries the full constant exactly
-# and folding runs the same arithmetic on fewer coefficients.
+# evaluated at batch shape ().
 
 
 class _JetAlgebra:
@@ -546,7 +537,7 @@ class _JetAlgebra:
         self.param = jet_param(s, order)
 
     def constant(self, value: float) -> Jet:
-        return jet_constant(value, min(self.order, 1))
+        return jet_constant(value, self.order)
 
     def symbol(self, node: Expr) -> Jet:
         if isinstance(node, Coord):
@@ -557,17 +548,11 @@ class _JetAlgebra:
     def sin_cos(u: Jet) -> tuple[Jet, Jet]:
         return _sin_cos(u)
 
-    def lift(self, c: Jet) -> Jet:
-        """The full-order constant jet of a folded constant."""
-        coeffs = np.full(self.order + 1, c.coeffs[-1])
-        coeffs[0] = c.coeffs[0]
-        return Jet(coeffs)
-
     def mixed(self, op: str, a: Jet, b: Jet, left_const: bool) -> Jet:
-        """``a op b`` where exactly one operand is a folded constant.
+        """``a op b`` where exactly one operand is a constant.
 
         Products and quotients by the constant scale where that is exact;
-        everything else runs on the constant lifted to full order.
+        everything else runs the operator itself.
         """
         c, u = (a, b) if left_const else (b, a)
         if op == "*":
@@ -578,8 +563,7 @@ class _JetAlgebra:
             quotient = _over_constant(u, c.coeffs[0], c.coeffs[-1])
             if quotient is not None:
                 return quotient
-        full = self.lift(c)
-        return BINARY_OPERATORS[op](full, u) if left_const else BINARY_OPERATORS[op](u, full)
+        return BINARY_OPERATORS[op](a, b)
 
 
 class _DualAlgebra:
@@ -703,7 +687,7 @@ class _Dag:
 
 def _evaluate(exprs, algebra):
     """Yield the value of each expression in turn, in the jet or the dual
-    algebra; a constant jet comes out at order ``min(order, 1)``.
+    algebra; a constant comes out at batch shape ().
 
     Each distinct subexpression is evaluated once per call and dropped
     after its last use. ``sin`` and ``cos`` of one argument share one
@@ -759,8 +743,6 @@ def _curve_jets(exprs, s, order: int) -> list[Jet]:
     jets = []
     with np.errstate(all="ignore"):
         for result in _evaluate(exprs, algebra):
-            if result.order < order:
-                result = algebra.lift(result)
             coeffs = np.broadcast_to(_pad_batch(result.coeffs, s.ndim), (order + 1, *s.shape)).copy()
             raise_first(
                 ~np.isfinite(coeffs).all(axis=0),
@@ -809,14 +791,12 @@ def eval_field_jet(spec: CurveSpec, point) -> FieldJet:
     value[...] = result.v
     gradient[...] = result.g.transpose(*range(1, k + 1), 0)
     hessian[...] = result.h.transpose(*range(2, k + 2), 0, 1)
-    # the per-point mask is built only when some entry is not finite
-    if not (np.isfinite(value).all() and np.isfinite(gradient).all() and np.isfinite(hessian).all()):
-        finite = np.isfinite(value) & np.isfinite(gradient).all(axis=-1)
-        finite &= np.isfinite(hessian).all(axis=(-2, -1))
-        raise_first(
-            ~finite,
-            lambda i: EvalOverflow(
-                f"non-finite field derivatives at point {point.reshape(-1, n)[i].tolist()!r}"
-            ),
-        )
+    finite = np.isfinite(value) & np.isfinite(gradient).all(axis=-1)
+    finite &= np.isfinite(hessian).all(axis=(-2, -1))
+    raise_first(
+        ~finite,
+        lambda i: EvalOverflow(
+            f"non-finite field derivatives at point {point.reshape(-1, n)[i].tolist()!r}"
+        ),
+    )
     return FieldJet(value=_scalar(value), gradient=gradient, hessian=hessian)

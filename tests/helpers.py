@@ -3,7 +3,8 @@
 Everything here is deliberately independent of the jet pipeline it checks:
 derivatives come from Richardson-extrapolated central differences or dense
 polynomial fits, frames from plain numpy Gram-Schmidt on those derivatives,
-and the synthetic n=4 systems from direct ODE integration of the frame
+the W-curve lift's curvatures from a 50-digit Gram-Schmidt over its closed-form
+derivatives, and the synthetic n=4 systems from direct ODE integration of the frame
 equations with prescribed curvature functions. These exceptions reuse the
 package's own primitives on purpose: ``sample_point_by_point`` runs its
 stages one point at a time, as the reference for which error the batched
@@ -872,17 +873,35 @@ def fit_derivatives(f, s: float, max_order: int, half: int = 8, h: float = 2.5e-
 # ---------------------------------------------------- brute-force Frenet
 
 
-def gram_schmidt(vectors: np.ndarray) -> np.ndarray:
-    """Orthonormalize rows with one reorthogonalization pass."""
-    basis = []
-    for v in vectors:
-        e = v.astype(float).copy()
-        for u in basis:
-            e -= (e @ u) * u
-        for u in basis:
-            e -= (e @ u) * u
-        basis.append(e / np.linalg.norm(e))
-    return np.array(basis)
+def wcurve_lift_curvatures(n: int, digits: int = 50) -> list:
+    """k_1..k_{n-1} of the helix ``wcurve_lift(n, ...)`` at odd n, as mpmath
+    numbers correct to about ``digits`` digits.
+
+    The lift is the orbit of a one-parameter group (rotation by j s in
+    plane j, translation along x_n), so every k_i is constant. Its r-th
+    derivative at s = 0 is (j^(r-1) cos(r pi/2), j^(r-1) sin(r pi/2)) for
+    each j, then 0.7 in the last coordinate for r = 1 and 0 after that.
+    Gram-Schmidt over these vectors gives norms R_i = speed^i k_1...k_{i-1},
+    so k_i = R_{i+1} / (R_i speed). The rise is float64's 0.7, the number
+    the spec's "0.7*s" evaluates.
+    """
+    import mpmath
+
+    with mpmath.workdps(digits):
+        cos_sin = [(1, 0), (0, 1), (-1, 0), (0, -1)]  # cos and sin of r pi/2
+        basis: list = []
+        norms = []
+        for r in range(1, n + 1):
+            c, s = cos_sin[r % 4]
+            e = []
+            for j in range(1, (n - 1) // 2 + 1):
+                e += [mpmath.mpf(j) ** (r - 1) * c, mpmath.mpf(j) ** (r - 1) * s]
+            e = mpmath.matrix(e + [mpmath.mpf(0.7) if r == 1 else mpmath.mpf(0)])
+            for u in basis:
+                e -= (e.T * u)[0] * u
+            norms.append(mpmath.norm(e))
+            basis.append(e / norms[-1])
+        return [norms[i + 1] / (norms[i] * norms[0]) for i in range(n - 1)]
 
 
 def fd_frenet(curve_fn, s: float, n: int):

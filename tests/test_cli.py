@@ -201,18 +201,21 @@ class TestSpecErrors:
     @pytest.mark.parametrize("command", ["classify", "verify"])
     def test_grid_too_large_for_memory(self, tmp_path, command):
         # 10^15 samples need 8 PB for the grid alone, more than any address
-        # space, so the first allocation fails at once and uses no memory
-        path = tmp_path / "huge.spec"
-        path.write_text(
-            'dimension = 3\ncurve = ["cos(s)", "sin(s)", "s"]\nfield = "x3"\n'
-            "s_range = [0, 3]\nsamples = 1000000000000000\n",
-            encoding="utf-8",
-        )
-        result = run_cli(command, str(path))
-        assert result.returncode == 2
-        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
-        assert "samples = 1000000000000000 at dimension = 3" in result.stderr
-        assert "Traceback" not in result.stderr
+        # space, so the first allocation fails at once and uses no memory.
+        # From 2^60 samples up numpy cannot even count the grid's bytes in
+        # np.intp; 2^62, 2^63 - 1, 10^20 and 10^400 must read the same error.
+        for samples in (10**15, 2**62, 2**63 - 1, 10**20, 10**400):
+            path = tmp_path / "huge.spec"
+            path.write_text(
+                'dimension = 3\ncurve = ["cos(s)", "sin(s)", "s"]\nfield = "x3"\n'
+                f"s_range = [0, 3]\nsamples = {samples}\n",
+                encoding="utf-8",
+            )
+            result = run_cli(command, str(path))
+            assert result.returncode == 2, (samples, result.stderr)
+            assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+            assert f"samples = {samples} at dimension = 3" in result.stderr
+            assert "Traceback" not in result.stderr
 
     def test_byte_order_mark(self, spec_paths, tmp_path, capsys):
         """A spec saved with a UTF-8 byte-order mark reads as the same document."""

@@ -24,6 +24,7 @@ from helpers import (
     fit_derivatives,
     reference_frenet_apparatus,
     wcurve_lift,
+    wcurve_lift_curvatures,
 )
 
 HELIX345 = """\
@@ -62,6 +63,38 @@ class TestClosedFormCurvatures:
         for s in np.linspace(0.0, 12.566, 7):
             _, fr = apparatus_at(PAPER_CURVE, float(s))
             assert fr.curvature_values() == pytest.approx([0.5, 0.5], abs=1e-12)
+
+    # n -> bounds on the relative error of each k_i value and on each higher
+    # Taylor coefficient of k_i (exactly 0) over k_i: ten times the maxima
+    # measured on 16 samples, 2.3e-16, 6.7e-16, 1.6e-15, 6.3e-15, 5.0e-14,
+    # 3.1e-13 and 3.0e-16, 2.4e-15, 3.2e-14, 3.4e-13, 5.5e-12, 1.1e-10
+    LIFT_BOUNDS = {
+        3: (2.4e-15, 3.1e-15),
+        5: (6.7e-15, 2.4e-14),
+        7: (1.7e-14, 3.2e-13),
+        9: (6.3e-14, 3.5e-12),
+        11: (5.1e-13, 5.5e-11),
+        13: (3.1e-12, 1.2e-9),
+    }
+
+    @pytest.mark.parametrize("n", range(3, 14, 2))
+    def test_wcurve_lift_against_50_digits(self, n):
+        """Every k_i of the W-curve lift is constant; compare the jets with
+        the 50-digit value of ``helpers.wcurve_lift_curvatures``."""
+        import mpmath
+
+        frenet = sample_along_curve(wcurve_lift(n, 16)).frenet
+        value_error = higher = 0.0
+        with mpmath.workdps(50):
+            for k, exact in zip(frenet.curvatures, wcurve_lift_curvatures(n), strict=True):
+                errors = [abs(mpmath.mpf(x) - exact) / exact for x in k.coeffs[0]]
+                value_error = max(value_error, float(max(errors)))
+                higher = max(higher, float(np.abs(k.coeffs[1:]).max() / exact))
+        value_bound, higher_bound = self.LIFT_BOUNDS[n]
+        print(f"n = {n}: k value error {value_error:.3g} (bound {value_bound:.3g}), "
+              f"higher coefficients {higher:.3g} (bound {higher_bound:.3g})")  # fmt: skip
+        assert value_error <= value_bound
+        assert higher <= higher_bound
 
 
 class TestDegeneracies:

@@ -355,3 +355,41 @@ class TestOddDimensions:
         cor31, cor41 = residuals.values["cor31"], residuals.values["cor41"]
         print(f"n = {n}: cor31 = {cor31:.3g}, cor41 = {cor41:.3g}, margin {margin:.3g}")
         assert cor31 > margin and cor41 > margin
+
+
+_BAND_REASON = (
+    "ROADMAP item 1: a cosine is flat near its axis, so an angle that wanders "
+    "within sqrt(2 tol_const) ~ 1.4e-4 rad of it passes the constancy test"
+)
+
+
+class TestNearAxisBand:
+    """Non-helices whose angle stays within sqrt(2 tol_const) of its axis.
+
+    The helix and slant flags test whether cos(angle) is constant, and
+    cos(theta) changes by less than theta^2/2 while theta stays near 0. The
+    theta guard covers only theta < 1e-6, and only the tangent family, so
+    both curves below are flagged wrongly and PASS a verdict.
+    """
+
+    @pytest.mark.xfail(strict=True, reason=_BAND_REASON)
+    def test_conical_spiral_is_not_a_helix(self):
+        # tangent angle to e_3 grows from 1.4e-5 to 6.1e-5 rad
+        _, classification, verdicts = _band_run('["1e-5*s*cos(s)", "1e-5*s*sin(s)", "s"]')
+        print(f"helix flag {classification.helix}: {verdicts}")
+        assert PASS not in {verdicts[name] for name in HELIX_VERDICTS}
+
+    @pytest.mark.xfail(strict=True, reason=_BAND_REASON)
+    def test_slow_rise_is_not_a_slant_helix(self):
+        # the binormal V_3's angle to e_3 grows from 2.8e-5 to 1.2e-4 rad
+        _, classification, verdicts = _band_run('["cos(s)", "sin(s)", "1e-5*s^2"]')
+        print(f"slant flag {classification.slant}: {verdicts}")
+        assert PASS not in {verdicts[name] for name in RULES if name not in HELIX_VERDICTS}
+
+
+def _band_run(curve: str):
+    spec, trajectory, classification = run(
+        f'dimension = 3\ncurve = {curve}\nfield = "x3"\ns_range = [1, 6]\nsamples = 64\n'
+    )
+    payload = verdicts_payload(verify_all(trajectory, classification), spec.tol_const, spec.tol_frame)
+    return spec, classification, {name: v["verdict"] for name, v in payload.items()}

@@ -1,6 +1,6 @@
 """The DAG expression walker against the tree walker it replaced.
 
-The walker evaluates each distinct subexpression once, folds constant
+The walker evaluates each distinct subexpression once, evaluates constant
 subexpressions at batch shape (), and multiplies or divides by a constant
 by scaling; the field duals carry the batch on the trailing axis. None of
 this may change a number: every coefficient must match the tree walker of
