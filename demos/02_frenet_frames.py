@@ -1,9 +1,10 @@
 """Frenet frames and curvatures in dimensions 3 and 4.
 
-The frame V1..Vn comes from Gram-Schmidt on the first n derivative vectors,
-carried in jet arithmetic; curvatures k1..k_{n-1} are all positive for a
-nondegenerate curve. A curve whose derivatives become dependent is reported
-as degenerate instead of silently producing a bad frame.
+The frame V1..Vn is the Q factor of the QR factorization of the first n
+derivative vectors, carried in jet arithmetic; curvatures k1..k_{n-1} are all
+positive for a nondegenerate curve. A curve whose derivatives become
+dependent is reported as degenerate instead of silently producing a bad
+frame.
 """
 
 import numpy as np

@@ -1,26 +1,12 @@
 """Frenet frame and curvatures of an n-dimensional curve, carried as jets.
 
-The frame V1..Vn comes from modified Gram-Schmidt (with one
-reorthogonalization pass) applied to the derivative vectors
-alpha', alpha'', ..., alpha^(n), all in jet arithmetic. Its one degeneracy
-test, at each step i, is relative to |alpha^(i)| and so free of units:
-step 1 gives the speed, and step i + 1 keeps k_i > 0 in
-k_i = <V_i', V_{i+1}> / speed, which keeps curvature derivatives exact.
-Each step first scales alpha^(i) by a power of two near its size, so the
-size of a curve neither overflows nor underflows the squares it takes.
-
-The construction runs on a whole batch of parameter values at once (a
-sample grid, or a single point as batch shape ``()``): a vector of jets is
-one :class:`Jet` whose first batch axis runs over the n components. Each
-check raises for the first batch point at which it fails.
-
-Curves need not be unit speed: every parameter derivative that feeds a
-frame-relative rate is divided by the speed jet.
-
-Each quantity is carried only to the jet order its consumers need (see
-:func:`eikohelix.jets.frame_jet_order`): the curve at 2n-2, the derivative
-vectors and so V_1..V_{n-1} at n-1, and V_n and each k_i at n-2, which
-leaves the last harmonic curvatures of both families at order 1.
+The frame V1..Vn is the Q factor of D = [alpha', ..., alpha^(n)] = Q R, propagated in Taylor
+mode over a whole batch of parameter values at once (a sample grid, or one point as batch shape
+``()``), batch axes last as in :class:`Jet`. Curves need not be unit speed: every parameter
+derivative that feeds a frame-relative rate is divided by the speed jet. Each quantity is carried
+only to the jet order its consumers need (see :func:`eikohelix.jets.frame_jet_order`): the curve
+at 2n-2, V_1..V_{n-1} at n-1, and V_n and each k_i at n-2, which leaves the last harmonic
+curvatures of both families at order 1.
 """
 
 from __future__ import annotations
@@ -30,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCurve, EvalOverflow, NotRegular, raise_first, value_at
-from .jets import Jet, frame_jet_order, jet_dot, jet_sqrt
+from .jets import Jet, frame_jet_order
 
 
 @dataclass(eq=False)
@@ -54,43 +40,45 @@ class FrenetData:
 
     def frame_values(self) -> np.ndarray:
         """(*batch, n, n) array; [..., i, :] is the value of V_{i+1}."""
-        return _rows([v.coeffs[0] for v in self.frame])
-
-    def frame_d1(self) -> np.ndarray:
-        """(*batch, n, n) array of first parameter derivatives of the frame rows."""
-        return _rows([v.coeffs[1] for v in self.frame])
+        return np.moveaxis(np.stack([v.coeffs[0] for v in self.frame]), (0, 1), (-2, -1))
 
     def curvature_values(self) -> np.ndarray:
         """(*batch, n-1) array of k_1..k_{n-1}."""
         return np.stack([k.coeffs[0] for k in self.curvatures], axis=-1)
 
 
-def _rows(vectors: list[np.ndarray]) -> np.ndarray:
-    """Stack (n, *batch) component arrays into (*batch, rows, n)."""
-    return np.moveaxis(np.stack(vectors), (0, 1), (-2, -1))
-
-
 def directional_derivative(g: Jet, speed: Jet) -> Jet:
-    """Rate of change of g along the unit tangent: g'(s) / speed(s).
-
-    Returns a jet one order lower than g.
-    """
+    """Rate of change of g along the unit tangent, g'(s) / speed(s): a jet one order lower than g."""
     return g.derivative() / speed
+
+
+def _finite(a: np.ndarray, carried: int, overflow: np.ndarray) -> None:
+    """Set the non-finite entries of ``a`` to 0, each marking ``overflow`` for its column if one of
+    the first ``carried``, so that no triangular product carries an overflow into an earlier column."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        overflow[:carried] |= ~finite.all(axis=tuple(range(a.ndim - overflow.ndim)))[:carried]
+        a[~finite] = 0.0
 
 
 def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetData:
     """Build the Frenet frame and curvatures from component jets.
 
-    ``curve_jets`` holds the n component jets of the curve, each with the
-    batch shape of ``s`` and order at least n+1. Step i first divides
-    alpha^(i) at each point by 2^e, e the binary exponent of its largest
-    value component: a power of two is exact, so the frame, speed and
-    curvatures keep their bits while the squares stay in float64's range.
-    The scaling holds |alpha^(i)|^2 to at most n, so an overflow shows in
-    the squared norm Gram-Schmidt leaves of alpha^(i): raises EvalOverflow
-    when a coefficient of it is not finite, and DegenerateCurve(i) when that
-    norm is at most ``tol_frame`` times |alpha^(i)| (NotRegular at i = 1,
-    where it means alpha' = 0), each for the first batch point that fails it.
+    ``curve_jets`` holds the n component jets of the curve, each with the batch shape of ``s``
+    and order at least n+1. Column i of D, alpha^(i), is first divided at each point by 2^e, e the
+    binary exponent of its largest value component: a power of two is exact, so the results keep
+    their bits while the squares stay in float64's range. With D_0 = Q_0 R_0 from Gram-Schmidt,
+    X = Q_0^T Q and U = R R_0^-1 (X_0 = U_0 = I, U upper triangular), F = Q_0^T D R_0^-1 = X U
+    and X^T X = I give at order k
+
+        P = F_k - sum_{m=1}^{k-1} X_m U_{k-m} = X_k + U_k,
+        S = -sum_{m=1}^{k-1} X_m^T X_{k-m} = X_k + X_k^T,
+
+    so X_k is P's strict lower part, S/2 on the diagonal and S - P^T above it, and U_k = P - X_k;
+    coefficient k of column i depends only on alpha'..alpha^(i) up to order k. Columns are checked
+    in order: each raises EvalOverflow when a coefficient it carries is not finite, then
+    DegenerateCurve(i) (NotRegular at i = 1, alpha' = 0) when the norm Gram-Schmidt leaves of
+    alpha^(i) is at most ``tol_frame`` times |alpha^(i)|, for the first batch point that fails it.
     """
     n = len(curve_jets)
     if n < 2:
@@ -99,40 +87,62 @@ def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetD
     if order < n + 1:
         raise ValueError(f"need jet order >= {n + 1} for dimension {n}, got {order}")
 
-    budget = frame_jet_order(n)
-    frame: list[Jet] = []
+    # column i carries alpha^(i+1) to the order its jet has, cut to the budget
+    orders = [min(order - i, frame_jet_order(n)) for i in range(1, n + 1)]
     current = Jet(np.stack([j.coeffs[: order + 1] for j in curve_jets], axis=1))
+    D = np.zeros((orders[0] + 1, n, *current.shape))  # [k, component, column, *batch]
     with np.errstate(all="ignore"):  # an overflow raises EvalOverflow below
-        for i in range(1, n + 1):
-            # the derivative vector alpha^(i), cut to the budget
+        for i, top in enumerate(orders):
             current = current.derivative()
-            deriv = current.truncate(min(current.order, budget))
-            exponent = np.frexp(np.abs(deriv.coeffs[0]).max(axis=0))[1]
-            deriv = vec = Jet(np.ldexp(deriv.coeffs, -exponent))
-            # Gram-Schmidt and one reorthogonalization pass ("twice is enough").
-            # With one pass max |V V^T - I| reaches 9e-12 at n = 13 (2e-15 at
-            # n = 5) instead of 7e-16, and n = 4 residuals grow tenfold.
+            D[: top + 1, :, i] = current.coeffs[: top + 1]
+        exponent = np.frexp(np.abs(D[0]).max(axis=0))[1]
+        np.ldexp(D, -exponent, out=D)
+        # D_0 = Q_0 R_0 by modified Gram-Schmidt with one reorthogonalization pass (with one, max
+        # |V V^T - I| reaches 9e-12 at n = 13, not 7e-16); R_0^-1 takes the same column operations
+        # from I. A degenerate column gets pivot 1, so the earlier columns' checks stay finite.
+        eye = np.eye(n).reshape(n, n, *[1] * (D.ndim - 3))
+        V, Rinv, norm_sq = np.zeros_like(D[0]), np.zeros_like(D[0]), np.empty_like(D[0, 0])  # V = Q_0^T
+        threshold = tol_frame**2 * (D[0] ** 2).sum(axis=0)
+        for i in range(n):
+            v, w = D[0, :, i], eye[:, i]
             for _ in range(2):
-                for basis in frame:
-                    vec = vec - jet_dot(vec, basis) * basis
-            norm_sq = jet_dot(vec, vec)
-            raise_first(
-                ~np.isfinite(norm_sq.coeffs).all(axis=0),
-                lambda p: EvalOverflow(f"derivative {i} of the curve overflows in the frame"),
-            )
-            raise_first(
-                norm_sq.coeffs[0] <= tol_frame**2 * (deriv.coeffs[0] ** 2).sum(axis=0),
-                lambda p: DegenerateCurve(i, value_at(s, p)) if i > 1 else NotRegular(
-                    f"curve speed {value_at(np.ldexp(np.sqrt(norm_sq.coeffs[0]), exponent), p)!r} below threshold",
-                    value_at(s, p),
-                ),
-            )
-            norm = jet_sqrt(norm_sq)
-            frame.append(vec / norm)
-            if i == 1:
-                speed = Jet(np.ldexp(norm.coeffs, exponent))
-
-        # each k_i > 0, as step i + 1 above left V_{i+1} a positive share
-        curvatures = [jet_dot(frame[i].derivative(), frame[i + 1]) / speed for i in range(n - 1)]
-
+                for j in range(i):
+                    c = (V[j] * v).sum(axis=0)
+                    v, w = v - c * V[j], w - c * Rinv[:, j]
+            norm_sq[i] = (v * v).sum(axis=0)
+            pivot = np.where(norm_sq[i] > threshold[i], np.sqrt(norm_sq[i]), 1.0)
+            V[i], Rinv[:, i] = v / pivot, w / pivot
+        overflow, degenerate = ~np.isfinite(norm_sq), ~(norm_sq > threshold)
+        _finite(V, 0, overflow)  # a non-finite R_0^-1 column reaches only itself and later ones
+        # F_k overwrites D_k, and Q all of D, which keeps the peak memory at n = 13 near the jets' own
+        X, U = np.empty_like(D), np.zeros_like(D)
+        X[0] = U[0] = eye
+        _finite(np.einsum("ar...,krc...->kac...", V, D[1:], out=X[1:]), n, overflow)
+        F = np.einsum("kab...,bc...->kac...", X[1:], Rinv, out=D[1:])
+        below = np.tril_indices(n, -1)
+        above, diagonal = below[::-1], np.diag_indices(n)
+        for k in range(1, len(D)):
+            carried = sum(top >= k for top in orders)
+            P = F[k - 1] - np.einsum("mab...,mbc...->ac...", X[1:k], U[k - 1 : 0 : -1])
+            T = np.einsum("mra...,mrc...->ac...", X[1 : k // 2 + 1], X[k - 1 : (k - 1) // 2 : -1])
+            if k % 2 == 0:  # S = -(T + T^T) with T over the terms m < k - m and half of m = k - m
+                T -= 0.5 * np.einsum("ra...,rc...->ac...", X[k // 2], X[k // 2])
+            X[k], U[k] = P, 0.0
+            X[k][above], X[k][diagonal] = -(T[above] + T[below]) - P[below], -T[diagonal]
+            U[k][above], U[k][diagonal] = P[above] - X[k][above], P[diagonal] - X[k][diagonal]
+            for a in X[k], U[k]:
+                _finite(a, carried, overflow)
+        for i in range(n):
+            raise_first(overflow[i], lambda p: EvalOverflow(f"derivative {i + 1} of the curve overflows in the frame"))
+            raise_first(degenerate[i], lambda p: DegenerateCurve(i + 1, value_at(s, p)) if i else NotRegular(
+                f"curve speed {value_at(np.ldexp(np.sqrt(norm_sq[0]), exponent[0]), p)!r} below threshold", value_at(s, p)
+            ))
+        speed = Jet(np.ldexp(U[:, 0, 0] * np.sqrt(norm_sq[0]), exponent[0]))
+        Q = np.einsum("ar...,kab...->krb...", V, X, out=D)
+        frame = [Jet(Q[: top + 1, :, i]) for i, top in enumerate(orders)]
+        # k_i * speed = <V_i', V_{i+1}> = <X'[:, i], X[:, i+1]> as Q_0 is orthogonal; read from
+        # Q = Q_0 X instead, the lift's k, H and H* come out up to 3 times less accurate
+        dX = Jet(X).derivative().coeffs
+        kappa = (Jet([np.einsum("jra...,jra...->a...", dX[: m + 1, :, :-1], X[m::-1, :, 1:]) for m in range(len(dX))]) / speed).coeffs
+        curvatures = [Jet(kappa[: min(orders[i] - 1, orders[i + 1]) + 1, i]) for i in range(n - 1)]
     return FrenetData(s=s if s is not None else 0.0, speed=speed, frame=frame, curvatures=curvatures)

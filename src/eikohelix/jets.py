@@ -65,10 +65,10 @@ def frame_jet_order(dimension: int) -> int:
     read H_{n-2} and H*_{n-2} to order 1. Each level of the recurrence takes
     one rate V1[.] of the level before, so H_1 = k_1/k_2 and H*_1 are
     needed to order 1 + (n-3) = n-2, and so is every k_i. Since
-    k_i = <V_i', V_{i+1}> / speed, V_1..V_{n-1} are needed to order n-1;
-    Gram-Schmidt projects each later vector onto every earlier one, so no
-    earlier V_i can be cut below the order of the latest. V_n enters only
-    k_{n-1}, without a derivative, so it is needed to order n-2.
+    k_i = <V_i', V_{i+1}> / speed, V_1..V_{n-1} are needed to order n-1 and
+    V_n to n-2. In the factorization [alpha', ..., alpha^(n)] = Q R giving
+    the frame, coefficient k of column i depends only on alpha'..alpha^(i)
+    up to order k: each column needs its predecessors only to its own order.
     """
     return dimension - 1
 
@@ -219,16 +219,6 @@ def _cauchy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a, b = b, a
     padded = np.concatenate([b, np.zeros((1, *b.shape[1:]))])
     return np.einsum("kj...,j...->k...", padded[_toeplitz_index(len(a))], a)
-
-
-def jet_dot(u: Jet, v: Jet) -> Jet:
-    """Inner product of vector jets whose first batch axis runs over components."""
-    a, b = _align(u, v)
-    size = len(a)
-    # m[j, i] = sum_c a[j, c] b[i, c]; the product's coefficient k sums m[j, k-j]
-    m = np.einsum("jc...,ic...->ji...", a, b)
-    padded = np.concatenate([m, np.zeros((size, 1, *m.shape[2:]))], axis=1)
-    return Jet(padded[np.arange(size), _toeplitz_index(size)].sum(axis=1))
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:

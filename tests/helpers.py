@@ -3,18 +3,19 @@
 Everything here is deliberately independent of the jet pipeline it checks:
 derivatives come from Richardson-extrapolated central differences or dense
 polynomial fits, frames from plain numpy Gram-Schmidt on those derivatives,
-the W-curve lift's curvatures from a 50-digit Gram-Schmidt over its closed-form
-derivatives, and the synthetic n=4 systems from direct ODE integration of the frame
-equations with prescribed curvature functions. These exceptions reuse the
+the W-curve lift's frame, curvatures and harmonic curvatures from a 50-digit
+Gram-Schmidt over its closed-form derivatives, and the synthetic n=4 systems
+from direct ODE integration of the frame equations with prescribed curvature
+functions. These exceptions reuse the
 package's own primitives on purpose: ``sample_point_by_point`` runs its
 stages one point at a time, as the reference for which error the batched
 sampler reports, and ``reference_curve_jets``/``reference_field_jet`` walk
 an expression as a tree, as the reference for the DAG walker; and
 ``reference_to_json`` with ``reference_samples_payload`` is the report
 writer that passes every row dict through ``json.dumps``, as the reference
-for the row template; ``reference_frenet_apparatus`` carries every
-derivative vector at its full order, as the reference for the jet-order
-budget; the batch-first ``_Dual2`` is the field-dual algebra before
+for the row template; ``reference_frenet_apparatus`` is the jet Gram-Schmidt
+frame, each derivative vector at its full order, as the reference for the
+Taylor-mode QR; the batch-first ``_Dual2`` is the field-dual algebra before
 its batch axes moved last, as the reference for that layout;
 ``reference_harmonic_tangent``/``reference_harmonic_normal`` with
 ``reference_lemma_residuals`` write the two harmonic families apart, as
@@ -74,14 +75,15 @@ from eikohelix.harmonic import HarmonicData, _check_curvatures, harmonic_data
 from eikohelix.jets import (
     FieldJet,
     Jet,
+    _align,
     _pad_batch,
+    _toeplitz_index,
     default_jet_order,
     eval_curve_jet,
     eval_field_jet,
     jet_constant,
     jet_cos,
     jet_div,
-    jet_dot,
     jet_exp,
     jet_ln,
     jet_param,
@@ -389,12 +391,23 @@ def sample_point_by_point(spec: CurveSpec) -> None:
 # ------------------------------------------------- reference frame
 
 
-def reference_frenet_apparatus(curve_jets: list[Jet], s) -> FrenetData:
-    """The frame with each alpha^(i) carried at its full order, 2n-2-i.
+def _jet_dot(u: Jet, v: Jet) -> Jet:
+    """Inner product of vector jets whose first batch axis runs over components."""
+    a, b = _align(u, v)
+    size = len(a)
+    # m[j, i] = sum_c a[j, c] b[i, c]; the product's coefficient k sums m[j, k-j]
+    m = np.einsum("jc...,ic...->ji...", a, b)
+    padded = np.concatenate([m, np.zeros((size, 1, *m.shape[2:]))], axis=1)
+    return Jet(padded[np.arange(size), _toeplitz_index(size)].sum(axis=1))
 
-    The same Gram-Schmidt with one reorthogonalization pass as
-    ``frenet_apparatus``, without the cut to ``frame_jet_order`` and
-    without the degeneracy checks.
+
+def reference_frenet_apparatus(curve_jets: list[Jet], s) -> FrenetData:
+    """The frame by modified Gram-Schmidt with one reorthogonalization pass
+    over jets, each alpha^(i) carried at its full order, 2n-2-i.
+
+    The construction ``frenet_apparatus`` used before its Taylor-mode QR,
+    without the cut to ``frame_jet_order`` and without the degeneracy
+    checks.
     """
     n = len(curve_jets)
     current = Jet(np.stack([j.coeffs for j in curve_jets], axis=1))
@@ -402,14 +415,14 @@ def reference_frenet_apparatus(curve_jets: list[Jet], s) -> FrenetData:
     for _ in range(n):
         current = current.derivative()
         derivatives.append(current)
-    speed = jet_sqrt(jet_dot(derivatives[0], derivatives[0]))
+    speed = jet_sqrt(_jet_dot(derivatives[0], derivatives[0]))
     frame: list[Jet] = []
     for vec in derivatives:
         for _ in range(2):
             for basis in frame:
-                vec = vec - jet_dot(vec, basis) * basis
-        frame.append(vec / jet_sqrt(jet_dot(vec, vec)))
-    curvatures = [jet_dot(frame[i].derivative(), frame[i + 1]) / speed for i in range(n - 1)]
+                vec = vec - _jet_dot(vec, basis) * basis
+        frame.append(vec / jet_sqrt(_jet_dot(vec, vec)))
+    curvatures = [_jet_dot(frame[i].derivative(), frame[i + 1]) / speed for i in range(n - 1)]
     return FrenetData(s=s, speed=speed, frame=frame, curvatures=curvatures)
 
 
@@ -873,35 +886,69 @@ def fit_derivatives(f, s: float, max_order: int, half: int = 8, h: float = 2.5e-
 # ---------------------------------------------------- brute-force Frenet
 
 
+def _wcurve_lift_gram_schmidt(n: int, s) -> tuple[list, list]:
+    """(V_1..V_n, Gram-Schmidt norms R_1..R_n) of the odd-n W-curve lift at
+    the mpmath number s, at the working precision.
+
+    The lift's r-th derivative is j^(r-1) (cos, sin)(j s + r pi/2) in plane
+    j, then 0.7 in the last coordinate for r = 1 and 0 after that; the rise
+    is float64's 0.7, the number the spec's "0.7*s" evaluates.
+    """
+    import mpmath
+
+    basis: list = []
+    norms = []
+    for r in range(1, n + 1):
+        e = []
+        for j in range(1, (n - 1) // 2 + 1):
+            angle = j * s + r * mpmath.pi / 2
+            e += [mpmath.mpf(j) ** (r - 1) * mpmath.cos(angle), mpmath.mpf(j) ** (r - 1) * mpmath.sin(angle)]
+        e = mpmath.matrix(e + [mpmath.mpf(0.7) if r == 1 else mpmath.mpf(0)])
+        for u in basis:
+            e -= (e.T * u)[0] * u
+        norms.append(mpmath.norm(e))
+        basis.append(e / norms[-1])
+    return basis, norms
+
+
 def wcurve_lift_curvatures(n: int, digits: int = 50) -> list:
     """k_1..k_{n-1} of the helix ``wcurve_lift(n, ...)`` at odd n, as mpmath
     numbers correct to about ``digits`` digits.
 
     The lift is the orbit of a one-parameter group (rotation by j s in
-    plane j, translation along x_n), so every k_i is constant. Its r-th
-    derivative at s = 0 is (j^(r-1) cos(r pi/2), j^(r-1) sin(r pi/2)) for
-    each j, then 0.7 in the last coordinate for r = 1 and 0 after that.
-    Gram-Schmidt over these vectors gives norms R_i = speed^i k_1...k_{i-1},
-    so k_i = R_{i+1} / (R_i speed). The rise is float64's 0.7, the number
-    the spec's "0.7*s" evaluates.
+    plane j, translation along x_n), so every k_i is constant.
+    Gram-Schmidt over its derivatives at s = 0 gives norms
+    R_i = speed^i k_1...k_{i-1}, so k_i = R_{i+1} / (R_i speed).
     """
     import mpmath
 
     with mpmath.workdps(digits):
-        cos_sin = [(1, 0), (0, 1), (-1, 0), (0, -1)]  # cos and sin of r pi/2
-        basis: list = []
-        norms = []
-        for r in range(1, n + 1):
-            c, s = cos_sin[r % 4]
-            e = []
-            for j in range(1, (n - 1) // 2 + 1):
-                e += [mpmath.mpf(j) ** (r - 1) * c, mpmath.mpf(j) ** (r - 1) * s]
-            e = mpmath.matrix(e + [mpmath.mpf(0.7) if r == 1 else mpmath.mpf(0)])
-            for u in basis:
-                e -= (e.T * u)[0] * u
-            norms.append(mpmath.norm(e))
-            basis.append(e / norms[-1])
+        norms = _wcurve_lift_gram_schmidt(n, mpmath.mpf(0))[1]
         return [norms[i + 1] / (norms[i] * norms[0]) for i in range(n - 1)]
+
+
+def wcurve_lift_reference(n: int, grid, digits: int = 50):
+    """(frames, k, H, Hstar) of the helix ``wcurve_lift(n, ...)`` at odd n,
+    as mpmath numbers correct to about ``digits`` digits: frames[p][i] is
+    V_{i+1} at grid[p], an mpmath column; k, H and Hstar are constant.
+
+    With every k_i constant each rate V1[.] vanishes, so the families'
+    recurrences reduce to G_1 = c_1/c_2 and G_i = c_i G_{i-2} / c_{i+1}
+    (G_0 = 0), over c = k for H and over k reversed for H*.
+    """
+    import mpmath
+
+    with mpmath.workdps(digits):
+        k = wcurve_lift_curvatures(n, digits)
+        frames = [_wcurve_lift_gram_schmidt(n, mpmath.mpf(float(s)))[0] for s in grid]
+
+        def family(c):
+            G = [mpmath.mpf(0), c[0] / c[1]]
+            for i in range(2, n - 1):
+                G.append(c[i - 1] * G[-2] / c[i])
+            return G[1:]
+
+        return frames, k, family(k), family(k[::-1])
 
 
 def fd_frenet(curve_fn, s: float, n: int):

@@ -217,7 +217,8 @@ def test_criterion_6_frame_invariants(catalog_runs):
         n = trajectory.frenet.dimension
         defect = np.max(np.abs(frame @ frame.transpose(0, 2, 1) - np.eye(n)))
         assert defect <= 1e-10, f"{name}: orthonormality defect {defect}"
-        rates = trajectory.frenet.frame_d1() / trajectory.frenet.speed.value[:, None, None]
+        d1 = np.moveaxis(np.stack([v.coeffs[1] for v in trajectory.frenet.frame]), (0, 1), (-2, -1))
+        rates = d1 / trajectory.frenet.speed.value[:, None, None]
         k = trajectory.frenet.curvature_values()
         for i in range(n):
             expected = np.zeros((len(trajectory), n))

@@ -1,7 +1,8 @@
-"""Smoke test of the benchmark harness: short traced runs of two workloads.
+"""Smoke test of the benchmark harness: short traced runs of three workloads.
 
 ``catalog`` writes plain reports; ``dense_table`` writes a --table report,
-whose rows the harness checks against the spec it built.
+whose rows the harness checks against the spec it built; ``high_n`` runs the
+frame at n = 5..13, where it takes most of the time.
 
 The traced run wraps the stage functions through module globals of
 ``eikohelix.cli`` and ``eikohelix.classify``; a layer whose function moved
@@ -11,6 +12,7 @@ or was renamed is reported absent, which fails this test.
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +20,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _assert_traced_run_clean(workload: str) -> None:
+def _assert_traced_run_clean(workload: str, may_fail: frozenset[str] = frozenset()) -> None:
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "0",
          "--seconds", "1", "--trace", "1"],
@@ -30,7 +32,10 @@ def _assert_traced_run_clean(workload: str) -> None:
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
-    assert result["failed"] == 0, proc.stdout
+    # each operation that may fail fails at most once per pass
+    assert set(re.findall(r"FAILED (\S+) x", proc.stdout)) <= may_fail, proc.stdout
+    operations = int(re.search(r"passes of (\d+) operations", proc.stdout).group(1))
+    assert result["failed"] * operations <= len(may_fail) * result["attempted"], proc.stdout
     absent = sorted(name for name, metric in result["metrics"].items() if metric.get("absent"))
     assert absent == []
 
@@ -41,3 +46,9 @@ def test_catalog_benchmark_traced_run():
 
 def test_dense_table_benchmark_traced_run():
     _assert_traced_run_clean("dense_table")
+
+
+def test_high_n_benchmark_traced_run():
+    # the n = 13 helix fails cor41 at the float64 floor (ROADMAP item 3), as
+    # it did before the frame became a Taylor-mode QR; nothing else may fail
+    _assert_traced_run_clean("high_n", frozenset({"high_n/helix_n13"}))

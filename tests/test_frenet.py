@@ -25,6 +25,7 @@ from helpers import (
     reference_frenet_apparatus,
     wcurve_lift,
     wcurve_lift_curvatures,
+    wcurve_lift_reference,
 )
 
 HELIX345 = """\
@@ -96,6 +97,49 @@ class TestClosedFormCurvatures:
         assert value_error <= value_bound
         assert higher <= higher_bound
 
+    # n -> errors of the jet Gram-Schmidt frame this QR replaced, measured on
+    # 16 samples against ``helpers.wcurve_lift_reference`` and rounded up to
+    # three digits: V absolute, k_i relative to k_i, and H and H* relative to
+    # the family's largest entry
+    GRAM_SCHMIDT_ERRORS = {
+        3: (1.19e-16, 2.33e-16, 2.70e-16, 3.18e-16),
+        5: (1.97e-16, 6.70e-16, 2.27e-15, 3.05e-15),
+        7: (1.36e-15, 1.62e-15, 1.06e-13, 1.16e-13),
+        9: (1.70e-15, 6.29e-15, 8.06e-13, 2.76e-12),
+        11: (1.29e-14, 5.03e-14, 1.73e-11, 1.19e-10),
+        13: (1.02e-13, 3.07e-13, 6.03e-10, 8.04e-09),
+    }
+    # Both frames start from the same value-level Gram-Schmidt, so V's error
+    # is the same. The other maxima are rounding noise: Gram-Schmidt's own
+    # move by up to 3.3x when the 16-point grid shifts by up to 0.051, so
+    # the QR's may exceed them by a factor of 3 at most.
+    SPREAD = (1.0, 3.0, 3.0, 3.0)
+
+    @pytest.mark.parametrize("n", range(3, 14, 2))
+    def test_wcurve_lift_frame_and_families_against_50_digits(self, n):
+        import mpmath
+
+        trajectory = sample_along_curve(wcurve_lift(n, 16))
+        V, k = trajectory.frenet.frame_values(), trajectory.frenet.curvature_values()
+        H, Hstar = trajectory.harmonic.H_values(), trajectory.harmonic.Hstar_values()
+        frames, k_exact, H_exact, Hstar_exact = wcurve_lift_reference(n, trajectory.s)
+        points = range(len(trajectory.s))
+        with mpmath.workdps(50):
+
+            def family_error(values, exact):
+                error = max(abs(mpmath.mpf(values[p, i]) - x) for p in points for i, x in enumerate(exact))
+                return error / max(abs(x) for x in exact)
+
+            errors = (
+                max(abs(mpmath.mpf(V[p, i, c]) - frames[p][i][c]) for p in points for i in range(n) for c in range(n)),
+                max(abs(mpmath.mpf(k[p, i]) - x) / x for p in points for i, x in enumerate(k_exact)),
+                family_error(H, H_exact),
+                family_error(Hstar, Hstar_exact),
+            )
+        for name, error, bound, spread in zip("V k H H*".split(), errors, self.GRAM_SCHMIDT_ERRORS[n], self.SPREAD):
+            print(f"n = {n}: {name} error {float(error):.3g}, Gram-Schmidt's {bound:.3g}")
+            assert error <= spread * bound
+
 
 class TestDegeneracies:
     def test_planar_circle_in_r3(self):
@@ -138,6 +182,22 @@ class TestDegeneracies:
             with pytest.raises(EvalOverflow, match="derivative 2 of the curve overflows in the frame"):
                 frenet_apparatus(jets, spec.tol_frame, grid)
 
+    def test_overflowing_value_is_blamed_on_the_derivative_that_carries_it(self):
+        # alpha''' of 4e307*s^3 is 2.4e308, which overflows, while alpha'''/2,
+        # a coefficient alpha' carries, does not: derivative 2 carries the
+        # overflow, and its non-finite successor must not make derivative 1
+        # look overflowed
+        doc = (
+            "dimension = 3\n"
+            'curve = ["cos(s)", "sin(s)", "4e307*s^3"]\n'
+            'field = "x3"\n'
+            "s_range = [0, 0.01]\n"
+            "samples = 8\n"
+        )
+        with pytest.raises(EvalOverflow, match="derivative 2 of the curve overflows in the frame") as exc_info:
+            sample_along_curve(parse_curve_spec(doc))
+        assert str(exc_info.value).endswith("(while sampling at s = 0.0)")
+
 
 class TestFrameInvariants:
     @pytest.mark.parametrize("doc,s_values", [
@@ -151,7 +211,7 @@ class TestFrameInvariants:
             n = fr.dimension
             assert np.max(np.abs(frame @ frame.T - np.eye(n))) < 1e-12
 
-            rates = fr.frame_d1() / fr.speed.value
+            rates = np.array([v.coeffs[1] for v in fr.frame]) / fr.speed.value
             k = fr.curvature_values()
             for i in range(n):
                 expected = np.zeros(n)
@@ -272,15 +332,29 @@ class TestDirectionalDerivative:
         assert directional_derivative(g, jet_constant(1.0, 4)).order == 3
 
 
-class TestOrderBudget:
-    """The frame cut to ``frame_jet_order`` against the frame at full order."""
+def _first_derivatives(fr) -> np.ndarray:
+    """(*batch, n, n) array; [..., i, :] is coefficient 1 of V_{i+1}."""
+    return np.moveaxis(np.stack([v.coeffs[1] for v in fr.frame]), (0, 1), (-2, -1))
 
-    # the W-curve lift at odd n, and two catalog curves in R^4
-    @pytest.mark.parametrize("case", [*range(3, 14, 2), "wcurve_r4", "helix_r4"])
-    def test_orders_and_bytes_match_full_order(self, case):
+
+class TestOrderBudget:
+    """The frame cut to ``frame_jet_order`` against the same QR at full
+    order, and against the frozen jet Gram-Schmidt frame."""
+
+    CASES = [*range(3, 14, 2), "wcurve_r4", "helix_r4"]  # the W-curve lift at odd n, two curves in R^4
+
+    @staticmethod
+    def _sample(case):
         spec = wcurve_lift(case, samples=16) if isinstance(case, int) else catalog.load(case)
-        n = spec.dimension
         trajectory = sample_along_curve(spec)
+        return spec, trajectory, eval_curve_jet(spec, trajectory.s, default_jet_order(spec.dimension))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_orders_and_bytes_match_full_order(self, case, monkeypatch):
+        """Coefficient k of column i uses only alpha'..alpha^(i) up to order k,
+        so every coefficient the budget keeps has the bits of the full-order run."""
+        spec, trajectory, jets = self._sample(case)
+        n = spec.dimension
         fr, h = trajectory.frenet, trajectory.harmonic
         assert [v.order for v in fr.frame] == [n - 1] * (n - 1) + [n - 2]
         assert [k.order for k in fr.curvatures] == [n - 2] * (n - 1)
@@ -288,17 +362,53 @@ class TestOrderBudget:
         # harmonic.py cannot fire from the sampler
         assert h.H[-1].order == 1 and h.Hstar[-1].order == 1
 
-        jets = eval_curve_jet(spec, trajectory.s, default_jet_order(n))
-        ref = reference_frenet_apparatus(jets, trajectory.s)
-        ref_h = harmonic_data(ref)
+        # the curve carries 2n-2, so alpha^(i) reaches 2n-2-i with no budget
+        monkeypatch.setattr("eikohelix.frenet.frame_jet_order", lambda dimension: 2 * dimension - 3)
+        full = frenet_apparatus(jets, spec.tol_frame, trajectory.s)
+        assert [v.order for v in full.frame] == [2 * n - 2 - i for i in range(1, n + 1)]
+        full_h = harmonic_data(full)
+        cut = [(fr.speed, full.speed), *zip(fr.frame, full.frame), *zip(fr.curvatures, full.curvatures)]
+        for got, want in cut:
+            assert got.coeffs.tobytes() == want.coeffs[: got.order + 1].tobytes()
         pairs = [
-            (fr.frame_values(), ref.frame_values()),
-            (fr.frame_d1(), ref.frame_d1()),
-            (fr.curvature_values(), ref.curvature_values()),
-            (h.H_values(), ref_h.H_values()),
-            (h.Hstar_values(), ref_h.Hstar_values()),
-            (h.closing_H, ref_h.closing_H),
-            (h.closing_Hstar, ref_h.closing_Hstar),
+            (h.H_values(), full_h.H_values()),
+            (h.Hstar_values(), full_h.Hstar_values()),
+            (h.closing_H, full_h.closing_H),
+            (h.closing_Hstar, full_h.closing_Hstar),
         ]
         for got, want in pairs:
             assert got.tobytes() == want.tobytes()
+
+    # case -> bound on the largest difference from the frozen Gram-Schmidt
+    # frame of V's first coefficient, k, H and H*, each relative to the
+    # frozen array's largest entry, and of both closing residuals: ten times
+    # the maxima measured, 3.5e-16, 6.6e-15, 1.6e-13, 4.2e-12, 1.4e-10,
+    # 1.3e-8 and 1.1e-14, 1.1e-14 (each from a closing residual, except the
+    # H* differences 4.2e-12 and 1.4e-10)
+    GRAM_SCHMIDT_BOUNDS = {
+        3: 3.5e-15, 5: 6.6e-14, 7: 1.7e-12, 9: 4.3e-11, 11: 1.5e-9, 13: 1.3e-7,
+        "wcurve_r4": 1.1e-13, "helix_r4": 1.2e-13,
+    }  # fmt: skip
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_against_frozen_gram_schmidt(self, case):
+        """The frame values equal Gram-Schmidt's own, up to the sign of a
+        zero (the QR starts from the same value-level Gram-Schmidt); the
+        rest differs by rounding."""
+        spec, trajectory, jets = self._sample(case)
+        fr, h = trajectory.frenet, trajectory.harmonic
+        ref = reference_frenet_apparatus(jets, trajectory.s)
+        ref_h = harmonic_data(ref)
+        assert np.array_equal(fr.frame_values(), ref.frame_values())
+        differences = [
+            np.abs(got - want).max() / np.abs(want).max()
+            for got, want in [
+                (_first_derivatives(fr), _first_derivatives(ref)),
+                (fr.curvature_values(), ref.curvature_values()),
+                (h.H_values(), ref_h.H_values()),
+                (h.Hstar_values(), ref_h.Hstar_values()),
+            ]
+        ]
+        differences += [np.abs(h.closing_H - ref_h.closing_H).max(), np.abs(h.closing_Hstar - ref_h.closing_Hstar).max()]
+        print(f"{case}: largest difference {max(differences):.3g} (bound {self.GRAM_SCHMIDT_BOUNDS[case]:.3g})")
+        assert max(differences) <= self.GRAM_SCHMIDT_BOUNDS[case]
