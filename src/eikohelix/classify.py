@@ -3,7 +3,8 @@
 A curve is classified against a scalar field f by sampling the parameter
 interval: eikonal when the gradient norm is constant along the curve, a
 helix when additionally <grad f, V1> is a nonzero constant, and a slant
-helix when <grad f, Vn> is. A vanishing Hessian along the curve marks the
+helix when <grad f, Vn> is, each tested by its rate over the frame's turning
+from the Frenet equations. A vanishing Hessian along the curve marks the
 gradient as parallel (a constant vector), which is the hypothesis under
 which the axis and constancy identities of the verification module apply.
 
@@ -58,6 +59,21 @@ class Trajectory:
     def projections(self) -> np.ndarray:
         """(N, n) array of <grad f, V_i>."""
         return np.einsum("pc,pic->pi", self.grad, self.frame)
+
+    @cached_property
+    def hessian_projections(self) -> np.ndarray:
+        """(N, n) array of <Hess f V1, V_i>, which is <grad f, V_i>' / speed - <grad f, V_i'> / speed."""
+        return np.einsum("pic,pc->pi", self.frame, np.einsum("pcd,pd->pc", self.field.hessian, self.frame[:, 0]))
+
+    @cached_property
+    def rate_tangent(self) -> np.ndarray:
+        """r_1 = <grad f, V1>' / (speed k_1) = V1^T Hess V1 / k_1 + <grad f, V2>, by the Frenet equations."""
+        return self.hessian_projections[:, 0] / self.frenet.curvatures[0].value + self.projections[:, 1]
+
+    @cached_property
+    def rate_last(self) -> np.ndarray:
+        """r_n = <grad f, Vn>' / (speed k_{n-1}) = V1^T Hess Vn / k_{n-1} - <grad f, V_{n-1}>."""
+        return self.hessian_projections[:, -1] / self.frenet.curvatures[-1].value - self.projections[:, -2]
 
     @property
     def ip_tangent(self) -> np.ndarray:
@@ -167,9 +183,11 @@ def _sample(spec: CurveSpec, grid: np.ndarray) -> Trajectory:
 def classify_rows(trajectory: Trajectory, tol_const: float) -> Classification:
     """Classification from a sampled trajectory.
 
-    Each test compares with ``tol_const`` times a scale in the units of what
-    it tests: mean |grad f| for the three spreads and the two nonzero means,
-    and mean |grad f| for max |Hess f| * L, L = mean speed * (s_end - s_start).
+    <grad f, V1> (<grad f, Vn>) is constant when its rate ``rate_tangent``
+    (``rate_last``) vanishes; a cosine's spread, reported only, is flat near
+    its axis. Each test compares with ``tol_const`` times a scale in the units
+    of what it tests: mean |grad f| for the spread of |grad f|, the two rates,
+    the two nonzero means, and max |Hess f| * L, L = mean speed * (s_end - s_start).
     """
     grad_norms = trajectory.grad_norm
     ip_tangents = trajectory.ip_tangent
@@ -179,39 +197,28 @@ def classify_rows(trajectory: Trajectory, tol_const: float) -> Classification:
     with np.errstate(over="ignore"):
         mean_norm = float(np.mean(grad_norms))
         eikonal, spread_norm = constancy(grad_norms, tol_const, mean_norm)
-        tangent_const, spread_tangent = constancy(ip_tangents, tol_const, mean_norm)
-        last_const, spread_last = constancy(ip_lasts, tol_const, mean_norm)
+        spread_tangent = constancy(ip_tangents, tol_const, mean_norm)[1]
+        spread_last = constancy(ip_lasts, tol_const, mean_norm)[1]
 
         mean_tangent = float(np.mean(ip_tangents))
         mean_last = float(np.mean(ip_lasts))
 
     small = tol_const * mean_norm
-    helix = eikonal and tangent_const and abs(mean_tangent) > small
-    slant = eikonal and last_const and abs(mean_last) > small
+    helix = eikonal and float(np.abs(trajectory.rate_tangent).max()) <= small and abs(mean_tangent) > small
+    slant = eikonal and float(np.abs(trajectory.rate_last).max()) <= small and abs(mean_last) > small
     length = float(np.mean(trajectory.frenet.speed.value) * (trajectory.s[-1] - trajectory.s[0]))
     parallel = float(trajectory.hessian_norm.max()) * length <= small
     aggregates = (mean_norm, mean_tangent, mean_last, spread_norm, spread_tangent, spread_last)
     if not all(map(math.isfinite, aggregates)):
-        raise EvalOverflow(
-            "mean or spread of |grad f|, <grad f, V1> or <grad f, Vn> over the grid overflows"
-        )
-
-    if mean_norm > 0.0:
-        theta: float | None = math.acos(max(-1.0, min(1.0, mean_tangent / mean_norm)))
-    else:
-        theta = None
+        raise EvalOverflow("mean or spread of |grad f|, <grad f, V1> or <grad f, Vn> over the grid overflows")
 
     return Classification(
         eikonal=eikonal,
         helix=helix,
         slant=slant,
         parallel_gradient=parallel,
-        spreads={
-            "grad_norm": spread_norm,
-            "ip_tangent": spread_tangent,
-            "ip_last": spread_last,
-        },
-        theta=theta,
+        spreads={"grad_norm": spread_norm, "ip_tangent": spread_tangent, "ip_last": spread_last},
+        theta=math.acos(max(-1.0, min(1.0, mean_tangent / mean_norm))) if mean_norm > 0.0 else None,
         grad_norm=mean_norm,
         ip_tangent=mean_tangent,
         ip_last=mean_last,

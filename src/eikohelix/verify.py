@@ -15,8 +15,9 @@ maxima are cor31 and cor41.
 
 Residuals are maxima over the sample grid, computed as array reductions
 over the sampled :class:`~eikohelix.classify.Trajectory`: the identities
-are pointwise, and a mean could hide a localized failure. When the
-hypotheses (helix or slant flag, parallel gradient) fail, residuals are
+are pointwise, and a mean could hide a localized failure. The hypotheses
+are the family's flag, whose rate test keeps its scale at every angle theta
+including near 0, and a parallel gradient. When they fail, residuals are
 still computed so a near-helix can be measured, but the family carries a
 non-empty reason and the report layer suppresses pass/fail.
 """
@@ -29,11 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import Classification, Trajectory, row_norm
-
-# Below this angle the gradient is numerically aligned with the tangent and
-# the tangent-family constancy statement degenerates (all H_i would need to
-# vanish); verification flags the case instead of guessing.
-THETA_DEGENERATE = 1e-6
 
 
 @dataclass
@@ -49,7 +45,6 @@ class TheoremResiduals:
     values: dict[str, float]
     scales: dict[str, float]
     reasons: dict[str, str]
-    theta_degenerate: bool
 
 
 def _reason(*checks: tuple[bool, str]) -> str:
@@ -58,9 +53,7 @@ def _reason(*checks: tuple[bool, str]) -> str:
 
 def verify_all(trajectory: Trajectory, classification: Classification) -> TheoremResiduals:
     """Residuals of both families' identities over the grid, and their scales."""
-    theta = classification.theta
-    cos_theta = math.cos(theta) if theta is not None else 1.0
-    theta_degenerate = theta is not None and abs(theta) < THETA_DEGENERATE
+    cos_theta = math.cos(classification.theta) if classification.theta is not None else 1.0
 
     frame = trajectory.frame
     grad = trajectory.grad
@@ -106,7 +99,6 @@ def verify_all(trajectory: Trajectory, classification: Classification) -> Theore
         "helix": _reason(
             (not classification.helix, "not a helix (tangent angle varies or is zero)"),
             not_parallel,
-            (theta_degenerate, "axis aligned with tangent (theta ~ 0)"),
         ),
         "slant": _reason(
             (not classification.slant, "not a slant helix (last-vector angle varies or is zero)"),
@@ -117,5 +109,4 @@ def verify_all(trajectory: Trajectory, classification: Classification) -> Theore
         values={key: float(value) for key, (value, _) in residuals.items()},
         scales={key: float(scale) for key, (_, scale) in residuals.items()},
         reasons=reasons,
-        theta_degenerate=theta_degenerate,
     )

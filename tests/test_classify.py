@@ -117,6 +117,55 @@ class TestSampling:
         assert exc_info.value.s is not None
 
 
+def _rate_doc(curve: list[str], field: str, samples: int) -> str:
+    components = ", ".join(f'"{c}"' for c in curve)
+    return (
+        f"dimension = {len(curve)}\ncurve = [{components}]\nfield = \"{field}\"\n"
+        f"s_range = [0.3, 2.8]\nsamples = {samples}\n"
+    )
+
+
+class TestRates:
+    """r_1 and r_n, the rates the helix and slant flags test, against central
+    differences of <grad f, V1> and <grad f, Vn> over speed * k."""
+
+    @pytest.mark.parametrize(
+        "curve, field, bound",
+        [
+            # paper_3_1's field on a non-helix: at n = 3, V2 is both V_2 and V_{n-1}
+            (["cos(s)", "sin(s)", "s^2"], "x1^2 + x2 + x3^2", 3e-6),
+            # at n = 4 the two rates read different frame vectors and curvatures
+            (["cos(s)", "sin(s)", "0.5*cos(2*s)", "0.5*sin(2*s) + 0.1*s^2"], "x1^2 + x2*x4 + x3^2", 3e-5),
+        ],
+        ids=["r3", "r4"],
+    )
+    def test_against_central_differences(self, curve, field, bound):
+        # the difference quotient errs by O(h^2): on 1001 samples the largest
+        # error over mean |grad f| was 1.4e-6 (r_1) and 2.2e-6 (r_n) in R^3,
+        # 1.3e-5 and 8.4e-6 in R^4, and a quarter of that on 2001 samples
+        trajectory = sample_along_curve(parse_curve_spec(_rate_doc(curve, field, 1001)))
+        h = trajectory.s[1] - trajectory.s[0]
+        k = trajectory.frenet.curvature_values()[1:-1]
+        speed = trajectory.frenet.speed.value[1:-1]
+        scale = trajectory.grad_norm.mean()
+        for ip, rate, k_turning in [
+            (trajectory.ip_tangent, trajectory.rate_tangent, k[:, 0]),
+            (trajectory.ip_last, trajectory.rate_last, k[:, -1]),
+        ]:
+            difference = (ip[2:] - ip[:-2]) / (2.0 * h) / (speed * k_turning)
+            error = np.abs(difference - rate[1:-1]).max() / scale
+            print(f"max |r| {np.abs(rate).max() / scale:.3g}, difference error {error:.3g} of mean |grad f|")
+            assert np.abs(rate).max() > 0.1 * scale  # the curve is neither a helix nor a slant helix
+            assert error <= bound
+
+    def test_parallel_gradient_rates_are_projections(self):
+        # with Hess f = 0 the rates are <grad f, V2> and -<grad f, V_{n-1}>
+        doc = _rate_doc(["cos(s)", "sin(s)", "0.5*cos(2*s)", "0.5*sin(2*s) + 0.1*s^2"], "0.3*x1 - 0.5*x2 + 0.8*x4", 64)
+        trajectory = sample_along_curve(parse_curve_spec(doc))
+        assert np.array_equal(trajectory.rate_tangent, trajectory.projections[:, 1])
+        assert np.array_equal(trajectory.rate_last, -trajectory.projections[:, -2])
+
+
 def grid_doc(curve: str, field: str, s_range: str = "[0, 2]") -> str:
     return (
         f"dimension = 3\ncurve = {curve}\nfield = \"{field}\"\n"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from eikohelix.classify import classify_rows, sample_along_curve
-from eikohelix.dsl import parse_curve_spec
+from eikohelix.dsl import DEFAULT_TOL_FRAME, parse_curve_spec
 from eikohelix.report import FAIL, NOT_APPLICABLE, PASS, residuals_payload, verdicts_payload
 from eikohelix.verify import TheoremResiduals, verify_all
 
@@ -37,6 +37,9 @@ field = "x1^2 + x2 + x3^2"
 s_range = [0, 12.566]
 samples = 128
 """
+
+# (s_range, samples) of the near-axis cases
+NEAR_AXIS_GRIDS = [pytest.param("[1, 6]", 64, id="64_on_1_6"), pytest.param("[0, 6]", 32, id="32_on_0_6")]
 
 
 def run(doc: str):
@@ -128,22 +131,29 @@ class TestHypothesisGating:
         r = verify_all(trajectory, classification)
         assert r.reasons["slant"]
 
-    def test_near_axis_tangent_flagged(self):
-        # tangent numerically aligned with the axis: the tangent-family
-        # constancy statement degenerates, so verification flags the case
-        doc = (
-            "dimension = 3\n"
-            'curve = ["0.0000001*cos(s)", "0.0000001*sin(s)", "s"]\n'
-            'field = "x3"\n'
-            "s_range = [0, 6]\n"
-            "samples = 32\n"
-        )
-        _, trajectory, classification = run(doc)
-        assert classification.helix
-        assert classification.theta < 1e-6
-        r = verify_all(trajectory, classification)
-        assert r.theta_degenerate
-        assert "aligned" in r.reasons["helix"]
+    @pytest.mark.parametrize("s_range, samples", NEAR_AXIS_GRIDS)
+    @pytest.mark.parametrize("r", ["1e-3", "1e-4", "1e-5", "1e-7"])
+    def test_near_axis_helix_passes(self, r, s_range, samples):
+        # the tangent makes an angle theta ~ r with the axis e_3; the flags
+        # test each angle's rate, which keeps its scale as theta goes to 0
+        classification, _, verdicts = _band_run(f'["{r}*cos(s)", "{r}*sin(s)", "s"]', s_range, samples)
+        assert classification.helix and classification.slant
+        assert verdicts == dict.fromkeys(RULES, PASS)
+
+    @pytest.mark.parametrize("s_range, samples", NEAR_AXIS_GRIDS)
+    def test_near_axis_edges(self, s_range, samples):
+        # r = 1e-9: <grad f, Vn> = sin(theta) ~ 1e-9 is below tol_const * mean
+        # |grad f|, so the slant flag is off and the slant family NOT-APPLICABLE
+        classification, _, verdicts = _band_run('["1e-9*cos(s)", "1e-9*sin(s)", "s"]', s_range, samples)
+        assert classification.helix and not classification.slant
+        assert verdicts == {name: PASS if name in HELIX_VERDICTS else NOT_APPLICABLE for name in RULES}
+        # r = 1e-12: H_1 = k_1/k_2 ~ 1e-12 is at most tol_frame, so thm33
+        # FAILs; H_{n-2} != 0 is a condition of thm33, not of the helix family
+        classification, residuals, verdicts = _band_run('["1e-12*cos(s)", "1e-12*sin(s)", "s"]', s_range, samples)
+        assert classification.helix and not classification.slant
+        assert residuals.values["hn2_min"] <= DEFAULT_TOL_FRAME
+        expected = {name: PASS if name in HELIX_VERDICTS else NOT_APPLICABLE for name in RULES}
+        assert verdicts == {**expected, "thm33": FAIL}
 
 
 class TestFuzzR3:
@@ -264,7 +274,7 @@ def _residuals(helix_reason: str = "", slant_reason: str = "", **changes) -> The
     """Residuals that PASS every verdict at TOL and TOL_FRAME, with ``changes`` applied."""
     assert changes.keys() <= VALUES.keys()
     values = {**VALUES, **changes}
-    return TheoremResiduals(values, SCALES, {"helix": helix_reason, "slant": slant_reason}, False)
+    return TheoremResiduals(values, SCALES, {"helix": helix_reason, "slant": slant_reason})
 
 
 def _verdicts(residuals: TheoremResiduals) -> dict[str, str]:
@@ -357,39 +367,35 @@ class TestOddDimensions:
         assert cor31 > margin and cor41 > margin
 
 
-_BAND_REASON = (
-    "ROADMAP item 1: a cosine is flat near its axis, so an angle that wanders "
-    "within sqrt(2 tol_const) ~ 1.4e-4 rad of it passes the constancy test"
-)
-
-
 class TestNearAxisBand:
-    """Non-helices whose angle stays within sqrt(2 tol_const) of its axis.
+    """Non-helices whose angle stays within sqrt(2 tol_const) ~ 1.4e-4 rad of its axis.
 
-    The helix and slant flags test whether cos(angle) is constant, and
-    cos(theta) changes by less than theta^2/2 while theta stays near 0. The
-    theta guard covers only theta < 1e-6, and only the tangent family, so
-    both curves below are flagged wrongly and PASS a verdict.
+    cos(theta) changes by less than theta^2/2 while theta stays near 0, so a
+    test of the spread of <grad f, V1> or <grad f, Vn> flagged both curves
+    below and let them PASS verdicts. The rate of the angle over the
+    frame's turning reads about 1e-5 of mean |grad f| on both.
     """
 
-    @pytest.mark.xfail(strict=True, reason=_BAND_REASON)
     def test_conical_spiral_is_not_a_helix(self):
         # tangent angle to e_3 grows from 1.4e-5 to 6.1e-5 rad
-        _, classification, verdicts = _band_run('["1e-5*s*cos(s)", "1e-5*s*sin(s)", "s"]')
+        classification, _, verdicts = _band_run('["1e-5*s*cos(s)", "1e-5*s*sin(s)", "s"]')
         print(f"helix flag {classification.helix}: {verdicts}")
+        assert not classification.helix
         assert PASS not in {verdicts[name] for name in HELIX_VERDICTS}
 
-    @pytest.mark.xfail(strict=True, reason=_BAND_REASON)
     def test_slow_rise_is_not_a_slant_helix(self):
         # the binormal V_3's angle to e_3 grows from 2.8e-5 to 1.2e-4 rad
-        _, classification, verdicts = _band_run('["cos(s)", "sin(s)", "1e-5*s^2"]')
+        classification, _, verdicts = _band_run('["cos(s)", "sin(s)", "1e-5*s^2"]')
         print(f"slant flag {classification.slant}: {verdicts}")
+        assert not classification.slant
         assert PASS not in {verdicts[name] for name in RULES if name not in HELIX_VERDICTS}
 
 
-def _band_run(curve: str):
+def _band_run(curve: str, s_range: str = "[1, 6]", samples: int = 64):
+    """(classification, residuals, verdicts) of ``curve`` against the field x3."""
     spec, trajectory, classification = run(
-        f'dimension = 3\ncurve = {curve}\nfield = "x3"\ns_range = [1, 6]\nsamples = 64\n'
+        f'dimension = 3\ncurve = {curve}\nfield = "x3"\ns_range = {s_range}\nsamples = {samples}\n'
     )
-    payload = verdicts_payload(verify_all(trajectory, classification), spec.tol_const, spec.tol_frame)
-    return spec, classification, {name: v["verdict"] for name, v in payload.items()}
+    residuals = verify_all(trajectory, classification)
+    payload = verdicts_payload(residuals, spec.tol_const, spec.tol_frame)
+    return classification, residuals, {name: v["verdict"] for name, v in payload.items()}
