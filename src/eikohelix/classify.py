@@ -193,8 +193,9 @@ def classify_rows(trajectory: Trajectory, tol_const: float) -> Classification:
     ip_tangents = trajectory.ip_tangent
     ip_lasts = trajectory.ip_last
 
-    # an overflowing mean or spread raises EvalOverflow below
-    with np.errstate(over="ignore"):
+    # an overflowing mean or spread, or +inf and -inf meeting in a sum as nan,
+    # raises EvalOverflow below
+    with np.errstate(over="ignore", invalid="ignore"):
         mean_norm = float(np.mean(grad_norms))
         eikonal, spread_norm = constancy(grad_norms, tol_const, mean_norm)
         spread_tangent = constancy(ip_tangents, tol_const, mean_norm)[1]

@@ -291,6 +291,20 @@ class TestGradientOverflow:
         assert main(["verify", path, "--json"]) == 3
         assert "over the grid overflows" in capsys.readouterr().err
 
+    def test_projection_sums_meeting_as_nan(self, tmp_path):
+        # on 512 samples the sums of <grad f, V1> overflow to +inf and -inf
+        # and meet as nan: one error line and no numpy warning
+        document = catalog.get("helix345_fz").document.replace('field = "x3"', 'field = "1e307*x1^2"')
+        assert 'field = "1e307*x1^2"' in document
+        path = tmp_path / "case.spec"
+        path.write_text(document, encoding="utf-8")
+        for command in ("classify", "verify"):
+            result = run_cli(command, str(path))
+            assert result.returncode == 3
+            assert result.stderr == (
+                "error: mean or spread of |grad f|, <grad f, V1> or <grad f, Vn> over the grid overflows\n"
+            )
+
 
 class TestTolerance:
     @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "-inf", "abc"])

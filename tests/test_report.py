@@ -11,6 +11,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eikohelix import catalog
 from eikohelix.classify import classify_rows, sample_along_curve
@@ -19,6 +21,9 @@ from eikohelix.report import classify_report, samples_payload, to_json, verify_r
 from eikohelix.verify import verify_all
 
 from helpers import reference_samples_payload, reference_to_json, wcurve_lift
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POOL = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3]
 
 
 def _verify_payloads(spec):
@@ -63,6 +68,41 @@ def test_fewest_samples():
     _assert_table_matches_reference(wcurve_lift(3, samples=8))
 
 
+def _row_dict(values: list[float]) -> dict:
+    """The row object of a flat row of 3n - 1 numbers."""
+    n = (len(values) + 1) // 3
+    return {
+        "s": values[0], "k": values[1:n], "H": values[n:2 * n - 2], "Hstar": values[2 * n - 2:3 * n - 4],
+        "grad_norm": values[3 * n - 4], "ip_tangent": values[3 * n - 3], "ip_last": values[3 * n - 2],
+    }
+
+
+@st.composite
+def _tables(draw):
+    """Rows of width 3n - 1 whose values mostly repeat, within and across columns."""
+    n = draw(st.integers(3, 13))
+    pool = _POOL + draw(st.lists(_FINITE, max_size=4))
+    cell = st.one_of(st.sampled_from(pool), st.sampled_from(pool), st.sampled_from(pool), _FINITE)
+    return draw(st.lists(st.lists(cell, min_size=3 * n - 1, max_size=3 * n - 1), min_size=1, max_size=40))
+
+
+@given(_tables())
+@example([[0.0] * 8, [-0.0] * 8, [0.0] * 8])  # equal zeros print differently
+@settings(max_examples=200, deadline=None)
+def test_repeated_floats_match_reference(rows):
+    head = {"spec": {"dimension": (len(rows[0]) + 1) // 3}}
+    expected = reference_to_json(dict(head, samples=[_row_dict(row) for row in rows]))
+    assert to_json(dict(head, samples=rows)) == expected
+    assert to_json(dict(head, samples=np.array(rows))) == expected
+
+
+def test_array_payload_matches_lists():
+    payload = _verify_payloads(catalog.load("helix345_fz"))[1]
+    table = payload["samples"]
+    assert table.dtype == np.float64 and table.shape == (512, 8)
+    assert to_json(payload) == to_json(dict(payload, samples=table.tolist()))
+
+
 def test_extreme_floats():
     plain, _, _ = _verify_payloads(wcurve_lift(5, samples=8))
     rng = np.random.default_rng(4)
@@ -76,10 +116,7 @@ def test_extreme_floats():
         ]
         if row == 0:
             values[: len(specials)] = specials
-        dicts.append({
-            "s": values[0], "k": values[1:5], "H": values[5:8], "Hstar": values[8:11],
-            "grad_norm": values[11], "ip_tangent": values[12], "ip_last": values[13],
-        })
+        dicts.append(_row_dict(values))
         rows.append(values)
     text = to_json(dict(plain, samples=rows))
     assert text == reference_to_json(dict(plain, samples=dicts))
