@@ -7,6 +7,13 @@ function set {sin, cos, exp, sqrt, ln}. The curve-spec document language is
 a flat ``key = value`` text format holding a dimension, component
 expressions, a field expression, a parameter range, and sampling/tolerance
 settings.
+
+An expression is scanned by one pass of one compiled pattern into
+``(kind, text, offset)`` tuples, then parsed by one loop over ``+ - * /``
+that calls one method for everything binding tighter. The parser checks
+every rule as it builds the tree, so a CurveSpec from ``parse_curve_spec``
+takes its trees as they are; one built in Python, directly or through
+``dataclasses.replace``, has its trees walked against the same rules.
 """
 
 from __future__ import annotations
@@ -15,7 +22,8 @@ import json
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from contextvars import ContextVar
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (
@@ -37,10 +45,9 @@ DEFAULT_SAMPLES = 512
 DEFAULT_TOL_CONST = 1e-8
 DEFAULT_TOL_FRAME = 1e-10
 _MAX_DEPTH = 100  # deepest expression tree and nesting the parser accepts
+_TOO_DEEP = f"expression nests deeper than {_MAX_DEPTH} levels"
 # the binary operators on floats, jets and field duals alike
-BINARY_OPERATORS = {
-    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": operator.pow
-}
+BINARY_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": operator.pow}
 
 
 # --------------------------------------------------------------------- AST
@@ -119,11 +126,24 @@ class Token(NamedTuple):
 
 
 # one named group per token kind, tried in order; without re.ASCII, \d is
-# str.isdecimal (the digits float accepts) and \w is str.isalnum or "_"
+# str.isdecimal (the digits float accepts) and \w is str.isalnum or "_".
+# ``bad`` takes the rest of the source from a character nothing else matches.
 _TOKEN = re.compile(
     r"(?P<space>[ \t\r\n]+)|(?P<op>[-+*/^])|(?P<lparen>\()|(?P<rparen>\))"
-    r"|(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?)|(?P<ident>\w+)"
+    r"|(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?)|(?P<ident>\w+)|(?P<bad>[\s\S]+)"
 )
+
+
+def _scan(source: str) -> list[tuple[str, str, int]]:
+    """``tokenize`` as plain ``(kind, text, offset)`` tuples, from one pass of _TOKEN."""
+    tokens = [(kind, m.group(), m.start()) for m in _TOKEN.finditer(source) if (kind := m.lastgroup) != "space"]
+    # ``bad`` can only be last; a word can start with a numeric such as "²", neither a
+    # letter nor "_", only in a source that is not ASCII
+    for kind, text, position in tokens if not source.isascii() else tokens[-1:]:
+        if kind == "bad" or (kind == "ident" and not (text[0].isalpha() or text[0] == "_")):
+            raise IllegalCharacter(text[0], position)
+    tokens.append(("end", "", len(source)))
+    return tokens
 
 
 def tokenize(source: str) -> list[Token]:
@@ -136,18 +156,7 @@ def tokenize(source: str) -> list[Token]:
     space, tab, CR and LF. Raises IllegalCharacter with the 0-based offset
     of the first unrecognized character.
     """
-    tokens: list[Token] = []
-    i = 0
-    while i < len(source):
-        match = _TOKEN.match(source, i)
-        kind = match and match.lastgroup
-        if kind is None or (kind == "ident" and not (source[i].isalpha() or source[i] == "_")):
-            raise IllegalCharacter(source[i], i)
-        if kind != "space":
-            tokens.append(Token(kind, match.group(), i))
-        i = match.end()
-    tokens.append(Token("end", "", len(source)))
-    return tokens
+    return list(map(Token._make, _scan(source)))
 
 
 # ------------------------------------------------------------------ parser
@@ -159,7 +168,7 @@ _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 def _deeper(depth: int, position: int | None = None) -> int:
     """``depth + 1``, if that is at most _MAX_DEPTH; ``position`` is where it is reached."""
     if depth >= _MAX_DEPTH:
-        raise ExprSyntaxError(f"expression nests deeper than {_MAX_DEPTH} levels", position)
+        raise ExprSyntaxError(_TOO_DEEP, position)
     return depth + 1
 
 
@@ -190,110 +199,101 @@ def _check_exponent(exponent: Expr, position: int | None = None) -> None:
 
 
 class _ExprParser:
-    """Recursive-descent parser with precedence ^ > unary- > */ > +-.
+    """Precedence-climbing parser with precedence ^ > unary- > */ > +-.
 
-    ``+ - * /`` are parsed by one precedence-climbing loop (``binary``) that
-    takes each operator's binding strength from _PRECEDENCE, the table the
-    printer reads; all four are left-associative. ``^`` is right-associative
-    and its exponent must be a constant expression.
+    It reads ``(kind, text, offset)`` tuples, ``Token`` or plain. ``binary``
+    is one loop over ``+ - * /`` that keeps the left operands still waiting
+    for their right ones on a stack, each operator's binding strength from
+    _PRECEDENCE, the table the printer reads; all four are left-associative.
+    ``operand`` is everything tighter in one method: signs, numbers,
+    parentheses, function calls, names and a right-associative ``^``, whose
+    exponent must be a constant expression.
 
-    The methods below ``parse`` return a subexpression with its tree depth
-    (a leaf is 1 deep). The parser refuses a tree deeper than _MAX_DEPTH, and
-    more than _MAX_DEPTH nested signs, parentheses, function arguments and
-    exponents, so that neither it nor the recursive walkers over its trees
-    come near Python's recursion limit.
+    Both return a subexpression with its tree depth (a leaf is 1 deep). The
+    parser refuses a tree deeper than _MAX_DEPTH, and more than _MAX_DEPTH
+    nested signs, parentheses, function arguments and exponents (``operand``
+    calls), so that neither it nor the recursive walkers over its trees come
+    near Python's recursion limit.
     """
 
-    def __init__(self, tokens: list[Token], kind: str, dimension: int):
+    def __init__(self, tokens: list[tuple[str, str, int]], kind: str, dimension: int):
         if kind not in ("curve", "field"):
             raise ValueError("kind must be 'curve' or 'field'")
-        self.tokens = tokens
-        self.kind = kind
-        self.dimension = dimension
-        self.pos = 0
-        self.nesting = 0
+        self.tokens, self.kind, self.dimension = tokens, kind, dimension
+        self.pos = self.nesting = 0  # the next token's index; the operand calls under way
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
+    def expect(self, kind: str) -> None:
+        found, text, position = self.tokens[self.pos]
+        if found != kind:
+            raise ExprSyntaxError(f"expected {kind!r}, found {text or 'end'!r}", position)
         self.pos += 1
-        return tok
-
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text or kind
-            raise ExprSyntaxError(f"expected {want!r}, found {tok.text or 'end'!r}", tok.position)
-        return self.advance()
 
     def parse(self) -> Expr:
         expr, _ = self.binary()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExprSyntaxError(f"unexpected {tok.text!r} after expression", tok.position)
+        kind, text, position = self.tokens[self.pos]
+        if kind != "end":
+            raise ExprSyntaxError(f"unexpected {text!r} after expression", position)
         return expr
 
-    def binary(self, floor: int = 1) -> tuple[Expr, int]:
-        """Factors joined by the operators of + - * / that bind at least ``floor`` tightly."""
-        expr, depth = self.factor()
-        tok = self.peek()
-        while tok.kind == "op" and tok.text in "+-*/" and _PRECEDENCE[tok.text] >= floor:
-            self.advance()
-            right, d = self.binary(_PRECEDENCE[tok.text] + 1)
-            expr, depth = Binary(tok.text, expr, right), _deeper(max(depth, d), tok.position)
-            tok = self.peek()
-        return expr, depth
+    def binary(self) -> tuple[Expr, int]:
+        """Operands joined by ``+ - * /``."""
+        tokens, waiting = self.tokens, []  # (left, its depth, operator, its offset, binding)
+        expr, depth = self.operand()
+        while True:
+            kind, op, position = tokens[self.pos]
+            binding = _PRECEDENCE[op] if kind == "op" and op in "+-*/" else 0
+            while waiting and waiting[-1][4] >= binding:  # join what binds at least as tightly
+                left, d, left_op, left_position, _ = waiting.pop()
+                expr, depth = Binary(left_op, left, expr), (d if d > depth else depth) + 1
+                if depth > _MAX_DEPTH:
+                    raise ExprSyntaxError(_TOO_DEEP, left_position)
+            if not binding:
+                return expr, depth
+            self.pos += 1
+            waiting.append((expr, depth, op, position, binding))
+            expr, depth = self.operand()
 
-    def factor(self) -> tuple[Expr, int]:
-        tok = self.peek()
-        self.nesting = _deeper(self.nesting, tok.position)
-        if tok.kind == "op" and tok.text in "+-":
-            self.advance()
-            expr, depth = self.factor()
-            if tok.text == "-":
-                expr, depth = Unary("neg", expr), _deeper(depth, tok.position)
-        else:
-            expr, depth = self.power()
-        self.nesting -= 1
-        return expr, depth
-
-    def power(self) -> tuple[Expr, int]:
-        base, depth = self.atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
-            exponent, d = self.factor()  # right-assoc; allows 2^-3 and 2^3^2
-            _check_exponent(exponent, tok.position)
-            return Binary("^", base, exponent), _deeper(max(depth, d), tok.position)
-        return base, depth
-
-    def atom(self) -> tuple[Expr, int]:
-        tok = self.advance()
-        if tok.kind == "num":
-            return Constant(float(tok.text)), 1
-        if tok.kind == "lparen":
-            expr = self.binary()
+    def operand(self) -> tuple[Expr, int]:
+        """A sign and its operand, or an atom and the ``^`` exponent that may follow it."""
+        tokens = self.tokens
+        kind, text, position = tokens[self.pos]
+        if self.nesting >= _MAX_DEPTH:
+            raise ExprSyntaxError(_TOO_DEEP, position)
+        self.nesting += 1
+        self.pos += 1
+        if kind == "op" and text in "+-":
+            expr, depth = self.operand()
+            if text == "-":
+                expr, depth = Unary("neg", expr), _deeper(depth, position)
+            self.nesting -= 1
+            return expr, depth
+        if kind == "num":
+            expr, depth = Constant(float(text)), 1
+        elif kind == "lparen":
+            expr, depth = self.binary()
             self.expect("rparen")
-            return expr
-        if tok.kind == "ident":
-            return self.identifier(tok)
-        raise ExprSyntaxError(f"unexpected {tok.text or 'end'!r}", tok.position)
-
-    def identifier(self, tok: Token) -> tuple[Expr, int]:
-        name = tok.text
-        if name in FUNCTIONS:
+        elif kind != "ident":
+            raise ExprSyntaxError(f"unexpected {text or 'end'!r}", position)
+        elif text in FUNCTIONS:
             self.expect("lparen")
             arg, depth = self.binary()
             self.expect("rparen")
-            return Unary(name, arg), _deeper(depth, tok.position)
-        if name in NAMED_CONSTANTS:
-            return Constant(NAMED_CONSTANTS[name]), 1
-        if name == "s" or (name.startswith("x") and name[1:].isdecimal()):
-            leaf = Param() if name == "s" else Coord(int(name[1:]))
-            return _check_leaf(leaf, self.kind, self.dimension, name, tok.position), 1
-        raise UnknownIdentifier(name, tok.position)
+            expr, depth = Unary(text, arg), _deeper(depth, position)
+        elif text in NAMED_CONSTANTS:
+            expr, depth = Constant(NAMED_CONSTANTS[text]), 1
+        elif text == "s" or (text.startswith("x") and text[1:].isdecimal()):
+            leaf = Param() if text == "s" else Coord(int(text[1:]))
+            expr, depth = _check_leaf(leaf, self.kind, self.dimension, text, position), 1
+        else:
+            raise UnknownIdentifier(text, position)
+        _, text, position = tokens[self.pos]
+        if text == "^":  # right-assoc; allows 2^-3 and 2^3^2
+            self.pos += 1
+            exponent, d = self.operand()
+            _check_exponent(exponent, position)
+            expr, depth = Binary("^", expr, exponent), _deeper(max(depth, d), position)
+        self.nesting -= 1
+        return expr, depth
 
 
 def parse_expression(tokens: list[Token], kind: str, dimension: int) -> Expr:
@@ -306,7 +306,7 @@ def parse_expression(tokens: list[Token], kind: str, dimension: int) -> Expr:
 
 
 def parse_expr_text(source: str, kind: str, dimension: int = 0) -> Expr:
-    return parse_expression(tokenize(source), kind, dimension)
+    return _ExprParser(_scan(source), kind, dimension).parse()
 
 
 # ---------------------------------------------------------------- printing
@@ -361,9 +361,7 @@ class CurveSpec:
         if self.dimension < 2:
             raise DimensionMismatch(f"dimension must be >= 2, got {self.dimension}")
         if len(self.components) != self.dimension:
-            raise DimensionMismatch(
-                f"{len(self.components)} curve components for dimension {self.dimension}"
-            )
+            raise DimensionMismatch(f"{len(self.components)} curve components for dimension {self.dimension}")
         lo, hi = self.s_range
         if not (lo < hi and math.isfinite(hi - lo)):  # a finite width needs finite ends
             raise SpecDocumentError(f"invalid s_range {self.s_range!r}")
@@ -372,25 +370,35 @@ class CurveSpec:
         for name, tol in (("tol_const", self.tol_const), ("tol_frame", self.tol_frame)):
             if not (math.isfinite(tol) and tol > 0):
                 raise SpecDocumentError(f"{name} must be finite and positive, got {tol!r}")
-        # the parser's rules, without offsets, for trees that may be built in Python,
-        # walked one level at a time so that a deep tree cannot exhaust the stack
-        exponents = []
-        for kind, expr in [*(("curve", c) for c in self.components), ("field", self.field)]:
-            level, depth = [expr], 0
-            while level:
-                depth, below = _deeper(depth), []  # the nodes of ``level`` are ``depth`` deep
-                for node in level:
-                    if isinstance(node, Binary):
-                        below += (node.left, node.right)
-                        if node.op == "^":
-                            exponents.append(node.right)
-                    elif isinstance(node, Unary):
-                        below.append(node.child)
-                    elif isinstance(node, (Param, Coord)):
-                        _check_leaf(node, kind, self.dimension)
-                level = below
-        for exponent in exponents:  # recursive walkers, safe once the depth is bounded
-            _check_exponent(exponent)
+        if not _PARSED.get():
+            _check_trees(self)
+
+
+# true, in this thread or task, while parse_curve_spec makes a CurveSpec of the
+# trees its parser has just checked, which __post_init__ then does not walk again
+_PARSED: ContextVar[bool] = ContextVar("parsed", default=False)
+
+
+def _check_trees(spec: CurveSpec) -> None:
+    """The parser's rules, without offsets, for trees that may be built in Python,
+    walked one level at a time so that a deep tree cannot exhaust the stack."""
+    exponents = []
+    for kind, expr in [*(("curve", c) for c in spec.components), ("field", spec.field)]:
+        level, depth = [expr], 0
+        while level:
+            depth, below = _deeper(depth), []  # the nodes of ``level`` are ``depth`` deep
+            for node in level:
+                if isinstance(node, Binary):
+                    below += (node.left, node.right)
+                    if node.op == "^":
+                        exponents.append(node.right)
+                elif isinstance(node, Unary):
+                    below.append(node.child)
+                elif isinstance(node, (Param, Coord)):
+                    _check_leaf(node, kind, spec.dimension)
+            level = below
+    for exponent in exponents:  # recursive walkers, safe once the depth is bounded
+        _check_exponent(exponent)
 
 
 def spec_payload(spec: CurveSpec) -> dict:
@@ -482,29 +490,23 @@ def parse_curve_spec(document: str) -> CurveSpec:
             raise MissingField(name)
         return entries[name]
 
-    dim_value, dim_line = require("dimension")
-    if not isinstance(dim_value, int):
-        raise SpecDocumentError(f"dimension must be an integer, got {dim_value!r}", dim_line)
-    dimension = dim_value
+    dimension, dim_line = require("dimension")
+    if not isinstance(dimension, int):
+        raise SpecDocumentError(f"dimension must be an integer, got {dimension!r}", dim_line)
 
     curve_value, curve_line = require("curve")
     if not isinstance(curve_value, list) or not all(isinstance(c, str) for c in curve_value):
         raise SpecDocumentError("curve must be a list of quoted expressions", curve_line)
     if len(curve_value) != dimension:
-        raise DimensionMismatch(
-            f"{len(curve_value)} curve components for dimension {dimension}", curve_line
-        )
+        raise DimensionMismatch(f"{len(curve_value)} curve components for dimension {dimension}", curve_line)
 
     field_value, field_line = require("field")
     if not isinstance(field_value, str):
         raise SpecDocumentError("field must be a quoted expression", field_line)
 
     range_value, range_line = require("s_range")
-    if (
-        not isinstance(range_value, list)
-        or len(range_value) != 2
-        or not all(isinstance(v, (int, float)) for v in range_value)
-    ):
+    if not (isinstance(range_value, list) and len(range_value) == 2
+            and all(isinstance(v, (int, float)) for v in range_value)):
         raise SpecDocumentError("s_range must be a list of two reals", range_line)
 
     def parse_wrapped(source: str, kind: str, lineno: int) -> Expr:
@@ -535,13 +537,11 @@ def parse_curve_spec(document: str) -> CurveSpec:
                 raise SpecDocumentError(f"{name} must be a real", lineno)
             kwargs[name] = float(value)
 
-    return CurveSpec(
-        dimension=dimension,
-        components=components,
-        field=field_expr,
-        s_range=(float(range_value[0]), float(range_value[1])),
-        **kwargs,
-    )
+    parsed = _PARSED.set(True)
+    try:
+        return CurveSpec(dimension, components, field_expr, (float(range_value[0]), float(range_value[1])), **kwargs)
+    finally:
+        _PARSED.reset(parsed)
 
 
 def format_document(payload: dict) -> str:

@@ -172,8 +172,9 @@ def to_json(payload: dict) -> str:
     numbers = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
     template = _row_template((rows.shape[1] + 1) // 3)  # a row holds 3n - 1 numbers
     table = ",\n".join([template] * len(rows)) % tuple(numbers[inverse].tolist())
-    # text ends with the closing "\n}" of the head object
-    return f'{text[:-2]},\n  "samples": [\n{table}\n  ]\n}}\n'
+    # text ends with the closing "\n}" of the head object, or is "{}" without a head
+    opening = f"{text[:-2]}," if head else "{"
+    return f'{opening}\n  "samples": [\n{table}\n  ]\n}}\n'
 
 
 # ------------------------------------------------------------- plain text

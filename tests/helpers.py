@@ -444,6 +444,27 @@ def wcurve_lift(n: int, samples: int, quadratic: bool = False) -> CurveSpec:
     )
 
 
+def even_helix(n: int, samples: int = 64, quadratic: bool = False) -> CurveSpec:
+    """A helix in R^n at even n >= 4: alpha = (0.6 * integral of gamma, 0.8 s) with the
+    unit gamma = (cos s * u, sin s), u the W-curve (cos c_j s, sin c_j s)_{j=1..m} / sqrt(m),
+    m = (n - 2) / 2 and c_j = 2j + 1; so cos theta = 0.8 at unit speed. At m = 1 it is
+    helix_r4 with sin theta = 0.6. The ``quadratic`` twin rises by 0.8 s + 0.3 s^2."""
+    m = (n - 2) // 2
+    w = 0.6 / math.sqrt(m)
+    components = []
+    for c in range(3, 2 * m + 2, 2):
+        components += [
+            f"{w!r}*(sin({c + 1}*s)/{2 * (c + 1)} + sin({c - 1}*s)/{2 * (c - 1)})",
+            f"{w!r}*(-cos({c + 1}*s)/{2 * (c + 1)} - cos({c - 1}*s)/{2 * (c - 1)})",
+        ]
+    components += ["-0.6*cos(s)", "0.8*s + 0.3*s^2" if quadratic else "0.8*s"]
+    curve = ", ".join(f'"{c}"' for c in components)
+    return parse_curve_spec(
+        f'dimension = {n}\ncurve = [{curve}]\nfield = "x{n}"\n'
+        f"s_range = [0.3, 5.9]\nsamples = {samples}\n"
+    )
+
+
 # ------------------------------------------------- reference harmonic families
 #
 # The two families and their closing residuals as they were written before

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import inspect
 import math
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eikohelix import catalog
+from eikohelix import catalog, dsl
 from eikohelix.dsl import (
     _MAX_DEPTH,
     FUNCTIONS,
@@ -27,6 +28,7 @@ from eikohelix.dsl import (
     _split_list,
     constant_value,
     format_curve_spec,
+    format_document,
     format_expr,
     is_constant_expr,
     parse_curve_spec,
@@ -660,3 +662,36 @@ class TestHandBuiltSpecs:
         assert str(exc_info.value) == "expression nests deeper than 100 levels"
         spec = _hand_built(curve_last=add_all([Param()] * _MAX_DEPTH))  # at the bound
         assert parse_curve_spec(format_curve_spec(spec)) == spec
+
+
+def _rotated_document() -> str:
+    """A document like the benchmark's many small specs: helix345 rotated and rescaled in R^3,
+    with the unit linear field along its rotated axis."""
+    q = np.linalg.qr(np.random.default_rng(19).standard_normal((3, 3)))[0]
+    terms = ["(3*cos(s/5))", "(3*sin(s/5))", "(4*s/5)"]
+    curve = [" + ".join(f"{float(1.3 * q[r, c])!r}*{t}" for c, t in enumerate(terms)) for r in range(3)]
+    field = " + ".join(f"{float(q[r, 2])!r}*x{r + 1}" for r in range(3))
+    return format_document({"dimension": 3, "curve": curve, "field": field, "s_range": [0.5, 10.5], "samples": 16})
+
+
+class TestCheckedOnce:
+    """parse_curve_spec's trees are checked by the parser only; a tree built in
+    Python, directly or through dataclasses.replace, is walked by CurveSpec."""
+
+    def test_parsed_trees_are_not_walked_again(self, monkeypatch):
+        walked = []
+        walk = dsl._check_trees
+        monkeypatch.setattr(dsl, "_check_trees", lambda spec: walked.append(spec) or walk(spec))
+        documents = [catalog.get(name).document for name in catalog.names()] + [_rotated_document()]
+        specs = [parse_curve_spec(document) for document in documents]
+        assert walked == []
+        field = Binary("+", Coord(1), Binary("*", Constant(2.0), Param()))  # contains s
+        message = "parameter 's' not allowed in a field expression"
+        for build in (
+            lambda: dataclasses.replace(specs[-1], field=field),
+            lambda: CurveSpec(3, specs[-1].components, field, specs[-1].s_range),
+        ):
+            with pytest.raises(WrongSymbolKind) as exc_info:
+                build()
+            assert str(exc_info.value) == message == _parser_message("x1 + 2*s", "field")
+        assert len(walked) == 2

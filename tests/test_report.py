@@ -96,6 +96,13 @@ def test_repeated_floats_match_reference(rows):
     assert to_json(dict(head, samples=np.array(rows))) == expected
 
 
+def test_samples_as_the_only_key():
+    rows = _verify_payloads(wcurve_lift(3, samples=8))[1]["samples"]
+    expected = reference_to_json({"samples": [_row_dict(row) for row in rows.tolist()]})
+    assert to_json({"samples": rows}) == expected
+    assert to_json({"samples": rows.tolist()}) == expected
+
+
 def test_array_payload_matches_lists():
     payload = _verify_payloads(catalog.load("helix345_fz"))[1]
     table = payload["samples"]

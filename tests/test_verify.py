@@ -14,6 +14,7 @@ from eikohelix.report import FAIL, NOT_APPLICABLE, PASS, residuals_payload, verd
 from eikohelix.verify import TheoremResiduals, verify_all
 
 from helpers import (
+    even_helix,
     lift_helix_r4,
     nonhelix_r3,
     synthetic_helix_r4,
@@ -327,8 +328,8 @@ class TestVerdictRule:
         assert verdicts["thm41"] == (FAIL if values else PASS)
 
 
-def _lift_run(n: int, quadratic: bool):
-    spec = wcurve_lift(n, 64, quadratic)
+def _lift_run(n: int, quadratic: bool, family=wcurve_lift):
+    spec = family(n, 64, quadratic)
     trajectory = sample_along_curve(spec)
     classification = classify_rows(trajectory, spec.tol_const)
     residuals = verify_all(trajectory, classification)
@@ -365,6 +366,33 @@ class TestOddDimensions:
         cor31, cor41 = residuals.values["cor31"], residuals.values["cor41"]
         print(f"n = {n}: cor31 = {cor31:.3g}, cor41 = {cor41:.3g}, margin {margin:.3g}")
         assert cor31 > margin and cor41 > margin
+
+
+class TestEvenDimensions:
+    """Verdicts of helpers.even_helix at every even n from 4 to 12: a helix at
+    the angle arccos 0.8 to its axis, and not a slant helix."""
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            *range(4, 11, 2),
+            pytest.param(12, marks=pytest.mark.xfail(strict=True, reason=(
+                "cor31 FAILs at n = 12: 5.4e-8 of its scale k_{n-1} max|H|, above tol_const "
+                "= 1e-8; that is the float64 rounding floor (ROADMAP items 3 and 7)"
+            ))),
+        ],
+    )  # fmt: skip
+    def test_helix_passes_the_helix_verdicts(self, n):
+        _, classification, _, verdicts = _lift_run(n, False, even_helix)
+        assert classification.helix and not classification.slant
+        assert abs(classification.ip_tangent - 0.8) <= 1e-12
+        assert verdicts == {name: PASS if name in HELIX_VERDICTS else NOT_APPLICABLE for name in RULES}
+
+    @pytest.mark.parametrize("n", range(4, 13, 2))
+    def test_quadratic_twin_is_not_applicable(self, n):
+        _, classification, _, verdicts = _lift_run(n, True, even_helix)
+        assert not classification.helix and not classification.slant
+        assert verdicts == dict.fromkeys(RULES, NOT_APPLICABLE)
 
 
 class TestNearAxisBand:
