@@ -6,7 +6,9 @@ mode over a whole batch of parameter values at once (a sample grid, or one point
 derivative that feeds a frame-relative rate is divided by the speed jet. Each quantity is carried
 only to the jet order its consumers need (see :func:`eikohelix.jets.frame_jet_order`): the curve
 at 2n-2, V_1..V_{n-1} at n-1, and V_n and each k_i at n-2, which leaves the last harmonic
-curvatures of both families at order 1.
+curvatures of both families at order 1. The QR's per-point n x n products run as einsum below
+n = 9 and as batched BLAS matmul from there on: the rule keys on n alone, not on the batch, so
+that a point and a grid take the same kernel.
 """
 
 from __future__ import annotations
@@ -52,6 +54,13 @@ def directional_derivative(g: Jet, speed: Jet) -> Jet:
     return g.derivative() / speed
 
 
+_BATCHED_FROM = 9  # the dimension from which the recurrence runs as batched matmul; see frenet_apparatus
+
+
+def _batch_first(a: np.ndarray) -> np.ndarray:  # a view of the stack [k, a, c, *batch] as (k, *batch, a, c)
+    return np.moveaxis(a, (1, 2), (-2, -1))
+
+
 def _finite(a: np.ndarray, carried: int, overflow: np.ndarray) -> None:
     """Set the non-finite entries of ``a`` to 0, each marking ``overflow`` for its column if one of
     the first ``carried``, so that no triangular product carries an overflow into an earlier column."""
@@ -79,6 +88,8 @@ def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetD
     in order: each raises EvalOverflow when a coefficient it carries is not finite, then
     DegenerateCurve(i) (NotRegular at i = 1, alpha' = 0) when the norm Gram-Schmidt leaves of
     alpha^(i) is at most ``tol_frame`` times |alpha^(i)|, for the first batch point that fails it.
+    From n = 9 on, the n x n products run as np.matmul over batch-first stacks; below n = 9 the
+    stacks' extra copies cost more than BLAS gains over einsum's loops across the batch.
     """
     n = len(curve_jets)
     if n < 2:
@@ -115,18 +126,33 @@ def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetD
         overflow, degenerate = ~np.isfinite(norm_sq), ~(norm_sq > threshold)
         _finite(V, 0, overflow)  # a non-finite R_0^-1 column reaches only itself and later ones
         # F_k overwrites D_k, and Q all of D, which keeps the peak memory at n = 13 near the jets' own
-        X, U = np.empty_like(D), np.zeros_like(D)
+        batched = n >= _BATCHED_FROM
+        if batched:  # X and U are stored batch-first, so that every order's sums read contiguous stacks
+            Xb, Ub = np.zeros((2, len(D), *D.shape[3:], n, n))
+            X, U = (np.moveaxis(a, (-2, -1), (1, 2)) for a in (Xb, Ub))
+            np.matmul(_batch_first(V[None]), _batch_first(D[1:]), out=Xb[1:])
+            _finite(X[1:], n, overflow)
+            F = np.moveaxis(np.matmul(Xb[1:], _batch_first(Rinv[None]), out=_batch_first(D[1:])), (-2, -1), (1, 2))
+        else:
+            X, U = np.empty_like(D), np.zeros_like(D)
+            _finite(np.einsum("ar...,krc...->kac...", V, D[1:], out=X[1:]), n, overflow)
+            F = np.einsum("kab...,bc...->kac...", X[1:], Rinv, out=D[1:])
         X[0] = U[0] = eye
-        _finite(np.einsum("ar...,krc...->kac...", V, D[1:], out=X[1:]), n, overflow)
-        F = np.einsum("kab...,bc...->kac...", X[1:], Rinv, out=D[1:])
         below = np.tril_indices(n, -1)
         above, diagonal = below[::-1], np.diag_indices(n)
         for k in range(1, len(D)):
             carried = sum(top >= k for top in orders)
-            P = F[k - 1] - np.einsum("mab...,mbc...->ac...", X[1:k], U[k - 1 : 0 : -1])
-            T = np.einsum("mra...,mrc...->ac...", X[1 : k // 2 + 1], X[k - 1 : (k - 1) // 2 : -1])
-            if k % 2 == 0:  # S = -(T + T^T) with T over the terms m < k - m and half of m = k - m
-                T -= 0.5 * np.einsum("ra...,rc...->ac...", X[k // 2], X[k // 2])
+            if batched:  # the same sums: over the inner index by BLAS at each point, then over m
+                P = np.matmul(Xb[1:k], Ub[k - 1 : 0 : -1]).sum(axis=0)
+                T = np.matmul(Xb[1 : k // 2 + 1].swapaxes(-2, -1), Xb[k - 1 : (k - 1) // 2 : -1]).sum(axis=0)
+                if k % 2 == 0:  # S = -(T + T^T) with T over the terms m < k - m and half of m = k - m
+                    T -= 0.5 * np.matmul(Xb[k // 2].swapaxes(-2, -1), Xb[k // 2])
+                P, T = F[k - 1] - np.moveaxis(P, (-2, -1), (0, 1)), np.moveaxis(T, (-2, -1), (0, 1))
+            else:
+                P = F[k - 1] - np.einsum("mab...,mbc...->ac...", X[1:k], U[k - 1 : 0 : -1])
+                T = np.einsum("mra...,mrc...->ac...", X[1 : k // 2 + 1], X[k - 1 : (k - 1) // 2 : -1])
+                if k % 2 == 0:
+                    T -= 0.5 * np.einsum("ra...,rc...->ac...", X[k // 2], X[k // 2])
             X[k], U[k] = P, 0.0
             X[k][above], X[k][diagonal] = -(T[above] + T[below]) - P[below], -T[diagonal]
             U[k][above], U[k][diagonal] = P[above] - X[k][above], P[diagonal] - X[k][diagonal]
@@ -138,10 +164,14 @@ def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetD
                 f"curve speed {value_at(np.ldexp(np.sqrt(norm_sq[0]), exponent[0]), p)!r} below threshold", value_at(s, p)
             ))
         speed = Jet(np.ldexp(U[:, 0, 0] * np.sqrt(norm_sq[0]), exponent[0]))
-        Q = np.einsum("ar...,kab...->krb...", V, X, out=D)
+        if batched:
+            Q = np.moveaxis(np.matmul(_batch_first(V[None]).swapaxes(-2, -1), Xb, out=_batch_first(D)), (-2, -1), (1, 2))
+        else:
+            Q = np.einsum("ar...,kab...->krb...", V, X, out=D)
         frame = [Jet(Q[: top + 1, :, i]) for i, top in enumerate(orders)]
         # k_i * speed = <V_i', V_{i+1}> = <X'[:, i], X[:, i+1]> as Q_0 is orthogonal; read from
         # Q = Q_0 X instead, the lift's k, H and H* come out up to 3 times less accurate
+        X = np.ascontiguousarray(X)  # batch-last again, where this einsum runs about twice as fast
         dX = Jet(X).derivative().coeffs
         kappa = (Jet([np.einsum("jra...,jra...->a...", dX[: m + 1, :, :-1], X[m::-1, :, 1:]) for m in range(len(dX))]) / speed).coeffs
         curvatures = [Jet(kappa[: min(orders[i] - 1, orders[i + 1]) + 1, i]) for i in range(n - 1)]

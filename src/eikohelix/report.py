@@ -163,9 +163,9 @@ def to_json(payload: dict) -> str:
     """
     rows = payload.get("samples")
     head = {key: value for key, value in payload.items() if key != "samples"}
+    if rows is None or len(rows) == 0:
+        return json.dumps(head if rows is None else dict(head, samples=[]), indent=2, allow_nan=False) + "\n"
     text = json.dumps(head, indent=2, allow_nan=False)
-    if rows is None:
-        return text + "\n"
     rows = np.asarray(rows, dtype=np.float64)
     # keyed on bits, not on ==: -0.0 == 0.0, but the two print differently
     bits, inverse = np.unique(rows.ravel().view(np.int64), return_inverse=True)

@@ -5,14 +5,15 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from eikohelix import catalog
-from eikohelix.classify import sample_along_curve
-from eikohelix.dsl import parse_curve_spec
-from eikohelix.errors import DegenerateCurve, EvalOverflow, NotRegular
+from eikohelix.classify import classify_rows, sample_along_curve
+from eikohelix.dsl import parse_curve_spec, parse_expr_text
+from eikohelix.errors import DegenerateCurve, EikohelixError, EvalOverflow, NotRegular
 from eikohelix.frenet import directional_derivative, frenet_apparatus
 from eikohelix.harmonic import harmonic_data
 from eikohelix.jets import default_jet_order, eval_curve_jet, jet_constant, jet_param, jet_sin
@@ -337,6 +338,21 @@ def _first_derivatives(fr) -> np.ndarray:
     return np.moveaxis(np.stack([v.coeffs[1] for v in fr.frame]), (0, 1), (-2, -1))
 
 
+def _largest_difference(fr, h, ref, ref_h) -> float:
+    """Largest difference of V's first coefficient, k, H and H*, each relative to the
+    reference array's largest entry, and of both closing residuals."""
+    differences = [
+        np.abs(got - want).max() / np.abs(want).max()
+        for got, want in [
+            (_first_derivatives(fr), _first_derivatives(ref)),
+            (fr.curvature_values(), ref.curvature_values()),
+            (h.H_values(), ref_h.H_values()),
+            (h.Hstar_values(), ref_h.Hstar_values()),
+        ]
+    ]
+    return max(differences + [np.abs(h.closing_H - ref_h.closing_H).max(), np.abs(h.closing_Hstar - ref_h.closing_Hstar).max()])
+
+
 class TestOrderBudget:
     """The frame cut to ``frame_jet_order`` against the same QR at full
     order, and against the frozen jet Gram-Schmidt frame."""
@@ -400,15 +416,60 @@ class TestOrderBudget:
         ref = reference_frenet_apparatus(jets, trajectory.s)
         ref_h = harmonic_data(ref)
         assert np.array_equal(fr.frame_values(), ref.frame_values())
-        differences = [
-            np.abs(got - want).max() / np.abs(want).max()
-            for got, want in [
-                (_first_derivatives(fr), _first_derivatives(ref)),
-                (fr.curvature_values(), ref.curvature_values()),
-                (h.H_values(), ref_h.H_values()),
-                (h.Hstar_values(), ref_h.Hstar_values()),
-            ]
-        ]
-        differences += [np.abs(h.closing_H - ref_h.closing_H).max(), np.abs(h.closing_Hstar - ref_h.closing_Hstar).max()]
-        print(f"{case}: largest difference {max(differences):.3g} (bound {self.GRAM_SCHMIDT_BOUNDS[case]:.3g})")
-        assert max(differences) <= self.GRAM_SCHMIDT_BOUNDS[case]
+        difference = _largest_difference(fr, h, ref, ref_h)
+        print(f"{case}: largest difference {difference:.3g} (bound {self.GRAM_SCHMIDT_BOUNDS[case]:.3g})")
+        assert difference <= self.GRAM_SCHMIDT_BOUNDS[case]
+
+
+def _lift_with(n, kept, tail, **changes):
+    """The 16-sample lift's first ``kept`` components, then the expressions ``tail``."""
+    spec = wcurve_lift(n, 16)
+    components = (*spec.components[:kept], *(parse_expr_text(c, "curve") for c in tail))
+    return replace(spec, dimension=len(components), components=components, **changes)
+
+
+class TestKernels:
+    """From ``frenet._BATCHED_FROM`` on, the recurrence's n x n products run
+    as batched matmul over batch-first stacks instead of einsum. Both kernels
+    start from the same value-level Gram-Schmidt, so the frame values keep
+    their bits; the rest differs by rounding, and no flag or error moves."""
+
+    @staticmethod
+    def _both(spec, monkeypatch):
+        """The sampled trajectory and its classification, or the error's type, message and
+        ``s``, through the einsum kernel, then through the matmul kernel."""
+        results = []
+        for threshold in (spec.dimension + 1, spec.dimension):
+            monkeypatch.setattr("eikohelix.frenet._BATCHED_FROM", threshold)
+            try:
+                trajectory = sample_along_curve(spec)
+            except EikohelixError as exc:
+                results.append((type(exc), str(exc), getattr(exc, "s", None)))
+            else:
+                results.append((trajectory, classify_rows(trajectory, spec.tol_const)))
+        return results
+
+    @pytest.mark.parametrize("quadratic", [False, True], ids=["helix", "twin"])
+    @pytest.mark.parametrize("n", [9, 11, 13])
+    def test_lift_agrees(self, n, quadratic, monkeypatch):
+        (einsum, flags), (batched, batched_flags) = self._both(wcurve_lift(n, 16, quadratic), monkeypatch)
+        assert np.array_equal(batched.frenet.frame_values(), einsum.frenet.frame_values())
+        difference = _largest_difference(batched.frenet, batched.harmonic, einsum.frenet, einsum.harmonic)
+        print(f"n = {n}: largest difference {difference:.3g} (bound {TestOrderBudget.GRAM_SCHMIDT_BOUNDS[n]:.3g})")
+        assert difference <= TestOrderBudget.GRAM_SCHMIDT_BOUNDS[n]
+        for flag in ("eikonal", "helix", "slant", "parallel_gradient"):
+            assert getattr(batched_flags, flag) == getattr(flags, flag)
+
+    @pytest.mark.parametrize(
+        ("spec", "error"),
+        [
+            (_lift_with(9, 8, ["1e308*s^4"], s_range=(0.0, 0.01)), EvalOverflow),
+            (_lift_with(13, 12, ["s + 1e200*s^2"]), DegenerateCurve),
+            (_lift_with(7, 6, ["cos(s)", "sin(s)", "0.7*s"]), DegenerateCurve),  # n = 9
+        ],
+        ids=["overflow9", "large13", "repeated9"],
+    )
+    def test_errors_agree(self, spec, error, monkeypatch):
+        einsum, batched = self._both(spec, monkeypatch)
+        assert einsum[0] is error
+        assert batched == einsum

@@ -35,7 +35,7 @@ from eikohelix.errors import EvalOverflow
 from eikohelix.report import NOT_APPLICABLE, PASS, VERDICT_RULES, verdicts_payload
 from eikohelix.verify import verify_all
 
-from helpers import add_all, lin, rotation, substitute, wcurve_lift
+from helpers import add_all, even_helix, lin, rotation, substitute, wcurve_lift
 
 SAMPLES = 64
 FLAGS = ("eikonal", "helix", "slant", "parallel_gradient")
@@ -54,14 +54,18 @@ def _helix_r4(quadratic: bool):
 
 
 # name -> (spec builder, true helix). The W-curve lift is a helix and a
-# slant helix at odd n; helix_r4 is a helix and not a slant helix. Each has
-# a quadratic-rise twin that is neither. n = 13 is left out: there the
-# float64 rounding floor reaches tol_const (cor41 of the lift reads 1.6e-8
+# slant helix at odd n; helix_r4 and the even-n family (even_helix) are
+# helices and not slant helices. Each has a quadratic-rise twin that is
+# neither. The lift's n = 9 and 11 and even n = 10 run the frame's batched
+# matmul kernel, the rest its einsum kernel. n = 13 is left out: there the
+# float64 rounding floor reaches tol_const (cor41 of the lift reads 1.3e-8
 # of its scale), and rotated n = 13 lifts FAIL slant verdicts from rounding
 # alone (ROADMAP items 3 and 7).
 CASES = {
     **{f"lift{n}": (functools.partial(wcurve_lift, n, SAMPLES), True) for n in range(3, 12, 2)},
     **{f"lift{n}-twin": (functools.partial(wcurve_lift, n, SAMPLES, True), False) for n in range(3, 12, 2)},
+    **{f"even{n}": (functools.partial(even_helix, n, SAMPLES), True) for n in (6, 8, 10)},
+    **{f"even{n}-twin": (functools.partial(even_helix, n, SAMPLES, True), False) for n in (6, 8, 10)},
     "helix_r4": (functools.partial(_helix_r4, False), True),
     "helix_r4-twin": (functools.partial(_helix_r4, True), False),
 }

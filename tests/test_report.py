@@ -103,6 +103,13 @@ def test_samples_as_the_only_key():
     assert to_json({"samples": rows.tolist()}) == expected
 
 
+@pytest.mark.parametrize("empty", [np.empty((0, 8)), np.asarray([]), []], ids=["array", "flat-array", "list"])
+@pytest.mark.parametrize("head", [{}, {"spec": {}}], ids=["no-head", "head"])
+def test_empty_table(empty, head):
+    # an empty table has no row width to build a template from
+    assert to_json(dict(head, samples=empty)) == json.dumps(dict(head, samples=[]), indent=2) + "\n"
+
+
 def test_array_payload_matches_lists():
     payload = _verify_payloads(catalog.load("helix345_fz"))[1]
     table = payload["samples"]

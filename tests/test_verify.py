@@ -346,7 +346,7 @@ class TestOddDimensions:
         [
             *range(3, 12, 2),
             pytest.param(13, marks=pytest.mark.xfail(strict=True, reason=(
-                "cor41 FAILs at n = 13: 1.6e-8 of its scale k_1 max|H*|, above tol_const "
+                "cor41 FAILs at n = 13: 1.3e-8 of its scale k_1 max|H*|, above tol_const "
                 "= 1e-8; that is the float64 rounding floor (ROADMAP items 3 and 7)"
             ))),
         ],
@@ -377,7 +377,7 @@ class TestEvenDimensions:
         [
             *range(4, 11, 2),
             pytest.param(12, marks=pytest.mark.xfail(strict=True, reason=(
-                "cor31 FAILs at n = 12: 5.4e-8 of its scale k_{n-1} max|H|, above tol_const "
+                "cor31 FAILs at n = 12: 6.7e-8 of its scale k_{n-1} max|H|, above tol_const "
                 "= 1e-8; that is the float64 rounding floor (ROADMAP items 3 and 7)"
             ))),
         ],
