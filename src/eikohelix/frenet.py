@@ -6,9 +6,12 @@ mode over a whole batch of parameter values at once (a sample grid, or one point
 derivative that feeds a frame-relative rate is divided by the speed jet. Each quantity is carried
 only to the jet order its consumers need (see :func:`eikohelix.jets.frame_jet_order`): the curve
 at 2n-2, V_1..V_{n-1} at n-1, and V_n and each k_i at n-2, which leaves the last harmonic
-curvatures of both families at order 1. The QR's per-point n x n products run as einsum below
-n = 9 and as batched BLAS matmul from there on: the rule keys on n alone, not on the batch, so
-that a point and a grid take the same kernel.
+curvatures of both families at order 1. The QR starts from classical Gram-Schmidt run twice
+(CGS2) on the values, one block projection per pass. Its per-point n x n products run as einsum
+below n = 9 and as batched BLAS matmul from there on: the rule keys on n alone, not on the batch,
+so that a point and a grid take the same kernel. Every sum over vector components runs as an
+outer loop, never as numpy's pairwise or SIMD reduction along one point's axis, so a point and
+the same point inside a grid give the same bits.
 """
 
 from __future__ import annotations
@@ -70,13 +73,33 @@ def _finite(a: np.ndarray, carried: int, overflow: np.ndarray) -> None:
         a[~finite] = 0.0
 
 
+def _gram_schmidt(D0: np.ndarray, tol_frame: float):
+    """(Q_0, R_0^-1, norm_sq, degenerate) for D_0 = Q_0 R_0 by classical Gram-Schmidt run twice
+    (CGS2), one block projection per column and pass. R_0^-1 takes the same column operations from
+    I. norm_sq[i] is the squared norm of what is left of column i, and the column is degenerate
+    when that norm is at most ``tol_frame`` times the column's own; it then gets pivot 1, so the
+    earlier columns' checks stay finite. C holds Q_0 over R_0^-1 and W their rows again, so that
+    every sum over components runs as an outer loop: one point sums as a grid does."""
+    n = len(D0)
+    C, W, norm_sq = np.empty((2 * n, *D0.shape[1:])), np.empty((n, 2 * n, *D0.shape[2:])), np.empty(D0.shape[1:])
+    C[:n], C[n:] = D0, np.eye(n).reshape(n, n, *[1] * (D0.ndim - 2))
+    threshold = tol_frame**2 * np.einsum("ri...,ri...->i...", D0, D0)
+    for i in range(n):
+        for _ in range(2 if i else 0):
+            C[:, i] -= np.einsum("jr...,j...->r...", W[:i], np.einsum("rj...,r...->j...", C[:n, :i], C[:n, i]))
+        norm_sq[i] = np.einsum("r...,r...->...", C[:n, i], C[:n, i])
+        C[:, i] /= np.where(norm_sq[i] > threshold[i], np.sqrt(norm_sq[i]), 1.0)
+        W[i] = C[:, i]
+    return C[:n], C[n:], norm_sq, ~(norm_sq > threshold)
+
+
 def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetData:
     """Build the Frenet frame and curvatures from component jets.
 
     ``curve_jets`` holds the n component jets of the curve, each with the batch shape of ``s``
     and order at least n+1. Column i of D, alpha^(i), is first divided at each point by 2^e, e the
     binary exponent of its largest value component: a power of two is exact, so the results keep
-    their bits while the squares stay in float64's range. With D_0 = Q_0 R_0 from Gram-Schmidt,
+    their bits while the squares stay in float64's range. With D_0 = Q_0 R_0 from CGS2,
     X = Q_0^T Q and U = R R_0^-1 (X_0 = U_0 = I, U upper triangular), F = Q_0^T D R_0^-1 = X U
     and X^T X = I give at order k
 
@@ -108,54 +131,47 @@ def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetD
             D[: top + 1, :, i] = current.coeffs[: top + 1]
         exponent = np.frexp(np.abs(D[0]).max(axis=0))[1]
         np.ldexp(D, -exponent, out=D)
-        # D_0 = Q_0 R_0 by modified Gram-Schmidt with one reorthogonalization pass (with one, max
-        # |V V^T - I| reaches 9e-12 at n = 13, not 7e-16); R_0^-1 takes the same column operations
-        # from I. A degenerate column gets pivot 1, so the earlier columns' checks stay finite.
+        Q0, Rinv, norm_sq, degenerate = _gram_schmidt(D[0], tol_frame)
+        overflow = ~np.isfinite(norm_sq)
+        _finite(Q0, 0, overflow)  # a non-finite R_0^-1 column reaches only itself and later ones
         eye = np.eye(n).reshape(n, n, *[1] * (D.ndim - 3))
-        V, Rinv, norm_sq = np.zeros_like(D[0]), np.zeros_like(D[0]), np.empty_like(D[0, 0])  # V = Q_0^T
-        threshold = tol_frame**2 * (D[0] ** 2).sum(axis=0)
-        for i in range(n):
-            v, w = D[0, :, i], eye[:, i]
-            for _ in range(2):
-                for j in range(i):
-                    c = (V[j] * v).sum(axis=0)
-                    v, w = v - c * V[j], w - c * Rinv[:, j]
-            norm_sq[i] = (v * v).sum(axis=0)
-            pivot = np.where(norm_sq[i] > threshold[i], np.sqrt(norm_sq[i]), 1.0)
-            V[i], Rinv[:, i] = v / pivot, w / pivot
-        overflow, degenerate = ~np.isfinite(norm_sq), ~(norm_sq > threshold)
-        _finite(V, 0, overflow)  # a non-finite R_0^-1 column reaches only itself and later ones
         # F_k overwrites D_k, and Q all of D, which keeps the peak memory at n = 13 near the jets' own
         batched = n >= _BATCHED_FROM
         if batched:  # X and U are stored batch-first, so that every order's sums read contiguous stacks
-            Xb, Ub = np.zeros((2, len(D), *D.shape[3:], n, n))
-            X, U = (np.moveaxis(a, (-2, -1), (1, 2)) for a in (Xb, Ub))
-            np.matmul(_batch_first(V[None]), _batch_first(D[1:]), out=Xb[1:])
+            Xw, Uw = np.empty((2, len(D), *D.shape[3:], n, n))
+            X, U = (np.moveaxis(a, (-2, -1), (1, 2)) for a in (Xw, Uw))
+            np.matmul(_batch_first(Q0[None]).swapaxes(-2, -1), _batch_first(D[1:]), out=Xw[1:])
             _finite(X[1:], n, overflow)
-            F = np.moveaxis(np.matmul(Xb[1:], _batch_first(Rinv[None]), out=_batch_first(D[1:])), (-2, -1), (1, 2))
+            F = np.matmul(Xw[1:], _batch_first(Rinv[None]), out=_batch_first(D[1:]))
+            rows, lower = (-2, -1), np.tri(n, k=-1, dtype=bool)  # the axes a, c of one order's n x n slab
         else:
-            X, U = np.empty_like(D), np.zeros_like(D)
-            _finite(np.einsum("ar...,krc...->kac...", V, D[1:], out=X[1:]), n, overflow)
+            X, U = Xw, Uw = np.empty_like(D), np.empty_like(D)
+            _finite(np.einsum("ra...,krc...->kac...", Q0, D[1:], out=X[1:]), n, overflow)
             F = np.einsum("kab...,bc...->kac...", X[1:], Rinv, out=D[1:])
+            rows, lower = (0, 1), np.tri(n, k=-1, dtype=bool).reshape(eye.shape)
         X[0] = U[0] = eye
-        below = np.tril_indices(n, -1)
-        above, diagonal = below[::-1], np.diag_indices(n)
+        upper = lower.swapaxes(*rows)
         for k in range(1, len(D)):
             carried = sum(top >= k for top in orders)
             if batched:  # the same sums: over the inner index by BLAS at each point, then over m
-                P = np.matmul(Xb[1:k], Ub[k - 1 : 0 : -1]).sum(axis=0)
-                T = np.matmul(Xb[1 : k // 2 + 1].swapaxes(-2, -1), Xb[k - 1 : (k - 1) // 2 : -1]).sum(axis=0)
+                P = F[k - 1] - np.matmul(Xw[1:k], Uw[k - 1 : 0 : -1]).sum(axis=0)
+                T = np.matmul(Xw[1 : k // 2 + 1].swapaxes(-2, -1), Xw[k - 1 : (k - 1) // 2 : -1]).sum(axis=0)
                 if k % 2 == 0:  # S = -(T + T^T) with T over the terms m < k - m and half of m = k - m
-                    T -= 0.5 * np.matmul(Xb[k // 2].swapaxes(-2, -1), Xb[k // 2])
-                P, T = F[k - 1] - np.moveaxis(P, (-2, -1), (0, 1)), np.moveaxis(T, (-2, -1), (0, 1))
+                    T -= 0.5 * np.matmul(Xw[k // 2].swapaxes(-2, -1), Xw[k // 2])
             else:
                 P = F[k - 1] - np.einsum("mab...,mbc...->ac...", X[1:k], U[k - 1 : 0 : -1])
                 T = np.einsum("mra...,mrc...->ac...", X[1 : k // 2 + 1], X[k - 1 : (k - 1) // 2 : -1])
                 if k % 2 == 0:
                     T -= 0.5 * np.einsum("ra...,rc...->ac...", X[k // 2], X[k // 2])
-            X[k], U[k] = P, 0.0
-            X[k][above], X[k][diagonal] = -(T[above] + T[below]) - P[below], -T[diagonal]
-            U[k][above], U[k][diagonal] = P[above] - X[k][above], P[diagonal] - X[k][diagonal]
+            S = np.add(T, T.swapaxes(*rows))
+            np.negative(S, out=S)
+            S -= P.swapaxes(*rows)  # X_k above the diagonal: S - X_k^T there, X_k^T being P's strict lower part
+            Xk, Uk = Xw[k], Uw[k]
+            np.negative(T, out=Xk)  # on the diagonal, S/2 = -T
+            np.copyto(Xk, P, where=lower)
+            np.copyto(Xk, S, where=upper)
+            np.subtract(P, Xk, out=Uk)
+            np.copyto(Uk, 0.0, where=lower)
             for a in X[k], U[k]:
                 _finite(a, carried, overflow)
         for i in range(n):
@@ -165,9 +181,9 @@ def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetD
             ))
         speed = Jet(np.ldexp(U[:, 0, 0] * np.sqrt(norm_sq[0]), exponent[0]))
         if batched:
-            Q = np.moveaxis(np.matmul(_batch_first(V[None]).swapaxes(-2, -1), Xb, out=_batch_first(D)), (-2, -1), (1, 2))
+            Q = np.moveaxis(np.matmul(_batch_first(Q0[None]), Xw, out=_batch_first(D)), (-2, -1), (1, 2))
         else:
-            Q = np.einsum("ar...,kab...->krb...", V, X, out=D)
+            Q = np.einsum("ra...,kab...->krb...", Q0, X, out=D)
         frame = [Jet(Q[: top + 1, :, i]) for i, top in enumerate(orders)]
         # k_i * speed = <V_i', V_{i+1}> = <X'[:, i], X[:, i+1]> as Q_0 is orthogonal; read from
         # Q = Q_0 X instead, the lift's k, H and H* come out up to 3 times less accurate

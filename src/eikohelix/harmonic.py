@@ -12,10 +12,14 @@ curvatures k_{n-1}, ..., k_1 with the sign of the rate flipped,
     H*_0 := 0,  H*_1 = k_{n-1}/k_{n-2},
     H*_i = (k_{n-i} * H*_{i-2} - V1[H*_{i-1}]) / k_{n-(i+1)},
 
-characterizing curves whose last frame vector does. One loop runs each
-family one step past its end: the steps that divide by a curvature give
-the entries 1..n-2, and the last step, with no curvature left to divide
-by, gives the residual of the derivative identity that closes the family,
+characterizing curves whose last frame vector does. One recurrence runs
+both families at once, k_i paired with k_{n-i} on a family axis of size
+2, as G_i = (c_i * G_{i-2} + sign * V1[G_{i-1}]) / c_{i+1} with sign +1
+for the tangent and -1 for the normal family; a sum is commutative and a
+product by -1 exact, so each family gets its own step's bits. It runs one
+step past the end: the steps that divide by a curvature give the entries
+1..n-2, and the last step, with no curvature left to divide by, gives the
+residual of the derivative identity that closes the family,
 
     V1[H_{n-2}] + k_{n-1} * H_{n-3} = 0     exactly when the curve is a helix,
     k_1 * H*_{n-3} - V1[H*_{n-2}] = 0       exactly when it is a slant helix.
@@ -38,7 +42,7 @@ import numpy as np
 
 from .errors import DegenerateCurvature, InsufficientOrder, raise_first, value_at
 from .frenet import FrenetData, directional_derivative
-from .jets import Jet, jet_constant
+from .jets import Jet, _scalar
 
 
 @dataclass(eq=False)
@@ -81,14 +85,8 @@ def _check_curvatures(fr: FrenetData) -> None:
         )
 
 
-def _families(fr: FrenetData):
-    """(symbol, name, curvatures in recurrence order, step) of each family."""
-    k = fr.curvatures
-    return (
-        ("H", "tangent", k, lambda rate, c, g: rate + c * g),
-        ("H*", "normal", k[::-1], lambda rate, c, g: c * g - rate),
-    )
-
+# (symbol, name, sign of the rate in the step) of the tangent and the normal family
+_FAMILIES = (("H", "tangent", 1.0), ("H*", "normal", -1.0))
 
 # The InsufficientOrder guards below cannot fire from the sampler: at the
 # default jet order every k_i carries order n-2 (jets.frame_jet_order), so
@@ -97,34 +95,50 @@ def _families(fr: FrenetData):
 # failing on a missing coefficient.
 
 
-def _recurrence(fr: FrenetData, family) -> tuple[list[Jet], float | np.ndarray]:
-    """([G_1, ..., G_{n-2}], closing residual) for curvatures c_1..c_{n-1} in
-    the family's order: G_0 = 0, G_1 = c_1/c_2 and
-    G_i = step(V1[G_{i-1}], c_i, G_{i-2}) / c_{i+1}. The step past the end,
-    i = n-1, has no c_n to divide by; |step(V1[G_{n-2}], c_{n-1}, G_{n-3})|
-    at the value level is the closing residual."""
-    symbol, name, c, step = family
-    n = fr.dimension
+def _recurrence(families, c: list[Jet], speed: Jet) -> tuple[list[Jet], np.ndarray]:
+    """([G_1, ..., G_{n-2}], closing residuals) for curvatures c_1..c_{n-1}
+    stacked over ``families`` on the first batch axis, each in its family's
+    order: G_0 = 0, G_1 = c_1/c_2 and G_i = (c_i G_{i-2} + sign V1[G_{i-1}]) / c_{i+1}.
+    The step past the end, i = n-1, has no c_n to divide by; its absolute
+    value at the value level is the closing residual."""
+    n = len(c) + 1
     first = c[0] / c[1]
-    G: list[Jet] = [jet_constant(0.0, first.order), first]
+    sign = np.array([f[2] for f in families]).reshape(-1, *[1] * (first.coeffs.ndim - 2))
+    G: list[Jet] = [Jet(np.zeros_like(first.coeffs)), first]
     for i in range(2, n):
         if G[-1].order < 1:
+            symbol, name, _ = families[0]
             raise InsufficientOrder(
                 f"jet order exhausted computing {symbol}{i}"
                 if i < n - 1
                 else f"last {name}-family entry lost its derivative"
             )
-        rate = directional_derivative(G[-1], fr.speed)
+        rate = directional_derivative(G[-1], speed)
         if i == n - 1:
-            return G[1:], abs(step(rate.value, c[-1].value, G[-2].value))
-        G.append(step(rate, c[i - 1], G[-2]) / c[i])
+            return G[1:], abs(c[-1].value * G[-2].value + sign * rate.value)
+        G.append((c[i - 1] * G[-2] + Jet(sign * rate.coeffs)) / c[i])
 
 
 def harmonic_data(fr: FrenetData) -> HarmonicData:
     """Evaluate both families, their sums of squares and their closing
-    residuals at fr's points."""
+    residuals at fr's points.
+
+    The stacked Cauchy products and divisions sum over coefficients in the
+    order each family's own would: over a grid the batch axis is the inner
+    loop either way, and at one point each k_i is a strided view of the
+    frame's curvature array, whose products sum in an outer loop too."""
     _check_curvatures(fr)
-    (H, closing_H), (Hstar, closing_Hstar) = (_recurrence(fr, f) for f in _families(fr))
+    k = fr.curvatures
+    if all(a.order == b.order for a, b in zip(k, k[::-1])):  # both families keep the same orders: one run
+        runs = [(_FAMILIES, [Jet(np.stack([a.coeffs, b.coeffs], axis=1)) for a, b in zip(k, k[::-1])])]
+    else:  # a direct call below the default order: each family on its own, at its own orders
+        runs = [((family,), [Jet(c.coeffs[:, None]) for c in cs]) for family, cs in zip(_FAMILIES, (k, k[::-1]))]
+    families, closing = [], []
+    for stacked, c in runs:
+        G, residuals = _recurrence(stacked, c, fr.speed)
+        families += [[Jet(g.coeffs[:, f]) for g in G] for f in range(len(stacked))]
+        closing += [_scalar(r) for r in residuals]
+    (H, Hstar), (closing_H, closing_Hstar) = families, closing
     return HarmonicData(
         s=fr.s,
         H=H,

@@ -289,16 +289,19 @@ def jet_cos(u: Jet) -> Jet:
 
 
 def _sin_cos(u: Jet) -> tuple[Jet, Jet]:
+    """sin and cos as one recurrence on a stacked axis: k sin_k = sum_j j u_j cos_{k-j} and
+    k cos_k = -sum_j j u_j sin_{k-j}, one einsum per order for both series. Each sum runs over
+    j in the order it runs for one series alone, and x / -k is -(x / k), so every bit is kept.
+    The stacked axis leads, so that each series is a contiguous jet, as it was computed alone."""
     x = u.coeffs
-    s = np.empty_like(x)
-    c = np.empty_like(x)
-    s[0] = np.sin(x[0])
-    c[0] = np.cos(x[0])
+    sc = np.empty((2, *x.shape))  # [(sin, cos), k, *batch]
+    sc[:, 0] = np.sin(x[0]), np.cos(x[0])
     weighted = _weights(x) * x[1:]  # j * u_j
+    # sin_k takes the cos sum over k, cos_k minus the sin sum over k
+    divisors = np.multiply.outer([1.0, -1.0], np.arange(len(x))).reshape(2, len(x), *[1] * (x.ndim - 1))
     for k in range(1, len(x)):
-        s[k] = _inner(weighted[:k], c[k - 1 :: -1]) / k
-        c[k] = -_inner(weighted[:k], s[k - 1 :: -1]) / k
-    return Jet(s), Jet(c)
+        np.divide(np.einsum("j...,pj...->p...", weighted[:k], sc[:, k - 1 :: -1])[::-1], divisors[:, k], out=sc[:, k])
+    return Jet(sc[0]), Jet(sc[1])
 
 
 def jet_exp(u: Jet) -> Jet:

@@ -49,6 +49,7 @@ def test_dense_table_benchmark_traced_run():
 
 
 def test_high_n_benchmark_traced_run():
-    # the n = 13 helix fails cor41 at the float64 floor (ROADMAP item 3), as
-    # it did before the frame became a Taylor-mode QR; nothing else may fail
+    # the n = 13 helix sits at the float64 floor (ROADMAP item 3): its cor41
+    # reads 6.4e-9 of its scale on this grid, so a rounding shift may fail
+    # it; nothing else may fail
     _assert_traced_run_clean("high_n", frozenset({"high_n/helix_n13"}))

@@ -406,16 +406,32 @@ class TestOrderBudget:
         "wcurve_r4": 1.1e-13, "helix_r4": 1.2e-13,
     }  # fmt: skip
 
+    # case -> bound on max |V - V_frozen| over the frame values: ten times the
+    # maxima measured, 1.1e-16, 1.7e-16, 5.0e-16, 1.8e-15, 1.8e-14, 7.8e-14,
+    # 2.2e-16 and 2.2e-16
+    FRAME_VALUE_BOUNDS = {
+        3: 1.2e-15, 5: 1.7e-15, 7: 5e-15, 9: 1.8e-14, 11: 1.8e-13, 13: 7.8e-13,
+        "wcurve_r4": 2.3e-15, "helix_r4": 2.3e-15,
+    }  # fmt: skip
+    ORTHONORMALITY_BOUND = 4.5e-15  # on max |V V^T - I|: ten times the largest measured, 4.4e-16
+
     @pytest.mark.parametrize("case", CASES)
     def test_against_frozen_gram_schmidt(self, case):
-        """The frame values equal Gram-Schmidt's own, up to the sign of a
-        zero (the QR starts from the same value-level Gram-Schmidt); the
-        rest differs by rounding."""
+        """The frame values differ from the frozen frame's by rounding: the
+        QR's value-level Gram-Schmidt is classical and run twice, the frozen
+        one modified, with one reorthogonalization pass, over whole jets.
+        Both frames are orthonormal to working precision, and the rest
+        differs by rounding too."""
         spec, trajectory, jets = self._sample(case)
         fr, h = trajectory.frenet, trajectory.harmonic
         ref = reference_frenet_apparatus(jets, trajectory.s)
         ref_h = harmonic_data(ref)
-        assert np.array_equal(fr.frame_values(), ref.frame_values())
+        V = fr.frame_values()
+        value_difference = np.abs(V - ref.frame_values()).max()
+        orthonormality = np.abs(V @ V.swapaxes(-2, -1) - np.eye(spec.dimension)).max()
+        print(f"{case}: max |dV| {value_difference:.3g}, max |V V^T - I| {orthonormality:.3g}")
+        assert value_difference <= self.FRAME_VALUE_BOUNDS[case]
+        assert orthonormality <= self.ORTHONORMALITY_BOUND
         difference = _largest_difference(fr, h, ref, ref_h)
         print(f"{case}: largest difference {difference:.3g} (bound {self.GRAM_SCHMIDT_BOUNDS[case]:.3g})")
         assert difference <= self.GRAM_SCHMIDT_BOUNDS[case]
@@ -473,3 +489,42 @@ class TestKernels:
         einsum, batched = self._both(spec, monkeypatch)
         assert einsum[0] is error
         assert batched == einsum
+
+
+class TestPointAgainstGrid:
+    """A single point (batch shape ()) and the same point inside a grid give
+    the same bits under both kernels: every sum over vector components or
+    jet coefficients runs in the same order for both."""
+
+    @staticmethod
+    def _assert_same_bits(spec, points):
+        trajectory = sample_along_curve(spec)
+        grid, grid_h = trajectory.frenet, trajectory.harmonic
+        for p in points:
+            s = float(trajectory.s[p])
+            point = frenet_apparatus(eval_curve_jet(spec, s), spec.tol_frame, s=s)
+            point_h = harmonic_data(point)
+            jets = [
+                (point.speed, grid.speed),
+                *zip(point.frame, grid.frame),
+                *zip(point.curvatures, grid.curvatures),
+                *zip(point_h.H, grid_h.H),
+                *zip(point_h.Hstar, grid_h.Hstar),
+            ]
+            for at_point, on_grid in jets:
+                assert at_point.coeffs.tobytes() == on_grid.coeffs[..., p].tobytes()
+            for name in ("closing_H", "closing_Hstar"):
+                assert type(getattr(point_h, name)) is float
+                assert np.float64(getattr(point_h, name)).tobytes() == getattr(grid_h, name)[p].tobytes()
+
+    @pytest.mark.parametrize("kernel", ["einsum", "matmul"])
+    @pytest.mark.parametrize("quadratic", [False, True], ids=["helix", "twin"])
+    @pytest.mark.parametrize("n", range(3, 14))
+    def test_lift(self, n, quadratic, kernel, monkeypatch):
+        monkeypatch.setattr("eikohelix.frenet._BATCHED_FROM", n + 1 if kernel == "einsum" else n)
+        self._assert_same_bits(wcurve_lift(n, 12, quadratic), range(12))
+
+    @pytest.mark.parametrize("name", [n for n in catalog.names() if n != "circle_in_r3"])
+    def test_catalog(self, name):
+        spec = catalog.load(name)
+        self._assert_same_bits(spec, [*range(0, spec.samples, 51), spec.samples - 1])

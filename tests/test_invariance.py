@@ -58,7 +58,7 @@ def _helix_r4(quadratic: bool):
 # helices and not slant helices. Each has a quadratic-rise twin that is
 # neither. The lift's n = 9 and 11 and even n = 10 run the frame's batched
 # matmul kernel, the rest its einsum kernel. n = 13 is left out: there the
-# float64 rounding floor reaches tol_const (cor41 of the lift reads 1.3e-8
+# float64 rounding floor reaches tol_const (cor41 of the lift reads 8.5e-9
 # of its scale), and rotated n = 13 lifts FAIL slant verdicts from rounding
 # alone (ROADMAP items 3 and 7).
 CASES = {
