@@ -16,8 +16,6 @@ from .dsl import (
     format_expr,
     parse_curve_spec,
     parse_expr_text,
-    parse_expression,
-    tokenize,
 )
 from .frenet import frenet_apparatus
 from .harmonic import harmonic_data
@@ -54,8 +52,6 @@ __all__ = [
     "harmonic_data",
     "parse_curve_spec",
     "parse_expr_text",
-    "parse_expression",
     "sample_along_curve",
-    "tokenize",
     "verify_all",
 ]

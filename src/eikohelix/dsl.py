@@ -10,7 +10,8 @@ settings.
 
 An expression is scanned by one pass of one compiled pattern into
 ``(kind, text, offset)`` tuples, then parsed by one loop over ``+ - * /``
-that calls one method for everything binding tighter. The parser checks
+that calls one method for everything binding tighter. Within one parsed
+document, equal subexpressions are one shared node. The parser checks
 every rule as it builds the tree, so a CurveSpec from ``parse_curve_spec``
 takes its trees as they are; one built in Python, directly or through
 ``dataclasses.replace``, has its trees walked against the same rules.
@@ -24,7 +25,6 @@ import operator
 import re
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import (
     CoordOutOfRange,
@@ -119,12 +119,6 @@ def constant_value(expr: Expr) -> float:
 # ------------------------------------------------------------------ tokens
 
 
-class Token(NamedTuple):
-    kind: str  # num | ident | op | lparen | rparen | end
-    text: str
-    position: int
-
-
 # one named group per token kind, tried in order; without re.ASCII, \d is
 # str.isdecimal (the digits float accepts) and \w is str.isalnum or "_".
 # ``bad`` takes the rest of the source from a character nothing else matches.
@@ -135,19 +129,8 @@ _TOKEN = re.compile(
 
 
 def _scan(source: str) -> list[tuple[str, str, int]]:
-    """``tokenize`` as plain ``(kind, text, offset)`` tuples, from one pass of _TOKEN."""
-    tokens = [(kind, m.group(), m.start()) for m in _TOKEN.finditer(source) if (kind := m.lastgroup) != "space"]
-    # ``bad`` can only be last; a word can start with a numeric such as "²", neither a
-    # letter nor "_", only in a source that is not ASCII
-    for kind, text, position in tokens if not source.isascii() else tokens[-1:]:
-        if kind == "bad" or (kind == "ident" and not (text[0].isalpha() or text[0] == "_")):
-            raise IllegalCharacter(text[0], position)
-    tokens.append(("end", "", len(source)))
-    return tokens
-
-
-def tokenize(source: str) -> list[Token]:
-    """Split an expression source string into tokens.
+    """Split an expression source string into ``(kind, text, offset)`` tokens,
+    by one pass of _TOKEN; ``kind`` is num, ident, op, lparen, rparen or end.
 
     Numbers support decimal and exponent notation, with the digits
     ``float`` accepts (``str.isdecimal``; "²" is illegal); an exponent needs
@@ -156,7 +139,14 @@ def tokenize(source: str) -> list[Token]:
     space, tab, CR and LF. Raises IllegalCharacter with the 0-based offset
     of the first unrecognized character.
     """
-    return list(map(Token._make, _scan(source)))
+    tokens = [(kind, m.group(), m.start()) for m in _TOKEN.finditer(source) if (kind := m.lastgroup) != "space"]
+    # ``bad`` can only be last; a word can start with a numeric such as "²", neither a
+    # letter nor "_", only in a source that is not ASCII
+    for kind, text, position in tokens if not source.isascii() else tokens[-1:]:
+        if kind == "bad" or (kind == "ident" and not (text[0].isalpha() or text[0] == "_")):
+            raise IllegalCharacter(text[0], position)
+    tokens.append(("end", "", len(source)))
+    return tokens
 
 
 # ------------------------------------------------------------------ parser
@@ -201,7 +191,10 @@ def _check_exponent(exponent: Expr, position: int | None = None) -> None:
 class _ExprParser:
     """Precedence-climbing parser with precedence ^ > unary- > */ > +-.
 
-    It reads ``(kind, text, offset)`` tuples, ``Token`` or plain. ``binary``
+    It reads ``_scan``'s ``(kind, text, offset)`` tuples. Every node is made
+    through ``table``, keyed by its operator and the ``id()`` of its operands,
+    a coordinate's index or a constant's value, so equal subexpressions of
+    all the expressions parsed with one table are one object. ``binary``
     is one loop over ``+ - * /`` that keeps the left operands still waiting
     for their right ones on a stack, each operator's binding strength from
     _PRECEDENCE, the table the printer reads; all four are left-associative.
@@ -216,11 +209,19 @@ class _ExprParser:
     near Python's recursion limit.
     """
 
-    def __init__(self, tokens: list[tuple[str, str, int]], kind: str, dimension: int):
+    def __init__(self, tokens: list[tuple[str, str, int]], kind: str, dimension: int, table: dict | None = None):
         if kind not in ("curve", "field"):
             raise ValueError("kind must be 'curve' or 'field'")
         self.tokens, self.kind, self.dimension = tokens, kind, dimension
+        self.table = {} if table is None else table
         self.pos = self.nesting = 0  # the next token's index; the operand calls under way
+
+    def make(self, key, cls, *fields) -> Expr:
+        """The node of ``table`` at ``key``, made as ``cls(*fields)`` the first time."""
+        node = self.table.get(key)
+        if node is None:
+            node = self.table[key] = cls(*fields)
+        return node
 
     def expect(self, kind: str) -> None:
         found, text, position = self.tokens[self.pos]
@@ -244,7 +245,8 @@ class _ExprParser:
             binding = _PRECEDENCE[op] if kind == "op" and op in "+-*/" else 0
             while waiting and waiting[-1][4] >= binding:  # join what binds at least as tightly
                 left, d, left_op, left_position, _ = waiting.pop()
-                expr, depth = Binary(left_op, left, expr), (d if d > depth else depth) + 1
+                expr = self.make((left_op, id(left), id(expr)), Binary, left_op, left, expr)
+                depth = (d if d > depth else depth) + 1
                 if depth > _MAX_DEPTH:
                     raise ExprSyntaxError(_TOO_DEEP, left_position)
             if not binding:
@@ -264,11 +266,12 @@ class _ExprParser:
         if kind == "op" and text in "+-":
             expr, depth = self.operand()
             if text == "-":
-                expr, depth = Unary("neg", expr), _deeper(depth, position)
+                expr, depth = self.make(("neg", id(expr)), Unary, "neg", expr), _deeper(depth, position)
             self.nesting -= 1
             return expr, depth
         if kind == "num":
-            expr, depth = Constant(float(text)), 1
+            value = float(text)  # never negative, so its value alone is its key
+            expr, depth = self.make(value, Constant, value), 1
         elif kind == "lparen":
             expr, depth = self.binary()
             self.expect("rparen")
@@ -278,11 +281,15 @@ class _ExprParser:
             self.expect("lparen")
             arg, depth = self.binary()
             self.expect("rparen")
-            expr, depth = Unary(text, arg), _deeper(depth, position)
+            expr, depth = self.make((text, id(arg)), Unary, text, arg), _deeper(depth, position)
         elif text in NAMED_CONSTANTS:
-            expr, depth = Constant(NAMED_CONSTANTS[text]), 1
-        elif text == "s" or (text.startswith("x") and text[1:].isdecimal()):
-            leaf = Param() if text == "s" else Coord(int(text[1:]))
+            value = NAMED_CONSTANTS[text]
+            expr, depth = self.make(value, Constant, value), 1
+        elif text == "s":
+            expr, depth = _check_leaf(self.make("s", Param), self.kind, self.dimension, text, position), 1
+        elif text.startswith("x") and text[1:].isdecimal():
+            index = int(text[1:])
+            leaf = self.make(("x", index), Coord, index)
             expr, depth = _check_leaf(leaf, self.kind, self.dimension, text, position), 1
         else:
             raise UnknownIdentifier(text, position)
@@ -291,21 +298,18 @@ class _ExprParser:
             self.pos += 1
             exponent, d = self.operand()
             _check_exponent(exponent, position)
-            expr, depth = Binary("^", expr, exponent), _deeper(max(depth, d), position)
+            expr = self.make(("^", id(expr), id(exponent)), Binary, "^", expr, exponent)
+            depth = _deeper(max(depth, d), position)
         self.nesting -= 1
         return expr, depth
 
 
-def parse_expression(tokens: list[Token], kind: str, dimension: int) -> Expr:
-    """Parse a token sequence into an Expr.
+def parse_expr_text(source: str, kind: str, dimension: int = 0) -> Expr:
+    """Parse an expression source string into an Expr.
 
     ``kind`` selects which symbols are legal: 'curve' admits the parameter
     ``s``, 'field' admits coordinates ``x1 .. x<dimension>``.
     """
-    return _ExprParser(tokens, kind, dimension).parse()
-
-
-def parse_expr_text(source: str, kind: str, dimension: int = 0) -> Expr:
     return _ExprParser(_scan(source), kind, dimension).parse()
 
 
@@ -318,7 +322,8 @@ def format_expr(expr: Expr) -> str:
 
 def _format(expr: Expr, parent_prec: int) -> str:
     if isinstance(expr, Constant):
-        return repr(expr.value) if expr.value >= 0 else f"({expr.value!r})"
+        text = repr(expr.value).replace("inf", "1e999")  # a literal the scanner reads back as inf
+        return text if expr.value >= 0 else f"({text})"
     if isinstance(expr, Param):
         return "s"
     if isinstance(expr, Coord):
@@ -509,9 +514,11 @@ def parse_curve_spec(document: str) -> CurveSpec:
             and all(isinstance(v, (int, float)) for v in range_value)):
         raise SpecDocumentError("s_range must be a list of two reals", range_line)
 
+    table: dict = {}  # one for the document: components and field share equal subexpressions
+
     def parse_wrapped(source: str, kind: str, lineno: int) -> Expr:
         try:
-            return parse_expr_text(source, kind, dimension)
+            return _ExprParser(_scan(source), kind, dimension, table).parse()
         except SpecDocumentError:
             raise
         except DslError as exc:

@@ -24,13 +24,15 @@ and batch axes last, so each elementwise op is one loop over the batch;
 
 One expression walker serves both algebras, and it evaluates a list of
 expressions as a DAG (the evaluation procedure of reverse- and
-Taylor-mode differentiation): structurally equal subexpressions are
-evaluated once per call, across all components of a curve, and ``sin`` and
-``cos`` of one argument share one recurrence. Subexpressions free of s and
-x_i are evaluated at batch shape (), and a product or quotient of a jet
-with such a constant scales coefficients instead of running a Cauchy
-product or a division recurrence. Each shortcut reproduces the plain tree
-walk bit for bit, signed zeros included.
+Taylor-mode differentiation): each node is evaluated once per call, across
+all components of a curve, and ``sin`` and ``cos`` of one argument share
+one recurrence. The parser makes equal subexpressions of one document one
+node; a tree built in Python evaluates an equal but distinct copy again, to
+the same bits. Subexpressions free of s and x_i are evaluated at batch
+shape (), and a product or quotient of a jet with such a constant scales
+coefficients instead of running a Cauchy product or a division recurrence.
+Each shortcut reproduces the plain tree walk bit for bit, signed zeros
+included.
 
 Domain and overflow checks act on the whole batch and raise for the first
 offending point, with ``grid_index`` set on the error (see
@@ -506,7 +508,7 @@ def _dual_ln(u: _Dual2) -> _Dual2:
 
 # ---------------------------------------------------- expression walker
 #
-# The walker evaluates every distinct subexpression once, in the order a
+# The walker evaluates every distinct node once, in the order a
 # left-to-right post-order walk of the tree first meets it, so checks run
 # and raise in the tree's order. A subexpression free of s and x_i is
 # evaluated at batch shape ().
@@ -602,15 +604,17 @@ class _DualAlgebra:
 
 
 class _Dag:
-    """The distinct subexpressions of a list of expressions, numbered in the
-    order a left-to-right post-order walk first meets them.
+    """The distinct nodes of a list of expressions, numbered in the order a
+    left-to-right post-order walk first meets them.
 
-    ``nodes[i]`` is one occurrence of subexpression i and ``args[i]`` the
-    ids of its operands in the algebra (the exponent of ``^`` is read with
-    ``constant_value``). ``const[i]`` says whether it is free of s and x_i,
-    ``uses[i]`` how many operand slots and roots read it. Expression e has
-    root id ``roots[e]`` and needs the ids below ``ends[e]``. ``paired``
-    holds the ids that both ``sin`` and ``cos`` take.
+    A node is distinct by identity: the parser makes equal subexpressions
+    of one document one node, and an equal copy built in Python is
+    evaluated again, to the same bits. ``nodes[i]`` is node i and
+    ``args[i]`` the ids of its operands in the algebra (the exponent of
+    ``^`` is read with ``constant_value``). ``const[i]`` says whether it is
+    free of s and x_i, ``uses[i]`` how many operand slots and roots read it.
+    Expression e has root id ``roots[e]`` and needs the ids below
+    ``ends[e]``. ``paired`` holds the ids that both ``sin`` and ``cos`` take.
     """
 
     def __init__(self, exprs):
@@ -618,54 +622,32 @@ class _Dag:
         args_of: list[tuple[int, ...]] = []
         const: list[bool] = []
         uses: list[int] = []
-        ids: dict = {}
+        ids: dict[int, int] = {}  # id(node) -> its number
         trig: dict[str, set[int]] = {"sin": set(), "cos": set()}
 
-        def number(key, node: Expr, args: tuple[int, ...], is_const: bool) -> int:
-            i = ids[key] = len(nodes)
+        def visit(node: Expr) -> int:
+            i = ids.get(id(node))
+            if i is not None:
+                return i
+            cls = type(node)
+            if cls is Binary:
+                args = (visit(node.left),) if node.op == "^" else (visit(node.left), visit(node.right))
+            elif cls is Unary:
+                args = (visit(node.child),)
+                if node.op in trig:
+                    trig[node.op].add(args[0])
+            elif cls in (Constant, Coord, Param):
+                args = ()
+            else:
+                raise TypeError(f"not an Expr: {node!r}")
+            i = ids[id(node)] = len(nodes)
             nodes.append(node)
             args_of.append(args)
-            const.append(is_const)
+            const.append(const[args[0]] and const[args[-1]] if args else cls is Constant)
             uses.append(0)
             for j in args:
                 uses[j] += 1
             return i
-
-        def visit(node: Expr) -> int:
-            cls = type(node)
-            if cls is Binary:
-                left = visit(node.left)
-                if node.op == "^":
-                    key = ("^", left, node.right)
-                    i = ids.get(key)
-                    return number(key, node, (left,), const[left]) if i is None else i
-                right = visit(node.right)
-                key = (node.op, left, right)
-                i = ids.get(key)
-                if i is None:
-                    i = number(key, node, (left, right), const[left] and const[right])
-                return i
-            if cls is Unary:
-                child = visit(node.child)
-                key = (node.op, child)
-                i = ids.get(key)
-                if i is None:
-                    i = number(key, node, (child,), const[child])
-                    if node.op in trig:
-                        trig[node.op].add(child)
-                return i
-            if cls is Constant:
-                # 0.0 == -0.0, so the sign is part of the key
-                key = ("c", node.value, math.copysign(1.0, node.value))
-                is_const = True
-            elif cls is Coord:
-                key, is_const = ("x", node.index), False
-            elif cls is Param:
-                key, is_const = ("s",), False
-            else:
-                raise TypeError(f"not an Expr: {node!r}")
-            i = ids.get(key)
-            return number(key, node, (), is_const) if i is None else i
 
         self.roots: list[int] = []
         self.ends: list[int] = []
@@ -682,9 +664,8 @@ def _evaluate(exprs, algebra):
     """Yield the value of each expression in turn, in the jet or the dual
     algebra; a constant comes out at batch shape ().
 
-    Each distinct subexpression is evaluated once per call and dropped
-    after its last use. ``sin`` and ``cos`` of one argument share one
-    evaluation.
+    Each distinct node is evaluated once per call and dropped after its
+    last use. ``sin`` and ``cos`` of one argument share one evaluation.
     """
     dag = _Dag(exprs)
     nodes, args_of, const, uses, paired = dag.nodes, dag.args, dag.const, dag.uses, dag.paired

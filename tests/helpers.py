@@ -23,7 +23,8 @@ the reference for their one recurrence; ``ReferenceExprParser`` parses
 ``+ - * /`` with one method per precedence level, as the reference for the
 parser's one precedence-climbing loop; ``reference_tokenize`` and
 ``reference_split_list`` scan one character at a time, as the reference for
-the scanners' compiled patterns; and ``reference_format_curve_spec`` writes
+the scanners' compiled patterns (a ``Token`` equals the plain
+``(kind, text, offset)`` tuple of ``dsl._scan``); and ``reference_format_curve_spec`` writes
 a document line by line, as the reference for the one document writer.
 """
 
@@ -33,6 +34,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +49,6 @@ from eikohelix.dsl import (
     CurveSpec,
     Expr,
     Param,
-    Token,
     Unary,
     constant_value,
     format_expr,
@@ -128,6 +129,12 @@ def eval_float(expr: Expr, s: float | None = None, point=None) -> float:
 
 
 # ------------------------------------------------- reference spec language
+
+
+class Token(NamedTuple):
+    kind: str  # num | ident | op | lparen | rparen | end
+    text: str
+    position: int
 
 
 def _deeper(tok: Token, depth: int) -> int:
@@ -269,7 +276,7 @@ class ReferenceExprParser:
 
 
 def reference_tokenize(source: str) -> list[Token]:
-    """``tokenize`` as a loop over characters."""
+    """``dsl._scan`` as a loop over characters."""
     tokens: list[Token] = []
     i = 0
     n = len(source)

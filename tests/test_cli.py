@@ -14,7 +14,7 @@ import pytest
 import eikohelix
 from eikohelix import catalog
 from eikohelix.cli import main
-from eikohelix.dsl import parse_curve_spec
+from eikohelix.dsl import format_document, parse_curve_spec
 
 RESIDUAL_KEYS = [
     "sys_helix",
@@ -398,6 +398,21 @@ class TestJsonReports:
         result = run_cli("verify", spec_paths["helix_r4"], "--json")
         payload = json.loads(result.stdout)
         assert json.loads(json.dumps(payload)) == payload
+
+    @pytest.mark.parametrize("field", ["x3", "x3 + x1^(1/1e999)"], ids=["plain", "infinite_literal"])
+    def test_spec_block_round_trips(self, tmp_path, field, capsys):
+        # the report's spec block, written back as a document, verifies to the
+        # same report; 1/1e999 prints an infinite constant, which must read back
+        document = catalog.get("helix345_fz").document.replace('field = "x3"', f'field = "{field}"')
+        assert f'field = "{field}"' in document
+        reports = []
+        for _ in range(2):
+            path = tmp_path / "spec.txt"
+            path.write_text(document, encoding="utf-8")
+            assert main(["verify", str(path), "--json"]) == 0
+            reports.append(capsys.readouterr().out)
+            document = format_document(json.loads(reports[-1])["spec"])
+        assert reports[0] == reports[1]
 
     def test_classify_json(self, spec_paths):
         result = run_cli("classify", spec_paths["paper_3_1"], "--json")

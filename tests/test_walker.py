@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from eikohelix import catalog, jets
-from eikohelix.dsl import Binary, Constant, Coord, Param, Unary, parse_curve_spec, parse_expr_text
+from eikohelix.dsl import Binary, Constant, Coord, Param, Unary, format_document, parse_curve_spec, parse_expr_text
 from eikohelix.jets import default_jet_order, eval_curve_jet, eval_expr_jet, eval_field_jet
 
 from helpers import reference_curve_jets, reference_field_jet
@@ -262,3 +262,44 @@ class TestSharing:
         monkeypatch.setattr(jets, "_sin_cos", counting)
         eval_curve_jet(spec, np.linspace(0.0, 31.4159, 16))
         assert calls == [(16,)]
+
+    def test_parsed_document_shares_nodes(self):
+        # a rotated, rescaled helix in R^4 with a quadratic rise, in the
+        # style of the benchmark's many_small specs: the rotation is a scaled
+        # Hadamard matrix, so every component holds every term
+        terms = [
+            "sin(0.6)*(sin(4*s)/8 + sin(2*s)/4)",
+            "sin(0.6)*(-cos(4*s)/8 - cos(2*s)/4)",
+            "-sin(0.6)*cos(s)",
+            "cos(0.6)*s^2",
+        ]
+        signs = ["++++", "+-+-", "++--", "+--+"]
+        curve = [
+            " ".join(f"{sign} 0.75*({term})" for sign, term in zip(row, terms)).lstrip("+ ")
+            for row in signs
+        ]
+        field = " ".join(f"{row[3]} 0.5*x{r + 1}" for r, row in enumerate(signs)).lstrip("+ ")
+        document = {"dimension": 4, "curve": curve, "field": field, "s_range": [0.2, 1.3], "samples": 16}
+        spec = parse_curve_spec(format_document(document))
+
+        def subtrees(expr, exponents=True):
+            """Every subtree occurrence, pre-order; without the exponents of ^ if asked."""
+            yield expr
+            if isinstance(expr, Unary):
+                yield from subtrees(expr.child, exponents)
+            elif isinstance(expr, Binary):
+                yield from subtrees(expr.left, exponents)
+                if exponents or expr.op != "^":
+                    yield from subtrees(expr.right, exponents)
+
+        repeated = parse_expr_text(terms[0], "curve")
+        found = [t for c in spec.components for t in subtrees(c) if t == repeated]
+        assert len(found) == 4
+        assert all(t is found[0] for t in found)
+        distinct = {t for c in spec.components for t in subtrees(c, exponents=False)}
+        assert len(jets._Dag(spec.components).nodes) == len(distinct)
+
+        coords = parse_expr_text("x3 + x03", "field", 3)
+        assert coords.left is coords.right and coords.left == Coord(3)
+        doubled = parse_expr_text("2*s + 2*s", "curve")
+        assert doubled.left is doubled.right
