@@ -363,20 +363,27 @@ class CurveSpec:
     tol_frame: float = DEFAULT_TOL_FRAME
 
     def __post_init__(self):
-        if self.dimension < 2:
-            raise DimensionMismatch(f"dimension must be >= 2, got {self.dimension}")
+        _check_value("dimension", self.dimension)
         if len(self.components) != self.dimension:
             raise DimensionMismatch(f"{len(self.components)} curve components for dimension {self.dimension}")
-        lo, hi = self.s_range
-        if not (lo < hi and math.isfinite(hi - lo)):  # a finite width needs finite ends
-            raise SpecDocumentError(f"invalid s_range {self.s_range!r}")
-        if self.samples < 8:
-            raise SpecDocumentError(f"samples must be >= 8, got {self.samples}")
-        for name, tol in (("tol_const", self.tol_const), ("tol_frame", self.tol_frame)):
-            if not (math.isfinite(tol) and tol > 0):
-                raise SpecDocumentError(f"{name} must be finite and positive, got {tol!r}")
+        for key in ("s_range", "samples", "tol_const", "tol_frame"):
+            _check_value(key, getattr(self, key))
         if not _PARSED.get():
             _check_trees(self)
+
+
+def _check_value(key: str, value, line: int | None = None) -> None:
+    """The rule on the value of a spec key, reported at ``line`` of a document if given."""
+    if key == "dimension" and value < 2:
+        raise DimensionMismatch(f"dimension must be >= 2, got {value}", line)
+    if key == "s_range":
+        lo, hi = value
+        if not (lo < hi and math.isfinite(hi - lo)):  # a finite width needs finite ends
+            raise SpecDocumentError(f"invalid s_range {value!r}", line)
+    if key == "samples" and value < 8:
+        raise SpecDocumentError(f"samples must be >= 8, got {value}", line)
+    if key in ("tol_const", "tol_frame") and not (math.isfinite(value) and value > 0):
+        raise SpecDocumentError(f"{key} must be finite and positive, got {value!r}", line)
 
 
 # true, in this thread or task, while parse_curve_spec makes a CurveSpec of the
@@ -387,22 +394,23 @@ _PARSED: ContextVar[bool] = ContextVar("parsed", default=False)
 def _check_trees(spec: CurveSpec) -> None:
     """The parser's rules, without offsets, for trees that may be built in Python,
     walked one level at a time so that a deep tree cannot exhaust the stack."""
-    exponents = []
+    exponents: dict[int, Expr] = {}
     for kind, expr in [*(("curve", c) for c in spec.components), ("field", spec.field)]:
-        level, depth = [expr], 0
+        level, depth = {id(expr): expr}, 0
         while level:
-            depth, below = _deeper(depth), []  # the nodes of ``level`` are ``depth`` deep
-            for node in level:
+            # the distinct nodes of ``level``, by id() in first-occurrence order, are ``depth`` deep
+            depth, below = _deeper(depth), {}
+            for node in level.values():
                 if isinstance(node, Binary):
-                    below += (node.left, node.right)
+                    below[id(node.left)], below[id(node.right)] = node.left, node.right
                     if node.op == "^":
-                        exponents.append(node.right)
+                        exponents[id(node.right)] = node.right
                 elif isinstance(node, Unary):
-                    below.append(node.child)
+                    below[id(node.child)] = node.child
                 elif isinstance(node, (Param, Coord)):
                     _check_leaf(node, kind, spec.dimension)
             level = below
-    for exponent in exponents:  # recursive walkers, safe once the depth is bounded
+    for exponent in exponents.values():  # recursive walkers, safe once the depth is bounded
         _check_exponent(exponent)
 
 
@@ -498,6 +506,7 @@ def parse_curve_spec(document: str) -> CurveSpec:
     dimension, dim_line = require("dimension")
     if not isinstance(dimension, int):
         raise SpecDocumentError(f"dimension must be an integer, got {dimension!r}", dim_line)
+    _check_value("dimension", dimension, dim_line)
 
     curve_value, curve_line = require("curve")
     if not isinstance(curve_value, list) or not all(isinstance(c, str) for c in curve_value):
@@ -513,6 +522,8 @@ def parse_curve_spec(document: str) -> CurveSpec:
     if not (isinstance(range_value, list) and len(range_value) == 2
             and all(isinstance(v, (int, float)) for v in range_value)):
         raise SpecDocumentError("s_range must be a list of two reals", range_line)
+    s_range = (float(range_value[0]), float(range_value[1]))
+    _check_value("s_range", s_range, range_line)
 
     table: dict = {}  # one for the document: components and field share equal subexpressions
 
@@ -536,6 +547,7 @@ def parse_curve_spec(document: str) -> CurveSpec:
         samples_value, samples_line = entries["samples"]
         if not isinstance(samples_value, int):
             raise SpecDocumentError("samples must be an integer", samples_line)
+        _check_value("samples", samples_value, samples_line)
         kwargs["samples"] = samples_value
     for name in ("tol_const", "tol_frame"):
         if name in entries:
@@ -543,10 +555,11 @@ def parse_curve_spec(document: str) -> CurveSpec:
             if not isinstance(value, (int, float)):
                 raise SpecDocumentError(f"{name} must be a real", lineno)
             kwargs[name] = float(value)
+            _check_value(name, kwargs[name], lineno)
 
     parsed = _PARSED.set(True)
     try:
-        return CurveSpec(dimension, components, field_expr, (float(range_value[0]), float(range_value[1])), **kwargs)
+        return CurveSpec(dimension, components, field_expr, s_range, **kwargs)
     finally:
         _PARSED.reset(parsed)
 

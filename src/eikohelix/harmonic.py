@@ -31,7 +31,10 @@ index-(n-3) entry of each closing identity is the zero H_0 (H*_0).
 
 ``harmonic_data`` is the layer's one entry point. It evaluates both
 families and their closing residuals for every point of the frame's batch
-at once (a whole sample grid, or one point as batch shape ``()``).
+at once (a whole sample grid, or one point as batch shape ``()``). Both
+run at the order o that every k_i carries; each step takes one rate, so
+o must be at least n-2, which the sampler's default jet order gives
+(jets.frame_jet_order). Below n-2, one InsufficientOrder names o.
 """
 
 from __future__ import annotations
@@ -73,8 +76,13 @@ class HarmonicData:
         return np.stack([h.coeffs[0] for h in self.Hstar], axis=-1)
 
 
-def _check_curvatures(fr: FrenetData) -> None:
-    if fr.dimension < 3:
+def _check_curvatures(fr: FrenetData) -> int:
+    """The order o that every k_i carries. Raises if some k_i is not positive
+    and finite at some point, or if o < n-2: each step of the recurrence
+    takes one rate, so H_{n-2} and H*_{n-2} keep order 1 exactly from
+    o = n-2 on."""
+    n = fr.dimension
+    if n < 3:
         raise ValueError("harmonic curvatures need dimension >= 3")
     for i, k in enumerate(fr.curvatures, start=1):
         raise_first(
@@ -83,62 +91,34 @@ def _check_curvatures(fr: FrenetData) -> None:
                 f"curvature k{i} = {value_at(k.coeffs[0], p)!r} not positive and finite", value_at(fr.s, p)
             ),
         )
-
-
-# (symbol, name, sign of the rate in the step) of the tangent and the normal family
-_FAMILIES = (("H", "tangent", 1.0), ("H*", "normal", -1.0))
-
-# The InsufficientOrder guards below cannot fire from the sampler: at the
-# default jet order every k_i carries order n-2 (jets.frame_jet_order), so
-# H_{n-2} and H*_{n-2} keep order 1. They stay for frames built by a direct
-# call from curve jets of a lower order, which they report instead of
-# failing on a missing coefficient.
-
-
-def _recurrence(families, c: list[Jet], speed: Jet) -> tuple[list[Jet], np.ndarray]:
-    """([G_1, ..., G_{n-2}], closing residuals) for curvatures c_1..c_{n-1}
-    stacked over ``families`` on the first batch axis, each in its family's
-    order: G_0 = 0, G_1 = c_1/c_2 and G_i = (c_i G_{i-2} + sign V1[G_{i-1}]) / c_{i+1}.
-    The step past the end, i = n-1, has no c_n to divide by; its absolute
-    value at the value level is the closing residual."""
-    n = len(c) + 1
-    first = c[0] / c[1]
-    sign = np.array([f[2] for f in families]).reshape(-1, *[1] * (first.coeffs.ndim - 2))
-    G: list[Jet] = [Jet(np.zeros_like(first.coeffs)), first]
-    for i in range(2, n):
-        if G[-1].order < 1:
-            symbol, name, _ = families[0]
-            raise InsufficientOrder(
-                f"jet order exhausted computing {symbol}{i}"
-                if i < n - 1
-                else f"last {name}-family entry lost its derivative"
-            )
-        rate = directional_derivative(G[-1], speed)
-        if i == n - 1:
-            return G[1:], abs(c[-1].value * G[-2].value + sign * rate.value)
-        G.append((c[i - 1] * G[-2] + Jet(sign * rate.coeffs)) / c[i])
+    order = min(k.order for k in fr.curvatures)
+    if order < n - 2:
+        raise InsufficientOrder(f"curvature jets of order {order}; the harmonic families need {n - 2}")
+    return order
 
 
 def harmonic_data(fr: FrenetData) -> HarmonicData:
     """Evaluate both families, their sums of squares and their closing
     residuals at fr's points.
 
-    The stacked Cauchy products and divisions sum over coefficients in the
-    order each family's own would: over a grid the batch axis is the inner
-    loop either way, and at one point each k_i is a strided view of the
-    frame's curvature array, whose products sum in an outer loop too."""
-    _check_curvatures(fr)
-    k = fr.curvatures
-    if all(a.order == b.order for a, b in zip(k, k[::-1])):  # both families keep the same orders: one run
-        runs = [(_FAMILIES, [Jet(np.stack([a.coeffs, b.coeffs], axis=1)) for a, b in zip(k, k[::-1])])]
-    else:  # a direct call below the default order: each family on its own, at its own orders
-        runs = [((family,), [Jet(c.coeffs[:, None]) for c in cs]) for family, cs in zip(_FAMILIES, (k, k[::-1]))]
-    families, closing = [], []
-    for stacked, c in runs:
-        G, residuals = _recurrence(stacked, c, fr.speed)
-        families += [[Jet(g.coeffs[:, f]) for g in G] for f in range(len(stacked))]
-        closing += [_scalar(r) for r in residuals]
-    (H, Hstar), (closing_H, closing_Hstar) = families, closing
+    Each k_i is cut to the order o they all carry and stacked with k_{n-i}
+    on a family axis of size 2, the first batch axis. The stacked Cauchy
+    products and divisions sum over coefficients in the order each family's
+    own would: over a grid the batch axis is the inner loop either way, and
+    at one point each k_i is a strided view of the frame's curvature array,
+    whose products sum in an outer loop too."""
+    o = _check_curvatures(fr)
+    k, n = fr.curvatures, fr.dimension
+    c = [Jet(np.stack([a.coeffs[: o + 1], b.coeffs[: o + 1]], axis=1)) for a, b in zip(k, k[::-1])]
+    first = c[0] / c[1]
+    sign = np.array([1.0, -1.0]).reshape(-1, *[1] * (first.coeffs.ndim - 2))  # tangent, normal
+    G: list[Jet] = [Jet(np.zeros_like(first.coeffs)), first]  # G_0 = 0, G_1
+    for i in range(2, n - 1):
+        rate = directional_derivative(G[-1], fr.speed)
+        G.append((c[i - 1] * G[-2] + Jet(sign * rate.coeffs)) / c[i])
+    rate = directional_derivative(G[-1], fr.speed)  # the step past the end, with no c_n to divide by
+    closing_H, closing_Hstar = (_scalar(r) for r in abs(c[-1].value * G[-2].value + sign * rate.value))
+    H, Hstar = ([Jet(g.coeffs[:, f]) for g in G[1:]] for f in (0, 1))
     return HarmonicData(
         s=fr.s,
         H=H,

@@ -19,7 +19,8 @@ Taylor-mode QR; the batch-first ``_Dual2`` is the field-dual algebra before
 its batch axes moved last, as the reference for that layout;
 ``reference_harmonic_tangent``/``reference_harmonic_normal`` with
 ``reference_lemma_residuals`` write the two harmonic families apart, as
-the reference for their one recurrence; ``ReferenceExprParser`` parses
+the reference for their one recurrence (both call the package's
+``_check_curvatures``, so they raise its order error too); ``ReferenceExprParser`` parses
 ``+ - * /`` with one method per precedence level, as the reference for the
 parser's one precedence-climbing loop; ``reference_tokenize`` and
 ``reference_split_list`` scan one character at a time, as the reference for

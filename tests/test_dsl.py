@@ -357,6 +357,37 @@ class TestParseCurveSpec:
         assert str(exc_info.value) == message
         assert exc_info.value.line == int(message.rsplit(" ", 1)[1][:-1])
 
+    @pytest.mark.parametrize(
+        "edits, error, message",
+        [
+            ({"samples": "4"}, SpecDocumentError, "samples must be >= 8, got 4 (line 5)"),
+            ({"s_range": "[1, 0]"}, SpecDocumentError, "invalid s_range (1.0, 0.0) (line 4)"),
+            ({"tol_const": "-1"}, SpecDocumentError, "tol_const must be finite and positive, got -1.0 (line 6)"),
+            ({"dimension": "1"}, DimensionMismatch, "dimension must be >= 2, got 1 (line 1)"),
+            (
+                {"dimension": "1", "curve": '["s"]', "field": '"x3"'},
+                DimensionMismatch,
+                "dimension must be >= 2, got 1 (line 1)",
+            ),
+        ],
+        ids=["samples", "s_range", "tol_const", "dimension", "dimension_first"],
+    )
+    def test_value_errors_name_their_line(self, edits, error, message):
+        """A key's value is checked on its line, dimension before the curve's
+        length and before any expression is parsed; the edits are made to
+        the emitted helix345_fz document, a key it lacks appended."""
+        lines = catalog.get("helix345_fz").document.splitlines()
+        keys = [line.split(" = ")[0] for line in lines]
+        for key, value in edits.items():
+            if key not in keys:
+                keys.append(key)
+                lines.append("")
+            lines[keys.index(key)] = f"{key} = {value}"
+        with pytest.raises(error) as exc_info:
+            parse_curve_spec("\n".join(lines) + "\n")
+        assert type(exc_info.value) is error
+        assert str(exc_info.value) == message
+
     def test_trailing_comma_in_list(self):
         assert parse_curve_spec(EXAMPLE_DOC.replace("[0, 12.566]", "[1, 2,]")).s_range == (1.0, 2.0)
 
@@ -697,3 +728,24 @@ class TestCheckedOnce:
                 build()
             assert str(exc_info.value) == message == _parser_message("x1 + 2*s", "field")
         assert len(walked) == 2
+
+    def test_shared_nodes_are_walked_once(self, monkeypatch):
+        """A tree built in Python that shares its children is walked by its
+        distinct nodes at each level, not by every occurrence: 16 doublings
+        of one ``s^2`` are 2^16 occurrences of one leaf and one exponent."""
+        calls = []
+        for name in ("_check_leaf", "_check_exponent"):
+            check = getattr(dsl, name)
+            monkeypatch.setattr(dsl, name, lambda *args, name=name, check=check: calls.append(name) or check(*args))
+        x = Binary("^", Param(), Constant(2.0))
+        for _ in range(16):
+            x = Binary("+", x, x)
+        CurveSpec(3, (x, Param(), Param()), Coord(3), (0.0, 1.0))
+        assert (calls.count("_check_leaf"), calls.count("_check_exponent")) == (4, 1)
+
+        x = Param()
+        for _ in range(100):
+            x = Binary("+", x, x)
+        with pytest.raises(ExprSyntaxError) as exc_info:
+            CurveSpec(3, (x, Param(), Param()), Coord(3), (0.0, 1.0))
+        assert str(exc_info.value) == "expression nests deeper than 100 levels"

@@ -374,8 +374,8 @@ class TestOrderBudget:
         fr, h = trajectory.frenet, trajectory.harmonic
         assert [v.order for v in fr.frame] == [n - 1] * (n - 1) + [n - 2]
         assert [k.order for k in fr.curvatures] == [n - 2] * (n - 1)
-        # the last entries keep order 1, so the InsufficientOrder guards in
-        # harmonic.py cannot fire from the sampler
+        # every k_i carries order n-2, so the last entries keep order 1 and
+        # harmonic.py's one order check cannot fire from the sampler
         assert h.H[-1].order == 1 and h.Hstar[-1].order == 1
 
         # the curve carries 2n-2, so alpha^(i) reaches 2n-2-i with no budget

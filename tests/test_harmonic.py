@@ -99,14 +99,14 @@ class TestNormalFamily:
         assert Hstar[1].value == pytest.approx(0.0, abs=1e-12)
 
     def test_insufficient_order_reported(self):
-        from eikohelix.errors import InsufficientOrder
-
         spec = parse_curve_spec(TORUS_R4)
-        # order 5 satisfies the frame but starves the recurrence chain;
-        # the default order for n=4 is 6
+        # order 5 satisfies the frame but leaves k3 at order 1, below the
+        # n-2 = 2 the recurrence needs; the default order for n=4 is 6
         fr = frenet_apparatus(eval_curve_jet(spec, 1.0, 5), spec.tol_frame, s=1.0)
-        with pytest.raises(InsufficientOrder):
+        assert [k.order for k in fr.curvatures] == [2, 2, 1]
+        with pytest.raises(InsufficientOrder) as exc_info:
             harmonic_data(fr)
+        assert str(exc_info.value) == "curvature jets of order 1; the harmonic families need 2"
 
 
 class TestLemmaResiduals:
@@ -328,15 +328,24 @@ class TestOneRecurrence:
 
     @pytest.mark.parametrize("n", range(3, 14))
     def test_insufficient_order(self, n):
-        """Curve jets below the default order starve the normal family (its
-        last curvatures carry the least order); curvatures cut to each lower
-        order starve the tangent family too."""
+        """One order rule: harmonic_data raises its one InsufficientOrder
+        exactly when the last curvature, which carries the least order, is
+        below order n-2, and otherwise matches the two families written apart
+        bit for bit. Curve jets below the default order starve it n-3 times
+        out of n-2; curvatures cut to each lower order starve it too."""
         spec = wcurve_lift(n, 12, quadratic=True)
         starved = 0
         for order in range(n + 1, default_jet_order(n) + 1):
             fr = frenet_apparatus(eval_curve_jet(spec, 1.1, order), spec.tol_frame, s=1.1)
-            starved += not assert_matches_reference(fr)
-            for cut in range(n - 1):
-                k = [c.truncate(min(cut, c.order)) for c in fr.curvatures]
-                assert_matches_reference(FrenetData(fr.s, fr.speed, fr.frame, k))
+            cuts = [[c.truncate(min(cut, c.order)) for c in fr.curvatures] for cut in range(n - 1)]
+            for k in [fr.curvatures, *cuts]:
+                least = k[-1].order
+                assert least == min(c.order for c in k)
+                frame = FrenetData(fr.s, fr.speed, fr.frame, k)
+                if least < n - 2:
+                    message = f"curvature jets of order {least}; the harmonic families need {n - 2}"
+                    assert outcome(harmonic_data, frame) == (InsufficientOrder, message)
+                else:
+                    assert assert_matches_reference(frame)
+            starved += fr.curvatures[-1].order < n - 2
         assert starved == n - 3
