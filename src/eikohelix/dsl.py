@@ -444,6 +444,15 @@ def _parse_scalar(text: str, line: int):
         raise SpecDocumentError(f"cannot parse value {text!r}", line) from None
 
 
+def _real(value: int | float) -> float:
+    """A document's number as a float; an integer too large for one reads as
+    an infinity, as a float literal does, for the key's check to report."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _split_list(body: str, line: int) -> list[str]:
     """Split a list body on the commas outside strings and brackets."""
     items, current, depth = [], "", 0
@@ -522,7 +531,7 @@ def parse_curve_spec(document: str) -> CurveSpec:
     if not (isinstance(range_value, list) and len(range_value) == 2
             and all(isinstance(v, (int, float)) for v in range_value)):
         raise SpecDocumentError("s_range must be a list of two reals", range_line)
-    s_range = (float(range_value[0]), float(range_value[1]))
+    s_range = (_real(range_value[0]), _real(range_value[1]))
     _check_value("s_range", s_range, range_line)
 
     table: dict = {}  # one for the document: components and field share equal subexpressions
@@ -554,7 +563,7 @@ def parse_curve_spec(document: str) -> CurveSpec:
             value, lineno = entries[name]
             if not isinstance(value, (int, float)):
                 raise SpecDocumentError(f"{name} must be a real", lineno)
-            kwargs[name] = float(value)
+            kwargs[name] = _real(value)
             _check_value(name, kwargs[name], lineno)
 
     parsed = _PARSED.set(True)

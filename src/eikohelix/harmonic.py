@@ -16,10 +16,14 @@ characterizing curves whose last frame vector does. One recurrence runs
 both families at once, k_i paired with k_{n-i} on a family axis of size
 2, as G_i = (c_i * G_{i-2} + sign * V1[G_{i-1}]) / c_{i+1} with sign +1
 for the tangent and -1 for the normal family; a sum is commutative and a
-product by -1 exact, so each family gets its own step's bits. It runs one
-step past the end: the steps that divide by a curvature give the entries
-1..n-2, and the last step, with no curvature left to divide by, gives the
-residual of the derivative identity that closes the family,
+product by -1 exact, so each family gets its own step's bits. The first
+entry G_1 = c_1 / c_2 and the reciprocals of the later divisors, c_3 ..
+c_{n-1} and the speed of V1[.] = (.)' / speed, come from one division
+recurrence over a stacked axis, so that each step runs Cauchy products
+only. It runs one step past the end: the steps that divide by a curvature
+give the entries 1..n-2, and the last step, with no curvature left to
+divide by, gives the residual of the derivative identity that closes the
+family,
 
     V1[H_{n-2}] + k_{n-1} * H_{n-3} = 0     exactly when the curve is a helix,
     k_1 * H*_{n-3} - V1[H*_{n-2}] = 0       exactly when it is a slant helix.
@@ -44,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCurvature, InsufficientOrder, raise_first, value_at
-from .frenet import FrenetData, directional_derivative
-from .jets import Jet, _scalar
+from .frenet import FrenetData
+from .jets import Jet, _pad_batch, _scalar, jet_div
 
 
 @dataclass(eq=False)
@@ -102,22 +106,36 @@ def harmonic_data(fr: FrenetData) -> HarmonicData:
     residuals at fr's points.
 
     Each k_i is cut to the order o they all carry and stacked with k_{n-i}
-    on a family axis of size 2, the first batch axis. The stacked Cauchy
-    products and divisions sum over coefficients in the order each family's
-    own would: over a grid the batch axis is the inner loop either way, and
-    at one point each k_i is a strided view of the frame's curvature array,
-    whose products sum in an outer loop too."""
+    on a family axis of size 2, the first batch axis. One ``jet_div`` over
+    an axis that stacks its columns gives G_1 = c_1 / c_2 and the
+    reciprocals 1/c_3 .. 1/c_{n-1} and 1/speed, so each step is Cauchy
+    products only: the rate V1[G] = G' * (1/speed), then the step's sum
+    times 1/c_{i+1}. The step past the end reads V1[G_{n-2}] at its value
+    only, which is G'_0 / speed_0. The stacked products and the division
+    sum over coefficients in the same order at one point as on a grid, so a
+    point of a grid gets the grid's bits."""
     o = _check_curvatures(fr)
-    k, n = fr.curvatures, fr.dimension
-    c = [Jet(np.stack([a.coeffs[: o + 1], b.coeffs[: o + 1]], axis=1)) for a, b in zip(k, k[::-1])]
-    first = c[0] / c[1]
+    n = fr.dimension
+    k = np.stack([ki.coeffs[: o + 1] for ki in fr.curvatures], axis=1)  # (o+1, n-1, *batch)
+    d = np.empty((o + 1, 2 * n - 1, *k.shape[2:]))  # c_1 .. c_{n-1}, c_i = (k_i, k_{n-i}), then the speed
+    d[:, 0:-1:2], d[:, 1:-1:2] = k, k[:, ::-1]
+    d[:, -1] = _pad_batch(fr.speed.coeffs[: o + 1], k.ndim - 2)  # a constant speed broadcasts
+    c = [Jet(d[:, 2 * i : 2 * i + 2]) for i in range(n - 1)]  # c[i] is c_{i+1}
+    num = np.zeros_like(d[:, 2:])  # c_1 over c_2, then the series 1 over c_3 .. c_{n-1} and the speed
+    num[0] = 1.0
+    num[:, :2] = d[:, :2]
+    quotients = jet_div(Jet(num), Jet(d[:, 2:])).coeffs
+    first = Jet(quotients[:, :2])
+    per_c = [None, None, *(Jet(quotients[:, 2 * i - 2 : 2 * i]) for i in range(2, n - 1))]  # per_c[i] = 1 / c[i]
+    per_speed = Jet(quotients[:, -1])
     sign = np.array([1.0, -1.0]).reshape(-1, *[1] * (first.coeffs.ndim - 2))  # tangent, normal
     G: list[Jet] = [Jet(np.zeros_like(first.coeffs)), first]  # G_0 = 0, G_1
     for i in range(2, n - 1):
-        rate = directional_derivative(G[-1], fr.speed)
-        G.append((c[i - 1] * G[-2] + Jet(sign * rate.coeffs)) / c[i])
-    rate = directional_derivative(G[-1], fr.speed)  # the step past the end, with no c_n to divide by
-    closing_H, closing_Hstar = (_scalar(r) for r in abs(c[-1].value * G[-2].value + sign * rate.value))
+        rate = G[-1].derivative() * per_speed
+        G.append((c[i - 1] * G[-2] + Jet(sign * rate.coeffs)) * per_c[i])
+    # the step past the end, with no c_n to divide by, reads V1[G_{n-2}] at its value only
+    rate = G[-1].coeffs[1] / fr.speed.coeffs[0]
+    closing_H, closing_Hstar = (_scalar(r) for r in abs(c[-1].value * G[-2].value + sign * rate))
     H, Hstar = ([Jet(g.coeffs[:, f]) for g in G[1:]] for f in (0, 1))
     return HarmonicData(
         s=fr.s,

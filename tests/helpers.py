@@ -18,9 +18,10 @@ frame, each derivative vector at its full order, as the reference for the
 Taylor-mode QR; the batch-first ``_Dual2`` is the field-dual algebra before
 its batch axes moved last, as the reference for that layout;
 ``reference_harmonic_tangent``/``reference_harmonic_normal`` with
-``reference_lemma_residuals`` write the two harmonic families apart, as
-the reference for their one recurrence (both call the package's
-``_check_curvatures``, so they raise its order error too); ``ReferenceExprParser`` parses
+``reference_lemma_residuals`` write the two harmonic families apart, with
+a division at each step, as the reference for their one recurrence over
+stacked reciprocals (both call the package's ``_check_curvatures``, so they
+raise its order error too, and need no order guard of their own); ``ReferenceExprParser`` parses
 ``+ - * /`` with one method per precedence level, as the reference for the
 parser's one precedence-climbing loop; ``reference_tokenize`` and
 ``reference_split_list`` scan one character at a time, as the reference for
@@ -64,7 +65,6 @@ from eikohelix.errors import (
     ExprSyntaxError,
     FrameError,
     IllegalCharacter,
-    InsufficientOrder,
     JetDivisionByZero,
     SpecDocumentError,
     UnknownIdentifier,
@@ -487,14 +487,10 @@ def reference_harmonic_tangent(fr: FrenetData) -> list[Jet]:
     H: list[Jet] = [k[0] / k[1]]
     prev2 = jet_constant(0.0, H[0].order)  # H_0 := 0
     for i in range(2, n - 1):
-        if H[-1].order < 1:
-            raise InsufficientOrder(f"jet order exhausted computing H{i}")
         rate = directional_derivative(H[-1], fr.speed)
         H_i = (rate + k[i - 1] * prev2) / k[i]
         prev2 = H[-1]
         H.append(H_i)
-    if H[-1].order < 1:
-        raise InsufficientOrder("last tangent-family entry lost its derivative")
     return H
 
 
@@ -506,13 +502,9 @@ def reference_harmonic_normal(fr: FrenetData) -> list[Jet]:
     first = k[n - 2] / k[n - 3]
     Hstar: list[Jet] = [jet_constant(0.0, first.order), first]
     for i in range(2, n - 1):
-        if Hstar[-1].order < 1:
-            raise InsufficientOrder(f"jet order exhausted computing H*{i}")
         rate = directional_derivative(Hstar[-1], fr.speed)
         H_i = (k[n - i - 1] * Hstar[-2] - rate) / k[n - i - 2]
         Hstar.append(H_i)
-    if Hstar[-1].order < 1:
-        raise InsufficientOrder("last normal-family entry lost its derivative")
     return Hstar
 
 

@@ -363,6 +363,18 @@ class TestParseCurveSpec:
             ({"samples": "4"}, SpecDocumentError, "samples must be >= 8, got 4 (line 5)"),
             ({"s_range": "[1, 0]"}, SpecDocumentError, "invalid s_range (1.0, 0.0) (line 4)"),
             ({"tol_const": "-1"}, SpecDocumentError, "tol_const must be finite and positive, got -1.0 (line 6)"),
+            # integers too large for a float read as infinities, as float literals do
+            ({"s_range": f"[0, 1{'0' * 400}]"}, SpecDocumentError, "invalid s_range (0.0, inf) (line 4)"),
+            (
+                {"tol_const": f"1{'0' * 400}"},
+                SpecDocumentError,
+                "tol_const must be finite and positive, got inf (line 6)",
+            ),
+            (
+                {"tol_frame": f"-1{'0' * 400}"},
+                SpecDocumentError,
+                "tol_frame must be finite and positive, got -inf (line 6)",
+            ),
             ({"dimension": "1"}, DimensionMismatch, "dimension must be >= 2, got 1 (line 1)"),
             (
                 {"dimension": "1", "curve": '["s"]', "field": '"x3"'},
@@ -370,7 +382,10 @@ class TestParseCurveSpec:
                 "dimension must be >= 2, got 1 (line 1)",
             ),
         ],
-        ids=["samples", "s_range", "tol_const", "dimension", "dimension_first"],
+        ids=[
+            "samples", "s_range", "tol_const", "huge_s_range", "huge_tol_const", "huge_tol_frame",
+            "dimension", "dimension_first",
+        ],
     )
     def test_value_errors_name_their_line(self, edits, error, message):
         """A key's value is checked on its line, dimension before the curve's

@@ -14,7 +14,7 @@ from eikohelix.dsl import parse_curve_spec
 from eikohelix.errors import InsufficientOrder
 from eikohelix.frenet import FrenetData, frenet_apparatus
 from eikohelix.harmonic import HarmonicData, harmonic_data
-from eikohelix.jets import Jet, default_jet_order, eval_curve_jet
+from eikohelix.jets import default_jet_order, eval_curve_jet
 
 from helpers import (
     eval_float,
@@ -260,12 +260,6 @@ class TestEquivalence:
             assert (spread <= tol) == (max_res <= tol)
 
 
-def bits(x):
-    """Type, shape and bytes of a float, an array or a jet."""
-    x = x.coeffs if isinstance(x, Jet) else x
-    return type(x), np.shape(x), np.asarray(x).tobytes()
-
-
 def outcome(fn, *args):
     """``fn(*args)``, or the type and message of the InsufficientOrder it raises."""
     try:
@@ -289,23 +283,45 @@ def reference_data(fr):
     )
 
 
+# The recurrence multiplies by reciprocals where the reference divides, so
+# the two round differently. The largest differences measured on the cases
+# below were 51 eps for H and H*, 38 eps for the sums of squares and 164 eps
+# for the closing residuals, each in the unit the bound names.
+ULPS = 1024 * np.finfo(float).eps
+
+
 def assert_matches_reference(fr) -> bool:
-    """Both families, their sums of squares and closing residuals equal the
-    two families written apart, bit for bit, or fail with the same
-    InsufficientOrder. Returns whether the families were computed."""
+    """Both families, their sums of squares and closing residuals agree with
+    the two families written apart, within ULPS of their size, or fail with
+    the same InsufficientOrder. Returns whether the families were computed.
+
+    Each H_i and H*_i jet is within ULPS of its largest coefficient, each
+    sum of squares within ULPS of itself, and each closing residual within
+    ULPS of its verify scale: max k_{n-1} * max|H| (max k_1 * max|H*|)."""
     got, want = outcome(harmonic_data, fr), outcome(reference_data, fr)
     if isinstance(want, tuple):
         assert got == want
         return False
     for name in ("H", "Hstar"):
-        assert [bits(h) for h in getattr(got, name)] == [bits(h) for h in getattr(want, name)]
+        for g, w in zip(getattr(got, name), getattr(want, name), strict=True):
+            assert g.coeffs.shape == w.coeffs.shape
+            assert np.abs(g.coeffs - w.coeffs).max() <= ULPS * np.abs(w.coeffs).max()
     for name in ("sumsq_H", "sumsq_Hstar", "closing_H", "closing_Hstar"):
-        assert bits(getattr(got, name)) == bits(getattr(want, name))
+        assert type(getattr(got, name)) is type(getattr(want, name))
+    for name in ("sumsq_H", "sumsq_Hstar"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert np.all(np.abs(g - w) <= ULPS * np.abs(w))
+    k = fr.curvatures
+    for name, family, curvature in (("H", want.H, k[-1]), ("Hstar", want.Hstar, k[0])):
+        scale = np.max(curvature.value) * max(np.abs(h.value).max() for h in family)
+        g, w = getattr(got, f"closing_{name}"), getattr(want, f"closing_{name}")
+        assert np.max(np.abs(g - w)) <= ULPS * scale
     return True
 
 
 class TestOneRecurrence:
-    """The merged recurrence against the two families written apart."""
+    """The merged recurrence against the two families written apart, within
+    a rounding bound fixed by the dtype."""
 
     @pytest.mark.parametrize("n", range(3, 14))
     @pytest.mark.parametrize("quadratic", [False, True], ids=["linear", "quadratic"])
@@ -330,9 +346,9 @@ class TestOneRecurrence:
     def test_insufficient_order(self, n):
         """One order rule: harmonic_data raises its one InsufficientOrder
         exactly when the last curvature, which carries the least order, is
-        below order n-2, and otherwise matches the two families written apart
-        bit for bit. Curve jets below the default order starve it n-3 times
-        out of n-2; curvatures cut to each lower order starve it too."""
+        below order n-2, and otherwise agrees with the two families written
+        apart within ULPS. Curve jets below the default order starve it n-3
+        times out of n-2; curvatures cut to each lower order starve it too."""
         spec = wcurve_lift(n, 12, quadratic=True)
         starved = 0
         for order in range(n + 1, default_jet_order(n) + 1):

@@ -16,6 +16,8 @@ from eikohelix.dsl import parse_curve_spec, parse_expr_text
 from eikohelix.errors import EvalDomainError, EvalOverflow, JetDivisionByZero
 from eikohelix.jets import (
     Jet,
+    _JetAlgebra,
+    _sin_cos,
     default_jet_order,
     frame_jet_order,
     eval_curve_jet,
@@ -279,6 +281,38 @@ class TestSinCosAgainstMpmath:
                 assert got.coeffs.tobytes() == grid_jet.coeffs[:, p].tobytes()
                 # ten times the largest error measured, 1.8e-16 of the largest coefficient
                 assert np.abs(got.coeffs - want).max() <= 2e-15 * np.abs(want).max()
+
+
+class TestStackedSinCos:
+    """Sines and cosines of several arguments run as one recurrence over a
+    stacked batch axis; each series keeps the bits it has alone."""
+
+    AFFINE = ("s", "2*s + 0.5", "-3*s", "0.7*s - 1.1", "5*s", "1e-3*s + 2")
+    CURVED = ("s^2", "1.7*s + 0.4*s^2 - exp(s/3)", "sin(2*s)", "s^3 - s", "cos(s)*s", "1/(2 + s^2)")
+
+    @pytest.mark.parametrize("order", [3, 11, 24])
+    @pytest.mark.parametrize("texts", [AFFINE, CURVED], ids=["affine", "curved"])
+    def test_each_series_keeps_its_bits(self, order, texts):
+        grid = np.linspace(-2.0, 3.0, 6)
+        exprs = [parse_expr_text(text, "curve") for text in texts]
+        for m in range(1, len(exprs) + 1):
+            on_grid = [eval_expr_jet(e, grid, order) for e in exprs[:m]]
+            algebra = _JetAlgebra(grid, order)
+            assert algebra.stack_width >= m  # one call takes all m
+            stacked = algebra.sin_cos_stack(on_grid)
+            for u, pair in zip(on_grid, stacked):
+                for got, want in zip(pair, _sin_cos(u)):
+                    assert got.coeffs.flags.c_contiguous
+                    assert got.coeffs.shape == want.coeffs.shape
+                    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            for p in (0, 4):
+                at_point = [Jet(u.coeffs[:, p].copy()) for u in on_grid]
+                at_point_stacked = _JetAlgebra(np.asarray(grid[p]), order).sin_cos_stack(at_point)
+                for u, pair, grid_pair in zip(at_point, at_point_stacked, stacked):
+                    for got, want, column in zip(pair, _sin_cos(u), grid_pair):
+                        assert got.shape == ()
+                        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+                        assert got.coeffs.tobytes() == column.coeffs[:, p].tobytes()
 
 
 def check_jets_against_richardson(pairs: int, seed: int, rel_tol: float = 1e-6):

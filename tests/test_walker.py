@@ -18,10 +18,22 @@ import numpy as np
 import pytest
 
 from eikohelix import catalog, jets
-from eikohelix.dsl import Binary, Constant, Coord, Param, Unary, format_document, parse_curve_spec, parse_expr_text
+from eikohelix.classify import sample_along_curve
+from eikohelix.dsl import (
+    Binary,
+    Constant,
+    Coord,
+    Param,
+    Unary,
+    format_document,
+    format_expr,
+    parse_curve_spec,
+    parse_expr_text,
+)
+from eikohelix.errors import EvalDomainError
 from eikohelix.jets import default_jet_order, eval_curve_jet, eval_expr_jet, eval_field_jet
 
-from helpers import reference_curve_jets, reference_field_jet
+from helpers import reference_curve_jets, reference_field_jet, wcurve_lift
 
 CONSTANTS = (0.0, -0.0, 1.0, 2.0, 0.6, 2.5, 5.0, 1e200, 1e-300, 1e-320, float("inf"), np.pi)
 EXPONENTS = (2.0, 3.0, 0.0, 1.0, -1.0, -2.0, 0.5, 1.5, -0.5, 65.0)
@@ -245,13 +257,9 @@ class TestDualLayout:
 
 
 class TestSharing:
-    def test_shared_cos_runs_one_recurrence(self, monkeypatch):
-        spec = parse_curve_spec(
-            "dimension = 3\n"
-            'curve = ["3*cos(s/5)", "3*sin(s/5) + cos(s/5)", "4*s/5 - cos(s/5)"]\n'
-            'field = "x3"\n'
-            "s_range = [0, 31.4159]\n"
-        )
+    @staticmethod
+    def _count_sin_cos(monkeypatch) -> list:
+        """The batch shape of each ``jets._sin_cos`` call from now on."""
         calls = []
         recurrence = jets._sin_cos
 
@@ -260,8 +268,79 @@ class TestSharing:
             return recurrence(u)
 
         monkeypatch.setattr(jets, "_sin_cos", counting)
+        return calls
+
+    def test_shared_cos_runs_one_recurrence(self, monkeypatch):
+        spec = parse_curve_spec(
+            "dimension = 3\n"
+            'curve = ["3*cos(s/5)", "3*sin(s/5) + cos(s/5)", "4*s/5 - cos(s/5)"]\n'
+            'field = "x3"\n'
+            "s_range = [0, 31.4159]\n"
+        )
+        calls = self._count_sin_cos(monkeypatch)
         eval_curve_jet(spec, np.linspace(0.0, 31.4159, 16))
         assert calls == [(16,)]
+
+    def test_lift_stacks_every_argument(self, monkeypatch):
+        # cos(j*s)/j and sin(j*s)/j for j = 1..6: six arguments, one stacked recurrence
+        spec = wcurve_lift(13, 24)
+        grid = np.linspace(spec.s_range[0], spec.s_range[1], spec.samples)
+        calls = self._count_sin_cos(monkeypatch)
+        eval_curve_jet(spec, grid)
+        assert calls == [(6, 24)]
+        assert _outcome(lambda: eval_curve_jet(spec, grid)) == _outcome(
+            lambda: reference_curve_jets(spec.components, grid, default_jet_order(13))
+        )
+
+    @pytest.mark.parametrize("samples, calls", [(256, [(2, 256)] * 3), (512, [(512,)] * 6)], ids=["256", "512"])
+    def test_larger_grids_stack_fewer_arguments(self, monkeypatch, samples, calls):
+        # a stacked call takes at most jets._STACK_POINTS = 512 points, and a
+        # grid of more than half of that runs each argument alone, in tree order
+        assert jets._STACK_POINTS == 512
+        spec = wcurve_lift(13, samples)
+        grid = np.linspace(spec.s_range[0], spec.s_range[1], spec.samples)
+        counted = self._count_sin_cos(monkeypatch)
+        eval_curve_jet(spec, grid)
+        assert counted == calls
+        assert _outcome(lambda: eval_curve_jet(spec, grid)) == _outcome(
+            lambda: reference_curve_jets(spec.components, grid, default_jet_order(13))
+        )
+
+    def test_nested_arguments_stack_by_level(self, monkeypatch):
+        texts = ("sin(2*s) + cos(s)", "cos(sin(2*s) - s^2)", "sin(s*cos(s))")
+        exprs = [parse_expr_text(text, "curve") for text in texts]
+        grid = np.linspace(-1.0, 2.0, 7)
+        calls = self._count_sin_cos(monkeypatch)
+        eval_curve_jet(_Spec(exprs), grid, 9)
+        # parsed apart, the three share no node: 2*s, s, 2*s and s first, then
+        # sin(2*s) - s^2 and s*cos(s), which take a sine or cosine of the first
+        assert calls == [(4, 7), (2, 7)]
+        assert _outcome(lambda: eval_curve_jet(_Spec(exprs), grid, 9)) == _outcome(
+            lambda: reference_curve_jets(exprs, grid, 9)
+        )
+
+    def test_errors_keep_their_order(self, monkeypatch):
+        """ln(2 - s) comes before the stackable sin(3*s) and cos(s^2) in
+        post-order. Their series run first, as one stacked recurrence, but
+        cannot raise, so ln's error is the one raised, at the same s."""
+        spec = parse_curve_spec(
+            "dimension = 3\n"
+            'curve = ["ln(2 - s)", "sin(3*s)", "cos(s^2)"]\n'
+            'field = "x3"\n'
+            "s_range = [1, 3]\n"
+            "samples = 9\n"
+        )
+        dag = jets._Dag(spec.components)
+        assert [format_expr(dag.nodes[a]) for level in dag.stacked() for a in level] == ["3.0 * s", "s^2.0"]
+        grid = np.linspace(1.0, 3.0, 9)
+        calls = self._count_sin_cos(monkeypatch)
+        with pytest.raises(EvalDomainError) as exc_info:
+            sample_along_curve(spec)
+        assert str(exc_info.value) == "ln of non-positive jet value 0.0 (while sampling at s = 2.0)"
+        assert calls[0] == (2, 9)
+        new = _outcome(lambda: eval_curve_jet(spec, grid, 4))
+        assert new == _outcome(lambda: reference_curve_jets(spec.components, grid, 4))
+        assert new[:4] == ("error", EvalDomainError, "ln of non-positive jet value 0.0", 4)
 
     def test_parsed_document_shares_nodes(self):
         # a rotated, rescaled helix in R^4 with a quadratic rise, in the
