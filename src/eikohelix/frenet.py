@@ -2,16 +2,13 @@
 
 The frame V1..Vn is the Q factor of D = [alpha', ..., alpha^(n)] = Q R, propagated in Taylor
 mode over a whole batch of parameter values at once (a sample grid, or one point as batch shape
-``()``), batch axes last as in :class:`Jet`. Curves need not be unit speed: every parameter
-derivative that feeds a frame-relative rate is divided by the speed jet. Each quantity is carried
-only to the jet order its consumers need (see :func:`eikohelix.jets.frame_jet_order`): the curve
-at 2n-2, V_1..V_{n-1} at n-1, and V_n and each k_i at n-2, which leaves the last harmonic
-curvatures of both families at order 1. The QR starts from classical Gram-Schmidt run twice
-(CGS2) on the values, one block projection per pass. Its per-point n x n products run as einsum
-below n = 9 and as batched BLAS matmul from there on: the rule keys on n alone, not on the batch,
-so that a point and a grid take the same kernel. Every sum over vector components runs as an
-outer loop, never as numpy's pairwise or SIMD reduction along one point's axis, so a point and
-the same point inside a grid give the same bits.
+``()``), batch axes last as in :class:`Jet`. Curves need not be unit speed. R's jets come from a
+Cholesky recurrence on the Gram matrix of D, and k_i = R_{i+1,i+1} / (R_ii speed) from its
+diagonal, so V_1..V_n are formed to order 1 only; the rest is carried only to the order its
+consumers need (:func:`eikohelix.jets.frame_jet_order`). The n x n products run as einsum below
+n = 7 and as batched BLAS matmul from there on, by n alone, so a point and a grid take the same
+kernel. Every sum over vector components runs as an outer loop, never as numpy's pairwise or SIMD
+reduction along one point's axis, so a point and the same point inside a grid give the same bits.
 """
 
 from __future__ import annotations
@@ -20,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCurve, EvalOverflow, NotRegular, raise_first, value_at
-from .jets import Jet, frame_jet_order
+from .errors import DegenerateCurve, EvalOverflow, NotRegular, raise_first_check, value_at
+from .jets import Jet, frame_jet_order, jet_div
 
 
 @dataclass(eq=False)
@@ -29,9 +26,9 @@ class FrenetData:
     """Frame, curvatures, and speed of a curve over a batch of parameter values.
 
     Every jet has the batch shape of ``s`` (``()`` for one point), except
-    that frame[i], the vector jet of V_{i+1}, carries the n components on an
-    extra first batch axis: its coefficients have shape (K+1, n, *batch).
-    curvatures[i] is the jet of k_{i+1}.
+    that frame[i], the vector jet of V_{i+1} to order 1, carries the n
+    components on an extra first batch axis: its coefficients have shape
+    (2, n, *batch). curvatures[i] is the jet of k_{i+1}.
     """
 
     s: float | np.ndarray
@@ -57,11 +54,7 @@ def directional_derivative(g: Jet, speed: Jet) -> Jet:
     return g.derivative() / speed
 
 
-_BATCHED_FROM = 9  # the dimension from which the recurrence runs as batched matmul; see frenet_apparatus
-
-
-def _batch_first(a: np.ndarray) -> np.ndarray:  # a view of the stack [k, a, c, *batch] as (k, *batch, a, c)
-    return np.moveaxis(a, (1, 2), (-2, -1))
+_BATCHED_FROM = 7  # the dimension from which the recurrence runs as batched matmul; see frenet_apparatus
 
 
 def _finite(a: np.ndarray, carried: int, overflow: np.ndarray) -> None:
@@ -101,18 +94,18 @@ def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetD
     binary exponent of its largest value component: a power of two is exact, so the results keep
     their bits while the squares stay in float64's range. With D_0 = Q_0 R_0 from CGS2,
     X = Q_0^T Q and U = R R_0^-1 (X_0 = U_0 = I, U upper triangular), F = Q_0^T D R_0^-1 = X U
-    and X^T X = I give at order k
+    and X^T X = I give F^T F = U^T U, so at order k, with F_0 = I and h = k/2,
 
-        P = F_k - sum_{m=1}^{k-1} X_m U_{k-m} = X_k + U_k,
-        S = -sum_{m=1}^{k-1} X_m^T X_{k-m} = X_k + X_k^T,
+        M = F_k + sum_{m < k-m} (F_m^T F_{k-m} - U_m^T U_{k-m}) + [k even] (F_h^T F_h - U_h^T U_h) / 2
 
-    so X_k is P's strict lower part, S/2 on the diagonal and S - P^T above it, and U_k = P - X_k;
-    coefficient k of column i depends only on alpha'..alpha^(i) up to order k. Columns are checked
-    in order: each raises EvalOverflow when a coefficient it carries is not finite, then
-    DegenerateCurve(i) (NotRegular at i = 1, alpha' = 0) when the norm Gram-Schmidt leaves of
-    alpha^(i) is at most ``tol_frame`` times |alpha^(i)|, for the first batch point that fails it.
-    From n = 9 on, the n x n products run as np.matmul over batch-first stacks; below n = 9 the
-    stacks' extra copies cost more than BLAS gains over einsum's loops across the batch.
+    and U_k + U_k^T = M + M^T: U_k is the strict upper part of M + M^T with M's diagonal. The
+    frame is Q_0 and Q_0 X_1, X_1 = F_1 - U_1. R = U R_0 gives R_ii = U_ii sqrt(norm_sq_i) 2^e_i,
+    the speed R_11 and the higher coefficients of k_i; the values of k_i are X_1[i+1, i] / speed_0,
+    that is <V_i', V_{i+1}> / speed, up to 5 times more accurate at n = 13 than the diagonal's.
+    Columns are checked in order: each raises EvalOverflow when a coefficient it carries is not
+    finite, then DegenerateCurve(i) (NotRegular at i = 1, alpha' = 0) when the norm Gram-Schmidt
+    leaves of alpha^(i) is at most ``tol_frame`` times |alpha^(i)|, for the first batch point that
+    fails it. Below n = 7, batch-first stacks for np.matmul cost more than BLAS gains over einsum.
     """
     n = len(curve_jets)
     if n < 2:
@@ -124,7 +117,14 @@ def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetD
     # column i carries alpha^(i+1) to the order its jet has, cut to the budget
     orders = [min(order - i, frame_jet_order(n)) for i in range(1, n + 1)]
     current = Jet(np.stack([j.coeffs[: order + 1] for j in curve_jets], axis=1))
-    D = np.zeros((orders[0] + 1, n, *current.shape))  # [k, component, column, *batch]
+    batch, K = current.shape[1:], orders[0]
+    # G stacks U, F and -U as [slab, k, a, c, *batch], so that G[0:2] against G[2:0:-1] pairs U with -U and
+    # F with F. S is its storage, where rows are the axes a, c: batched, each order's n x n slab is contiguous
+    batched = n >= _BATCHED_FROM
+    S = np.zeros((3, K + 1, *batch, n, n) if batched else (3, K + 1, n, n, *batch))
+    G, rows = (np.moveaxis(S, (-2, -1), (2, 3)), (-2, -1)) if batched else (S, (0, 1))
+    D = S[1].reshape(K + 1, n, n, *batch)  # [k, component, column, *batch] in F's slab: F_k overwrites D_k
+    upper, diagonal = (m if batched else m.reshape(n, n, *[1] * len(batch)) for m in (np.tri(n, k=-1, dtype=bool).T, np.eye(n, dtype=bool)))
     with np.errstate(all="ignore"):  # an overflow raises EvalOverflow below
         for i, top in enumerate(orders):
             current = current.derivative()
@@ -134,61 +134,50 @@ def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetD
         Q0, Rinv, norm_sq, degenerate = _gram_schmidt(D[0], tol_frame)
         overflow = ~np.isfinite(norm_sq)
         _finite(Q0, 0, overflow)  # a non-finite R_0^-1 column reaches only itself and later ones
-        eye = np.eye(n).reshape(n, n, *[1] * (D.ndim - 3))
-        # F_k overwrites D_k, and Q all of D, which keeps the peak memory at n = 13 near the jets' own
-        batched = n >= _BATCHED_FROM
-        if batched:  # X and U are stored batch-first, so that every order's sums read contiguous stacks
-            Xw, Uw = np.empty((2, len(D), *D.shape[3:], n, n))
-            X, U = (np.moveaxis(a, (-2, -1), (1, 2)) for a in (Xw, Uw))
-            np.matmul(_batch_first(Q0[None]).swapaxes(-2, -1), _batch_first(D[1:]), out=Xw[1:])
-            _finite(X[1:], n, overflow)
-            F = np.matmul(Xw[1:], _batch_first(Rinv[None]), out=_batch_first(D[1:]))
-            rows, lower = (-2, -1), np.tri(n, k=-1, dtype=bool)  # the axes a, c of one order's n x n slab
+        # Q_0^T D_k goes through -U's slab, F_k = Q_0^T D_k R_0^-1 into F's; U's lower part stays 0
+        if batched:  # batch-first views of Q_0^T, D_k and R_0^-1
+            np.matmul(np.moveaxis(Q0, (0, 1), (-1, -2)), np.moveaxis(D[1:], (1, 2), (-2, -1)), out=S[2, 1:])
+            _finite(G[2, 1:], n, overflow)
+            np.matmul(S[2, 1:], np.moveaxis(Rinv, (0, 1), (-2, -1)), out=S[1, 1:])
         else:
-            X, U = Xw, Uw = np.empty_like(D), np.empty_like(D)
-            _finite(np.einsum("ra...,krc...->kac...", Q0, D[1:], out=X[1:]), n, overflow)
-            F = np.einsum("kab...,bc...->kac...", X[1:], Rinv, out=D[1:])
-            rows, lower = (0, 1), np.tri(n, k=-1, dtype=bool).reshape(eye.shape)
-        X[0] = U[0] = eye
-        upper = lower.swapaxes(*rows)
-        for k in range(1, len(D)):
-            carried = sum(top >= k for top in orders)
-            if batched:  # the same sums: over the inner index by BLAS at each point, then over m
-                P = F[k - 1] - np.matmul(Xw[1:k], Uw[k - 1 : 0 : -1]).sum(axis=0)
-                T = np.matmul(Xw[1 : k // 2 + 1].swapaxes(-2, -1), Xw[k - 1 : (k - 1) // 2 : -1]).sum(axis=0)
-                if k % 2 == 0:  # S = -(T + T^T) with T over the terms m < k - m and half of m = k - m
-                    T -= 0.5 * np.matmul(Xw[k // 2].swapaxes(-2, -1), Xw[k // 2])
-            else:
-                P = F[k - 1] - np.einsum("mab...,mbc...->ac...", X[1:k], U[k - 1 : 0 : -1])
-                T = np.einsum("mra...,mrc...->ac...", X[1 : k // 2 + 1], X[k - 1 : (k - 1) // 2 : -1])
+            _finite(np.einsum("ra...,krc...->kac...", Q0, D[1:], out=G[2, 1:]), n, overflow)
+            np.einsum("kab...,bc...->kac...", G[2, 1:], Rinv, out=G[1, 1:])
+        S[0, 0] = diagonal  # U_0 = I
+        for k in range(1, K + 1):
+            # M = F_k + the terms F_m^T F_{k-m} - U_m^T U_{k-m} for m < k - m, and half the term m = k - m
+            if k == 1:
+                M = S[1, 1]
+            elif batched:  # each term by BLAS at each point, then the sum over m
+                T = np.matmul(S[0:2, 1 : k // 2 + 1].swapaxes(-2, -1), S[2:0:-1, k - 1 : (k - 1) // 2 : -1])
                 if k % 2 == 0:
-                    T -= 0.5 * np.einsum("ra...,rc...->ac...", X[k // 2], X[k // 2])
-            S = np.add(T, T.swapaxes(*rows))
-            np.negative(S, out=S)
-            S -= P.swapaxes(*rows)  # X_k above the diagonal: S - X_k^T there, X_k^T being P's strict lower part
-            Xk, Uk = Xw[k], Uw[k]
-            np.negative(T, out=Xk)  # on the diagonal, S/2 = -T
-            np.copyto(Xk, P, where=lower)
-            np.copyto(Xk, S, where=upper)
-            np.subtract(P, Xk, out=Uk)
-            np.copyto(Uk, 0.0, where=lower)
-            for a in X[k], U[k]:
-                _finite(a, carried, overflow)
-        for i in range(n):
-            raise_first(overflow[i], lambda p: EvalOverflow(f"derivative {i + 1} of the curve overflows in the frame"))
-            raise_first(degenerate[i], lambda p: DegenerateCurve(i + 1, value_at(s, p)) if i else NotRegular(
-                f"curve speed {value_at(np.ldexp(np.sqrt(norm_sq[0]), exponent[0]), p)!r} below threshold", value_at(s, p)
-            ))
-        speed = Jet(np.ldexp(U[:, 0, 0] * np.sqrt(norm_sq[0]), exponent[0]))
-        if batched:
-            Q = np.moveaxis(np.matmul(_batch_first(Q0[None]), Xw, out=_batch_first(D)), (-2, -1), (1, 2))
-        else:
-            Q = np.einsum("ra...,kab...->krb...", Q0, X, out=D)
-        frame = [Jet(Q[: top + 1, :, i]) for i, top in enumerate(orders)]
-        # k_i * speed = <V_i', V_{i+1}> = <X'[:, i], X[:, i+1]> as Q_0 is orthogonal; read from
-        # Q = Q_0 X instead, the lift's k, H and H* come out up to 3 times less accurate
-        X = np.ascontiguousarray(X)  # batch-last again, where this einsum runs about twice as fast
-        dX = Jet(X).derivative().coeffs
-        kappa = (Jet([np.einsum("jra...,jra...->a...", dX[: m + 1, :, :-1], X[m::-1, :, 1:]) for m in range(len(dX))]) / speed).coeffs
+                    T[:, -1] *= 0.5
+                M = S[1, k] + T.sum(axis=(0, 1))
+            else:
+                M = G[1, k] + np.einsum("smra...,smrc...->ac...", G[0:2, 1 : (k + 1) // 2], G[2:0:-1, k - 1 : k // 2 : -1])
+                if k % 2 == 0:
+                    M += 0.5 * np.einsum("sra...,src...->ac...", G[0:2, k // 2], G[2:0:-1, k // 2])
+            np.add(M, M.swapaxes(*rows), out=S[0, k], where=upper)  # U_k + U_k^T = M + M^T, U_k upper triangular
+            np.copyto(S[0, k], M, where=diagonal)
+            _finite(G[0:2, k], sum(top >= k for top in orders), overflow)
+            np.negative(S[0, k], out=S[2, k])
+
+        def error(j: int, p: int):  # check 2i: column i overflows; check 2i + 1: it is degenerate
+            if j % 2 == 0:
+                return EvalOverflow(f"derivative {j // 2 + 1} of the curve overflows in the frame")
+            if j > 1:
+                return DegenerateCurve(j // 2 + 1, value_at(s, p))
+            return NotRegular(f"curve speed {value_at(np.ldexp(np.sqrt(norm_sq[0]), exponent[0]), p)!r} below threshold", value_at(s, p))
+        raise_first_check(np.stack([overflow, degenerate], axis=1).reshape(2 * n, *batch), error)
+        speed = Jet(np.ldexp(G[0, :, 0, 0] * np.sqrt(norm_sq[0]), exponent[0]))
+        # R_{i+1,i+1} = R_ii k_i speed with R_ii = U_ii |r_i| 2^e_i; k_1 carries the highest order of any k_i
+        U = np.einsum("kii...->ki...", G[0, : min(K - 1, orders[1]) + 1])
+        kappa = jet_div(Jet(U[:, 1:]), Jet(U[:, :-1]) * speed).coeffs
+        kappa *= np.ldexp(np.sqrt(norm_sq[1:] / norm_sq[:-1]), exponent[1:] - exponent[:-1])
+        # the values as <V_i', V_{i+1}> / speed gives them, X_1[i+1, i] = F_1[i+1, i]: more accurate
+        kappa[0] = np.einsum("ii...->i...", G[1, 1, 1:, :-1]) / speed.coeffs[0]
         curvatures = [Jet(kappa[: min(orders[i] - 1, orders[i + 1]) + 1, i]) for i in range(n - 1)]
-    return FrenetData(s=s if s is not None else 0.0, speed=speed, frame=frame, curvatures=curvatures)
+        # the frame to order 1, Q_0 and Q_0 X_1 with X_1 = F_1 - U_1, in an array of its own so that G goes
+        Q = np.empty((2, n, n, *batch))
+        Q[0] = Q0
+        np.einsum("ra...,ab...->rb...", Q0, np.add(G[1, 1], G[2, 1], out=G[2, 1]), out=Q[1])
+    return FrenetData(s=s if s is not None else 0.0, speed=speed, frame=[Jet(Q[:, :, i]) for i in range(n)], curvatures=curvatures)

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCurvature, InsufficientOrder, raise_first, value_at
+from .errors import DegenerateCurvature, InsufficientOrder, raise_first_check, value_at
 from .frenet import FrenetData
 from .jets import Jet, _pad_batch, _scalar, jet_div
 
@@ -88,13 +88,13 @@ def _check_curvatures(fr: FrenetData) -> int:
     n = fr.dimension
     if n < 3:
         raise ValueError("harmonic curvatures need dimension >= 3")
-    for i, k in enumerate(fr.curvatures, start=1):
-        raise_first(
-            ~((k.coeffs[0] > 0.0) & np.isfinite(k.coeffs[0])),
-            lambda p: DegenerateCurvature(
-                f"curvature k{i} = {value_at(k.coeffs[0], p)!r} not positive and finite", value_at(fr.s, p)
-            ),
-        )
+    values = np.stack([k.coeffs[0] for k in fr.curvatures])
+    raise_first_check(
+        ~((values > 0.0) & np.isfinite(values)),
+        lambda i, p: DegenerateCurvature(
+            f"curvature k{i + 1} = {value_at(values[i], p)!r} not positive and finite", value_at(fr.s, p)
+        ),
+    )
     order = min(k.order for k in fr.curvatures)
     if order < n - 2:
         raise InsufficientOrder(f"curvature jets of order {order}; the harmonic families need {n - 2}")

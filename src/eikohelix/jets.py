@@ -62,17 +62,18 @@ from .errors import (
 
 
 def frame_jet_order(dimension: int) -> int:
-    """Jet order of the frame vectors V_1..V_{n-1}: the pipeline's budget.
+    """Jet order of the frame's QR, D = [alpha', ..., alpha^(n)] = Q R: the pipeline's budget.
 
     Work back from the last consumer. The identities closing both harmonic
     families, V1[H_{n-2}] = -k_{n-1} H_{n-3} and V1[H*_{n-2}] = k_1 H*_{n-3},
     read H_{n-2} and H*_{n-2} to order 1. Each level of the recurrence takes
     one rate V1[.] of the level before, so H_1 = k_1/k_2 and H*_1 are
-    needed to order 1 + (n-3) = n-2, and so is every k_i. Since
-    k_i = <V_i', V_{i+1}> / speed, V_1..V_{n-1} are needed to order n-1 and
-    V_n to n-2. In the factorization [alpha', ..., alpha^(n)] = Q R giving
-    the frame, coefficient k of column i depends only on alpha'..alpha^(i)
-    up to order k: each column needs its predecessors only to its own order.
+    needed to order 1 + (n-3) = n-2, and so is every k_i. R gives
+    k_i = R_{i+1,i+1} / (R_ii speed) to order n-2; D's columns go one order
+    further, n-1 (n-2 for alpha^(n)), which k_i = <V_i', V_{i+1}> / speed
+    once needed, so that the same coefficients are checked for overflow.
+    Coefficient k of column i depends only on alpha'..alpha^(i) up to order
+    k. The frame V_1..V_n is formed to order 1 only.
     """
     return dimension - 1
 
@@ -80,11 +81,10 @@ def frame_jet_order(dimension: int) -> int:
 def default_jet_order(dimension: int) -> int:
     """Jet order carried through curve evaluation for an n-dimensional curve.
 
-    V_n comes from alpha^(n), which must reach one order below the frame
+    alpha^(n), the last column of D, must reach one order below the frame
     budget (:func:`frame_jet_order`), n-2; so the curve carries
     n + (n-2) = 2n-2, and at least n+1, the order the frame construction
-    requires (which matters only for n = 2). The budget: curve at 2n-2,
-    V_1..V_{n-1} at n-1, V_n and each k_i at n-2.
+    requires (which matters only for n = 2).
     """
     return dimension + max(1, frame_jet_order(dimension) - 1)
 

@@ -16,7 +16,7 @@ from eikohelix.dsl import parse_curve_spec, parse_expr_text
 from eikohelix.errors import DegenerateCurve, EikohelixError, EvalOverflow, NotRegular
 from eikohelix.frenet import directional_derivative, frenet_apparatus
 from eikohelix.harmonic import harmonic_data
-from eikohelix.jets import default_jet_order, eval_curve_jet, jet_constant, jet_param, jet_sin
+from eikohelix.jets import Jet, default_jet_order, eval_curve_jet, jet_constant, jet_param, jet_sin
 
 from helpers import (
     classical_kappa_tau,
@@ -182,6 +182,33 @@ class TestDegeneracies:
             warnings.simplefilter("error")
             with pytest.raises(EvalOverflow, match="derivative 2 of the curve overflows in the frame"):
                 frenet_apparatus(jets, spec.tol_frame, grid)
+
+    @pytest.mark.parametrize(
+        ("point2", "point0", "error", "message"),
+        [
+            ([[1, 0, 0], [2, 0, 0]], [[1, 0, 0], [0, 1, 0], [1, 1, 0]], DegenerateCurve,
+             "derivative 2 linearly dependent on predecessors"),
+            ([[0, 0, 0]], [[1, 0, 0], [2, 0, 0]], NotRegular, "curve speed 0.0 below threshold"),
+        ],
+        ids=["column2_before_column3", "speed_before_column2"],
+    )  # fmt: skip
+    def test_first_check_in_column_order_wins(self, point2, point0, error, message):
+        """Two columns fail at different points of one batch: the error is the
+        earlier column's, at its own first failing point, although the later
+        column fails at an earlier point. At each of the three points alpha',
+        alpha'', alpha''' are e_1, e_2, e_3, except the first ones that
+        ``point2`` and ``point0`` set at points 2 and 0."""
+        s = np.array([0.5, 1.5, 2.5])
+        values = np.tile(np.eye(3)[:, :, None], (1, 1, 3))  # [derivative, component, point]
+        for point, derivatives in ((2, point2), (0, point0)):
+            values[: len(derivatives), :, point] = derivatives
+        coeffs = np.zeros((default_jet_order(3) + 1, 3, 3))  # [k, component, point]
+        for d in range(3):  # alpha^(d+1) at the point is (d+1)! times coefficient d+1
+            coeffs[d + 1] = values[d] / math.factorial(d + 1)
+        with pytest.raises(error) as exc_info:
+            frenet_apparatus([Jet(coeffs[:, c]) for c in range(3)], 1e-10, s)
+        assert str(exc_info.value) == f"{message} (at s = 2.5)"
+        assert (exc_info.value.s, exc_info.value.grid_index) == (2.5, 2)
 
     def test_overflowing_value_is_blamed_on_the_derivative_that_carries_it(self):
         # alpha''' of 4e307*s^3 is 2.4e308, which overflows, while alpha'''/2,
@@ -372,7 +399,7 @@ class TestOrderBudget:
         spec, trajectory, jets = self._sample(case)
         n = spec.dimension
         fr, h = trajectory.frenet, trajectory.harmonic
-        assert [v.order for v in fr.frame] == [n - 1] * (n - 1) + [n - 2]
+        assert [v.order for v in fr.frame] == [1] * n
         assert [k.order for k in fr.curvatures] == [n - 2] * (n - 1)
         # every k_i carries order n-2, so the last entries keep order 1 and
         # harmonic.py's one order check cannot fire from the sampler
@@ -381,7 +408,8 @@ class TestOrderBudget:
         # the curve carries 2n-2, so alpha^(i) reaches 2n-2-i with no budget
         monkeypatch.setattr("eikohelix.frenet.frame_jet_order", lambda dimension: 2 * dimension - 3)
         full = frenet_apparatus(jets, spec.tol_frame, trajectory.s)
-        assert [v.order for v in full.frame] == [2 * n - 2 - i for i in range(1, n + 1)]
+        assert [v.order for v in full.frame] == [1] * n
+        assert [k.order for k in full.curvatures] == [2 * n - 4 - i for i in range(n - 1)]
         full_h = harmonic_data(full)
         cut = [(fr.speed, full.speed), *zip(fr.frame, full.frame), *zip(fr.curvatures, full.curvatures)]
         for got, want in cut:
@@ -466,7 +494,7 @@ class TestKernels:
         return results
 
     @pytest.mark.parametrize("quadratic", [False, True], ids=["helix", "twin"])
-    @pytest.mark.parametrize("n", [9, 11, 13])
+    @pytest.mark.parametrize("n", [7, 9, 11, 13])
     def test_lift_agrees(self, n, quadratic, monkeypatch):
         (einsum, flags), (batched, batched_flags) = self._both(wcurve_lift(n, 16, quadratic), monkeypatch)
         assert np.array_equal(batched.frenet.frame_values(), einsum.frenet.frame_values())

@@ -11,10 +11,10 @@ import pytest
 from eikohelix import catalog
 from eikohelix.classify import sample_along_curve
 from eikohelix.dsl import parse_curve_spec
-from eikohelix.errors import InsufficientOrder
+from eikohelix.errors import DegenerateCurvature, InsufficientOrder
 from eikohelix.frenet import FrenetData, frenet_apparatus
 from eikohelix.harmonic import HarmonicData, harmonic_data
-from eikohelix.jets import default_jet_order, eval_curve_jet
+from eikohelix.jets import Jet, default_jet_order, eval_curve_jet
 
 from helpers import (
     eval_float,
@@ -365,3 +365,18 @@ class TestOneRecurrence:
                     assert assert_matches_reference(frame)
             starved += fr.curvatures[-1].order < n - 2
         assert starved == n - 3
+
+
+class TestCurvatureCheck:
+    def test_first_curvature_in_index_order_wins(self):
+        """k_2 fails at point 0, k_3 at point 1 and k_1 at point 2: the error
+        is k_1's, at point 2, as when each curvature is checked in turn."""
+        fr = sample_along_curve(wcurve_lift(5, 8)).frenet
+        k = [Jet(c.coeffs.copy()) for c in fr.curvatures]
+        k[1].coeffs[0, 0] = -1.0
+        k[2].coeffs[0, 1] = np.nan
+        k[0].coeffs[0, 2] = 0.0
+        with pytest.raises(DegenerateCurvature) as exc_info:
+            harmonic_data(FrenetData(fr.s, fr.speed, fr.frame, k))
+        assert str(exc_info.value) == f"curvature k1 = 0.0 not positive and finite (at s = {float(fr.s[2])!r})"
+        assert (exc_info.value.s, exc_info.value.grid_index) == (float(fr.s[2]), 2)

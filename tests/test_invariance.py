@@ -56,9 +56,9 @@ def _helix_r4(quadratic: bool):
 # name -> (spec builder, true helix). The W-curve lift is a helix and a
 # slant helix at odd n; helix_r4 and the even-n family (even_helix) are
 # helices and not slant helices. Each has a quadratic-rise twin that is
-# neither. The lift's n = 9 and 11 and even n = 10 run the frame's batched
-# matmul kernel, the rest its einsum kernel. n = 13 is left out: there the
-# float64 rounding floor reaches tol_const (cor41 of the lift reads 8.5e-9
+# neither. The lift's n = 7, 9 and 11 and even n = 8 and 10 run the frame's
+# batched matmul kernel, the rest its einsum kernel. n = 13 is left out: there
+# the float64 rounding floor reaches tol_const (cor41 of the lift reads 9.4e-9
 # of its scale), and rotated n = 13 lifts FAIL slant verdicts from rounding
 # alone (ROADMAP items 3 and 7).
 CASES = {
