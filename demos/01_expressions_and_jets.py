@@ -17,7 +17,7 @@ print("g(s) = sin(s) exp(s/2) around s = 0.8")
 print("normalized Taylor coefficients g^(j)/j!:")
 print(" ", np.array2string(jet.coeffs, precision=12))
 print("value g(0.8)      :", jet.value)
-print("derivative g'(0.8):", jet.d1)
+print("derivative g'(0.8):", jet.coeffs[1])
 print()
 
 # jets make identities exact to the carried order: sin^2 + cos^2 = 1

@@ -323,7 +323,7 @@ def format_expr(expr: Expr) -> str:
 def _format(expr: Expr, parent_prec: int) -> str:
     if isinstance(expr, Constant):
         text = repr(expr.value).replace("inf", "1e999")  # a literal the scanner reads back as inf
-        return text if expr.value >= 0 else f"({text})"
+        return f"({text})" if math.copysign(1.0, expr.value) < 0 else text  # by the sign bit: -0.0 too
     if isinstance(expr, Param):
         return "s"
     if isinstance(expr, Coord):

@@ -4,11 +4,12 @@ The frame V1..Vn is the Q factor of D = [alpha', ..., alpha^(n)] = Q R, propagat
 mode over a whole batch of parameter values at once (a sample grid, or one point as batch shape
 ``()``), batch axes last as in :class:`Jet`. Curves need not be unit speed. R's jets come from a
 Cholesky recurrence on the Gram matrix of D, and k_i = R_{i+1,i+1} / (R_ii speed) from its
-diagonal, so V_1..V_n are formed to order 1 only; the rest is carried only to the order its
-consumers need (:func:`eikohelix.jets.frame_jet_order`). The n x n products run as einsum below
-n = 7 and as batched BLAS matmul from there on, by n alone, so a point and a grid take the same
-kernel. Every sum over vector components runs as an outer loop, never as numpy's pairwise or SIMD
-reduction along one point's axis, so a point and the same point inside a grid give the same bits.
+diagonal, so V_1..V_n are formed to order 1 only. Every column of D, R and every k_i are carried
+to one order, the n-2 the harmonic families read (:func:`eikohelix.jets.frame_jet_order`). The
+n x n products run as einsum below n = 7 and as batched BLAS matmul from there on, by n alone, so
+a point and a grid take the same kernel. Every sum over vector components runs as an outer loop,
+never as numpy's pairwise or SIMD reduction along one point's axis, so a point and the same point
+inside a grid give the same bits.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCurve, EvalOverflow, NotRegular, raise_first_check, value_at
+from .errors import DegenerateCurve, EvalOverflow, InsufficientOrder, NotRegular, raise_first_check, value_at
 from .jets import Jet, frame_jet_order, jet_div
 
 
@@ -49,20 +50,15 @@ class FrenetData:
         return np.stack([k.coeffs[0] for k in self.curvatures], axis=-1)
 
 
-def directional_derivative(g: Jet, speed: Jet) -> Jet:
-    """Rate of change of g along the unit tangent, g'(s) / speed(s): a jet one order lower than g."""
-    return g.derivative() / speed
-
-
 _BATCHED_FROM = 7  # the dimension from which the recurrence runs as batched matmul; see frenet_apparatus
 
 
-def _finite(a: np.ndarray, carried: int, overflow: np.ndarray) -> None:
-    """Set the non-finite entries of ``a`` to 0, each marking ``overflow`` for its column if one of
-    the first ``carried``, so that no triangular product carries an overflow into an earlier column."""
+def _finite(a: np.ndarray, overflow: np.ndarray) -> None:
+    """Set the non-finite entries of ``a`` to 0, each marking ``overflow`` for its column, so that
+    no triangular product carries an overflow into an earlier column."""
     finite = np.isfinite(a)
     if not finite.all():
-        overflow[:carried] |= ~finite.all(axis=tuple(range(a.ndim - overflow.ndim)))[:carried]
+        overflow |= ~finite.all(axis=tuple(range(a.ndim - overflow.ndim)))
         a[~finite] = 0.0
 
 
@@ -90,9 +86,11 @@ def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetD
     """Build the Frenet frame and curvatures from component jets.
 
     ``curve_jets`` holds the n component jets of the curve, each with the batch shape of ``s``
-    and order at least n+1. Column i of D, alpha^(i), is first divided at each point by 2^e, e the
-    binary exponent of its largest value component: a power of two is exact, so the results keep
-    their bits while the squares stay in float64's range. With D_0 = Q_0 R_0 from CGS2,
+    and order at least n + K, K = frame_jet_order(n), so that alpha^(n) reaches order K; below
+    that, one InsufficientOrder names the order. Every column of D is cut to K. Column i of D,
+    alpha^(i), is first divided at each point by 2^e, e the binary exponent of its largest value
+    component: a power of two is exact, so the results keep their bits while the squares stay in
+    float64's range. With D_0 = Q_0 R_0 from CGS2,
     X = Q_0^T Q and U = R R_0^-1 (X_0 = U_0 = I, U upper triangular), F = Q_0^T D R_0^-1 = X U
     and X^T X = I give F^T F = U^T U, so at order k, with F_0 = I and h = k/2,
 
@@ -100,8 +98,9 @@ def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetD
 
     and U_k + U_k^T = M + M^T: U_k is the strict upper part of M + M^T with M's diagonal. The
     frame is Q_0 and Q_0 X_1, X_1 = F_1 - U_1. R = U R_0 gives R_ii = U_ii sqrt(norm_sq_i) 2^e_i,
-    the speed R_11 and the higher coefficients of k_i; the values of k_i are X_1[i+1, i] / speed_0,
-    that is <V_i', V_{i+1}> / speed, up to 5 times more accurate at n = 13 than the diagonal's.
+    the speed R_11 and the higher coefficients of k_i, all to order K; the values of k_i are
+    X_1[i+1, i] / speed_0, that is <V_i', V_{i+1}> / speed, up to 5 times more accurate at
+    n = 13 than the diagonal's.
     Columns are checked in order: each raises EvalOverflow when a coefficient it carries is not
     finite, then DegenerateCurve(i) (NotRegular at i = 1, alpha' = 0) when the norm Gram-Schmidt
     leaves of alpha^(i) is at most ``tol_frame`` times |alpha^(i)|, for the first batch point that
@@ -110,14 +109,13 @@ def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetD
     n = len(curve_jets)
     if n < 2:
         raise ValueError("curve must have dimension >= 2")
-    order = min(j.order for j in curve_jets)
-    if order < n + 1:
-        raise ValueError(f"need jet order >= {n + 1} for dimension {n}, got {order}")
+    K, order = frame_jet_order(n), min(j.order for j in curve_jets)
+    if order < n + K:
+        raise InsufficientOrder(f"curve jets of order {order}; the frame of dimension {n} needs {n + K}")
 
-    # column i carries alpha^(i+1) to the order its jet has, cut to the budget
-    orders = [min(order - i, frame_jet_order(n)) for i in range(1, n + 1)]
-    current = Jet(np.stack([j.coeffs[: order + 1] for j in curve_jets], axis=1))
-    batch, K = current.shape[1:], orders[0]
+    # every column, alpha' .. alpha^(n), is carried to the budget K
+    current = Jet(np.stack([j.coeffs[: n + K + 1] for j in curve_jets], axis=1))
+    batch = current.shape[1:]
     # G stacks U, F and -U as [slab, k, a, c, *batch], so that G[0:2] against G[2:0:-1] pairs U with -U and
     # F with F. S is its storage, where rows are the axes a, c: batched, each order's n x n slab is contiguous
     batched = n >= _BATCHED_FROM
@@ -126,21 +124,21 @@ def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetD
     D = S[1].reshape(K + 1, n, n, *batch)  # [k, component, column, *batch] in F's slab: F_k overwrites D_k
     upper, diagonal = (m if batched else m.reshape(n, n, *[1] * len(batch)) for m in (np.tri(n, k=-1, dtype=bool).T, np.eye(n, dtype=bool)))
     with np.errstate(all="ignore"):  # an overflow raises EvalOverflow below
-        for i, top in enumerate(orders):
+        for i in range(n):
             current = current.derivative()
-            D[: top + 1, :, i] = current.coeffs[: top + 1]
+            D[:, :, i] = current.coeffs[: K + 1]
         exponent = np.frexp(np.abs(D[0]).max(axis=0))[1]
         np.ldexp(D, -exponent, out=D)
         Q0, Rinv, norm_sq, degenerate = _gram_schmidt(D[0], tol_frame)
         overflow = ~np.isfinite(norm_sq)
-        _finite(Q0, 0, overflow)  # a non-finite R_0^-1 column reaches only itself and later ones
+        _finite(Q0, overflow)  # a non-finite Q_0 column has a non-finite norm_sq, marked already
         # Q_0^T D_k goes through -U's slab, F_k = Q_0^T D_k R_0^-1 into F's; U's lower part stays 0
         if batched:  # batch-first views of Q_0^T, D_k and R_0^-1
             np.matmul(np.moveaxis(Q0, (0, 1), (-1, -2)), np.moveaxis(D[1:], (1, 2), (-2, -1)), out=S[2, 1:])
-            _finite(G[2, 1:], n, overflow)
+            _finite(G[2, 1:], overflow)
             np.matmul(S[2, 1:], np.moveaxis(Rinv, (0, 1), (-2, -1)), out=S[1, 1:])
         else:
-            _finite(np.einsum("ra...,krc...->kac...", Q0, D[1:], out=G[2, 1:]), n, overflow)
+            _finite(np.einsum("ra...,krc...->kac...", Q0, D[1:], out=G[2, 1:]), overflow)
             np.einsum("kab...,bc...->kac...", G[2, 1:], Rinv, out=G[1, 1:])
         S[0, 0] = diagonal  # U_0 = I
         for k in range(1, K + 1):
@@ -158,7 +156,7 @@ def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetD
                     M += 0.5 * np.einsum("sra...,src...->ac...", G[0:2, k // 2], G[2:0:-1, k // 2])
             np.add(M, M.swapaxes(*rows), out=S[0, k], where=upper)  # U_k + U_k^T = M + M^T, U_k upper triangular
             np.copyto(S[0, k], M, where=diagonal)
-            _finite(G[0:2, k], sum(top >= k for top in orders), overflow)
+            _finite(G[0:2, k], overflow)
             np.negative(S[0, k], out=S[2, k])
 
         def error(j: int, p: int):  # check 2i: column i overflows; check 2i + 1: it is degenerate
@@ -169,13 +167,13 @@ def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetD
             return NotRegular(f"curve speed {value_at(np.ldexp(np.sqrt(norm_sq[0]), exponent[0]), p)!r} below threshold", value_at(s, p))
         raise_first_check(np.stack([overflow, degenerate], axis=1).reshape(2 * n, *batch), error)
         speed = Jet(np.ldexp(G[0, :, 0, 0] * np.sqrt(norm_sq[0]), exponent[0]))
-        # R_{i+1,i+1} = R_ii k_i speed with R_ii = U_ii |r_i| 2^e_i; k_1 carries the highest order of any k_i
-        U = np.einsum("kii...->ki...", G[0, : min(K - 1, orders[1]) + 1])
+        # R_{i+1,i+1} = R_ii k_i speed with R_ii = U_ii |r_i| 2^e_i
+        U = np.einsum("kii...->ki...", G[0])
         kappa = jet_div(Jet(U[:, 1:]), Jet(U[:, :-1]) * speed).coeffs
         kappa *= np.ldexp(np.sqrt(norm_sq[1:] / norm_sq[:-1]), exponent[1:] - exponent[:-1])
         # the values as <V_i', V_{i+1}> / speed gives them, X_1[i+1, i] = F_1[i+1, i]: more accurate
         kappa[0] = np.einsum("ii...->i...", G[1, 1, 1:, :-1]) / speed.coeffs[0]
-        curvatures = [Jet(kappa[: min(orders[i] - 1, orders[i + 1]) + 1, i]) for i in range(n - 1)]
+        curvatures = [Jet(kappa[:, i]) for i in range(n - 1)]
         # the frame to order 1, Q_0 and Q_0 X_1 with X_1 = F_1 - U_1, in an array of its own so that G goes
         Q = np.empty((2, n, n, *batch))
         Q[0] = Q0

@@ -37,8 +37,10 @@ index-(n-3) entry of each closing identity is the zero H_0 (H*_0).
 families and their closing residuals for every point of the frame's batch
 at once (a whole sample grid, or one point as batch shape ``()``). Both
 run at the order o that every k_i carries; each step takes one rate, so
-o must be at least n-2, which the sampler's default jet order gives
-(jets.frame_jet_order). Below n-2, one InsufficientOrder names o.
+o must be at least n-2. The frame carries every k_i to exactly that order
+(jets.frame_jet_order) and raises itself on shorter curve jets; a
+FrenetData built by hand can still carry less, and below n-2 one
+InsufficientOrder names o.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCurvature, InsufficientOrder, raise_first_check, value_at
+from .errors import DegenerateCurvature, EvalOverflow, InsufficientOrder, raise_first_check, value_at
 from .frenet import FrenetData
 from .jets import Jet, _pad_batch, _scalar, jet_div
 
@@ -101,6 +103,7 @@ def _check_curvatures(fr: FrenetData) -> int:
     return order
 
 
+@np.errstate(all="ignore")  # a value past float64's range raises EvalOverflow below
 def harmonic_data(fr: FrenetData) -> HarmonicData:
     """Evaluate both families, their sums of squares and their closing
     residuals at fr's points.
@@ -113,7 +116,10 @@ def harmonic_data(fr: FrenetData) -> HarmonicData:
     times 1/c_{i+1}. The step past the end reads V1[G_{n-2}] at its value
     only, which is G'_0 / speed_0. The stacked products and the division
     sum over coefficients in the same order at one point as on a grid, so a
-    point of a grid gets the grid's bits."""
+    point of a grid gets the grid's bits. Finite curvatures can still give
+    a value past float64's range: the first of H_1, H*_1, H_2, ..., the two
+    sums of squares and the two closing residuals that is not finite raises
+    EvalOverflow."""
     o = _check_curvatures(fr)
     n = fr.dimension
     k = np.stack([ki.coeffs[: o + 1] for ki in fr.curvatures], axis=1)  # (o+1, n-1, *batch)
@@ -135,14 +141,21 @@ def harmonic_data(fr: FrenetData) -> HarmonicData:
         G.append((c[i - 1] * G[-2] + Jet(sign * rate.coeffs)) * per_c[i])
     # the step past the end, with no c_n to divide by, reads V1[G_{n-2}] at its value only
     rate = G[-1].coeffs[1] / fr.speed.coeffs[0]
-    closing_H, closing_Hstar = (_scalar(r) for r in abs(c[-1].value * G[-2].value + sign * rate))
-    H, Hstar = ([Jet(g.coeffs[:, f]) for g in G[1:]] for f in (0, 1))
+    closing = abs(c[-1].value * G[-2].value + sign * rate)
+    sumsq = sum(g.coeffs[0] ** 2 for g in G[1:])
+    # checked in order, each a tangent and normal pair: H_1 .. H_{n-2}, the sums of squares, the closing residuals
+    checked = np.concatenate([*(g.coeffs[0] for g in G[1:]), sumsq, closing])
+    names = [*(f"H{{}}{i}" for i in range(1, n - 1)), "sum of H{}_i^2", "closing residual of H{}"]  # {}: the normal family's *
+    raise_first_check(
+        ~np.isfinite(checked),
+        lambda j, p: EvalOverflow(f"{names[j // 2].format('*' * (j % 2))} overflows to {value_at(checked[j], p)!r}"),
+    )
     return HarmonicData(
         s=fr.s,
-        H=H,
-        Hstar=Hstar,
-        sumsq_H=sum(h.value**2 for h in H),
-        sumsq_Hstar=sum(h.value**2 for h in Hstar),
-        closing_H=closing_H,
-        closing_Hstar=closing_Hstar,
+        H=[Jet(g.coeffs[:, 0]) for g in G[1:]],
+        Hstar=[Jet(g.coeffs[:, 1]) for g in G[1:]],
+        sumsq_H=_scalar(sumsq[0]),
+        sumsq_Hstar=_scalar(sumsq[1]),
+        closing_H=_scalar(closing[0]),
+        closing_Hstar=_scalar(closing[1]),
     )

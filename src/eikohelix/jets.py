@@ -69,24 +69,22 @@ def frame_jet_order(dimension: int) -> int:
     read H_{n-2} and H*_{n-2} to order 1. Each level of the recurrence takes
     one rate V1[.] of the level before, so H_1 = k_1/k_2 and H*_1 are
     needed to order 1 + (n-3) = n-2, and so is every k_i. R gives
-    k_i = R_{i+1,i+1} / (R_ii speed) to order n-2; D's columns go one order
-    further, n-1 (n-2 for alpha^(n)), which k_i = <V_i', V_{i+1}> / speed
-    once needed, so that the same coefficients are checked for overflow.
-    Coefficient k of column i depends only on alpha'..alpha^(i) up to order
-    k. The frame V_1..V_n is formed to order 1 only.
+    k_i = R_{i+1,i+1} / (R_ii speed) to the order of D's columns, so every
+    column is carried to n-2, and to order 1 at n = 2, where the frame
+    V_1, V_2 is still formed to order 1. Coefficient k of column i depends
+    only on alpha'..alpha^(i) up to order k.
     """
-    return dimension - 1
+    return max(1, dimension - 2)
 
 
 def default_jet_order(dimension: int) -> int:
     """Jet order carried through curve evaluation for an n-dimensional curve.
 
-    alpha^(n), the last column of D, must reach one order below the frame
-    budget (:func:`frame_jet_order`), n-2; so the curve carries
-    n + (n-2) = 2n-2, and at least n+1, the order the frame construction
-    requires (which matters only for n = 2).
+    alpha^(n), the last column of D, must reach the frame budget
+    (:func:`frame_jet_order`), so the curve carries n + max(1, n-2): 2n-2
+    from n = 3 on, and 3 at n = 2.
     """
-    return dimension + max(1, frame_jet_order(dimension) - 1)
+    return dimension + frame_jet_order(dimension)
 
 
 def _scalar(x):
@@ -117,26 +115,12 @@ class Jet:
         """Value coefficient: a float for one point, an array for a batch."""
         return _scalar(self.coeffs[0])
 
-    @property
-    def d1(self):
-        """First derivative (equals the order-1 normalized coefficient)."""
-        if self.order < 1:
-            raise InsufficientOrder("jet carries no first-derivative coefficient")
-        return _scalar(self.coeffs[1])
-
     def derivative(self) -> Jet:
         """Jet of the derivative, one order lower."""
         if self.order < 1:
             raise InsufficientOrder("cannot differentiate an order-0 jet")
         j = np.arange(1, self.order + 1).reshape(-1, *[1] * len(self.shape))
         return Jet(self.coeffs[1:] * j)
-
-    def truncate(self, order: int) -> Jet:
-        if order > self.order:
-            raise InsufficientOrder(f"jet order {self.order} < requested {order}")
-        if order == self.order:
-            return self
-        return Jet(self.coeffs[: order + 1])
 
     def __repr__(self) -> str:
         return f"Jet({self.coeffs.tolist()})"

@@ -72,7 +72,7 @@ from eikohelix.errors import (
     raise_first,
     value_at,
 )
-from eikohelix.frenet import FrenetData, directional_derivative, frenet_apparatus
+from eikohelix.frenet import FrenetData, frenet_apparatus
 from eikohelix.harmonic import HarmonicData, _check_curvatures, harmonic_data
 from eikohelix.jets import (
     FieldJet,
@@ -487,7 +487,7 @@ def reference_harmonic_tangent(fr: FrenetData) -> list[Jet]:
     H: list[Jet] = [k[0] / k[1]]
     prev2 = jet_constant(0.0, H[0].order)  # H_0 := 0
     for i in range(2, n - 1):
-        rate = directional_derivative(H[-1], fr.speed)
+        rate = H[-1].derivative() / fr.speed
         H_i = (rate + k[i - 1] * prev2) / k[i]
         prev2 = H[-1]
         H.append(H_i)
@@ -502,7 +502,7 @@ def reference_harmonic_normal(fr: FrenetData) -> list[Jet]:
     first = k[n - 2] / k[n - 3]
     Hstar: list[Jet] = [jet_constant(0.0, first.order), first]
     for i in range(2, n - 1):
-        rate = directional_derivative(Hstar[-1], fr.speed)
+        rate = Hstar[-1].derivative() / fr.speed
         H_i = (k[n - i - 1] * Hstar[-2] - rate) / k[n - i - 2]
         Hstar.append(H_i)
     return Hstar
@@ -519,11 +519,11 @@ def reference_lemma_residuals(h: HarmonicData, fr: FrenetData) -> tuple[float, f
     """
     n = fr.dimension
     k = fr.curvatures
-    H_last_rate = directional_derivative(h.H[-1], fr.speed).value
+    H_last_rate = (h.H[-1].derivative() / fr.speed).value
     H_prev = h.H[n - 4].value if n >= 4 else 0.0  # H_{n-3}; zero for n = 3
     r_tangent = abs(H_last_rate + k[n - 2].value * H_prev)
 
-    Hstar_last_rate = directional_derivative(h.Hstar[-1], fr.speed).value
+    Hstar_last_rate = (h.Hstar[-1].derivative() / fr.speed).value
     Hstar_prev = h.Hstar[n - 3].value  # H*_{n-3}; Hstar[0] = 0 covers n = 3
     r_normal = abs(Hstar_last_rate - k[0].value * Hstar_prev)
     return r_tangent, r_normal

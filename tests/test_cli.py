@@ -117,26 +117,35 @@ class TestErrorReports:
         assert "derivative 3 linearly dependent on predecessors (at s = 1.0)" in err
 
     def test_overflow_in_the_frame(self, tmp_path):
-        # at s = 0, alpha' = (1 + 2e200*s, -sin(s), cos(s)) has values near 1,
-        # so the frame's rescaling halves it and |alpha'|^2 still has a Taylor
-        # coefficient near (1e200)^2 = 1e400: one error line, no numpy
-        # RuntimeWarning ahead of it, and not reported as a dependent derivative
+        # at s = 0, alpha' = (1 + 2e200*s, -sin(s), cos(s)) and alpha'' =
+        # (2e200, -cos(s), -sin(s)): the frame's Gram matrix would meet a
+        # Taylor coefficient near (1e200)^2 = 1e400 only past the order its
+        # columns carry, so nothing overflows, and the torsion there, near
+        # 1e-400, leaves alpha''' dependent: one error line, no numpy
+        # RuntimeWarning ahead of it
         path = _write_spec(tmp_path, '["s + 1e200*s^2", "cos(s)", "sin(s)"]', "x3", "[0, 6]")
         result = run_cli("verify", path)
         assert result.returncode == 3
-        assert result.stderr == (
-            "error: derivative 1 of the curve overflows in the frame (while sampling at s = 0.0)\n"
-        )
+        assert result.stderr == "error: derivative 3 linearly dependent on predecessors (at s = 0.0)\n"
 
     def test_overflow_in_the_derivatives(self, tmp_path):
-        # the jets of 1e308*s^4 are finite, but the frame's second derivative
-        # multiplies one by 12: one error line, no RuntimeWarning ahead of it
+        # the jets of 1e308*s^4 are finite, but the frame's third derivative
+        # multiplies one by 24: one error line, no RuntimeWarning ahead of it
         path = _write_spec(tmp_path, '["cos(s)", "sin(s)", "1e308*s^4"]', "x3", "[0, 0.01]")
         result = run_cli("verify", path)
         assert result.returncode == 3
         assert result.stderr == (
-            "error: derivative 2 of the curve overflows in the frame (while sampling at s = 0.0)\n"
+            "error: derivative 3 of the curve overflows in the frame (while sampling at s = 0.0)\n"
         )
+
+    def test_overflow_in_the_harmonic_families(self, tmp_path):
+        # k1 = 2e150 and k2 = 3e-300 on the whole grid, so H1 = k1/k2 is past
+        # float64's range: one error line, with no RuntimeWarning ahead of it
+        # and no report of null residuals
+        path = _write_spec(tmp_path, '["s", "1e150*s^2", "1e-150*s^3"]', "x3", "[0, 1e-300]")
+        result = run_cli("verify", path, "--json")
+        assert result.returncode == 3
+        assert (result.stdout, result.stderr) == ("", "error: H1 overflows to inf (while sampling at s = 0.0)\n")
 
     def test_subnormal_speed(self, tmp_path):
         # helix345_fz scaled by 1e-310 has a subnormal speed, so

@@ -451,6 +451,16 @@ def test_print_parse_round_trip_field(expr):
     assert parse_expr_text(format_expr(expr), "field", 4) == expr
 
 
+def test_negative_zero_keeps_its_sign_through_the_printer():
+    """-0.0 is negative by its sign bit only: printed bare, (-0.0)^2 would
+    read back as -(0.0^2) = -0.0 where the tree's value is +0.0."""
+    tree = Binary("^", Constant(-0.0), Constant(2.0))
+    text = format_expr(tree)
+    assert text == "(-0.0)^2.0"
+    value, back = constant_value(tree), constant_value(parse_expr_text(text, "curve"))
+    assert (value, math.copysign(1.0, value)) == (back, math.copysign(1.0, back)) == (0.0, 1.0)
+
+
 @given(st.text(alphabet="sx123+-*/^(). abcdefghilnopqrt_", max_size=40))
 @settings(max_examples=300)
 def test_parser_total_over_garbage(source):

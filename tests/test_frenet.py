@@ -13,8 +13,8 @@ import pytest
 from eikohelix import catalog
 from eikohelix.classify import classify_rows, sample_along_curve
 from eikohelix.dsl import parse_curve_spec, parse_expr_text
-from eikohelix.errors import DegenerateCurve, EikohelixError, EvalOverflow, NotRegular
-from eikohelix.frenet import directional_derivative, frenet_apparatus
+from eikohelix.errors import DegenerateCurve, EikohelixError, EvalOverflow, InsufficientOrder, NotRegular
+from eikohelix.frenet import frenet_apparatus
 from eikohelix.harmonic import harmonic_data
 from eikohelix.jets import Jet, default_jet_order, eval_curve_jet, jet_constant, jet_param, jet_sin
 
@@ -165,9 +165,12 @@ class TestDegeneracies:
             apparatus_at(doc, 0.0)
 
     def test_overflowing_derivative_raises_without_warning(self):
-        # the jets of 1e308*s^4 are finite, but differentiating them twice
-        # multiplies a coefficient by 12; that overflow must surface as the
-        # frame's EvalOverflow and not first as a numpy RuntimeWarning
+        # the jets of 1e308*s^4 are finite, but differentiating them three
+        # times multiplies a coefficient by 24; at s = 0 that overflow must
+        # surface as the frame's EvalOverflow and not first as a numpy
+        # RuntimeWarning. On the grid, the next point's alpha'' lies within
+        # a relative 1e-303 of the line of alpha', and that earlier column's
+        # check comes first, still with no warning
         doc = (
             "dimension = 3\n"
             'curve = ["cos(s)", "sin(s)", "1e308*s^4"]\n'
@@ -178,10 +181,14 @@ class TestDegeneracies:
         spec = parse_curve_spec(doc)
         grid = np.linspace(0.0, 0.01, 8)
         jets = eval_curve_jet(spec, grid, default_jet_order(3))
+        at_zero = [Jet(j.coeffs[:, 0]) for j in jets]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(EvalOverflow, match="derivative 2 of the curve overflows in the frame"):
+            with pytest.raises(EvalOverflow, match="derivative 3 of the curve overflows in the frame"):
+                frenet_apparatus(at_zero, spec.tol_frame, 0.0)
+            with pytest.raises(DegenerateCurve) as exc_info:
                 frenet_apparatus(jets, spec.tol_frame, grid)
+        assert str(exc_info.value) == f"derivative 2 linearly dependent on predecessors (at s = {float(grid[1])!r})"
 
     @pytest.mark.parametrize(
         ("point2", "point0", "error", "message"),
@@ -340,24 +347,27 @@ class TestAgainstOracle:
 
 
 class TestDirectionalDerivative:
+    """V1[g] = g' / speed, the rate along the unit tangent, as the harmonic
+    families take it: a jet one order lower than g."""
+
     def test_power_rule(self):
         g = jet_param(1.0, 3) * jet_param(1.0, 3)  # s^2 at s=1
-        rate = directional_derivative(g, jet_constant(1.0, 3))
+        rate = g.derivative() / jet_constant(1.0, 3)
         assert rate.value == pytest.approx(2.0, abs=1e-14)
 
     def test_constant(self):
         g = jet_constant(5.0, 3)
         speed = 2.0 + jet_sin(jet_param(0.7, 3))
-        assert directional_derivative(g, speed).value == 0.0
+        assert (g.derivative() / speed).value == 0.0
 
     def test_chain_rule_under_reparametrization(self):
         g = jet_sin(jet_param(0.0, 3))
-        rate = directional_derivative(g, jet_constant(2.0, 3))
+        rate = g.derivative() / jet_constant(2.0, 3)
         assert rate.value == pytest.approx(0.5, abs=1e-14)
 
     def test_order_drops_by_one(self):
         g = jet_param(0.5, 4)
-        assert directional_derivative(g, jet_constant(1.0, 4)).order == 3
+        assert (g.derivative() / jet_constant(1.0, 4)).order == 3
 
 
 def _first_derivatives(fr) -> np.ndarray:
@@ -381,8 +391,8 @@ def _largest_difference(fr, h, ref, ref_h) -> float:
 
 
 class TestOrderBudget:
-    """The frame cut to ``frame_jet_order`` against the same QR at full
-    order, and against the frozen jet Gram-Schmidt frame."""
+    """The frame cut to ``frame_jet_order`` against the same QR at a larger
+    budget and on longer jets, and against the frozen jet Gram-Schmidt frame."""
 
     CASES = [*range(3, 14, 2), "wcurve_r4", "helix_r4"]  # the W-curve lift at odd n, two curves in R^4
 
@@ -396,7 +406,7 @@ class TestOrderBudget:
     def test_orders_and_bytes_match_full_order(self, case, monkeypatch):
         """Coefficient k of column i uses only alpha'..alpha^(i) up to order k,
         so every coefficient the budget keeps has the bits of the full-order run."""
-        spec, trajectory, jets = self._sample(case)
+        spec, trajectory, _ = self._sample(case)
         n = spec.dimension
         fr, h = trajectory.frenet, trajectory.harmonic
         assert [v.order for v in fr.frame] == [1] * n
@@ -405,11 +415,12 @@ class TestOrderBudget:
         # harmonic.py's one order check cannot fire from the sampler
         assert h.H[-1].order == 1 and h.Hstar[-1].order == 1
 
-        # the curve carries 2n-2, so alpha^(i) reaches 2n-2-i with no budget
-        monkeypatch.setattr("eikohelix.frenet.frame_jet_order", lambda dimension: 2 * dimension - 3)
-        full = frenet_apparatus(jets, spec.tol_frame, trajectory.s)
+        # a budget of 2n-3 carries every column, and so every k_i, to 2n-3
+        budget = 2 * n - 3
+        monkeypatch.setattr("eikohelix.frenet.frame_jet_order", lambda dimension: budget)
+        full = frenet_apparatus(eval_curve_jet(spec, trajectory.s, n + budget), spec.tol_frame, trajectory.s)
         assert [v.order for v in full.frame] == [1] * n
-        assert [k.order for k in full.curvatures] == [2 * n - 4 - i for i in range(n - 1)]
+        assert [k.order for k in full.curvatures] == [budget] * (n - 1)
         full_h = harmonic_data(full)
         cut = [(fr.speed, full.speed), *zip(fr.frame, full.frame), *zip(fr.curvatures, full.curvatures)]
         for got, want in cut:
@@ -422,6 +433,30 @@ class TestOrderBudget:
         ]
         for got, want in pairs:
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 13])
+    def test_one_order_below_the_budget_raises(self, n):
+        """The frame takes curve jets of order n + frame_jet_order(n), the
+        default order, and names the order it got when given one less."""
+        spec = wcurve_lift(n, 16)
+        order = default_jet_order(n) - 1
+        with pytest.raises(InsufficientOrder) as exc_info:
+            frenet_apparatus(eval_curve_jet(spec, 1.1, order), spec.tol_frame, s=1.1)
+        assert str(exc_info.value) == f"curve jets of order {order}; the frame of dimension {n} needs {order + 1}"
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_longer_jets_give_the_same_bytes(self, case):
+        """Curve jets carried three orders past the default are cut to the
+        budget: every jet of the FrenetData keeps its order and its bits."""
+        spec, trajectory, _ = self._sample(case)
+        fr = trajectory.frenet
+        jets = eval_curve_jet(spec, trajectory.s, default_jet_order(spec.dimension) + 3)
+        longer = frenet_apparatus(jets, spec.tol_frame, trajectory.s)
+        pairs = [(fr.speed, longer.speed), *zip(fr.frame, longer.frame), *zip(fr.curvatures, longer.curvatures)]
+        assert len(pairs) == 2 * spec.dimension
+        for got, want in pairs:
+            assert got.coeffs.shape == want.coeffs.shape
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
 
     # case -> bound on the largest difference from the frozen Gram-Schmidt
     # frame of V's first coefficient, k, H and H*, each relative to the

@@ -11,7 +11,7 @@ import pytest
 from eikohelix import catalog
 from eikohelix.classify import sample_along_curve
 from eikohelix.dsl import parse_curve_spec
-from eikohelix.errors import DegenerateCurvature, InsufficientOrder
+from eikohelix.errors import DegenerateCurvature, EvalOverflow, InsufficientOrder
 from eikohelix.frenet import FrenetData, frenet_apparatus
 from eikohelix.harmonic import HarmonicData, harmonic_data
 from eikohelix.jets import Jet, default_jet_order, eval_curve_jet
@@ -64,7 +64,7 @@ class TestTangentFamily:
             _, fr = frenet_at(HELIX345, s)
             (H1,) = harmonic_data(fr).H
             assert H1.value == pytest.approx(0.75, abs=1e-12)
-            assert H1.d1 == pytest.approx(0.0, abs=1e-12)
+            assert H1.coeffs[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_paper_curve_ratio(self):
         for s in (0.0, 4.2, 12.566):
@@ -78,7 +78,7 @@ class TestTangentFamily:
             _, fr = frenet_at(TORUS_R4, s)
             H = harmonic_data(fr).H
             assert len(H) == 2
-            assert H[0].d1 == pytest.approx(0.0, abs=1e-12)
+            assert H[0].coeffs[1] == pytest.approx(0.0, abs=1e-12)
             assert H[1].value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -100,12 +100,17 @@ class TestNormalFamily:
 
     def test_insufficient_order_reported(self):
         spec = parse_curve_spec(TORUS_R4)
-        # order 5 satisfies the frame but leaves k3 at order 1, below the
-        # n-2 = 2 the recurrence needs; the default order for n=4 is 6
-        fr = frenet_apparatus(eval_curve_jet(spec, 1.0, 5), spec.tol_frame, s=1.0)
-        assert [k.order for k in fr.curvatures] == [2, 2, 1]
+        # the frame of dimension 4 needs curve jets of the default order 6
         with pytest.raises(InsufficientOrder) as exc_info:
-            harmonic_data(fr)
+            frenet_apparatus(eval_curve_jet(spec, 1.0, 5), spec.tol_frame, s=1.0)
+        assert str(exc_info.value) == "curve jets of order 5; the frame of dimension 4 needs 6"
+        # a frame built by hand with k3 at order 1, below the n-2 = 2 the
+        # recurrence needs, is harmonic_data's own check to catch
+        fr = frenet_apparatus(eval_curve_jet(spec, 1.0, 6), spec.tol_frame, s=1.0)
+        assert [k.order for k in fr.curvatures] == [2, 2, 2]
+        k1, k2, k3 = fr.curvatures
+        with pytest.raises(InsufficientOrder) as exc_info:
+            harmonic_data(FrenetData(fr.s, fr.speed, fr.frame, [k1, k2, Jet(k3.coeffs[:2])]))
         assert str(exc_info.value) == "curvature jets of order 1; the harmonic families need 2"
 
 
@@ -221,7 +226,7 @@ class TestDerivativeConsistency:
                 h_prev = H.value[j - 1]
                 h_next = H.value[j + 1]
                 grid_rate = (h_next - h_prev) / (2 * ds)
-                jet_rate = H.d1[j]
+                jet_rate = H.coeffs[1, j]
                 assert jet_rate == pytest.approx(grid_rate, abs=1e-5)
 
 
@@ -344,30 +349,46 @@ class TestOneRecurrence:
 
     @pytest.mark.parametrize("n", range(3, 14))
     def test_insufficient_order(self, n):
-        """One order rule: harmonic_data raises its one InsufficientOrder
-        exactly when the last curvature, which carries the least order, is
-        below order n-2, and otherwise agrees with the two families written
-        apart within ULPS. Curve jets below the default order starve it n-3
-        times out of n-2; curvatures cut to each lower order starve it too."""
+        """One order rule in each layer. The frame raises its one
+        InsufficientOrder on curve jets below the default order 2n-2, which
+        leaves every k_i at order n-2. harmonic_data raises its own exactly
+        when some k_i, cut by hand, carries less than n-2, and otherwise
+        agrees with the two families written apart within ULPS."""
         spec = wcurve_lift(n, 12, quadratic=True)
-        starved = 0
-        for order in range(n + 1, default_jet_order(n) + 1):
-            fr = frenet_apparatus(eval_curve_jet(spec, 1.1, order), spec.tol_frame, s=1.1)
-            cuts = [[c.truncate(min(cut, c.order)) for c in fr.curvatures] for cut in range(n - 1)]
-            for k in [fr.curvatures, *cuts]:
-                least = k[-1].order
-                assert least == min(c.order for c in k)
-                frame = FrenetData(fr.s, fr.speed, fr.frame, k)
-                if least < n - 2:
-                    message = f"curvature jets of order {least}; the harmonic families need {n - 2}"
-                    assert outcome(harmonic_data, frame) == (InsufficientOrder, message)
-                else:
-                    assert assert_matches_reference(frame)
-            starved += fr.curvatures[-1].order < n - 2
-        assert starved == n - 3
+        default = default_jet_order(n)
+        for order in range(n + 1, default):
+            message = f"curve jets of order {order}; the frame of dimension {n} needs {default}"
+            assert outcome(frenet_apparatus, eval_curve_jet(spec, 1.1, order), spec.tol_frame, 1.1) == (InsufficientOrder, message)
+        fr = frenet_apparatus(eval_curve_jet(spec, 1.1, default), spec.tol_frame, s=1.1)
+        assert [k.order for k in fr.curvatures] == [n - 2] * (n - 1)
+        assert assert_matches_reference(fr)
+        for i in range(n - 1):
+            for cut in range(n - 2):
+                k = list(fr.curvatures)
+                k[i] = Jet(k[i].coeffs[: cut + 1])
+                message = f"curvature jets of order {cut}; the harmonic families need {n - 2}"
+                assert outcome(harmonic_data, FrenetData(fr.s, fr.speed, fr.frame, k)) == (InsufficientOrder, message)
+                assert not assert_matches_reference(FrenetData(fr.s, fr.speed, fr.frame, k))
 
 
 class TestCurvatureCheck:
+    @pytest.mark.parametrize(
+        ("p", "message"),
+        [(150, "H1 overflows to inf"), (100, "sum of H_i^2 overflows to inf"), (-100, "sum of H*_i^2 overflows to inf")],
+    )
+    def test_family_overflow_raises(self, p, message):
+        """At s = 0, (s, 10^p s^2, 10^-p s^3) has the finite curvatures
+        k_1 = 2 10^p and k_2 = 3 10^-2p. H_1 = k_1/k_2 is past float64's range
+        at p = 150, H_1^2 at p = 100, and H*_1^2 = (k_2/k_1)^2 at p = -100:
+        one EvalOverflow names the first entry that is not finite, with no
+        RuntimeWarning ahead of it."""
+        spec = parse_curve_spec(f'dimension = 3\ncurve = ["s", "1e{p}*s^2", "1e{-p}*s^3"]\nfield = "x3"\ns_range = [0, 1]\n')
+        fr = frenet_apparatus(eval_curve_jet(spec, np.zeros(2)), spec.tol_frame, np.zeros(2))
+        assert fr.curvature_values()[0] == pytest.approx([2 * 10.0**p, 3 * 10.0 ** (-2 * p)])
+        with pytest.raises(EvalOverflow) as exc_info:
+            harmonic_data(fr)
+        assert (str(exc_info.value), exc_info.value.grid_index) == (message, 0)
+
     def test_first_curvature_in_index_order_wins(self):
         """k_2 fails at point 0, k_3 at point 1 and k_1 at point 2: the error
         is k_1's, at point 2, as when each curvature is checked in turn."""

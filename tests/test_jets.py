@@ -137,7 +137,7 @@ class TestCurveJets:
         spec = parse_curve_spec(EXAMPLE_DOC)
         jets = eval_curve_jet(spec, 0.0, 1)
         values = [j.value for j in jets]
-        rates = [j.d1 for j in jets]
+        rates = [j.coeffs[1] for j in jets]
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
         assert np.allclose(values, [1.0, 0.0, 0.0], atol=1e-15)
         assert np.allclose(rates, [0.0, inv_sqrt2, inv_sqrt2], atol=1e-15)
@@ -146,7 +146,7 @@ class TestCurveJets:
         assert default_jet_order(3) == 4
         assert default_jet_order(4) == 6
         assert default_jet_order(13) == 24
-        assert [frame_jet_order(n) for n in (3, 4, 13)] == [2, 3, 12]
+        assert [frame_jet_order(n) for n in (3, 4, 13)] == [1, 2, 11]
         spec = parse_curve_spec(EXAMPLE_DOC)
         assert eval_curve_jet(spec, 1.0)[0].order == 4
 
