@@ -99,14 +99,14 @@ class Trajectory:
 def row_norm(x: np.ndarray, axis: int | tuple[int, int] = -1) -> np.ndarray:
     """Euclidean norm of each row of ``x`` over ``axis``, without overflow warnings.
 
-    ``x`` is divided by 2^e, e the binary exponent of its largest entry, and
-    the norms multiplied back: a power of two is exact, so the squares stay
-    in range whatever the units of ``x``. One e serves the whole array, so
-    a row more than about 1e154 below its largest row can still underflow.
+    Each row is divided by 2^e, e the binary exponent of its largest entry,
+    and its norm multiplied back: a power of two is exact, so the squares
+    stay in range whatever the units of the row, and every row in float64's
+    normal range keeps its bits however far it lies below the others.
     """
-    e = np.frexp(np.abs(x).max())[1]
+    e = np.frexp(np.abs(x).max(axis=axis, keepdims=True))[1]
     with np.errstate(over="ignore"):
-        return np.ldexp(np.linalg.norm(np.ldexp(x, -e), axis=axis), e)
+        return np.ldexp(np.linalg.norm(np.ldexp(x, -e), axis=axis), e.squeeze(axis))
 
 
 @dataclass

@@ -322,6 +322,8 @@ def format_expr(expr: Expr) -> str:
 
 def _format(expr: Expr, parent_prec: int) -> str:
     if isinstance(expr, Constant):
+        if math.isnan(expr.value):
+            return "(1e999 - 1e999)"  # no literal reads back as nan, but inf - inf does
         text = repr(expr.value).replace("inf", "1e999")  # a literal the scanner reads back as inf
         return f"({text})" if math.copysign(1.0, expr.value) < 0 else text  # by the sign bit: -0.0 too
     if isinstance(expr, Param):

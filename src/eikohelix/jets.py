@@ -27,7 +27,8 @@ expressions as a DAG (the evaluation procedure of reverse- and
 Taylor-mode differentiation): each node is evaluated once per call, across
 all components of a curve, and ``sin`` and ``cos`` of one argument share
 one recurrence. In a curve, the sines and cosines of all arguments that
-cannot raise run as one recurrence over a stacked axis. The parser makes
+are polynomials in s run as one recurrence over a stacked axis when they
+fit one call, and each alone when they do not. The parser makes
 equal subexpressions of one document one node; a tree built in Python
 evaluates an equal but distinct copy again, to the same bits.
 Subexpressions free of s and x_i are evaluated at batch shape (), and a
@@ -503,7 +504,7 @@ def _dual_ln(u: _Dual2) -> _Dual2:
 
 
 # The most points (arguments times batch) that one stacked sin/cos call takes;
-# over a batch of more than half of it, the walker does not stack.
+# when a curve's polynomial arguments need more, none of them is stacked.
 # Stacking saves the Python loop over orders of each argument but not its
 # arithmetic; once the stacked series outgrow the cache it costs more than it
 # saves. On the W-curve lift at n = 13, curve jets on 512 points ran 1.2x
@@ -542,19 +543,12 @@ class _JetAlgebra:
         return _sin_cos(u)
 
     def sin_cos_stack(self, us: list[Jet]) -> list[tuple[Jet, Jet]]:
-        """sin and cos of each of ``us``, all of batch shape s's, in
-        ``_sin_cos`` calls over a stacked batch axis of ``stack_width``
-        arguments at most; each series keeps the bits it has alone, and is
-        copied out contiguous, as it was laid out alone."""
-        width = self.stack_width
-        pairs = []
-        for group in (us[i : i + width] for i in range(0, len(us), width)):
-            if len(group) == 1:
-                pairs.append(_sin_cos(group[0]))
-                continue
-            sin, cos = _sin_cos(Jet(np.stack([u.coeffs for u in group], axis=1)))
-            pairs += [(Jet(sin.coeffs[:, i].copy()), Jet(cos.coeffs[:, i].copy())) for i in range(len(group))]
-        return pairs
+        """sin and cos of each of ``us``, all of batch shape s's, in one
+        ``_sin_cos`` call over a stacked batch axis; each series keeps the
+        bits it has alone, and is copied out contiguous, as it was laid out
+        alone."""
+        sin, cos = _sin_cos(Jet(np.stack([u.coeffs for u in us], axis=1)))
+        return [(Jet(sin.coeffs[:, i].copy()), Jet(cos.coeffs[:, i].copy())) for i in range(len(us))]
 
     def mixed(self, op: str, a: Jet, b: Jet, left_const: bool) -> Jet:
         """``a op b`` where exactly one operand is a constant.
@@ -630,13 +624,17 @@ class _Dag:
     Expression e has root id ``roots[e]`` and needs the ids below
     ``ends[e]``. ``trig`` maps each argument of ``sin`` or ``cos`` to the ids
     of the nodes that take it, and ``paired`` holds the arguments that both
-    ``sin`` and ``cos`` take.
+    ``sin`` and ``cos`` take. ``stacked`` lists, in ``trig``'s order, the
+    arguments that are not constant and are polynomials in s: built only
+    from ``+ - *``, ``neg``, ``s`` and constants. In the jet algebra such a
+    node cannot raise and has the batch shape of s.
     """
 
     def __init__(self, exprs):
         nodes: list[Expr] = []
         args_of: list[tuple[int, ...]] = []
         const: list[bool] = []
+        poly: list[bool] = []
         uses: list[int] = []
         ids: dict[int, int] = {}  # id(node) -> its number
         trig: dict[int, list[int]] = {}
@@ -658,6 +656,8 @@ class _Dag:
             nodes.append(node)
             args_of.append(args)
             const.append(const[args[0]] and const[args[-1]] if args else cls is Constant)
+            # a polynomial in s: ^'s one operand is its base, and ^ is not in the set
+            poly.append(node.op in ("+", "-", "*", "neg") and poly[args[0]] and poly[args[-1]] if args else cls is not Coord)
             uses.append(0)
             for j in args:
                 uses[j] += 1
@@ -674,48 +674,7 @@ class _Dag:
             self.ends.append(len(nodes))
         self.nodes, self.args, self.const, self.uses, self.trig = nodes, args_of, const, uses, trig
         self.paired = {a for a, takers in trig.items() if len({nodes[t].op for t in takers}) == 2}
-
-    def stacked(self) -> list[list[int]]:
-        """The arguments of ``sin`` and ``cos`` whose series the jet algebra
-        runs as one stacked recurrence, level by level: every argument that is
-        not constant and cannot raise there. Such a node is built only from
-        ``+ - *``, ``neg``, ``sin``, ``cos``, ``s``, constants, and ``^`` with a
-        constant positive integer exponent, so it also keeps the batch shape
-        of s. An argument that takes the sine or cosine of another such
-        argument is one level up."""
-        nodes, args_of, const = self.nodes, self.args, self.const
-        levels: dict[int, int | None] = {}
-
-        def level(i: int) -> int | None:
-            """How many stacked sin/cos nodes lie on node i's deepest path, or
-            None if node i or an operand can raise in the jet algebra."""
-            if i not in levels:
-                node, args = nodes[i], args_of[i]
-                cls = type(node)
-                trig = cls is Unary and node.op in ("sin", "cos")
-                if cls is Binary and node.op == "^":
-                    p = node.right.value if type(node.right) is Constant else 0.0
-                    calm = p >= 1 and float(p).is_integer()
-                elif cls is Binary:
-                    calm = node.op != "/"
-                elif cls is Unary:
-                    calm = trig or node.op == "neg"
-                else:
-                    calm = cls is not Coord
-                below = [level(j) for j in args] if calm else [None]
-                if None in below:
-                    levels[i] = None
-                else:
-                    levels[i] = max(below, default=0) + (trig and not const[args[0]])
-            return levels[i]
-
-        stacked: list[list[int]] = []
-        for a in self.trig:
-            at = None if const[a] else level(a)
-            if at is not None:
-                stacked += [[] for _ in range(at + 1 - len(stacked))]
-                stacked[at].append(a)
-        return stacked
+        self.stacked = [a for a in trig if poly[a] and not const[a]]
 
 
 def _evaluate(exprs, algebra):
@@ -723,12 +682,12 @@ def _evaluate(exprs, algebra):
     algebra; a constant comes out at batch shape ().
 
     Each distinct node is evaluated once per call and dropped after its
-    last use. ``sin`` and ``cos`` of one argument share one evaluation. In
-    the jet algebra, over a batch small enough to stack two arguments, the
-    arguments from ``_Dag.stacked`` are evaluated first, level by level,
-    and the sine and cosine series of each level run as stacked recurrences
-    (``_JetAlgebra.sin_cos_stack``). Those nodes cannot raise, so every
-    check still raises in the tree's order.
+    last use. ``sin`` and ``cos`` of one argument share one evaluation.
+    When there are two or more arguments in ``_Dag.stacked`` and all of
+    them fit one call of ``algebra.stack_width``, they are evaluated first
+    and their sine and cosine series run as one stacked recurrence
+    (``_JetAlgebra.sin_cos_stack``); otherwise none is stacked. Those nodes
+    cannot raise, so every check still raises in the tree's order.
     """
     dag = _Dag(exprs)
     nodes, args_of, const, uses, paired = dag.nodes, dag.args, dag.const, dag.uses, dag.paired
@@ -768,8 +727,9 @@ def _evaluate(exprs, algebra):
         for j in args:
             release(j)
 
-    for level in dag.stacked() if algebra.stack_width > 1 else ():
-        needed, todo = [], list(level)
+    stacked = dag.stacked
+    if 1 < len(stacked) <= algebra.stack_width:
+        needed, todo = [], list(stacked)
         while todo:
             i = todo.pop()
             if not done[i]:
@@ -778,7 +738,7 @@ def _evaluate(exprs, algebra):
                 todo.extend(args_of[i])
         for i in sorted(needed):
             run(i)
-        for a, pair in zip(level, algebra.sin_cos_stack([values[a] for a in level])):
+        for a, pair in zip(stacked, algebra.sin_cos_stack([values[a] for a in stacked])):
             for t in dag.trig[a]:
                 values[t], done[t] = pair[nodes[t].op == "cos"], True
                 release(a)

@@ -98,6 +98,17 @@ class TestSampling:
         norms = sample_along_curve(parse_curve_spec(doc)).grad_norm
         assert norms.max() - norms.min() > 1.0
 
+    def test_small_rows_keep_their_bits(self):
+        """exp(400*x3) makes the last row's gradient about 1e156 times the
+        first's; each row's norm is scaled by its own power of two, so the
+        first row's squares do not fall into subnormals."""
+        doc = HELIX345_FZ.replace('"x3"', '"exp(400*x3) + 0.7*x1 + 0.3*x2"')
+        doc = doc.replace("[0, 31.4159]", "[0, 1.125]").replace("samples = 128", "samples = 8")
+        trajectory = sample_along_curve(parse_curve_spec(doc))
+        assert trajectory.grad_norm.max() > 1e158
+        assert trajectory.grad_norm[0] == np.linalg.norm([0.7, 0.3, 400.0]) == 400.00072499934294
+        assert trajectory.hessian_norm[0] == 160000.0
+
     def test_cauchy_schwarz_rows(self):
         spec = parse_curve_spec(PAPER_DOC)
         trajectory = sample_along_curve(spec)

@@ -461,6 +461,16 @@ def test_negative_zero_keeps_its_sign_through_the_printer():
     assert (value, math.copysign(1.0, value)) == (back, math.copysign(1.0, back)) == (0.0, 1.0)
 
 
+
+def test_nan_constant_reads_back_through_the_printer():
+    """No literal reads as nan, so a nan built in Python prints as inf - inf."""
+    s = Param()
+    spec = CurveSpec(3, (s, s, Binary("*", Constant(math.nan), s)), Coord(3), (0.0, 1.0))
+    text = format_curve_spec(spec)
+    assert 'curve = ["s", "s", "(1e999 - 1e999) * s"]' in text
+    back = parse_curve_spec(text).components[2]
+    assert math.isnan(constant_value(back.left)) and back.right == s
+
 @given(st.text(alphabet="sx123+-*/^(). abcdefghilnopqrt_", max_size=40))
 @settings(max_examples=300)
 def test_parser_total_over_garbage(source):

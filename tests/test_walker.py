@@ -13,6 +13,8 @@ must raise the same exception type with the same message and
 from __future__ import annotations
 
 import copy
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +40,17 @@ from helpers import reference_curve_jets, reference_field_jet, wcurve_lift
 CONSTANTS = (0.0, -0.0, 1.0, 2.0, 0.6, 2.5, 5.0, 1e200, 1e-300, 1e-320, float("inf"), np.pi)
 EXPONENTS = (2.0, 3.0, 0.0, 1.0, -1.0, -2.0, 0.5, 1.5, -0.5, 65.0)
 UNARY = ("neg", "sin", "cos", "exp", "sqrt", "ln")
+
+# The sin/cos calls of each catalog curve on its own grid: no grid of 64 or
+# more points stacks its arguments, and helix_r4 takes sin(0.6) at shape ().
+CATALOG_CALLS = {
+    "paper_3_1": [(512,)],
+    "helix345_fz": [(512,)],
+    "wcurve_r4": [(512,), (512,)],
+    "helix_r4": [(), (512,), (512,), (512,)],
+    "circle_in_r3": [(64,)],
+    "nonhelix_parabolic": [(256,)],
+}
 
 
 def _outcome(evaluate):
@@ -292,10 +305,15 @@ class TestSharing:
             lambda: reference_curve_jets(spec.components, grid, default_jet_order(13))
         )
 
-    @pytest.mark.parametrize("samples, calls", [(256, [(2, 256)] * 3), (512, [(512,)] * 6)], ids=["256", "512"])
+    @pytest.mark.parametrize(
+        "samples, calls",
+        [(85, [(6, 85)]), (86, [(86,)] * 6), (256, [(256,)] * 6), (512, [(512,)] * 6)],
+        ids=["85", "86", "256", "512"],
+    )
     def test_larger_grids_stack_fewer_arguments(self, monkeypatch, samples, calls):
-        # a stacked call takes at most jets._STACK_POINTS = 512 points, and a
-        # grid of more than half of that runs each argument alone, in tree order
+        # a stacked call takes at most jets._STACK_POINTS = 512 points: the six
+        # arguments stack on 85 samples, and from 86 on, as 6 * 86 > 512, each
+        # runs alone, in tree order
         assert jets._STACK_POINTS == 512
         spec = wcurve_lift(13, samples)
         grid = np.linspace(spec.s_range[0], spec.s_range[1], spec.samples)
@@ -306,32 +324,33 @@ class TestSharing:
             lambda: reference_curve_jets(spec.components, grid, default_jet_order(13))
         )
 
-    def test_nested_arguments_stack_by_level(self, monkeypatch):
+    def test_only_polynomial_arguments_stack(self, monkeypatch):
         texts = ("sin(2*s) + cos(s)", "cos(sin(2*s) - s^2)", "sin(s*cos(s))")
         exprs = [parse_expr_text(text, "curve") for text in texts]
         grid = np.linspace(-1.0, 2.0, 7)
         calls = self._count_sin_cos(monkeypatch)
         eval_curve_jet(_Spec(exprs), grid, 9)
-        # parsed apart, the three share no node: 2*s, s, 2*s and s first, then
-        # sin(2*s) - s^2 and s*cos(s), which take a sine or cosine of the first
-        assert calls == [(4, 7), (2, 7)]
+        # parsed apart, the three share no node: 2*s, s, 2*s and s stack, then
+        # sin(2*s) - s^2 and s*cos(s), which hold a sine, a cosine or a power,
+        # run alone in tree order
+        assert calls == [(4, 7), (7,), (7,)]
         assert _outcome(lambda: eval_curve_jet(_Spec(exprs), grid, 9)) == _outcome(
             lambda: reference_curve_jets(exprs, grid, 9)
         )
 
     def test_errors_keep_their_order(self, monkeypatch):
-        """ln(2 - s) comes before the stackable sin(3*s) and cos(s^2) in
+        """ln(2 - s) comes before the stackable sin(3*s) and cos(s*s) in
         post-order. Their series run first, as one stacked recurrence, but
         cannot raise, so ln's error is the one raised, at the same s."""
         spec = parse_curve_spec(
             "dimension = 3\n"
-            'curve = ["ln(2 - s)", "sin(3*s)", "cos(s^2)"]\n'
+            'curve = ["ln(2 - s)", "sin(3*s)", "cos(s*s)"]\n'
             'field = "x3"\n'
             "s_range = [1, 3]\n"
             "samples = 9\n"
         )
         dag = jets._Dag(spec.components)
-        assert [format_expr(dag.nodes[a]) for level in dag.stacked() for a in level] == ["3.0 * s", "s^2.0"]
+        assert [format_expr(dag.nodes[a]) for a in dag.stacked] == ["3.0 * s", "s * s"]
         grid = np.linspace(1.0, 3.0, 9)
         calls = self._count_sin_cos(monkeypatch)
         with pytest.raises(EvalDomainError) as exc_info:
@@ -382,3 +401,39 @@ class TestSharing:
         assert coords.left is coords.right and coords.left == Coord(3)
         doubled = parse_expr_text("2*s + 2*s", "curve")
         assert doubled.left is doubled.right
+
+    @staticmethod
+    def _workload_calls(op: dict) -> list[tuple[int, ...]]:
+        """The sin/cos calls one benchmark operation's curve makes."""
+        group, name = op["name"].split("/")
+        if group == "catalog":
+            return CATALOG_CALLS[name]
+        if group == "high_n":  # cos(j*s) and sin(j*s), j = 1..m, stacked
+            return [((op["dimension"] - 1) // 2, op["points"])]
+        if group == "dense_table":  # paper_3_1's one argument s/sqrt(2)
+            return [(op["points"],)]
+        if "helix345" in name:  # one argument s/5
+            return [(16,)]
+        return [(3, 16), ()]  # 4*s, 2*s and s stacked, then sin(0.6)
+
+    def test_benchmark_traffic_keeps_its_calls(self, monkeypatch):
+        """Every curve of the benchmark's four workloads at seed 1 makes the
+        sin/cos calls it makes by the stacking rule, and its jets match the
+        tree walker bit for bit; a rule that stopped stacking these curves
+        fails here."""
+        # the benchmark's workload builder, which uses only the standard library
+        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        module_spec = importlib.util.spec_from_file_location("workloads", path)
+        workloads = importlib.util.module_from_spec(module_spec)
+        module_spec.loader.exec_module(workloads)
+        ops = [op for workload in workloads.WORKLOADS for op in workloads.build(workload, 1)]
+        assert len(ops) == 217
+        calls = self._count_sin_cos(monkeypatch)
+        for op in ops:
+            spec = parse_curve_spec(op["document"])
+            grid = np.linspace(spec.s_range[0], spec.s_range[1], spec.samples)
+            calls.clear()
+            new = _outcome(lambda: eval_curve_jet(spec, grid))
+            assert calls == self._workload_calls(op), op["name"]
+            order = default_jet_order(spec.dimension)
+            assert new == _outcome(lambda: reference_curve_jets(spec.components, grid, order)), op["name"]
