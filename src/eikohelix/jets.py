@@ -31,11 +31,12 @@ are polynomials in s run as one recurrence over a stacked axis when they
 fit one call, and each alone when they do not. The parser makes
 equal subexpressions of one document one node; a tree built in Python
 evaluates an equal but distinct copy again, to the same bits.
-Subexpressions free of s and x_i are evaluated at batch shape (), and a
-product or quotient of a jet with such a constant scales coefficients
-instead of running a Cauchy product or a division recurrence.
-Each shortcut reproduces the plain tree walk bit for bit, signed zeros
-included.
+Subexpressions free of s and x_i are evaluated at batch shape (). A
+product with, or a quotient by, a constant series (batch shape () and every
+higher coefficient an exact zero) scales coefficients instead of running a
+Cauchy product or a division recurrence; :class:`Jet` arithmetic decides
+that from the data. Each shortcut reproduces the plain tree walk bit for
+bit, signed zeros included.
 
 Domain and overflow checks act on the whole batch and raise for the first
 offending point, with ``grid_index`` set on the error (see
@@ -44,7 +45,6 @@ offending point, with ``grid_index`` set on the error (see
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -143,9 +143,22 @@ class Jet:
         return Jet(b - a)
 
     def __mul__(self, other) -> Jet:
+        """Truncated product. With a constant series c (batch shape (), every
+        higher coefficient an exact zero) and a finite u of larger batch
+        rank, the Cauchy product sums c0*u_k and exact zeros from +0.0, so it
+        is c0*u_k + 0.0 and u is scaled. A non-finite u_j turns a zero into
+        nan, which only the full product reproduces."""
         if not isinstance(other, Jet) and np.ndim(other) == 0:
-            return Jet(self.coeffs * float(other))  # product with a constant series
-        return Jet(_cauchy(*_align(self, _as_jet(other, self.order))))
+            return Jet(self.coeffs * float(other))  # product with a scalar
+        other = _as_jet(other, self.order)
+        a, b = self.coeffs, other.coeffs
+        if a.ndim != b.ndim:  # two jets of one batch rank pay only this test
+            c, u = (a, b) if a.ndim < b.ndim else (b, a)
+            if c.ndim == 1 and not np.count_nonzero(c[1:]) and np.isfinite(u).all():
+                product = u[: len(c)] * c[0]
+                product += 0.0
+                return Jet(product)
+        return Jet(_cauchy(*_align(self, other)))
 
     __rmul__ = __mul__
 
@@ -227,46 +240,21 @@ def _check_divisor(b0, kind: str = "jet") -> None:
 
 
 def jet_div(num: Jet, den: Jet) -> Jet:
-    _check_divisor(den.coeffs[0])
+    """Truncated quotient. By a constant series c, the recurrence subtracts
+    sums of exact zeros, +0.0, so q_k = num_k / c0 and num is scaled, unless
+    a non-finite q_j before the last turns a zero into nan."""
+    c = den.coeffs
+    _check_divisor(c[0])
+    if c.ndim == 1 and not np.count_nonzero(c[1:]):
+        q = num.coeffs[: len(c)] / c[0]
+        if np.isfinite(q[:-1]).all():
+            return Jet(q)
     a, b = _align(num, den)
     q = np.empty(np.broadcast_shapes(a.shape, b.shape))
     q[0] = a[0] / b[0]
     for k in range(1, len(q)):
         q[k] = (a[k] - _inner(b[1 : k + 1], q[k - 1 :: -1])) / b[0]
     return Jet(q)
-
-
-def _times_constant(u: Jet, c0, tail) -> Jet | None:
-    """c * u for the constant jet c = [c0, tail, tail, ...] by scaling.
-
-    Every higher coefficient of a constant jet equals its last one, the
-    tail (0.0, -0.0 or nan). The Cauchy product sums c0*u_k with products
-    that are exact zeros, from +0.0, which is c0*u_k + 0.0. A non-finite
-    coefficient of u turns a zero product into nan; then, and for a nan
-    tail, this returns None and only the full product reproduces the
-    result.
-    """
-    if not (math.isfinite(tail) and np.isfinite(u.coeffs).all()):
-        return None
-    product = u.coeffs * c0
-    product += 0.0
-    return Jet(product)
-
-
-def _over_constant(u: Jet, c0, tail) -> Jet | None:
-    """u / c for the constant jet c = [c0, tail, tail, ...] by scaling.
-
-    ``jet_div``'s recurrence subtracts sums of exact zeros tail*q_j, which
-    come out +0.0 and leave u_k unchanged, so q_k = u_k / c0. A non-finite
-    q_j before the last coefficient turns a zero into nan; then, and for a
-    nan tail, this returns None and only ``jet_div`` reproduces the result.
-    The zero-divisor check is ``jet_div``'s.
-    """
-    _check_divisor(c0)
-    quotient = u.coeffs / c0
-    if not (math.isfinite(tail) and np.isfinite(quotient[:-1]).all()):
-        return None
-    return Jet(quotient)
 
 
 def jet_sin(u: Jet) -> Jet:
@@ -500,7 +488,8 @@ def _dual_ln(u: _Dual2) -> _Dual2:
 # The walker evaluates every distinct node once, in the order a
 # left-to-right post-order walk of the tree first meets it, so checks run
 # and raise in the tree's order. A subexpression free of s and x_i is
-# evaluated at batch shape ().
+# evaluated at batch shape (), where ``Jet.__mul__`` and ``jet_div`` see a
+# constant series.
 
 
 # The most points (arguments times batch) that one stacked sin/cos call takes;
@@ -550,30 +539,14 @@ class _JetAlgebra:
         sin, cos = _sin_cos(Jet(np.stack([u.coeffs for u in us], axis=1)))
         return [(Jet(sin.coeffs[:, i].copy()), Jet(cos.coeffs[:, i].copy())) for i in range(len(us))]
 
-    def mixed(self, op: str, a: Jet, b: Jet, left_const: bool) -> Jet:
-        """``a op b`` where exactly one operand is a constant.
-
-        Products and quotients by the constant scale where that is exact;
-        everything else runs the operator itself.
-        """
-        c, u = (a, b) if left_const else (b, a)
-        if op == "*":
-            product = _times_constant(u, c.coeffs[0], c.coeffs[-1])
-            if product is not None:
-                return product
-        elif op == "/" and not left_const:
-            quotient = _over_constant(u, c.coeffs[0], c.coeffs[-1])
-            if quotient is not None:
-                return quotient
-        return BINARY_OPERATORS[op](a, b)
-
 
 class _DualAlgebra:
     """Fields: second-order duals in the coordinates x1..xn.
 
-    A constant is a full dual at batch shape (). A product with it has no
-    cheaper exact form: the sign of each zero in the product's gradient
-    and Hessian depends on the other operand's value at every point.
+    A constant is a full dual at batch shape (). Unlike a jet's product
+    with a constant series, a product with it has no cheaper exact form:
+    the sign of each zero in the product's gradient and Hessian depends on
+    the other operand's value at every point.
     """
 
     unary = {
@@ -606,10 +579,6 @@ class _DualAlgebra:
         gg = _outer(u.g, u.g)
         return u.chain(sin, cos, -sin, gg), u.chain(cos, -sin, -cos, gg)
 
-    @staticmethod
-    def mixed(op: str, a: _Dual2, b: _Dual2, left_const: bool) -> _Dual2:
-        return BINARY_OPERATORS[op](a, b)
-
 
 class _Dag:
     """The distinct nodes of a list of expressions, numbered in the order a
@@ -620,11 +589,11 @@ class _Dag:
     evaluated again, to the same bits. ``nodes[i]`` is node i and
     ``args[i]`` the ids of its operands in the algebra (the exponent of
     ``^`` is read with ``constant_value``). ``const[i]`` says whether it is
-    free of s and x_i, ``uses[i]`` how many operand slots and roots read it.
-    Expression e has root id ``roots[e]`` and needs the ids below
-    ``ends[e]``. ``trig`` maps each argument of ``sin`` or ``cos`` to the ids
-    of the nodes that take it, and ``paired`` holds the arguments that both
-    ``sin`` and ``cos`` take. ``stacked`` lists, in ``trig``'s order, the
+    free of s and x_i, which only ``stacked`` reads; ``uses[i]`` how many
+    operand slots and roots read it. Expression e has root id ``roots[e]``
+    and needs the ids below ``ends[e]``. ``trig`` maps each argument of
+    ``sin`` or ``cos`` to the ids of the nodes that take it, and ``paired``
+    holds the arguments that both ``sin`` and ``cos`` take. ``stacked`` lists, in ``trig``'s order, the
     arguments that are not constant and are polynomials in s: built only
     from ``+ - *``, ``neg``, ``s`` and constants. In the jet algebra such a
     node cannot raise and has the batch shape of s.
@@ -679,7 +648,8 @@ class _Dag:
 
 def _evaluate(exprs, algebra):
     """Yield the value of each expression in turn, in the jet or the dual
-    algebra; a constant comes out at batch shape ().
+    algebra; a constant comes out at batch shape (). Every ``+ - * /`` node
+    runs its operator, which scales by a constant series in ``Jet``.
 
     Each distinct node is evaluated once per call and dropped after its
     last use. ``sin`` and ``cos`` of one argument share one evaluation.
@@ -690,7 +660,7 @@ def _evaluate(exprs, algebra):
     cannot raise, so every check still raises in the tree's order.
     """
     dag = _Dag(exprs)
-    nodes, args_of, const, uses, paired = dag.nodes, dag.args, dag.const, dag.uses, dag.paired
+    nodes, args_of, uses, paired = dag.nodes, dag.args, dag.uses, dag.paired
     values: list = [None] * len(nodes)
     done = [False] * len(nodes)
     pairs: dict[int, tuple] = {}
@@ -707,10 +677,8 @@ def _evaluate(exprs, algebra):
             x = values[args[0]]
             if node.op == "^":
                 value = algebra.power(x, constant_value(node.right))
-            elif const[args[0]] == const[args[1]]:
-                value = BINARY_OPERATORS[node.op](x, values[args[1]])
             else:
-                value = algebra.mixed(node.op, x, values[args[1]], const[args[0]])
+                value = BINARY_OPERATORS[node.op](x, values[args[1]])
         elif cls is Unary:
             if args[0] in paired and node.op in ("sin", "cos"):
                 pair = pairs.pop(args[0], None)

@@ -10,7 +10,10 @@ functions. These exceptions reuse the
 package's own primitives on purpose: ``sample_point_by_point`` runs its
 stages one point at a time, as the reference for which error the batched
 sampler reports, and ``reference_curve_jets``/``reference_field_jet`` walk
-an expression as a tree, as the reference for the DAG walker; and
+an expression as a tree, as the reference for the DAG walker, with every
+jet product a full Cauchy product and every jet quotient the division
+recurrence (``reference_jet_mul``/``reference_jet_div``), as the reference
+for the scaling by a constant series in ``Jet`` arithmetic; and
 ``reference_to_json`` with ``reference_samples_payload`` is the report
 writer that passes every row dict through ``json.dumps``, as the reference
 for the row template; ``reference_frenet_apparatus`` is the jet Gram-Schmidt
@@ -78,6 +81,9 @@ from eikohelix.jets import (
     FieldJet,
     Jet,
     _align,
+    _cauchy,
+    _check_divisor,
+    _inner,
     _pad_batch,
     _toeplitz_index,
     default_jet_order,
@@ -85,7 +91,6 @@ from eikohelix.jets import (
     eval_field_jet,
     jet_constant,
     jet_cos,
-    jet_div,
     jet_exp,
     jet_ln,
     jet_param,
@@ -639,6 +644,22 @@ def _dual_ln(u: _Dual2) -> _Dual2:
 # ------------------------------------------------- reference tree walker
 
 
+def reference_jet_mul(u: Jet, v: Jet) -> Jet:
+    """The full Cauchy product, whatever the operands hold."""
+    return Jet(_cauchy(*_align(u, v)))
+
+
+def reference_jet_div(num: Jet, den: Jet) -> Jet:
+    """``jet_div``'s recurrence, whatever the divisor holds."""
+    _check_divisor(den.coeffs[0])
+    a, b = _align(num, den)
+    q = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    q[0] = a[0] / b[0]
+    for k in range(1, len(q)):
+        q[k] = (a[k] - _inner(b[1 : k + 1], q[k - 1 :: -1])) / b[0]
+    return Jet(q)
+
+
 def reference_jet_pow(u: Jet, exponent: float) -> Jet:
     """``jet_pow`` as the tree walker used it: square-and-multiply from the
     constant jet 1, squaring once more after the last bit."""
@@ -647,13 +668,13 @@ def reference_jet_pow(u: Jet, exponent: float) -> Jet:
     if float(exponent).is_integer():
         p = int(exponent)
         if p < 0:
-            return jet_div(jet_constant(1.0, u.order), reference_jet_pow(u, -p))
+            return reference_jet_div(jet_constant(1.0, u.order), reference_jet_pow(u, -p))
         result = jet_constant(1.0, u.order)
         base = u
         while p:
             if p & 1:
-                result = result * base
-            base = base * base
+                result = reference_jet_mul(result, base)
+            base = reference_jet_mul(base, base)
             p >>= 1
         return result
     x0 = u.coeffs[0]
@@ -677,6 +698,7 @@ class ReferenceJetAlgebra:
         "sqrt": jet_sqrt,
         "ln": jet_ln,
     }
+    binary = {"+": operator.add, "-": operator.sub, "*": reference_jet_mul, "/": reference_jet_div}
     power = staticmethod(reference_jet_pow)
 
     def __init__(self, s: np.ndarray, order: int):
@@ -703,6 +725,7 @@ class ReferenceDualAlgebra:
         "sqrt": _dual_sqrt,
         "ln": _dual_ln,
     }
+    binary = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
     power = staticmethod(_dual_pow)
 
     def __init__(self, point: np.ndarray):
@@ -720,9 +743,6 @@ class ReferenceDualAlgebra:
         return _Dual2(self.point[..., node.index - 1], g, np.zeros((self.n, self.n)))
 
 
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-
-
 def reference_evaluate(node: Expr, algebra):
     """Evaluate an expression tree in the jet or the dual algebra, every
     node where it occurs."""
@@ -736,7 +756,7 @@ def reference_evaluate(node: Expr, algebra):
         left = reference_evaluate(node.left, algebra)
         if node.op == "^":
             return algebra.power(left, constant_value(node.right))
-        return _BINARY[node.op](left, reference_evaluate(node.right, algebra))
+        return algebra.binary[node.op](left, reference_evaluate(node.right, algebra))
     raise TypeError(f"not an Expr: {node!r}")
 
 

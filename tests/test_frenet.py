@@ -23,7 +23,9 @@ from helpers import (
     eval_float,
     fd_frenet,
     fit_derivatives,
+    lift_helix_r4,
     reference_frenet_apparatus,
+    wcurve_helix_r3,
     wcurve_lift,
     wcurve_lift_curvatures,
     wcurve_lift_reference,
@@ -591,3 +593,11 @@ class TestPointAgainstGrid:
     def test_catalog(self, name):
         spec = catalog.load(name)
         self._assert_same_bits(spec, [*range(0, spec.samples, 51), spec.samples - 1])
+
+    @pytest.mark.parametrize("make", [wcurve_helix_r3, lift_helix_r4], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_constant_times_trig_components(self, make, seed):
+        # each component sums constant * trig terms: on the grid a product
+        # with a constant scales, at one point it is a full Cauchy product
+        spec = make(np.random.default_rng(seed)).spec
+        self._assert_same_bits(spec, [0, spec.samples // 2, spec.samples - 1])

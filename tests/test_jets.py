@@ -2,7 +2,9 @@
 
 Expected values come from hand Taylor expansions, sympy symbolic
 differentiation, 50-digit mpmath series, or Richardson finite differences;
-none reuse the jet recurrences they check.
+none reuse the jet recurrences they check. The scaling by a constant series
+is checked against the full Cauchy product and division recurrence it
+stands in for.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from eikohelix.jets import (
     jet_sqrt,
 )
 
-from helpers import RICHARDSON, eval_float, random_expr
+from helpers import RICHARDSON, eval_float, random_expr, reference_jet_div, reference_jet_mul
 
 EXAMPLE_DOC = """\
 dimension = 3
@@ -130,6 +132,61 @@ class TestJetErrors:
     def test_overflow_reported(self):
         with pytest.raises((EvalOverflow, OverflowError)):
             eval_expr_jet(parse_expr_text("exp(exp(exp(s)))", "curve"), 5.0, 3)
+
+
+def _outcome(op):
+    """The bytes of a jet operation's coefficients, or its error's type and message."""
+    try:
+        with np.errstate(all="ignore"):
+            return op().coeffs.tobytes()
+    except JetDivisionByZero as exc:
+        return type(exc), str(exc)
+
+
+class TestConstantSeries:
+    """A product with, or a quotient by, a constant series (batch shape (),
+    every higher coefficient an exact zero) scales coefficients, with the
+    bytes of the full Cauchy product and division recurrence."""
+
+    @staticmethod
+    def _operands(point: bool) -> list[Jet]:
+        """A finite u with signed zeros and a u with an infinite coefficient,
+        on a grid of 5 points or at one point of it."""
+        u = np.random.default_rng(29).uniform(-2.0, 2.0, (6, 5))
+        u[2, 1], u[3, 2] = -0.0, 0.0
+        infinite = u.copy()
+        infinite[1, 1] = np.inf
+        return [Jet(x[:, 1] if point else x) for x in (u, infinite)]
+
+    @pytest.mark.parametrize("point", [False, True], ids=["grid", "point"])
+    @pytest.mark.parametrize("orders", [(5, 5), (2, 5), (5, 3)], ids=["c5u5", "c2u5", "c5u3"])
+    @pytest.mark.parametrize("tail", [0.0, -0.0, math.nan], ids=["tail+0", "tail-0", "tailnan"])
+    @pytest.mark.parametrize("c0", [2.5, -3.0, 0.0, -0.0, math.inf, math.nan])
+    def test_scaling_keeps_the_bits(self, c0, tail, orders, point):
+        c_order, u_order = orders
+        c = Jet([c0] + [tail] * c_order)
+        for u in self._operands(point):
+            u = Jet(u.coeffs[: u_order + 1])
+            assert _outcome(lambda: c * u) == _outcome(lambda: reference_jet_mul(c, u))
+            assert _outcome(lambda: u * c) == _outcome(lambda: reference_jet_mul(u, c))
+            quotient = _outcome(lambda: u / c)
+            assert quotient == _outcome(lambda: reference_jet_div(u, c))
+            assert isinstance(quotient, tuple) == (c0 == 0.0)  # a zero divisor raises
+
+    @pytest.mark.parametrize("position", [1, 3, 5])
+    def test_a_nonzero_higher_coefficient_takes_the_full_operation(self, position):
+        # such as the speed of a curve that is not unit-speed, at one point
+        c = jet_constant(2.5, 5)
+        c.coeffs[position] = 1.0
+        for u in self._operands(False)[:1] + self._operands(True)[:1]:
+            for result, full in (
+                (c * u, reference_jet_mul(c, u)),
+                (u * c, reference_jet_mul(u, c)),
+                (u / c, reference_jet_div(u, c)),
+            ):
+                assert result.coeffs.tobytes() == full.coeffs.tobytes()
+            assert (c * u).coeffs.tobytes() != (u.coeffs * 2.5 + 0.0).tobytes()
+            assert (u / c).coeffs.tobytes() != (u.coeffs / 2.5).tobytes()
 
 
 class TestCurveJets:
