@@ -20,7 +20,15 @@ a batch of points, propagated through expressions as second-order
 multivariate duals. The duals use the jets' layout, coordinate axes first
 and batch axes last, so each elementwise op is one loop over the batch;
 :func:`eval_field_jet` copies the result once into the public
-:class:`FieldJet` shapes, where the batch axes lead.
+:class:`FieldJet` shapes, where the batch axes lead. A function of one
+dual B is held lazily, as its value and the per-point scalars phi'(B) and
+phi''(B), through further functions and ``+ - * /`` among views of B
+(accumulating univariate chains before they reach the full derivative;
+Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008): the
+n x n Hessian is formed only where two such bases meet, where a scalar
+of a chain overflows, and at the root. Field values take the same
+operations either way and keep every bit; gradients and Hessians are
+exact to rounding, and do not keep the sign of a zero entry.
 
 One expression walker serves both algebras, and it evaluates a list of
 expressions as a DAG (the evaluation procedure of reverse- and
@@ -35,8 +43,8 @@ Subexpressions free of s and x_i are evaluated at batch shape (). A
 product with, or a quotient by, a constant series (batch shape () and every
 higher coefficient an exact zero) scales coefficients instead of running a
 Cauchy product or a division recurrence; :class:`Jet` arithmetic decides
-that from the data. Each shortcut reproduces the plain tree walk bit for
-bit, signed zeros included.
+that from the data. Each shortcut of the jets reproduces the plain tree
+walk bit for bit, signed zeros included.
 
 Domain and overflow checks act on the whole batch and raise for the first
 offending point, with ``grid_index`` set on the error (see
@@ -376,68 +384,161 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[:, None] * b
 
 
-def _dual_basis(n: int, batch_ndim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Zero gradient, zero Hessian, and the unit gradients e_1..e_n (stacked),
-    with size-1 batch axes; read-only, as one evaluation's duals share them."""
+def _dual_basis(n: int, batch_ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zero Hessian and the unit gradients e_1..e_n (stacked), with size-1
+    batch axes; read-only, as one evaluation's duals share them."""
     ones = (1,) * batch_ndim
-    basis = np.zeros((n, *ones)), np.zeros((n, n, *ones)), np.eye(n).reshape(n, n, *ones)
+    basis = np.zeros((n, n, *ones)), np.eye(n).reshape(n, n, *ones)
     for array in basis:
         array.flags.writeable = False
     return basis
 
 
-class _Dual2:
-    """Second-order multivariate duals (value, gradient, hessian) over a batch.
+def _finite(a, b) -> bool:
+    """Whether the scalars a and b are finite at every point. Their sum is
+    finite only where both are; a sum that overflows only sends a product
+    or a function to its expansion, which is exact either way."""
+    return bool(np.isfinite(a + b).all())
+
+
+def _is_chain(x) -> bool:
+    """Whether x is a lazy chain over a base: not a full dual or a constant."""
+    return x.base is not None and x.base is not x
+
+
+def _sum(x, y, op) -> _FieldDual:
+    """x + y or x - y, as ``op`` says: views of one base (a constant views
+    every base) add their scalars, and where two bases meet both operands
+    are expanded."""
+    base = y.base if x.base is None else x.base
+    if y.base is None or y.base is base:
+        return _Chain(op(x.v, y.v), op(x.a, y.a), op(x.b, y.b), base)
+    x, y = x.expand(), y.expand()
+    return _Dual2(op(x.v, y.v), op(x.g, y.g), op(x.h, y.h))
+
+
+class _FieldDual:
+    """``+ - * /`` of field duals, full or lazy. Values take the same
+    operations on either form, and division reaches both through ``chain``."""
+
+    __slots__ = ()
+
+    def __add__(self, o: _FieldDual) -> _FieldDual:
+        return _sum(self, o, operator.add)
+
+    def __sub__(self, o: _FieldDual) -> _FieldDual:
+        return _sum(self, o, operator.sub)
+
+    def __mul__(self, o: _FieldDual) -> _FieldDual:
+        """The product rule, with its second-order terms added in one order.
+
+        Views of one base multiply their scalars, the outer product of two
+        gradients becoming a product of two scalars. A chain's scalar times
+        another can overflow where the gradients' product does not, so
+        there the product is taken again of the expansions. Where two
+        bases meet, both operands are expanded."""
+        x, y = self, o
+        base = y.base if x.base is None else x.base
+        if y.base is None or y.base is base:
+            cross = x.a * y.a
+            a, b = x.v * y.a + y.v * x.a, x.v * y.b + y.v * x.b + cross + cross
+            if not (_is_chain(x) or _is_chain(y)) or _finite(a, b):
+                return _Chain(x.v * y.v, a, b, base)
+            return x.expand() * y.expand()
+        x, y = x.expand(), y.expand()
+        cross = _outer(x.g, y.g)
+        h = x.v * y.h + y.v * x.h + cross + np.swapaxes(cross, 0, 1)
+        return _Dual2(x.v * y.v, x.v * y.g + y.v * x.g, h)
+
+    def __truediv__(self, o: _FieldDual) -> _FieldDual:
+        b = o.v
+        _check_divisor(b, "field")
+        return self * o.chain(1.0 / b, -1.0 / (b * b), 2.0 / b**3)
+
+
+class _Dual2(_FieldDual):
+    """Second-order multivariate duals (value, gradient, hessian) over a
+    batch, in full.
 
     As in :class:`Jet`, the coordinate axes lead and the batch axes trail:
     ``v`` has shape (*batch,), ``g`` (n, *batch) and ``h`` (n, n, *batch),
-    so every elementwise op is one loop over the batch. A constant or a
-    coordinate symbol has size-1 batch axes in ``g`` and ``h``.
+    so every elementwise op is one loop over the batch. A coordinate symbol
+    has size-1 batch axes in ``g`` and ``h``. A full dual is the base of the
+    lazy chains over it, and views itself as (a, b) = (1, 0).
     """
 
     __slots__ = ("v", "g", "h")
+    a, b = 1.0, 0.0
 
     def __init__(self, v, g: np.ndarray, h: np.ndarray):
         self.v = np.asarray(v, dtype=float)
         self.g = g
         self.h = h
 
-    def __add__(self, o: _Dual2) -> _Dual2:
-        return _Dual2(self.v + o.v, self.g + o.g, self.h + o.h)
+    @property
+    def base(self) -> _Dual2:
+        return self
 
-    def __sub__(self, o: _Dual2) -> _Dual2:
-        return _Dual2(self.v - o.v, self.g - o.g, self.h - o.h)
+    def expand(self) -> _Dual2:
+        return self
 
-    def __neg__(self) -> _Dual2:
-        return _Dual2(-self.v, -self.g, -self.h)
-
-    def __mul__(self, o: _Dual2) -> _Dual2:
-        v, ov = self.v, o.v
-        cross = _outer(self.g, o.g)
-        return _Dual2(
-            v * ov,
-            v * o.g + ov * self.g,
-            v * o.h + ov * self.h + cross + np.swapaxes(cross, 0, 1),
-        )
-
-    def __truediv__(self, o: _Dual2) -> _Dual2:
-        b = o.v
-        _check_divisor(b, "field")
-        return self * o.chain(1.0 / b, -1.0 / (b * b), 2.0 / b**3)
-
-    def chain(self, f0, f1, f2, gg: np.ndarray | None = None) -> _Dual2:
-        """Apply a scalar function given f(v), f'(v), f''(v); ``gg`` is
-        g ⊗ g when the caller already has it."""
-        if gg is None:
-            gg = _outer(self.g, self.g)
-        return _Dual2(f0, f1 * self.g, f1 * self.h + f2 * gg)
+    def chain(self, f0, f1, f2) -> _Chain:
+        """f of this dual, given f(v), f'(v), f''(v): a lazy chain over it."""
+        return _Chain(f0, f1, f2, self)
 
 
-def _dual_pow(u: _Dual2, p: float) -> _Dual2:
+class _Chain(_FieldDual):
+    """phi(B) of a base dual B, held as the value v = phi(B.v) and the
+    scalars a = phi'(B.v), b = phi''(B.v) per point, with no gradient or
+    Hessian formed.
+
+    A further function f composes by the scalar chain rule, a <- f'·a and
+    b <- f''·a² + f'·b. ``expand`` forms g = a·g_B and
+    H = a·H_B + b·g_B ⊗ g_B: the chain rule applied to B's full dual at
+    once, so a single function of a full dual rounds as full duals do.
+
+    A constant is a chain with no base, which views every base. Its a and b
+    are what every entry of its full dual's gradient and Hessian would be:
+    zero, or nan where a function of it had a derivative that overflowed.
+    It is its own expansion.
+    """
+
+    __slots__ = ("v", "a", "b", "base")
+
+    def __init__(self, v, a, b, base: _Dual2 | None):
+        self.v = np.asarray(v, dtype=float)
+        self.a, self.b, self.base = a, b, base
+
+    def expand(self) -> _FieldDual:
+        """The full dual. A b that is zero at every point, as for a sum with
+        a constant or a negation, adds no b·g_B ⊗ g_B, which could hold
+        overflowed entries where full duals form none."""
+        if self.base is None:
+            return self
+        g, h = self.base.g, self.a * self.base.h
+        if np.any(self.b):
+            h = h + self.b * _outer(g, g)
+        return _Dual2(self.v, self.a * g, h)
+
+    def chain(self, f0, f1, f2) -> _FieldDual:
+        """f of this chain, given f(v), f'(v), f''(v), over the same base;
+        where a composed scalar overflows (a² can where (a·g_B)² does not),
+        over the expansion."""
+        a = self.a
+        a, b = f1 * a, f2 * (a * a) + f1 * self.b
+        if self.base is None or _finite(a, b):
+            return _Chain(f0, a, b, self.base)
+        return self.expand().chain(f0, f1, f2)
+
+
+def _constant(value) -> _Chain:
+    return _Chain(value, 0.0, 0.0, None)
+
+
+def _dual_pow(u: _FieldDual, p: float) -> _FieldDual:
     v = u.v
     if p == 0:
-        zero_g, zero_h, _ = _dual_basis(len(u.g), u.g.ndim - 1)
-        return _Dual2(1.0, zero_g, zero_h)
+        return _constant(1.0)
     if float(p).is_integer():
         p_int = int(p)
         if p_int < 0:
@@ -457,7 +558,7 @@ def _dual_pow(u: _Dual2, p: float) -> _Dual2:
     return u.chain(vp, p * vp / v, p * (p - 1) * vp / (v * v))
 
 
-def _dual_exp(u: _Dual2) -> _Dual2:
+def _dual_exp(u: _FieldDual) -> _FieldDual:
     ev = np.exp(u.v)
     raise_first(
         np.isinf(ev) & np.isfinite(u.v),
@@ -466,7 +567,7 @@ def _dual_exp(u: _Dual2) -> _Dual2:
     return u.chain(ev, ev, ev)
 
 
-def _dual_sqrt(u: _Dual2) -> _Dual2:
+def _dual_sqrt(u: _FieldDual) -> _FieldDual:
     v = u.v
     raise_first(
         v <= 0.0, lambda i: EvalDomainError(f"sqrt of non-positive value {value_at(v, i)!r}")
@@ -475,7 +576,7 @@ def _dual_sqrt(u: _Dual2) -> _Dual2:
     return u.chain(r, 0.5 / r, -0.25 / (r * v))
 
 
-def _dual_ln(u: _Dual2) -> _Dual2:
+def _dual_ln(u: _FieldDual) -> _FieldDual:
     v = u.v
     raise_first(
         v <= 0.0, lambda i: EvalDomainError(f"ln of non-positive value {value_at(v, i)!r}")
@@ -543,14 +644,16 @@ class _JetAlgebra:
 class _DualAlgebra:
     """Fields: second-order duals in the coordinates x1..xn.
 
-    A constant is a full dual at batch shape (). Unlike a jet's product
-    with a constant series, a product with it has no cheaper exact form:
-    the sign of each zero in the product's gradient and Hessian depends on
-    the other operand's value at every point.
+    A coordinate symbol is a full dual; a constant is a lazy chain with no
+    base, at batch shape (). A function of a dual and ``+ - * /`` among
+    views of one base stay lazy chains of per-point scalars, so a
+    subexpression that reaches the coordinates through one dual, as
+    g(x1^2 + x3^2) does through its argument, forms no gradient or Hessian
+    until it meets another base or is the root (see :class:`_Chain`).
     """
 
     unary = {
-        "neg": operator.neg,
+        "neg": lambda u: u.chain(-u.v, -1.0, 0.0),
         "sin": lambda u: u.chain(np.sin(u.v), np.cos(u.v), -np.sin(u.v)),
         "cos": lambda u: u.chain(np.cos(u.v), -np.sin(u.v), -np.cos(u.v)),
         "exp": _dual_exp,
@@ -558,14 +661,12 @@ class _DualAlgebra:
         "ln": _dual_ln,
     }
     power = staticmethod(_dual_pow)
+    constant = staticmethod(_constant)
     stack_width = 1  # sin and cos act on values, with nothing to stack
 
     def __init__(self, point: np.ndarray):
         self.point = point
-        self.zero_g, self.zero_h, self.units = _dual_basis(point.shape[-1], point.ndim - 1)
-
-    def constant(self, value: float) -> _Dual2:
-        return _Dual2(value, self.zero_g, self.zero_h)
+        self.zero_h, self.units = _dual_basis(point.shape[-1], point.ndim - 1)
 
     def symbol(self, node: Expr) -> _Dual2:
         if isinstance(node, Param):
@@ -574,10 +675,9 @@ class _DualAlgebra:
         return _Dual2(self.point[..., i], self.units[i], self.zero_h)
 
     @staticmethod
-    def sin_cos(u: _Dual2) -> tuple[_Dual2, _Dual2]:
+    def sin_cos(u: _FieldDual) -> tuple[_FieldDual, _FieldDual]:
         sin, cos = np.sin(u.v), np.cos(u.v)
-        gg = _outer(u.g, u.g)
-        return u.chain(sin, cos, -sin, gg), u.chain(cos, -sin, -cos, gg)
+        return u.chain(sin, cos, -sin), u.chain(cos, -sin, -cos)
 
 
 class _Dag:
@@ -771,12 +871,16 @@ def eval_field_jet(spec: CurveSpec, point) -> FieldJet:
     batch = point.shape[:-1]
     with np.errstate(all="ignore"):
         (result,) = _evaluate([spec.field], _DualAlgebra(point))
+        result = result.expand()
     # one copy each, from the batch-last duals to the public batch-first shapes
     k = len(batch)
     value, gradient, hessian = np.empty(batch), np.empty((*batch, n)), np.empty((*batch, n, n))
     value[...] = result.v
-    gradient[...] = result.g.transpose(*range(1, k + 1), 0)
-    hessian[...] = result.h.transpose(*range(2, k + 2), 0, 1)
+    if result.base is None:  # a constant field
+        gradient[...], hessian[...] = result.a, result.b
+    else:
+        gradient[...] = result.g.transpose(*range(1, k + 1), 0)
+        hessian[...] = result.h.transpose(*range(2, k + 2), 0, 1)
     finite = np.isfinite(value) & np.isfinite(gradient).all(axis=-1)
     finite &= np.isfinite(hessian).all(axis=(-2, -1))
     raise_first(

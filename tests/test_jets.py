@@ -36,7 +36,7 @@ from eikohelix.jets import (
     jet_sqrt,
 )
 
-from helpers import RICHARDSON, eval_float, random_expr, reference_jet_div, reference_jet_mul
+from helpers import RICHARDSON, eval_float, random_expr, reference_field_jet, reference_jet_div, reference_jet_mul
 
 EXAMPLE_DOC = """\
 dimension = 3
@@ -302,6 +302,87 @@ class TestAgainstSympy:
                         sympy.diff(symbolic, s, j).subs(s, s0) / math.factorial(j)
                     )
                     assert jet.coeffs[j] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def _to_sympy(expr, symbols):
+    """The sympy expression of a parsed field, one rule per node type; each
+    float constant becomes the exact rational it stores."""
+    import sympy
+
+    from eikohelix.dsl import Binary, Constant, Coord, Unary
+
+    if isinstance(expr, Constant):
+        return sympy.Rational(expr.value)
+    if isinstance(expr, Coord):
+        return symbols[expr.index - 1]
+    if isinstance(expr, Unary):
+        child = _to_sympy(expr.child, symbols)
+        if expr.op == "neg":
+            return -child
+        return {"sin": sympy.sin, "cos": sympy.cos, "exp": sympy.exp, "sqrt": sympy.sqrt, "ln": sympy.log}[expr.op](child)
+    assert isinstance(expr, Binary), expr
+    left, right = _to_sympy(expr.left, symbols), _to_sympy(expr.right, symbols)
+    return {"+": left + right, "-": left - right, "*": left * right, "/": left / right, "^": left**right}[expr.op]
+
+
+class TestFieldAgainstSympy:
+    """Gradient and Hessian of composed fields against sympy at 50 digits.
+
+    The field duals hold a function of one dual as a lazy chain of scalars
+    and form the gradient and Hessian only where two bases meet, so they
+    round differently from the full duals of ``helpers.reference_field_jet``.
+    Values must keep the reference's bytes; at each point, each derivative's
+    largest error may exceed the reference's own by at most 4 eps of that
+    derivative's largest exact entry."""
+
+    # bench/workloads.py's g(R) template with fixed a0..a4, at R = x1^2 + x3^2
+    G = (
+        "0.758137*sin(R)*exp(1.495465*R) + sqrt(1 + R^2)/(2 + cos(R)) + 0.798253*ln(1 + R^3)"
+        " - 1.377785*(R - 1)^3 + exp(-R)*cos(2*R)/sqrt(R) + 1.007198*ln(R + sqrt(R))*sin(R/3)^2"
+    )
+    FIELDS = {
+        "g": "x2 + " + G.replace("R", "(x1^2 + x3^2)"),
+        "trig": "exp(sin(x1*x2))/(2 + cos(x3))",
+        # full duals added to and taken from lazy chains: scaled, divided,
+        # under sin and cos of one argument, cancelled and multiplied
+        "parts": "2*(x2 + sin(x1))/3 - cos(x3 + x1^2)*sin(x3 + x1^2) + (x1*x2 + exp(x3)) - x1*x2"
+        " + (sin(x1) - x2*x3)*(x1*x3 - cos(x2))",
+    }
+
+    @pytest.mark.parametrize("batch", [(), (7,), (3, 4)], ids=["point", "grid", "two_axes"])
+    @pytest.mark.parametrize("name", ["g", "trig", "parts"])
+    def test_errors_within_the_reference_s(self, name, batch):
+        import mpmath
+        import sympy
+
+        field = parse_expr_text(self.FIELDS[name], "field", 3)
+        symbols = sympy.symbols("x1:4")
+        f = _to_sympy(field, symbols)
+        gradient = [sympy.diff(f, x) for x in symbols]
+        hessian = [[sympy.diff(g, x) for x in symbols] for g in gradient]
+        exact_at = sympy.lambdify(symbols, [gradient, hessian], modules="mpmath")
+        point = np.random.default_rng(len(batch)).uniform(-1.5, 1.5, size=(*batch, 3))
+        spec = parse_curve_spec(EXAMPLE_DOC.replace('"x1^2 + x2 + x3^2"', f'"{self.FIELDS[name]}"'))
+        fj, ref = eval_field_jet(spec, point), reference_field_jet(field, point)
+        assert np.asarray(fj.value).tobytes() == np.asarray(ref.value).tobytes()
+        eps = np.finfo(float).eps
+        worst = [-np.inf, -np.inf]  # the largest (error - reference error) / (eps scale)
+        with mpmath.workdps(50):
+
+            def max_error(got, truth):
+                return float(max(abs(mpmath.mpf(float(a)) - x) for a, x in zip(got.flat, truth)))
+
+            for index in np.ndindex(*batch):
+                exact = exact_at(*(mpmath.mpf(float(x)) for x in point[index]))
+                derivatives = zip((fj.gradient, fj.hessian), (ref.gradient, ref.hessian), exact)
+                for k, (got, want, truth) in enumerate(derivatives):
+                    truth = list(np.ravel(np.array(truth, dtype=object)))
+                    scale = float(max(abs(x) for x in truth))
+                    excess = max_error(got[index], truth) - max_error(want[index], truth)
+                    worst[k] = max(worst[k], excess / (eps * scale))
+        print(f"{name} {batch}: error over the reference's, in eps of the largest entry: "
+              f"gradient {worst[0]:.2f}, Hessian {worst[1]:.2f} (bound 4)")  # fmt: skip
+        assert max(worst) <= 4.0
 
 
 def _sin_cos_taylor(u_coeffs, digits: int = 50) -> tuple[list[float], list[float]]:

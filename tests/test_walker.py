@@ -2,12 +2,15 @@
 
 The walker evaluates each distinct subexpression once, evaluates constant
 subexpressions at batch shape (), and multiplies or divides by a constant
-by scaling; the field duals carry the batch on the trailing axis. None of
-this may change a number: every coefficient must match the tree walker of
-``helpers.reference_evaluate``, whose field duals carry the batch on the
-leading axes, byte for byte (so signed zeros count), and every failure
-must raise the same exception type with the same message and
-``grid_index``.
+by scaling; the field duals carry the batch on the trailing axis and hold
+functions of one dual as lazy scalar chains. None of this may change a
+number: every jet coefficient and every field value must match the tree
+walker of ``helpers.reference_evaluate``, whose field duals carry the
+batch on the leading axes and form every gradient and Hessian in full,
+byte for byte (so signed zeros count); every field gradient and Hessian
+must equal the reference's entry for entry, where only the sign of a zero
+may differ; and every failure must raise the same exception type with the
+same message and ``grid_index``.
 """
 
 from __future__ import annotations
@@ -54,20 +57,24 @@ CATALOG_CALLS = {
 
 
 def _outcome(evaluate):
-    """Coefficient bytes of a result, or the identity of the error raised."""
+    """Coefficient bytes of a result, or the identity of the error raised;
+    a field's gradient and Hessian are kept as arrays, for ``_same``."""
     try:
         result = evaluate()
     except Exception as exc:  # the comparison is over every exception type
         return ("error", type(exc), str(exc), getattr(exc, "grid_index", None))
     if isinstance(result, list):
         return ("jets", [(j.coeffs.shape, j.coeffs.tobytes()) for j in result])
-    return (
-        "field",
-        np.asarray(result.value).tobytes(),
-        result.gradient.shape,
-        result.gradient.tobytes(),
-        result.hessian.tobytes(),
-    )
+    return ("field", np.asarray(result.value).tobytes(), result.gradient, result.hessian)
+
+
+def _same(new, reference) -> bool:
+    """Outcomes agree exactly, except that a field's gradient and Hessian
+    are compared by value: the lazy chains need not keep the sign of a
+    zero entry."""
+    if new[0] != "field" or reference[0] != "field":
+        return new == reference
+    return new[1] == reference[1] and all(np.array_equal(a, b) for a, b in zip(new[2:], reference[2:]))
 
 
 class _Generator:
@@ -146,7 +153,7 @@ class TestAgainstTreeWalker:
             assert new == _outcome(lambda: reference_curve_jets(spec.components, grid, order)), name
             points = np.stack([np.asarray(j.coeffs[0]) for j in eval_curve_jet(spec, grid, order)], axis=-1)
             new = _outcome(lambda: eval_field_jet(spec, points))
-            assert new == _outcome(lambda: reference_field_jet(spec.field, points)), name
+            assert _same(new, _outcome(lambda: reference_field_jet(spec.field, points))), name
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_curve_components(self, seed):
@@ -174,10 +181,10 @@ class TestAgainstTreeWalker:
             gen = _Generator(rng, [Coord(i + 1) for i in range(n)])
             field = gen.expr(int(rng.integers(0, 5)), constant_only=rng.random() < 0.1)
             shape = (9, n) if case % 4 else (n,)
-            point = rng.normal(size=shape) * rng.choice([1.0, 3.0, 1e150])
+            point = rng.normal(size=shape) * rng.choice([1.0, 3.0, 1e150, 1e160])
             spec = _Spec([Param()] * n, field)
             new = _outcome(lambda: eval_field_jet(spec, point))
-            assert new == _outcome(lambda: reference_field_jet(field, point)), (field, point)
+            assert _same(new, _outcome(lambda: reference_field_jet(field, point))), (field, point)
             outcomes.add(new[0])
         assert outcomes == {"field", "error"}
 
@@ -199,7 +206,7 @@ def _field_outcome(field, point):
     with the public shapes and C order of a result checked too."""
     spec = _Spec([Param()] * point.shape[-1], field)
     new = _outcome(lambda: eval_field_jet(spec, point))
-    assert new == _outcome(lambda: reference_field_jet(field, point)), (field, point)
+    assert _same(new, _outcome(lambda: reference_field_jet(field, point))), (field, point)
     if new[0] == "field":
         fj = eval_field_jet(spec, point)
         batch, n = point.shape[:-1], point.shape[-1]
@@ -221,7 +228,7 @@ class TestDualLayout:
             gen = _Generator(rng, [Coord(i + 1) for i in range(n)])
             field = gen.expr(int(rng.integers(0, 5)), constant_only=rng.random() < 0.1)
             batch = BATCH_SHAPES[case % 3]
-            point = rng.normal(size=(*batch, n)) * rng.choice([1.0, 3.0, 1e150])
+            point = rng.normal(size=(*batch, n)) * rng.choice([1.0, 3.0, 1e150, 1e160])
             outcomes.add((len(batch), _field_outcome(field, point)[0]))
         assert {kind for _, kind in outcomes} == {"field", "error"}
         assert {k for k, kind in outcomes if kind == "field"} == {0, 1, 2}
@@ -235,6 +242,29 @@ class TestDualLayout:
         for text in (f"x{min(n, 3)}", "2.5", "-0.0*x1"):
             field = parse_expr_text(text, "field", n)
             assert _field_outcome(field, point)[0] == "field", text
+
+    @pytest.mark.parametrize("batch", BATCH_SHAPES, ids=BATCH_IDS)
+    @pytest.mark.parametrize(
+        "text, x1, x2",
+        [
+            ("x1*x2 + 1", 1e160, 1.0),
+            ("-(x1*x2)", 1e160, 1.0),
+            ("2*(x1*x2)", 1e160, 1.0),
+            ("(1e200*(x1*x2))^2", 1e-150, 1e-150),
+            ("1e200*(1e200*(1e-300*x1*x2))", 1.0, 1.0),
+            ("(1e200*(x1*x2))*(1e200*(x1*x2))", 1e-150, 1e-150),
+            ("sin(1e200*(x1*x2))", 1e-150, 1e-150),
+        ],
+        ids=["plus_one", "neg", "scaled", "square", "scaled_twice", "product", "sin"],
+    )
+    def test_overflow_edges(self, batch, text, x1, x2):
+        # where g ⊗ g, or a chain's scalar a² or a·a', overflows though the
+        # full duals' gradient and Hessian stay finite, the lazy form must
+        # not raise: a zero b adds no b·g ⊗ g, and an overflowing scalar
+        # sends the chain to its expansion
+        point = np.ones((*batch, 3))
+        point[..., 0], point[..., 1] = x1, x2
+        assert _field_outcome(parse_expr_text(text, "field", 3), point)[0] == "field"
 
     def test_hessian_keeps_its_rounding_asymmetry(self):
         # H[i, j] of a product sums A + g_i h_j + g_j h_i and H[j, i] adds
@@ -254,8 +284,9 @@ class TestDualLayout:
             ("x2/(x1 - 1)", 1.0, "JetDivisionByZero"),
             ("x1*x1*x1 + x3", 1e120, "EvalOverflow"),
             ("exp(x1) + x3", 800.0, "EvalOverflow"),
+            ("2*ln(x1 + sin(x2))", -5.0, "EvalDomainError"),
         ],
-        ids=["ln", "division", "non_finite", "exp"],
+        ids=["ln", "division", "non_finite", "exp", "ln_of_two_bases"],
     )
     def test_errors_name_the_first_bad_point(self, batch, text, bad, expected):
         n = 4
@@ -421,11 +452,7 @@ class TestSharing:
         sin/cos calls it makes by the stacking rule, and its jets match the
         tree walker bit for bit; a rule that stopped stacking these curves
         fails here."""
-        # the benchmark's workload builder, which uses only the standard library
-        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-        module_spec = importlib.util.spec_from_file_location("workloads", path)
-        workloads = importlib.util.module_from_spec(module_spec)
-        module_spec.loader.exec_module(workloads)
+        workloads = _bench_workloads()
         ops = [op for workload in workloads.WORKLOADS for op in workloads.build(workload, 1)]
         assert len(ops) == 217
         calls = self._count_sin_cos(monkeypatch)
@@ -437,3 +464,34 @@ class TestSharing:
             assert calls == self._workload_calls(op), op["name"]
             order = default_jet_order(spec.dimension)
             assert new == _outcome(lambda: reference_curve_jets(spec.components, grid, order)), op["name"]
+
+    def test_dense_field_expands_where_bases_meet(self, monkeypatch):
+        """The benchmark's dense_table field x2 + g(x1^2 + x3^2) at seed 1
+        forms gradients and Hessians eight times: x1^2 and x3^2, two lazy
+        chains over different coordinates, into R = x1^2 + x3^2, and each
+        of g's six top-level terms, all lazy chains over R, where it meets
+        the running sum that starts at x2. A change that expanded every
+        node would expand dozens."""
+        (op,) = _bench_workloads().build("dense_table", 1)
+        spec = parse_curve_spec(op["document"])
+        expanded = []
+        expand = jets._Chain.expand
+
+        def counting(chain):
+            expanded.append(chain.base.g.shape)
+            return expand(chain)
+
+        monkeypatch.setattr(jets._Chain, "expand", counting)
+        for batch in ((), (2048,)):
+            expanded.clear()
+            eval_field_jet(spec, np.random.default_rng(1).uniform(0.5, 1.0, size=(*batch, 3)))
+            assert expanded == [(3, *[1] * len(batch))] * 2 + [(3, *batch)] * 6
+
+
+def _bench_workloads():
+    """The benchmark's workload builder, which uses only the standard library."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    module_spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(workloads)
+    return workloads
