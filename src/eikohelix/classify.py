@@ -100,11 +100,17 @@ def row_norm(x: np.ndarray, axis: int | tuple[int, int] = -1) -> np.ndarray:
     """Euclidean norm of each row of ``x`` over ``axis``, without overflow warnings.
 
     Each row is divided by 2^e, e the binary exponent of its largest entry,
-    and its norm multiplied back: a power of two is exact, so the squares
-    stay in range whatever the units of the row, and every row in float64's
-    normal range keeps its bits however far it lies below the others.
+    and its norm multiplied back: the squares stay in range whatever the
+    units of the row, and every row in float64's normal range keeps its bits
+    however far it lies below the others. Where every nonzero |entry| lies in
+    [2^-250, 2^250], no square, sum or root of either form leaves the normal
+    range, where a power of two commutes with rounding, so the plain norm is
+    taken: it has the same bits.
     """
-    e = np.frexp(np.abs(x).max(axis=axis, keepdims=True))[1]
+    a = np.abs(x)
+    if a.max(initial=0.0) <= 2.0**250 and a.min(where=a != 0.0, initial=np.inf) >= 2.0**-250:
+        return np.linalg.norm(x, axis=axis)
+    e = np.frexp(a.max(axis=axis, keepdims=True))[1]
     with np.errstate(over="ignore"):
         return np.ldexp(np.linalg.norm(np.ldexp(x, -e), axis=axis), e.squeeze(axis))
 
@@ -187,7 +193,8 @@ def classify_rows(trajectory: Trajectory, tol_const: float) -> Classification:
     (``rate_last``) vanishes; a cosine's spread, reported only, is flat near
     its axis. Each test compares with ``tol_const`` times a scale in the units
     of what it tests: mean |grad f| for the spread of |grad f|, the two rates,
-    the two nonzero means, and max |Hess f| * L, L = mean speed * (s_end - s_start).
+    the two nonzero means, and max |Hess f| * L, L = mean speed * (s_end - s_start);
+    a zero max |Hess f| is parallel even where L overflows.
     """
     grad_norms = trajectory.grad_norm
     ip_tangents = trajectory.ip_tangent
@@ -203,12 +210,16 @@ def classify_rows(trajectory: Trajectory, tol_const: float) -> Classification:
 
         mean_tangent = float(np.mean(ip_tangents))
         mean_last = float(np.mean(ip_lasts))
+        # the speeds are divided by a power of two only where their sum could overflow
+        speed = trajectory.frenet.speed.value
+        shift = max(0, np.frexp(np.max(speed))[1] + np.size(speed).bit_length() - 1023)
+        length = float(np.ldexp(np.mean(np.ldexp(speed, -shift)), shift) * (trajectory.s[-1] - trajectory.s[0]))
 
     small = tol_const * mean_norm
     helix = eikonal and float(np.abs(trajectory.rate_tangent).max()) <= small and abs(mean_tangent) > small
     slant = eikonal and float(np.abs(trajectory.rate_last).max()) <= small and abs(mean_last) > small
-    length = float(np.mean(trajectory.frenet.speed.value) * (trajectory.s[-1] - trajectory.s[0]))
-    parallel = float(trajectory.hessian_norm.max()) * length <= small
+    max_hessian = float(trajectory.hessian_norm.max())
+    parallel = max_hessian == 0.0 or max_hessian * length <= small
     aggregates = (mean_norm, mean_tangent, mean_last, spread_norm, spread_tangent, spread_last)
     if not all(map(math.isfinite, aggregates)):
         raise EvalOverflow("mean or spread of |grad f|, <grad f, V1> or <grad f, Vn> over the grid overflows")

@@ -5,17 +5,17 @@ serializer's shortest round-trip formatting, so repeated runs produce
 byte-identical output.
 
 The optional per-sample table is held as one float64 array, a row per grid
-point, and written by one row template with exactly the bytes
-``json.dumps(indent=2)`` gives row dicts at that depth. Any ``indent`` makes
-CPython's json fall back to its pure-Python encoder, which would otherwise
-cost more than every stage of the computation on a table of a few thousand
-rows. Each distinct float64 bit pattern is formatted once, by
-``float.__repr__``, the function json uses: on a helix the paper's
-characterizations hold k_i, H_i, H*_i, |grad f|, <grad f, V1> and
-<grad f, Vn> constant, so all columns but s repeat a few values (the
-benchmark's dense_table table, 2048 x 8, holds 2,102 distinct values in
-16,384 cells). A table whose cells are all distinct pays 1 to 3 ms for the
-deduplication on top of the 13 to 15 ms its formatting costs either way.
+point, and written with exactly the bytes ``json.dumps(indent=2)`` gives row
+dicts at that depth, by one ``"".join`` over the numbers and the text json
+lays between them. Any ``indent`` makes CPython's json fall back to its
+pure-Python encoder, which would otherwise cost more than every stage of the
+computation on a table of a few thousand rows. Each distinct float64 bit
+pattern is formatted once, by ``float.__repr__``, the function json uses: on
+a helix the paper's characterizations hold k_i, H_i, H*_i, |grad f|,
+<grad f, V1> and <grad f, Vn> constant, so all columns but s repeat a few
+values (the benchmark's dense_table table, 2048 x 8, holds 2,102 distinct
+values in 16,384 cells). A 2048 x 8 table whose cells are all distinct pays
+about 0.5 ms for the deduplication on top of the 11 ms of ``float.__repr__``.
 """
 
 from __future__ import annotations
@@ -138,24 +138,6 @@ def verify_report(
     return payload
 
 
-def _row_template(n: int) -> str:
-    """A ``%``-template of one ``samples`` row as json's indent-2 layout writes it."""
-
-    def numbers(key: str, count: int) -> str:
-        return f'      "{key}": [\n' + ",\n".join(["        %s"] * count) + "\n      ]"
-
-    fields = [
-        '      "s": %s',
-        numbers("k", n - 1),
-        numbers("H", n - 2),
-        numbers("Hstar", n - 2),
-        '      "grad_norm": %s',
-        '      "ip_tangent": %s',
-        '      "ip_last": %s',
-    ]
-    return "    {\n" + ",\n".join(fields) + "\n    }"
-
-
 def to_json(payload: dict) -> str:
     """The report as indented JSON; ``samples``, when present, is the last key.
 
@@ -170,11 +152,18 @@ def to_json(payload: dict) -> str:
     # keyed on bits, not on ==: -0.0 == 0.0, but the two print differently
     bits, inverse = np.unique(rows.ravel().view(np.int64), return_inverse=True)
     numbers = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
-    template = _row_template((rows.shape[1] + 1) // 3)  # a row holds 3n - 1 numbers
-    table = ",\n".join([template] * len(rows)) % tuple(numbers[inverse].tolist())
+    n = (rows.shape[1] + 1) // 3  # a row holds 3n - 1 numbers
+    row = {"s": 0, "k": [0] * (n - 1), "H": [0] * (n - 2), "Hstar": [0] * (n - 2),
+           "grad_norm": 0, "ip_tangent": 0, "ip_last": 0}
+    # json's layout of two rows cut at their numbers: the opening, the text
+    # between two numbers of a row, the joint between rows, and the closing
+    pieces = json.dumps({"samples": [row, row]}, indent=2).split("0")
+    separators = pieces[len(pieces) // 2 : -1] * len(rows)
     # text ends with the closing "\n}" of the head object, or is "{}" without a head
-    opening = f"{text[:-2]}," if head else "{"
-    return f'{opening}\n  "samples": [\n{table}\n  ]\n}}\n'
+    separators[0] = f"{text[:-2]},{pieces[0][1:]}" if head else pieces[0]
+    parts = [f"{pieces[-1]}\n"] * (2 * len(separators) + 1)
+    parts[:-1:2], parts[1::2] = separators, numbers[inverse].tolist()
+    return "".join(parts)
 
 
 # ------------------------------------------------------------- plain text

@@ -16,7 +16,7 @@ recurrence (``reference_jet_mul``/``reference_jet_div``), as the reference
 for the scaling by a constant series in ``Jet`` arithmetic; and
 ``reference_to_json`` with ``reference_samples_payload`` is the report
 writer that passes every row dict through ``json.dumps``, as the reference
-for the row template; ``reference_frenet_apparatus`` is the jet Gram-Schmidt
+for the one-join writer; ``reference_frenet_apparatus`` is the jet Gram-Schmidt
 frame, each derivative vector at its full order, as the reference for the
 Taylor-mode QR; the batch-first ``_Dual2`` is the field-dual algebra before
 its batch axes moved last, as the reference for that layout;

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from eikohelix.classify import classify, classify_rows, constancy, sample_along_curve
+from eikohelix.classify import classify, classify_rows, constancy, row_norm, sample_along_curve
 from eikohelix.dsl import (
     Binary,
     Constant,
@@ -25,6 +25,8 @@ from eikohelix.errors import (
     FrameError,
     NotRegular,
 )
+from eikohelix.report import PASS, verdicts_payload
+from eikohelix.verify import verify_all
 
 from helpers import (
     add_all,
@@ -105,6 +107,8 @@ class TestSampling:
         doc = HELIX345_FZ.replace('"x3"', '"exp(400*x3) + 0.7*x1 + 0.3*x2"')
         doc = doc.replace("[0, 31.4159]", "[0, 1.125]").replace("samples = 128", "samples = 8")
         trajectory = sample_along_curve(parse_curve_spec(doc))
+        # entries past 2^250 take row_norm's rescaled form, not the plain one
+        assert np.abs(trajectory.grad).max() > 2.0**250
         assert trajectory.grad_norm.max() > 1e158
         assert trajectory.grad_norm[0] == np.linalg.norm([0.7, 0.3, 400.0]) == 400.00072499934294
         assert trajectory.hessian_norm[0] == 160000.0
@@ -126,6 +130,56 @@ class TestSampling:
         with pytest.raises(DegenerateCurve) as exc_info:
             sample_along_curve(parse_curve_spec(doc))
         assert exc_info.value.s is not None
+
+
+def _rescaled_norm(x: np.ndarray, axis) -> np.ndarray:
+    """Every row divided by the power of two of its largest entry, as
+    row_norm does outside its band."""
+    e = np.frexp(np.abs(x).max(axis=axis, keepdims=True))[1]
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.linalg.norm(np.ldexp(x, -e), axis=axis), e.squeeze(axis))
+
+
+def _band_arrays(shape: tuple[int, ...]) -> list[np.ndarray]:
+    """Arrays inside, at the edges of and across row_norm's band [2^-250, 2^250]."""
+    rng = np.random.default_rng(250)
+
+    def scaled(low: int, high: int) -> np.ndarray:
+        """Entries of magnitude in [2^low, 2^(high + 1)), either sign."""
+        mantissa = rng.uniform(1.0, 2.0, shape) * rng.choice([-1.0, 1.0], shape)
+        return mantissa * np.exp2(rng.integers(low, high + 1, shape).astype(float))
+
+    edges = scaled(-250, 249)
+    edges.flat[:4] = [2.0**250, -(2.0**250), 2.0**-250, -(2.0**-250)]
+    arrays = [scaled(-20, 20), scaled(-250, 249), edges, scaled(-599, 599), scaled(-1074, 1022)]
+    for value in (math.nextafter(2.0**250, math.inf), math.nextafter(2.0**-250, 0.0), 5e-324, math.inf, -math.inf, math.nan):
+        arrays.append(edges.copy())
+        arrays[-1].flat[5] = value
+    with_zeros = scaled(-250, 249)
+    with_zeros[::3] = 0.0
+    with_zeros.flat[1] = -0.0
+    arrays += [with_zeros, np.zeros(shape), scaled(-250, 249).swapaxes(0, 1).copy().swapaxes(0, 1)]
+    return arrays
+
+
+class TestRowNorm:
+    """Inside the band the plain norm is taken; it must keep the bits of the
+    rescaled form, which is taken everywhere else."""
+
+    @pytest.mark.parametrize(
+        ("shape", "axis"), [((64, 3), -1), ((24, 13), -1), ((64, 3, 3), (-2, -1)), ((24, 13, 13), (-2, -1))]
+    )
+    def test_band_keeps_the_rescaled_bits(self, shape, axis):
+        for x in _band_arrays(shape):
+            assert row_norm(x, axis).tobytes() == _rescaled_norm(x, axis).tobytes()
+
+    @pytest.mark.parametrize(("shape", "axis"), [((0, 3), -1), ((0, 3, 3), (-2, -1))])
+    def test_empty(self, shape, axis):
+        assert row_norm(np.empty(shape), axis).shape == (0,)
+
+    def test_squares_outside_the_band(self):
+        # the plain form would square 2^520 to inf and 2^-540 to 0.0
+        assert row_norm(np.array([[2.0**520, 0.0, 0.0], [2.0**-540, 0.0, 0.0]])).tolist() == [2.0**520, 2.0**-540]
 
 
 def _rate_doc(curve: list[str], field: str, samples: int) -> str:
@@ -256,7 +310,32 @@ class TestFirstOffendingPoint:
         assert str(exc_info.value) == "curve speed 0.0 below threshold (at s = 0.0)"
 
 
+def _long_curve(end: int, field: str = "x3") -> CurveSpec:
+    """A regular curve of speed about 1.1e307; on [0, 30] its length overflows."""
+    return parse_curve_spec(
+        'dimension = 3\ncurve = ["1e307*cos(s)", "1e307*sin(s)", "5e306*s"]\n'
+        f'field = "{field}"\ns_range = [0, {end}]\nsamples = 64\n'
+    )
+
+
 class TestClassify:
+    @pytest.mark.parametrize("end", [10, 30])
+    def test_zero_hessian_on_a_long_curve(self, end):
+        # the sum inside the mean speed overflows on both ranges; a zero
+        # Hessian is parallel whatever the length
+        spec = _long_curve(end)
+        trajectory = sample_along_curve(spec)
+        with np.errstate(over="ignore"):
+            assert np.sum(trajectory.frenet.speed.value) == math.inf
+        c = classify_rows(trajectory, spec.tol_const)
+        assert c.eikonal and c.helix and c.slant and c.parallel_gradient
+        verdicts = verdicts_payload(verify_all(trajectory, c), spec.tol_const, spec.tol_frame)
+        assert [v["verdict"] for v in verdicts.values()] == [PASS] * 8
+
+    @pytest.mark.parametrize("end", [10, 30])
+    def test_nonzero_hessian_on_a_long_curve(self, end):
+        assert not classify(_long_curve(end, "x3 + sin(x1)")).parallel_gradient
+
     def test_paper_example(self):
         c = classify(parse_curve_spec(PAPER_DOC))
         assert c.eikonal and c.helix

@@ -1,13 +1,14 @@
 """The JSON report writer against ``json.dumps(indent=2)`` of row dicts.
 
-``to_json`` writes the ``samples`` rows with a row template; the reference
-in ``helpers`` passes the same report, with one dict per row, through
-``json.dumps``. The two must agree byte for byte.
+``to_json`` writes the ``samples`` rows by one join of their numbers with
+the text json lays between them; the reference in ``helpers`` passes the
+same report, with one dict per row, through ``json.dumps``. The two must agree byte for byte.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -86,8 +87,26 @@ def _tables(draw):
     return draw(st.lists(st.lists(cell, min_size=3 * n - 1, max_size=3 * n - 1), min_size=1, max_size=40))
 
 
+# the values where float.__repr__ switches notation, the signed zeros and the
+# smallest subnormals
+_NOTATION = [0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 9999999999999998.0, 1e-5, math.nextafter(1e-5, 0.0), 1e-4]
+
+
+def _distinct_table(rows: int, n: int) -> list[list[float]]:
+    """Rows of width 3n - 1 in which no two cells hold the same bits, led by _NOTATION."""
+    rng = np.random.default_rng(rows * n)
+    table = rng.standard_normal((rows, 3 * n - 1)) * 10.0 ** rng.integers(-30, 30, (rows, 3 * n - 1))
+    table.flat[: len(_NOTATION)] = _NOTATION[: table.size]
+    assert np.unique(table.view(np.int64)).size == table.size
+    return table.tolist()
+
+
 @given(_tables())
 @example([[0.0] * 8, [-0.0] * 8, [0.0] * 8])  # equal zeros print differently
+@example(_distinct_table(2048, 3))  # dense_table's shape with nothing to share
+@example(_distinct_table(64, 13))
+@example(_distinct_table(1, 3))
+@example(_distinct_table(1, 13))
 @settings(max_examples=200, deadline=None)
 def test_repeated_floats_match_reference(rows):
     head = {"spec": {"dimension": (len(rows[0]) + 1) // 3}}
