@@ -142,6 +142,16 @@ def constancy(values, tol: float, scale: float) -> tuple[bool, float]:
     return spread <= tol * scale, spread
 
 
+def _mean(values) -> float:
+    """np.mean of values; where its sum overflows, the mean of values / 2^shift scaled back, with
+    shift = exponent of max |value| + bit length of the count - 1023: no partial sum overflows."""
+    mean = np.mean(values)
+    if np.isfinite(mean):
+        return float(mean)
+    shift = max(0, np.frexp(np.max(np.abs(values), initial=0.0))[1] + np.size(values).bit_length() - 1023)
+    return float(np.ldexp(np.mean(np.ldexp(values, -shift)), shift))
+
+
 def sample_along_curve(spec: CurveSpec) -> Trajectory:
     """Evaluate jets, frame, harmonic curvatures, and field over the grid.
 
@@ -200,20 +210,17 @@ def classify_rows(trajectory: Trajectory, tol_const: float) -> Classification:
     ip_tangents = trajectory.ip_tangent
     ip_lasts = trajectory.ip_last
 
-    # an overflowing mean or spread, or +inf and -inf meeting in a sum as nan,
-    # raises EvalOverflow below
+    # a spread past float64's range, or a mean over values that are not all
+    # finite, raises EvalOverflow below
     with np.errstate(over="ignore", invalid="ignore"):
-        mean_norm = float(np.mean(grad_norms))
+        mean_norm = _mean(grad_norms)
         eikonal, spread_norm = constancy(grad_norms, tol_const, mean_norm)
         spread_tangent = constancy(ip_tangents, tol_const, mean_norm)[1]
         spread_last = constancy(ip_lasts, tol_const, mean_norm)[1]
 
-        mean_tangent = float(np.mean(ip_tangents))
-        mean_last = float(np.mean(ip_lasts))
-        # the speeds are divided by a power of two only where their sum could overflow
-        speed = trajectory.frenet.speed.value
-        shift = max(0, np.frexp(np.max(speed))[1] + np.size(speed).bit_length() - 1023)
-        length = float(np.ldexp(np.mean(np.ldexp(speed, -shift)), shift) * (trajectory.s[-1] - trajectory.s[0]))
+        mean_tangent = _mean(ip_tangents)
+        mean_last = _mean(ip_lasts)
+        length = float(_mean(trajectory.frenet.speed.value) * (trajectory.s[-1] - trajectory.s[0]))
 
     small = tol_const * mean_norm
     helix = eikonal and float(np.abs(trajectory.rate_tangent).max()) <= small and abs(mean_tangent) > small

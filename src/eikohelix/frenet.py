@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCurve, EvalOverflow, InsufficientOrder, NotRegular, raise_first_check, value_at
-from .jets import Jet, frame_jet_order, jet_div
+from .jets import Jet, _weights, frame_jet_order, jet_div
 
 
 @dataclass(eq=False)
@@ -88,9 +88,9 @@ def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetD
     ``curve_jets`` holds the n component jets of the curve, each with the batch shape of ``s``
     and order at least n + K, K = frame_jet_order(n), so that alpha^(n) reaches order K; below
     that, one InsufficientOrder names the order. Every column of D is cut to K. Column i of D,
-    alpha^(i), is first divided at each point by 2^e, e the binary exponent of its largest value
-    component: a power of two is exact, so the results keep their bits while the squares stay in
-    float64's range. With D_0 = Q_0 R_0 from CGS2,
+    alpha^(i), the i-th derivative by ``Jet.derivative``'s products, is first divided at each point
+    by 2^e, e the binary exponent of its largest value component: a power of two is exact, so the
+    results keep their bits while the squares stay in float64's range. With D_0 = Q_0 R_0 from CGS2,
     X = Q_0^T Q and U = R R_0^-1 (X_0 = U_0 = I, U upper triangular), F = Q_0^T D R_0^-1 = X U
     and X^T X = I give F^T F = U^T U, so at order k, with F_0 = I and h = k/2,
 
@@ -114,8 +114,8 @@ def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetD
         raise InsufficientOrder(f"curve jets of order {order}; the frame of dimension {n} needs {n + K}")
 
     # every column, alpha' .. alpha^(n), is carried to the budget K
-    current = Jet(np.stack([j.coeffs[: n + K + 1] for j in curve_jets], axis=1))
-    batch = current.shape[1:]
+    current = np.stack([j.coeffs[: n + K + 1] for j in curve_jets], axis=1)
+    batch, weights = current.shape[2:], _weights(current)
     # G stacks U, F and -U as [slab, k, a, c, *batch], so that G[0:2] against G[2:0:-1] pairs U with -U and
     # F with F. S is its storage, where rows are the axes a, c: batched, each order's n x n slab is contiguous
     batched = n >= _BATCHED_FROM
@@ -124,9 +124,9 @@ def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetD
     D = S[1].reshape(K + 1, n, n, *batch)  # [k, component, column, *batch] in F's slab: F_k overwrites D_k
     upper, diagonal = (m if batched else m.reshape(n, n, *[1] * len(batch)) for m in (np.tri(n, k=-1, dtype=bool).T, np.eye(n, dtype=bool)))
     with np.errstate(all="ignore"):  # an overflow raises EvalOverflow below
-        for i in range(n):
-            current = current.derivative()
-            D[:, :, i] = current.coeffs[: K + 1]
+        for i in range(n):  # each a derivative, Jet.derivative's products
+            current = current[1:] * weights[: len(current) - 1]
+            D[:, :, i] = current[: K + 1]
         exponent = np.frexp(np.abs(D[0]).max(axis=0))[1]
         np.ldexp(D, -exponent, out=D)
         Q0, Rinv, norm_sq, degenerate = _gram_schmidt(D[0], tol_frame)

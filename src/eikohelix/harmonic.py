@@ -20,10 +20,10 @@ product by -1 exact, so each family gets its own step's bits. The first
 entry G_1 = c_1 / c_2 and the reciprocals of the later divisors, c_3 ..
 c_{n-1} and the speed of V1[.] = (.)' / speed, come from one division
 recurrence over a stacked axis, so that each step runs Cauchy products
-only. It runs one step past the end: the steps that divide by a curvature
-give the entries 1..n-2, and the last step, with no curvature left to
-divide by, gives the residual of the derivative identity that closes the
-family,
+only, on coefficient arrays, with the bits of ``Jet`` products. It runs one
+step past the end: the steps that divide by a curvature give the entries
+1..n-2, and the last, with no curvature left to divide by, gives the
+residual of the derivative identity that closes the family,
 
     V1[H_{n-2}] + k_{n-1} * H_{n-3} = 0     exactly when the curve is a helix,
     k_1 * H*_{n-3} - V1[H*_{n-2}] = 0       exactly when it is a slant helix.
@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import DegenerateCurvature, EvalOverflow, InsufficientOrder, raise_first_check, value_at
 from .frenet import FrenetData
-from .jets import Jet, _pad_batch, _scalar, jet_div
+from .jets import Jet, _cauchy, _pad_batch, _scalar, _weights, jet_div
 
 
 @dataclass(eq=False)
@@ -82,25 +82,25 @@ class HarmonicData:
         return np.stack([h.coeffs[0] for h in self.Hstar], axis=-1)
 
 
-def _check_curvatures(fr: FrenetData) -> int:
-    """The order o that every k_i carries. Raises if some k_i is not positive
-    and finite at some point, or if o < n-2: each step of the recurrence
-    takes one rate, so H_{n-2} and H*_{n-2} keep order 1 exactly from
-    o = n-2 on."""
+def _check_curvatures(fr: FrenetData) -> np.ndarray:
+    """k_1 .. k_{n-1} cut to the order o that every k_i carries, as one
+    (o+1, n-1, *batch) array. Raises if some k_i is not positive and finite
+    at some point, or if o < n-2: each step of the recurrence takes one
+    rate, so H_{n-2} and H*_{n-2} keep order 1 exactly from o = n-2 on."""
     n = fr.dimension
     if n < 3:
         raise ValueError("harmonic curvatures need dimension >= 3")
-    values = np.stack([k.coeffs[0] for k in fr.curvatures])
+    order = min(k.order for k in fr.curvatures)
+    k = np.stack([ki.coeffs[: order + 1] for ki in fr.curvatures], axis=1)
     raise_first_check(
-        ~((values > 0.0) & np.isfinite(values)),
+        ~((k[0] > 0.0) & np.isfinite(k[0])),
         lambda i, p: DegenerateCurvature(
-            f"curvature k{i + 1} = {value_at(values[i], p)!r} not positive and finite", value_at(fr.s, p)
+            f"curvature k{i + 1} = {value_at(k[0, i], p)!r} not positive and finite", value_at(fr.s, p)
         ),
     )
-    order = min(k.order for k in fr.curvatures)
     if order < n - 2:
         raise InsufficientOrder(f"curvature jets of order {order}; the harmonic families need {n - 2}")
-    return order
+    return k
 
 
 @np.errstate(all="ignore")  # a value past float64's range raises EvalOverflow below
@@ -111,40 +111,39 @@ def harmonic_data(fr: FrenetData) -> HarmonicData:
     Each k_i is cut to the order o they all carry and stacked with k_{n-i}
     on a family axis of size 2, the first batch axis. One ``jet_div`` over
     an axis that stacks its columns gives G_1 = c_1 / c_2 and the
-    reciprocals 1/c_3 .. 1/c_{n-1} and 1/speed, so each step is Cauchy
-    products only: the rate V1[G] = G' * (1/speed), then the step's sum
-    times 1/c_{i+1}. The step past the end reads V1[G_{n-2}] at its value
-    only, which is G'_0 / speed_0. The stacked products and the division
-    sum over coefficients in the same order at one point as on a grid, so a
-    point of a grid gets the grid's bits. Finite curvatures can still give
-    a value past float64's range: the first of H_1, H*_1, H_2, ..., the two
-    sums of squares and the two closing residuals that is not finite raises
-    EvalOverflow."""
-    o = _check_curvatures(fr)
-    n = fr.dimension
-    k = np.stack([ki.coeffs[: o + 1] for ki in fr.curvatures], axis=1)  # (o+1, n-1, *batch)
+    reciprocals 1/c_3 .. 1/c_{n-1} and 1/speed, so each step is three
+    ``_cauchy`` products on coefficient arrays, cut to the orders a ``Jet``
+    product aligns them to: the rate V1[G] = G' * (1/speed), then
+    c_i * G_{i-2} and the step's sum times 1/c_{i+1}. The step past the end
+    reads V1[G_{n-2}] at its value only, which is G'_0 / speed_0. The
+    stacked products and the division sum over coefficients in the same
+    order at one point as on a grid, so a point of a grid gets the grid's
+    bits. Finite curvatures can still give a value past float64's range:
+    the first of H_1, H*_1, H_2, ..., the two sums of squares and the two
+    closing residuals that is not finite raises EvalOverflow."""
+    k = _check_curvatures(fr)  # (o+1, n-1, *batch)
+    o, n = len(k) - 1, fr.dimension
     d = np.empty((o + 1, 2 * n - 1, *k.shape[2:]))  # c_1 .. c_{n-1}, c_i = (k_i, k_{n-i}), then the speed
     d[:, 0:-1:2], d[:, 1:-1:2] = k, k[:, ::-1]
     d[:, -1] = _pad_batch(fr.speed.coeffs[: o + 1], k.ndim - 2)  # a constant speed broadcasts
-    c = [Jet(d[:, 2 * i : 2 * i + 2]) for i in range(n - 1)]  # c[i] is c_{i+1}
     num = np.zeros_like(d[:, 2:])  # c_1 over c_2, then the series 1 over c_3 .. c_{n-1} and the speed
     num[0] = 1.0
     num[:, :2] = d[:, :2]
     quotients = jet_div(Jet(num), Jet(d[:, 2:])).coeffs
-    first = Jet(quotients[:, :2])
-    per_c = [None, None, *(Jet(quotients[:, 2 * i - 2 : 2 * i]) for i in range(2, n - 1))]  # per_c[i] = 1 / c[i]
-    per_speed = Jet(quotients[:, -1])
-    sign = np.array([1.0, -1.0]).reshape(-1, *[1] * (first.coeffs.ndim - 2))  # tangent, normal
-    G: list[Jet] = [Jet(np.zeros_like(first.coeffs)), first]  # G_0 = 0, G_1
+    sign = np.array([1.0, -1.0]).reshape(-1, *[1] * (k.ndim - 2))  # tangent, normal
+    weights = _weights(quotients)
+    G = [np.zeros_like(quotients[:, :2]), quotients[:, :2]]  # G_0 = 0, G_1
     for i in range(2, n - 1):
-        rate = G[-1].derivative() * per_speed
-        G.append((c[i - 1] * G[-2] + Jet(sign * rate.coeffs)) * per_c[i])
+        m = len(G[-1]) - 1  # the order of G'
+        rate = sign * _cauchy(G[-1][1:] * weights[:m], quotients[:m, -1:])  # 1/speed on the family axis
+        step = np.add(_cauchy(d[: len(G[-2]), 2 * i - 2 : 2 * i], G[-2])[:m], rate, out=rate)  # c_i G_{i-2} + ...
+        G.append(_cauchy(step, quotients[:m, 2 * i - 2 : 2 * i]))  # ... times 1 / c_{i+1}
     # the step past the end, with no c_n to divide by, reads V1[G_{n-2}] at its value only
-    rate = G[-1].coeffs[1] / fr.speed.coeffs[0]
-    closing = abs(c[-1].value * G[-2].value + sign * rate)
-    sumsq = sum(g.coeffs[0] ** 2 for g in G[1:])
+    rate = G[-1][1] / fr.speed.coeffs[0]
+    closing = abs(d[0, -3:-1] * G[-2][0] + sign * rate)
+    sumsq = sum(g[0] ** 2 for g in G[1:])
     # checked in order, each a tangent and normal pair: H_1 .. H_{n-2}, the sums of squares, the closing residuals
-    checked = np.concatenate([*(g.coeffs[0] for g in G[1:]), sumsq, closing])
+    checked = np.concatenate([*(g[0] for g in G[1:]), sumsq, closing])
     names = [*(f"H{{}}{i}" for i in range(1, n - 1)), "sum of H{}_i^2", "closing residual of H{}"]  # {}: the normal family's *
     raise_first_check(
         ~np.isfinite(checked),
@@ -152,8 +151,8 @@ def harmonic_data(fr: FrenetData) -> HarmonicData:
     )
     return HarmonicData(
         s=fr.s,
-        H=[Jet(g.coeffs[:, 0]) for g in G[1:]],
-        Hstar=[Jet(g.coeffs[:, 1]) for g in G[1:]],
+        H=[Jet(g[:, 0]) for g in G[1:]],
+        Hstar=[Jet(g[:, 1]) for g in G[1:]],
         sumsq_H=_scalar(sumsq[0]),
         sumsq_Hstar=_scalar(sumsq[1]),
         closing_H=_scalar(closing[0]),

@@ -66,6 +66,7 @@ from .errors import (
     InsufficientOrder,
     JetDivisionByZero,
     raise_first,
+    raise_first_check,
     value_at,
 )
 
@@ -128,8 +129,7 @@ class Jet:
         """Jet of the derivative, one order lower."""
         if self.order < 1:
             raise InsufficientOrder("cannot differentiate an order-0 jet")
-        j = np.arange(1, self.order + 1).reshape(-1, *[1] * len(self.shape))
-        return Jet(self.coeffs[1:] * j)
+        return Jet(self.coeffs[1:] * _weights(self.coeffs))
 
     def __repr__(self) -> str:
         return f"Jet({self.coeffs.tolist()})"
@@ -227,8 +227,9 @@ def _cauchy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Truncated Cauchy product c[k] = sum_j a[j] b[k-j] of aligned coefficients."""
     if b.size > a.size:  # spread the smaller operand into the Toeplitz matrix
         a, b = b, a
-    padded = np.concatenate([b, np.zeros((1, *b.shape[1:]))])
-    return np.einsum("kj...,j...->k...", padded[_toeplitz_index(len(a))], a)
+    padded = np.zeros((len(b) + 1, *b.shape[1:]))
+    padded[:-1] = b
+    return np.einsum("kj...,j...->k...", padded.take(_toeplitz_index(len(a)), axis=0), a)
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -822,20 +823,22 @@ def _evaluate(exprs, algebra):
 
 
 def _curve_jets(exprs, s, order: int) -> list[Jet]:
-    """Jets of curve-component expressions at expansion point(s) s, each
-    checked for finite coefficients before the next is evaluated."""
+    """Jets of curve-component expressions at expansion point(s) s, in one array checked for
+    finite coefficients once, in component order; an error that evaluating component j raises
+    comes after the checks of the components before j, as when each was checked in turn."""
     s = np.asarray(s, dtype=float)
-    algebra = _JetAlgebra(s, order)
-    jets = []
+    coeffs, done, failure = np.empty((len(exprs), order + 1, *s.shape)), 0, None
     with np.errstate(all="ignore"):
-        for result in _evaluate(exprs, algebra):
-            coeffs = np.broadcast_to(_pad_batch(result.coeffs, s.ndim), (order + 1, *s.shape)).copy()
-            raise_first(
-                ~np.isfinite(coeffs).all(axis=0),
-                lambda i: EvalOverflow(f"non-finite jet coefficients at s = {value_at(s, i)!r}"),
-            )
-            jets.append(Jet(coeffs))
-    return jets
+        try:
+            for result in _evaluate(exprs, _JetAlgebra(s, order)):
+                coeffs[done] = _pad_batch(result.coeffs, s.ndim)
+                done += 1
+        except Exception as exc:  # component `done` raised: the ones before it are checked first
+            coeffs[done:], failure = 0.0, exc
+    raise_first_check(~np.isfinite(coeffs).all(axis=1), lambda j, i: EvalOverflow(f"non-finite jet coefficients at s = {value_at(s, i)!r}"))
+    if failure is not None:
+        raise failure
+    return [Jet(c) for c in coeffs]
 
 
 def eval_expr_jet(expr: Expr, s, order: int) -> Jet:

@@ -513,6 +513,36 @@ def reference_harmonic_normal(fr: FrenetData) -> list[Jet]:
     return Hstar
 
 
+def reference_jet_steps(fr: FrenetData) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """The one recurrence over stacked reciprocals with its steps in ``Jet``
+    arithmetic, as ``harmonic_data`` ran it before the steps moved to
+    coefficient arrays: the reference for their bits. Returns the stacked
+    coefficients of G_1 .. G_{n-2}, the sums of squares and the closing
+    residuals."""
+    k = _check_curvatures(fr)
+    o, n = len(k) - 1, fr.dimension
+    d = np.empty((o + 1, 2 * n - 1, *k.shape[2:]))
+    d[:, 0:-1:2], d[:, 1:-1:2] = k, k[:, ::-1]
+    d[:, -1] = _pad_batch(fr.speed.coeffs[: o + 1], k.ndim - 2)
+    c = [Jet(d[:, 2 * i : 2 * i + 2]) for i in range(n - 1)]
+    num = np.zeros_like(d[:, 2:])
+    num[0] = 1.0
+    num[:, :2] = d[:, :2]
+    quotients = (Jet(num) / Jet(d[:, 2:])).coeffs
+    first = Jet(quotients[:, :2])
+    per_c = [None, None, *(Jet(quotients[:, 2 * i - 2 : 2 * i]) for i in range(2, n - 1))]
+    per_speed = Jet(quotients[:, -1])
+    sign = np.array([1.0, -1.0]).reshape(-1, *[1] * (first.coeffs.ndim - 2))
+    G = [Jet(np.zeros_like(first.coeffs)), first]
+    with np.errstate(all="ignore"):
+        for i in range(2, n - 1):
+            rate = G[-1].derivative() * per_speed
+            G.append((c[i - 1] * G[-2] + Jet(sign * rate.coeffs)) * per_c[i])
+        closing = abs(c[-1].value * G[-2].value + sign * (G[-1].coeffs[1] / fr.speed.coeffs[0]))
+        sumsq = sum(g.coeffs[0] ** 2 for g in G[1:])
+    return [g.coeffs for g in G[1:]], sumsq, closing
+
+
 def reference_lemma_residuals(h: HarmonicData, fr: FrenetData) -> tuple[float, float]:
     """Residuals of the derivative identities closing each family.
 

@@ -9,10 +9,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import eikohelix
 from eikohelix import catalog
+from eikohelix.classify import sample_along_curve
 from eikohelix.cli import main
 from eikohelix.dsl import format_document, parse_curve_spec
 
@@ -295,24 +297,54 @@ class TestGradientOverflow:
         assert json.loads(result.stdout)["classification"]["parallel_gradient"] is False
 
     def test_mean_above_float_range(self, tmp_path, capsys):
-        # every |grad f| = 1e308 is finite, their sum over the grid is not
+        # every |grad f| = 1e308 is finite and their sum over the grid is not;
+        # the mean, taken on the values divided by a power of two, is finite
         path = _write_spec(tmp_path, '["3*cos(s/5)", "3*sin(s/5)", "4*s/5"]', "1e308*x3", "[0, 1]")
-        assert main(["verify", path, "--json"]) == 3
-        assert "over the grid overflows" in capsys.readouterr().err
+        for command in ("verify", "classify"):
+            assert main([command, path, "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["classification"]["grad_norm"] == pytest.approx(1e308, rel=1e-15)
+
+    def test_spread_above_float_range(self, tmp_path, capsys):
+        # <grad f, V1> = -1.5e308 sin(s) / sqrt(2) and <grad f, V3> swing past
+        # -1e308 and 1e308: each value is finite, their spreads are not
+        path = _write_spec(tmp_path, '["cos(s)", "sin(s)", "s"]', "1.5e308*x1", "[0, 6.2832]")
+        for command in ("verify", "classify"):
+            assert main([command, path, "--json"]) == 3
+            assert "over the grid overflows" in capsys.readouterr().err
 
     def test_projection_sums_meeting_as_nan(self, tmp_path):
-        # on 512 samples the sums of <grad f, V1> overflow to +inf and -inf
-        # and meet as nan: one error line and no numpy warning
+        # on 512 samples the plain sums of <grad f, V1> and <grad f, V3>
+        # overflow to +inf and -inf and meet as nan; the means, taken on the
+        # values divided by a power of two, are finite, with no numpy warning
         document = catalog.get("helix345_fz").document.replace('field = "x3"', 'field = "1e307*x1^2"')
         assert 'field = "1e307*x1^2"' in document
+        trajectory = sample_along_curve(parse_curve_spec(document))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(np.sum(trajectory.ip_tangent)) and math.isnan(np.sum(trajectory.ip_last))
         path = tmp_path / "case.spec"
         path.write_text(document, encoding="utf-8")
         for command in ("classify", "verify"):
-            result = run_cli(command, str(path))
-            assert result.returncode == 3
-            assert result.stderr == (
-                "error: mean or spread of |grad f|, <grad f, V1> or <grad f, Vn> over the grid overflows\n"
-            )
+            result = run_cli(command, str(path), "--json")
+            assert result.returncode == 0
+            assert result.stderr == ""
+            c = json.loads(result.stdout)["classification"]
+            assert abs(c["ip_tangent"]) < 1e-7 * c["grad_norm"] and abs(c["ip_last"]) < 1e-7 * c["grad_norm"]
+
+    def test_field_scale_near_float_range(self, tmp_path, capsys):
+        # helix345_fz with field 1e306*x3: |grad f| = 1e306 at all 512 samples,
+        # whose sum overflows; the report reads as at field 1e9*x3
+        reports = {}
+        for scale in ("1e9", "1e306"):
+            document = catalog.get("helix345_fz").document.replace('field = "x3"', f'field = "{scale}*x3"')
+            assert f'field = "{scale}*x3"' in document
+            path = tmp_path / f"{scale}.spec"
+            path.write_text(document, encoding="utf-8")
+            assert main(["verify", str(path), "--json"]) == 0
+            reports[scale] = json.loads(capsys.readouterr().out)
+        assert reports["1e306"]["classification"]["grad_norm"] == pytest.approx(1e306, rel=1e-15)
+        verdicts = {name: v["verdict"] for name, v in reports["1e306"]["verdicts"].items()}
+        assert verdicts == {name: v["verdict"] for name, v in reports["1e9"]["verdicts"].items()}
+        assert list(verdicts.values()) == ["PASS"] * 8
 
 
 class TestTolerance:

@@ -23,6 +23,7 @@ from helpers import (
     nonhelix_r3,
     reference_harmonic_normal,
     reference_harmonic_tangent,
+    reference_jet_steps,
     reference_lemma_residuals,
     wcurve_helix_r3,
     wcurve_lift,
@@ -322,6 +323,34 @@ def assert_matches_reference(fr) -> bool:
         g, w = getattr(got, f"closing_{name}"), getattr(want, f"closing_{name}")
         assert np.max(np.abs(g - w)) <= ULPS * scale
     return True
+
+
+class TestArraySteps:
+    """The recurrence's steps on coefficient arrays keep every bit of the
+    ``Jet`` arithmetic they replaced: at a point, on a grid, and with a
+    constant speed series, where a ``Jet`` product scales instead."""
+
+    @staticmethod
+    def _assert_same_bits(fr):
+        h = harmonic_data(fr)
+        G, sumsq, closing = reference_jet_steps(fr)
+        for g, H, Hstar in zip(G, h.H, h.Hstar, strict=True):
+            assert H.coeffs.tobytes() == g[:, 0].tobytes() and Hstar.coeffs.tobytes() == g[:, 1].tobytes()
+        assert np.float64(h.sumsq_H).tobytes() == sumsq[0].tobytes()
+        assert np.float64(h.sumsq_Hstar).tobytes() == sumsq[1].tobytes()
+        assert np.float64(h.closing_H).tobytes() == closing[0].tobytes()
+        assert np.float64(h.closing_Hstar).tobytes() == closing[1].tobytes()
+
+    @pytest.mark.parametrize("n", range(3, 14))
+    @pytest.mark.parametrize("quadratic", [False, True], ids=["linear", "quadratic"])
+    def test_wcurve_lift(self, n, quadratic):
+        spec = wcurve_lift(n, 12, quadratic)
+        self._assert_same_bits(sample_along_curve(spec).frenet)
+        fr = frenet_apparatus(eval_curve_jet(spec, 1.7), spec.tol_frame, s=1.7)
+        self._assert_same_bits(fr)
+        constant = np.zeros_like(fr.speed.coeffs)
+        constant[0] = fr.speed.coeffs[0]
+        self._assert_same_bits(FrenetData(fr.s, Jet(constant), fr.frame, fr.curvatures))
 
 
 class TestOneRecurrence:

@@ -189,6 +189,40 @@ class TestConstantSeries:
             assert (u / c).coeffs.tobytes() != (u.coeffs / 2.5).tobytes()
 
 
+def _gathered_product(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """c[k] = sum_j T[k, j] a[j] for the Toeplitz matrix T of b, built by hand, zeros above the
+    diagonal."""
+    m = len(a)
+    T = np.zeros((m, m, *b.shape[1:]))
+    for k in range(m):
+        for j in range(k + 1):
+            T[k, j] = b[k - j]
+    return np.einsum("kj...,j...->k...", T, a)
+
+
+class TestCauchyGather:
+    """A ``Jet`` product gathers the smaller operand's Toeplitz matrix and
+    gives the bytes of one built by hand, signed zeros and infinities
+    included."""
+
+    @pytest.mark.parametrize("shape", [(8, 2, 24), (2, 2, 2048), (12, 2, 512), (25, 1, 7)])
+    def test_matches_a_hand_built_toeplitz_matrix(self, shape):
+        m = shape[0]
+        rng = np.random.default_rng(m * shape[1] * shape[2])
+        a, b = rng.uniform(-2.0, 2.0, shape), rng.uniform(-2.0, 2.0, (m, 1, shape[2]))
+        a[rng.random(shape) < 0.3] = 0.0
+        a[rng.random(shape) < 0.3] = -0.0
+        b[rng.random(b.shape) < 0.3] = -0.0
+        a[:, :, :3], b[:, :, 3:6] = -0.0, -0.0  # whole sums of signed zeros
+        b_inf = b.copy()
+        b_inf[1 % m, 0, 4], b_inf[m - 1, 0, 5], b_inf[0, 0, 6] = np.inf, -np.inf, np.inf
+        a_inf = a.copy()
+        a_inf[m - 1, -1, 2], a_inf[1 % m, 0, 3] = -np.inf, np.inf
+        with np.errstate(invalid="ignore"):
+            for x, y in ((b, a), (b_inf, a), (b, a_inf), (b_inf, a_inf)):
+                assert (Jet(y) * Jet(x)).coeffs.tobytes() == _gathered_product(x, y).tobytes()  # spreads x
+
+
 class TestCurveJets:
     def test_reference_curve_at_zero(self):
         spec = parse_curve_spec(EXAMPLE_DOC)
@@ -198,6 +232,25 @@ class TestCurveJets:
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
         assert np.allclose(values, [1.0, 0.0, 0.0], atol=1e-15)
         assert np.allclose(rates, [0.0, inv_sqrt2, inv_sqrt2], atol=1e-15)
+
+    def test_a_checked_component_raises_before_a_later_one_that_fails(self):
+        # the second component overflows from s = 1.0 on (its rate 2e308 * s),
+        # the third raises from s = 0.5 on; components are checked in order,
+        # so the second's overflow comes first, at its own first point
+        spec = parse_curve_spec(
+            'dimension = 3\ncurve = ["s", "1e308*s*s", "sqrt(0.5 - s)"]\nfield = "x1"\ns_range = [0, 2]\n'
+        )
+        grid = np.linspace(0.0, 2.0, 5)
+        with pytest.raises(EvalOverflow) as exc_info:
+            eval_curve_jet(spec, grid)
+        assert exc_info.value.grid_index == 2
+        assert str(exc_info.value) == "non-finite jet coefficients at s = 1.0"
+        # with the components swapped, the domain error is the first check that fails
+        swapped = parse_curve_spec(
+            'dimension = 3\ncurve = ["s", "sqrt(0.5 - s)", "1e308*s*s"]\nfield = "x1"\ns_range = [0, 2]\n'
+        )
+        with pytest.raises(EvalDomainError):
+            eval_curve_jet(swapped, grid)
 
     def test_default_order(self):
         assert default_jet_order(3) == 4
