@@ -8,13 +8,15 @@ a flat ``key = value`` text format holding a dimension, component
 expressions, a field expression, a parameter range, and sampling/tolerance
 settings.
 
-An expression is scanned by one pass of one compiled pattern into
-``(kind, text, offset)`` tuples, then parsed by one loop over ``+ - * /``
-that calls one method for everything binding tighter. Within one parsed
-document, equal subexpressions are one shared node. The parser checks
-every rule as it builds the tree, so a CurveSpec from ``parse_curve_spec``
-takes its trees as they are; one built in Python, directly or through
-``dataclasses.replace``, has its trees walked against the same rules.
+An expression is scanned by one ``findall`` of one compiled pattern into its
+token strings, each telling its kind by its first character, then parsed by
+one loop over ``+ - * /`` that calls one method for everything binding
+tighter. Character offsets are found by a second pass of the pattern, made
+only for an error. Within one parsed document, equal subexpressions are one
+shared node. The parser checks every rule as it builds the tree, so a
+CurveSpec from ``parse_curve_spec`` takes its trees as they are; one built
+in Python, directly or through ``dataclasses.replace``, has its trees walked
+against the same rules.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ DEFAULT_TOL_CONST = 1e-8
 DEFAULT_TOL_FRAME = 1e-10
 _MAX_DEPTH = 100  # deepest expression tree and nesting the parser accepts
 _TOO_DEEP = f"expression nests deeper than {_MAX_DEPTH} levels"
-# the binary operators on floats, jets and field duals alike
+# the binary operators on floats and field duals alike
 BINARY_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": operator.pow}
 
 
@@ -119,33 +121,34 @@ def constant_value(expr: Expr) -> float:
 # ------------------------------------------------------------------ tokens
 
 
-# one named group per token kind, tried in order; without re.ASCII, \d is
-# str.isdecimal (the digits float accepts) and \w is str.isalnum or "_".
-# ``bad`` takes the rest of the source from a character nothing else matches.
-_TOKEN = re.compile(
-    r"(?P<space>[ \t\r\n]+)|(?P<op>[-+*/^])|(?P<lparen>\()|(?P<rparen>\))"
-    r"|(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?)|(?P<ident>\w+)|(?P<bad>[\s\S]+)"
-)
+# one token and the whitespace after it per match: a number, a word, an operator or parenthesis,
+# else the rest of the source from a character none of them takes, and '' at the end
+_TOKEN = re.compile(r"((?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?|\w+|[-+*/^()]|[\s\S]*)[ \t\r\n]*")
+_SPACE = re.compile(r"[ \t\r\n]*")  # the whitespace before the first token
 
 
-def _scan(source: str) -> list[tuple[str, str, int]]:
-    """Split an expression source string into ``(kind, text, offset)`` tokens,
-    by one pass of _TOKEN; ``kind`` is num, ident, op, lparen, rparen or end.
+def _offsets(source: str) -> list[int]:
+    """The character offset of each of ``_scan``'s tokens: a second pass of _TOKEN, made for an error."""
+    return [m.start() for m in _TOKEN.finditer(source, _SPACE.match(source).end())]
 
-    Numbers support decimal and exponent notation, with the digits
-    ``float`` accepts (``str.isdecimal``; "²" is illegal); an exponent needs
-    a digit, so ``2e`` is a number and a word. A word is ``str.isalnum``
-    characters and ``_``, starting with a letter or ``_``. Whitespace is
-    space, tab, CR and LF. Raises IllegalCharacter with the 0-based offset
-    of the first unrecognized character.
+
+def _scan(source: str) -> list[str]:
+    """Split an expression source string into its token strings, ending with '' (the end), by
+    one ``findall`` of _TOKEN; a token's first character tells its kind.
+
+    Numbers support decimal and exponent notation, with the digits ``float`` accepts (without
+    re.ASCII, \\d is ``str.isdecimal``; "²" is illegal); an exponent needs a digit, so ``2e`` is
+    a number and a word. A word is ``str.isalnum`` characters and ``_``, starting with a letter
+    or ``_``. Whitespace is space, tab, CR and LF. Raises IllegalCharacter with the 0-based
+    offset of the first unrecognized character.
     """
-    tokens = [(kind, m.group(), m.start()) for m in _TOKEN.finditer(source) if (kind := m.lastgroup) != "space"]
-    # ``bad`` can only be last; a word can start with a numeric such as "²", neither a
-    # letter nor "_", only in a source that is not ASCII
-    for kind, text, position in tokens if not source.isascii() else tokens[-1:]:
-        if kind == "bad" or (kind == "ident" and not (text[0].isalpha() or text[0] == "_")):
-            raise IllegalCharacter(text[0], position)
-    tokens.append(("end", "", len(source)))
+    tokens = _TOKEN.findall(source, _SPACE.match(source).end())
+    # the rest of the source from an unrecognized character is the last token but the end; a word can
+    # start with a numeric such as "²", neither a letter nor "_", only in a source that is not ASCII
+    for p in range(max(len(tokens) - 2, 0) if source.isascii() else 0, len(tokens) - 1):
+        c = tokens[p][0]
+        if not (c.isalpha() or c in "_+-*/^()" or c.isdecimal() or c == "." and tokens[p][1:2].isdecimal()):
+            raise IllegalCharacter(c, _offsets(source)[p])
     return tokens
 
 
@@ -153,6 +156,7 @@ def _scan(source: str) -> list[tuple[str, str, int]]:
 
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+_BINDING = {op: _PRECEDENCE[op] for op in "+-*/"}  # the binary loop's operators; any other token ends it
 
 
 def _deeper(depth: int, position: int | None = None) -> int:
@@ -191,7 +195,7 @@ def _check_exponent(exponent: Expr, position: int | None = None) -> None:
 class _ExprParser:
     """Precedence-climbing parser with precedence ^ > unary- > */ > +-.
 
-    It reads ``_scan``'s ``(kind, text, offset)`` tuples. Every node is made
+    It reads ``_scan``'s token strings of ``source``. Every node is made
     through ``table``, keyed by its operator and the ``id()`` of its operands,
     a coordinate's index or a constant's value, so equal subexpressions of
     all the expressions parsed with one table are one object. ``binary``
@@ -200,7 +204,8 @@ class _ExprParser:
     _PRECEDENCE, the table the printer reads; all four are left-associative.
     ``operand`` is everything tighter in one method: signs, numbers,
     parentheses, function calls, names and a right-associative ``^``, whose
-    exponent must be a constant expression.
+    exponent must be a constant expression. An error is raised at its
+    token's index, and ``parse`` moves it to that token's character offset.
 
     Both return a subexpression with its tree depth (a leaf is 1 deep). The
     parser refuses a tree deeper than _MAX_DEPTH, and more than _MAX_DEPTH
@@ -209,10 +214,11 @@ class _ExprParser:
     near Python's recursion limit.
     """
 
-    def __init__(self, tokens: list[tuple[str, str, int]], kind: str, dimension: int, table: dict | None = None):
+    def __init__(self, source: str, kind: str, dimension: int, table: dict | None = None):
+        self.source, self.tokens = source, _scan(source)
         if kind not in ("curve", "field"):
             raise ValueError("kind must be 'curve' or 'field'")
-        self.tokens, self.kind, self.dimension = tokens, kind, dimension
+        self.kind, self.dimension = kind, dimension
         self.table = {} if table is None else table
         self.pos = self.nesting = 0  # the next token's index; the operand calls under way
 
@@ -223,83 +229,88 @@ class _ExprParser:
             node = self.table[key] = cls(*fields)
         return node
 
-    def expect(self, kind: str) -> None:
-        found, text, position = self.tokens[self.pos]
-        if found != kind:
-            raise ExprSyntaxError(f"expected {kind!r}, found {text or 'end'!r}", position)
+    def expect(self, token: str, kind: str) -> None:
+        found = self.tokens[self.pos]
+        if found != token:
+            raise ExprSyntaxError(f"expected {kind!r}, found {found or 'end'!r}", self.pos)
         self.pos += 1
 
     def parse(self) -> Expr:
-        expr, _ = self.binary()
-        kind, text, position = self.tokens[self.pos]
-        if kind != "end":
-            raise ExprSyntaxError(f"unexpected {text!r} after expression", position)
-        return expr
+        try:
+            expr, _ = self.binary()
+            if self.tokens[self.pos]:
+                raise ExprSyntaxError(f"unexpected {self.tokens[self.pos]!r} after expression", self.pos)
+            return expr
+        except DslError as exc:  # raised at a token's index: report the token's character offset
+            offset = _offsets(self.source)[exc.position]
+            exc.args, exc.position = (str(exc).removesuffix(f"(at offset {exc.position})") + f"(at offset {offset})",), offset
+            raise
 
     def binary(self) -> tuple[Expr, int]:
         """Operands joined by ``+ - * /``."""
-        tokens, waiting = self.tokens, []  # (left, its depth, operator, its offset, binding)
+        tokens, waiting = self.tokens, []  # (left, its depth, operator, its index, binding)
         expr, depth = self.operand()
         while True:
-            kind, op, position = tokens[self.pos]
-            binding = _PRECEDENCE[op] if kind == "op" and op in "+-*/" else 0
+            op = tokens[self.pos]
+            binding = _BINDING.get(op, 0)
             while waiting and waiting[-1][4] >= binding:  # join what binds at least as tightly
-                left, d, left_op, left_position, _ = waiting.pop()
+                left, d, left_op, left_p, _ = waiting.pop()
                 expr = self.make((left_op, id(left), id(expr)), Binary, left_op, left, expr)
                 depth = (d if d > depth else depth) + 1
                 if depth > _MAX_DEPTH:
-                    raise ExprSyntaxError(_TOO_DEEP, left_position)
+                    raise ExprSyntaxError(_TOO_DEEP, left_p)
             if not binding:
                 return expr, depth
+            waiting.append((expr, depth, op, self.pos, binding))
             self.pos += 1
-            waiting.append((expr, depth, op, position, binding))
             expr, depth = self.operand()
 
     def operand(self) -> tuple[Expr, int]:
         """A sign and its operand, or an atom and the ``^`` exponent that may follow it."""
-        tokens = self.tokens
-        kind, text, position = tokens[self.pos]
+        tokens, p = self.tokens, self.pos
+        text = tokens[p]
         if self.nesting >= _MAX_DEPTH:
-            raise ExprSyntaxError(_TOO_DEEP, position)
+            raise ExprSyntaxError(_TOO_DEEP, p)
         self.nesting += 1
-        self.pos += 1
-        if kind == "op" and text in "+-":
+        self.pos = p + 1
+        if text == "-" or text == "+":
             expr, depth = self.operand()
             if text == "-":
-                expr, depth = self.make(("neg", id(expr)), Unary, "neg", expr), _deeper(depth, position)
+                expr, depth = self.make(("neg", id(expr)), Unary, "neg", expr), _deeper(depth, p)
             self.nesting -= 1
             return expr, depth
-        if kind == "num":
+        first = text[:1]
+        if first.isdecimal() or first == ".":
             value = float(text)  # never negative, so its value alone is its key
             expr, depth = self.make(value, Constant, value), 1
-        elif kind == "lparen":
+        elif text == "(":
             expr, depth = self.binary()
-            self.expect("rparen")
-        elif kind != "ident":
-            raise ExprSyntaxError(f"unexpected {text or 'end'!r}", position)
+            self.expect(")", "rparen")
+        elif not (first.isalpha() or first == "_"):  # an operator, ")" or the end
+            raise ExprSyntaxError(f"unexpected {text or 'end'!r}", p)
         elif text in FUNCTIONS:
-            self.expect("lparen")
+            self.expect("(", "lparen")
             arg, depth = self.binary()
-            self.expect("rparen")
-            expr, depth = self.make((text, id(arg)), Unary, text, arg), _deeper(depth, position)
+            self.expect(")", "rparen")
+            expr, depth = self.make((text, id(arg)), Unary, text, arg), _deeper(depth, p)
         elif text in NAMED_CONSTANTS:
             value = NAMED_CONSTANTS[text]
             expr, depth = self.make(value, Constant, value), 1
         elif text == "s":
-            expr, depth = _check_leaf(self.make("s", Param), self.kind, self.dimension, text, position), 1
+            expr, depth = _check_leaf(self.make("s", Param), self.kind, self.dimension, text, p), 1
         elif text.startswith("x") and text[1:].isdecimal():
             index = int(text[1:])
             leaf = self.make(("x", index), Coord, index)
-            expr, depth = _check_leaf(leaf, self.kind, self.dimension, text, position), 1
+            expr, depth = _check_leaf(leaf, self.kind, self.dimension, text, p), 1
         else:
-            raise UnknownIdentifier(text, position)
-        _, text, position = tokens[self.pos]
-        if text == "^":  # right-assoc; allows 2^-3 and 2^3^2
-            self.pos += 1
+            raise UnknownIdentifier(text, p)
+        p = self.pos
+        if tokens[p] == "^":  # right-assoc; allows 2^-3 and 2^3^2
+            self.pos = p + 1
             exponent, d = self.operand()
-            _check_exponent(exponent, position)
+            _check_exponent(exponent, p)
             expr = self.make(("^", id(expr), id(exponent)), Binary, "^", expr, exponent)
-            depth = _deeper(max(depth, d), position)
+            depth = _deeper(max(depth, d), p)
         self.nesting -= 1
         return expr, depth
 
@@ -310,7 +321,7 @@ def parse_expr_text(source: str, kind: str, dimension: int = 0) -> Expr:
     ``kind`` selects which symbols are legal: 'curve' admits the parameter
     ``s``, 'field' admits coordinates ``x1 .. x<dimension>``.
     """
-    return _ExprParser(_scan(source), kind, dimension).parse()
+    return _ExprParser(source, kind, dimension).parse()
 
 
 # ---------------------------------------------------------------- printing
@@ -475,18 +486,21 @@ def _split_list(body: str, line: int) -> list[str]:
     return items
 
 
+_CODE = re.compile(r'(?:[^"#]+|"[^"]*"?)*')  # a line up to a "#" outside a string, which may run to the line's end
+
+
 def parse_curve_spec(document: str) -> CurveSpec:
     """Parse a curve-spec document into a validated CurveSpec.
 
     The format is one ``key = value`` pair per line; values are integers,
     reals, quoted expression strings, or bracketed lists of those. Blank
-    lines and ``#`` comments are ignored. Required keys: ``dimension``,
-    ``curve``, ``field``, ``s_range``. Optional: ``samples``, ``tol_const``,
-    ``tol_frame``.
+    lines and ``#`` comments outside a quoted string are ignored. Required
+    keys: ``dimension``, ``curve``, ``field``, ``s_range``. Optional:
+    ``samples``, ``tol_const``, ``tol_frame``.
     """
     entries: dict[str, tuple[object, int]] = {}
     for lineno, raw in enumerate(document.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _CODE.match(raw).group().strip()
         if not line:
             continue
         if "=" not in line:
@@ -540,7 +554,7 @@ def parse_curve_spec(document: str) -> CurveSpec:
 
     def parse_wrapped(source: str, kind: str, lineno: int) -> Expr:
         try:
-            return _ExprParser(_scan(source), kind, dimension, table).parse()
+            return _ExprParser(source, kind, dimension, table).parse()
         except SpecDocumentError:
             raise
         except DslError as exc:

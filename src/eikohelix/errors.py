@@ -34,11 +34,12 @@ def raise_first(mask, make_error: Callable[[int], EikohelixError]) -> None:
 
 
 def raise_first_check(masks, make_error: Callable[[int, int], EikohelixError]) -> None:
-    """``raise_first`` for the first check j whose mask holds anywhere, with ``make_error(j, i)``;
-    ``masks`` stacks the checks' masks, in the order the checks are made, on its first axis."""
-    flat = np.reshape(masks, (len(masks), -1))
-    j = int(flat.any(axis=1).argmax())
-    raise_first(flat[j], lambda i: make_error(j, i))
+    """``raise_first`` for the first check j whose mask holds anywhere, with ``make_error(j, i)``; ``masks``,
+    an array, stacks the checks' masks in the order they are made on its first axis; none holding costs one ``any``."""
+    if masks.any():
+        flat = np.reshape(masks, (len(masks), -1))
+        j = int(flat.any(axis=1).argmax())
+        raise_first(flat[j], lambda i: make_error(j, i))
 
 
 def value_at(values, i: int) -> float | None:

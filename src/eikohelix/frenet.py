@@ -15,6 +15,7 @@ inside a grid give the same bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,6 +52,13 @@ class FrenetData:
 
 
 _BATCHED_FROM = 7  # the dimension from which the recurrence runs as batched matmul; see frenet_apparatus
+
+
+@lru_cache(maxsize=64)
+def _masks(n: int, batch_ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The strict upper triangle and the diagonal of n x n, with ``batch_ndim`` size-1 axes: read-only."""
+    shape = (n, n, *[1] * batch_ndim)
+    return tuple(np.broadcast_to(m.reshape(shape), shape) for m in (np.tri(n, k=-1, dtype=bool).T, np.eye(n, dtype=bool)))
 
 
 def _finite(a: np.ndarray, overflow: np.ndarray) -> None:
@@ -122,7 +130,7 @@ def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetD
     S = np.zeros((3, K + 1, *batch, n, n) if batched else (3, K + 1, n, n, *batch))
     G, rows = (np.moveaxis(S, (-2, -1), (2, 3)), (-2, -1)) if batched else (S, (0, 1))
     D = S[1].reshape(K + 1, n, n, *batch)  # [k, component, column, *batch] in F's slab: F_k overwrites D_k
-    upper, diagonal = (m if batched else m.reshape(n, n, *[1] * len(batch)) for m in (np.tri(n, k=-1, dtype=bool).T, np.eye(n, dtype=bool)))
+    upper, diagonal = _masks(n, 0 if batched else len(batch))  # built once per shape
     with np.errstate(all="ignore"):  # an overflow raises EvalOverflow below
         for i in range(n):  # each a derivative, Jet.derivative's products
             current = current[1:] * weights[: len(current) - 1]

@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import DegenerateCurvature, EvalOverflow, InsufficientOrder, raise_first_check, value_at
 from .frenet import FrenetData
-from .jets import Jet, _cauchy, _pad_batch, _scalar, _weights, jet_div
+from .jets import Jet, _cauchy, _div, _pad_batch, _scalar, _weights
 
 
 @dataclass(eq=False)
@@ -109,7 +109,7 @@ def harmonic_data(fr: FrenetData) -> HarmonicData:
     residuals at fr's points.
 
     Each k_i is cut to the order o they all carry and stacked with k_{n-i}
-    on a family axis of size 2, the first batch axis. One ``jet_div`` over
+    on a family axis of size 2, the first batch axis. One ``_div`` over
     an axis that stacks its columns gives G_1 = c_1 / c_2 and the
     reciprocals 1/c_3 .. 1/c_{n-1} and 1/speed, so each step is three
     ``_cauchy`` products on coefficient arrays, cut to the orders a ``Jet``
@@ -129,7 +129,7 @@ def harmonic_data(fr: FrenetData) -> HarmonicData:
     num = np.zeros_like(d[:, 2:])  # c_1 over c_2, then the series 1 over c_3 .. c_{n-1} and the speed
     num[0] = 1.0
     num[:, :2] = d[:, :2]
-    quotients = jet_div(Jet(num), Jet(d[:, 2:])).coeffs
+    quotients = _div(num, d[:, 2:])
     sign = np.array([1.0, -1.0]).reshape(-1, *[1] * (k.ndim - 2))  # tangent, normal
     weights = _weights(quotients)
     G = [np.zeros_like(quotients[:, :2]), quotients[:, :2]]  # G_0 = 0, G_1

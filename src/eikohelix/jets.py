@@ -38,13 +38,13 @@ one recurrence. In a curve, the sines and cosines of all arguments that
 are polynomials in s run as one recurrence over a stacked axis when they
 fit one call, and each alone when they do not. The parser makes
 equal subexpressions of one document one node; a tree built in Python
-evaluates an equal but distinct copy again, to the same bits.
-Subexpressions free of s and x_i are evaluated at batch shape (). A
-product with, or a quotient by, a constant series (batch shape () and every
-higher coefficient an exact zero) scales coefficients instead of running a
-Cauchy product or a division recurrence; :class:`Jet` arithmetic decides
-that from the data. Each shortcut of the jets reproduces the plain tree
-walk bit for bit, signed zeros included.
+evaluates an equal but distinct copy again, to the same bits. A curve is
+walked on coefficient arrays, by the functions :class:`Jet` arithmetic
+wraps; a subexpression free of s and x_i has batch shape (). A product
+with, or a quotient by, a constant series (every higher coefficient an
+exact zero) scales coefficients, not a Cauchy product or division
+recurrence, to the plain walk's bits, signed zeros too. The DAG's constant
+flag says where; the data are read only past a non-finite value or a power.
 
 Domain and overflow checks act on the whole batch and raise for the first
 offending point, with ``grid_index`` set on the error (see
@@ -53,6 +53,7 @@ offending point, with ``grid_index`` set on the error (see
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -137,47 +138,34 @@ class Jet:
     # arithmetic ------------------------------------------------------
 
     def __add__(self, other) -> Jet:
-        a, b = _align(self, _as_jet(other, self.order))
-        return Jet(a + b)
+        return Jet(np.add(*_align(self, _as_jet(other, self.order))))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> Jet:
-        a, b = _align(self, _as_jet(other, self.order))
-        return Jet(a - b)
+        return Jet(np.subtract(*_align(self, _as_jet(other, self.order))))
 
     def __rsub__(self, other) -> Jet:
-        a, b = _align(self, _as_jet(other, self.order))
-        return Jet(b - a)
+        return Jet(np.subtract(*_align(self, _as_jet(other, self.order))[::-1]))
 
     def __mul__(self, other) -> Jet:
-        """Truncated product. With a constant series c (batch shape (), every
-        higher coefficient an exact zero) and a finite u of larger batch
-        rank, the Cauchy product sums c0*u_k and exact zeros from +0.0, so it
-        is c0*u_k + 0.0 and u is scaled. A non-finite u_j turns a zero into
-        nan, which only the full product reproduces."""
         if not isinstance(other, Jet) and np.ndim(other) == 0:
             return Jet(self.coeffs * float(other))  # product with a scalar
-        other = _as_jet(other, self.order)
-        a, b = self.coeffs, other.coeffs
-        if a.ndim != b.ndim:  # two jets of one batch rank pay only this test
-            c, u = (a, b) if a.ndim < b.ndim else (b, a)
-            if c.ndim == 1 and not np.count_nonzero(c[1:]) and np.isfinite(u).all():
-                product = u[: len(c)] * c[0]
-                product += 0.0
-                return Jet(product)
-        return Jet(_cauchy(*_align(self, other)))
+        return Jet(_mul(*_align(self, _as_jet(other, self.order))))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> Jet:
-        return jet_div(self, _as_jet(other, self.order))
+        return Jet(_div(*_align(self, _as_jet(other, self.order))))
 
     def __rtruediv__(self, other) -> Jet:
-        return jet_div(_as_jet(other, self.order), self)
+        return _as_jet(other, self.order) / self
 
     def __neg__(self) -> Jet:
         return Jet(-self.coeffs)
+
+
+jet_div = Jet.__truediv__  # the truncated quotient of two jets
 
 
 def jet_constant(value, order: int) -> Jet:
@@ -205,14 +193,18 @@ def _as_jet(x, order: int) -> Jet:
 def _pad_batch(coeffs: np.ndarray, ndim: int) -> np.ndarray:
     """View of ``coeffs`` with batch axes padded on the left to ``ndim``."""
     pad = ndim - (coeffs.ndim - 1)
-    return coeffs.reshape(coeffs.shape[:1] + (1,) * pad + coeffs.shape[1:]) if pad else coeffs
+    return coeffs.reshape(coeffs.shape[:1] + (1,) * pad + coeffs.shape[1:]) if pad > 0 else coeffs
+
+
+def _pad(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient arrays a and b, the one of lower batch rank padded to broadcast with the other."""
+    return _pad_batch(a, b.ndim - 1), _pad_batch(b, a.ndim - 1)
 
 
 def _align(a: Jet, b: Jet) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients of a and b at the smaller order, batch axes made to broadcast."""
     k = min(a.order, b.order)
-    ndim = max(len(a.shape), len(b.shape))
-    return _pad_batch(a.coeffs[: k + 1], ndim), _pad_batch(b.coeffs[: k + 1], ndim)
+    return _pad(a.coeffs[: k + 1], b.coeffs[: k + 1])
 
 
 @lru_cache(maxsize=64)
@@ -248,120 +240,118 @@ def _check_divisor(b0, kind: str = "jet") -> None:
     raise_first(b0 == 0.0, lambda i: JetDivisionByZero(f"{kind} division by value {value_at(b0, i)!r}"))
 
 
-def jet_div(num: Jet, den: Jet) -> Jet:
-    """Truncated quotient. By a constant series c, the recurrence subtracts
-    sums of exact zeros, +0.0, so q_k = num_k / c0 and num is scaled, unless
-    a non-finite q_j before the last turns a zero into nan."""
-    c = den.coeffs
-    _check_divisor(c[0])
-    if c.ndim == 1 and not np.count_nonzero(c[1:]):
-        q = num.coeffs[: len(c)] / c[0]
-        if np.isfinite(q[:-1]).all():
-            return Jet(q)
-    a, b = _align(num, den)
+def _mul(a: np.ndarray, b: np.ndarray, scale: int | None = None) -> np.ndarray:
+    """Truncated product of coefficient arrays of one order, batch axes of any two ranks (``_pad``), as for
+    every operation below, which the walker runs and Jet arithmetic wraps. ``scale`` names a constant series
+    c (0 for a, 1 for b). With a finite u, the Cauchy product sums c0*u_k and exact zeros from +0.0, so u is
+    scaled: c0*u_k + 0.0. A non-finite u_j turns a zero into nan, which only the full product gives."""
+    if scale is not None:
+        c, u = (a, b) if scale == 0 else (b, a)
+        if math.isfinite(np.add.reduce(u, None)):  # then u is finite; a sum that overflows costs the full product
+            product = u * c[0]
+            product += 0.0
+            return product
+    return _cauchy(*_pad(a, b))
+
+
+def _div(a: np.ndarray, b: np.ndarray, series: bool = False) -> np.ndarray:
+    """Truncated quotient. By a constant series b (``series``), the recurrence subtracts sums of
+    exact zeros, +0.0, so q_k = a_k / b0 and a is scaled, unless a non-finite q_j before the last
+    turns a zero into nan."""
+    _check_divisor(b[0])
+    if series:
+        q = a / b[0]
+        if math.isfinite(np.add.reduce(q[:-1], None)):  # a finite sum: every q_j before the last is finite
+            return q
+    a, b = _pad(a, b)
     q = np.empty(np.broadcast_shapes(a.shape, b.shape))
     q[0] = a[0] / b[0]
     for k in range(1, len(q)):
         q[k] = (a[k] - _inner(b[1 : k + 1], q[k - 1 :: -1])) / b[0]
-    return Jet(q)
+    return q
 
 
-def jet_sin(u: Jet) -> Jet:
-    return _sin_cos(u)[0]
+@lru_cache(maxsize=64)
+def _sin_cos_divisors(size: int, ndim: int) -> np.ndarray:
+    """k for sin_k and -k for cos_k, k < ``size``, shaped for ``ndim``-d coefficients: read-only."""
+    divisors = np.multiply.outer([1.0, -1.0], np.arange(size)).reshape(2, size, *[1] * (ndim - 1))
+    return np.broadcast_to(divisors, divisors.shape)
 
 
-def jet_cos(u: Jet) -> Jet:
-    return _sin_cos(u)[1]
-
-
-def _sin_cos(u: Jet) -> tuple[Jet, Jet]:
+def _sin_cos(x: np.ndarray) -> np.ndarray:
     """sin and cos as one recurrence on a stacked axis: k sin_k = sum_j j u_j cos_{k-j} and
     k cos_k = -sum_j j u_j sin_{k-j}, one einsum per order for both series. Each sum runs over
     j in the order it runs for one series alone, and x / -k is -(x / k), so every bit is kept.
-    The stacked axis leads, so that each series is a contiguous jet, as it was computed alone.
+    The stacked axis leads, so that each series is contiguous, as it was computed alone.
     Several arguments stacked on a batch axis run as one call, each column with the bits it
     has alone (``_JetAlgebra.sin_cos_stack``)."""
-    x = u.coeffs
     sc = np.empty((2, *x.shape))  # [(sin, cos), k, *batch]
     sc[:, 0] = np.sin(x[0]), np.cos(x[0])
     weighted = _weights(x) * x[1:]  # j * u_j
-    # sin_k takes the cos sum over k, cos_k minus the sin sum over k
-    divisors = np.multiply.outer([1.0, -1.0], np.arange(len(x))).reshape(2, len(x), *[1] * (x.ndim - 1))
+    divisors = _sin_cos_divisors(len(x), x.ndim)  # sin_k takes the cos sum over k, cos_k minus the sin sum
     for k in range(1, len(x)):
         np.divide(np.einsum("j...,pj...->p...", weighted[:k], sc[:, k - 1 :: -1])[::-1], divisors[:, k], out=sc[:, k])
-    return Jet(sc[0]), Jet(sc[1])
+    return sc
 
 
-def jet_exp(u: Jet) -> Jet:
-    x = u.coeffs
+def _exp(x: np.ndarray) -> np.ndarray:
     e = np.empty_like(x)
     e[0] = np.exp(x[0])
-    raise_first(
-        np.isinf(e[0]) & np.isfinite(x[0]),
-        lambda i: EvalOverflow(f"exp overflow at {value_at(x[0], i)!r}"),
-    )
+    raise_first(np.isinf(e[0]) & np.isfinite(x[0]), lambda i: EvalOverflow(f"exp overflow at {value_at(x[0], i)!r}"))
     weighted = _weights(x) * x[1:]
     for k in range(1, len(x)):
         e[k] = _inner(weighted[:k], e[k - 1 :: -1]) / k
-    return Jet(e)
+    return e
 
 
-def jet_ln(u: Jet) -> Jet:
-    x = u.coeffs
-    raise_first(
-        x[0] <= 0.0,
-        lambda i: EvalDomainError(f"ln of non-positive jet value {value_at(x[0], i)!r}"),
-    )
+def _ln(x: np.ndarray) -> np.ndarray:
+    raise_first(x[0] <= 0.0, lambda i: EvalDomainError(f"ln of non-positive jet value {value_at(x[0], i)!r}"))
     w = np.empty_like(x)
     w[0] = np.log(x[0])
     for k in range(1, len(x)):
         acc = _inner(_weights(w[:k]) * w[1:k], x[k - 1 : 0 : -1]) if k > 1 else 0.0
         w[k] = (k * x[k] - acc) / (k * x[0])
-    return Jet(w)
+    return w
 
 
-def jet_sqrt(u: Jet) -> Jet:
-    x = u.coeffs
-    raise_first(
-        x[0] <= 0.0,
-        lambda i: EvalDomainError(f"sqrt of non-positive jet value {value_at(x[0], i)!r}"),
-    )
+def _sqrt(x: np.ndarray) -> np.ndarray:
+    raise_first(x[0] <= 0.0, lambda i: EvalDomainError(f"sqrt of non-positive jet value {value_at(x[0], i)!r}"))
     r = np.empty_like(x)
     r[0] = np.sqrt(x[0])
     for k in range(1, len(x)):
         acc = _inner(r[1:k], r[k - 1 : 0 : -1]) if k > 1 else 0.0
         r[k] = (x[k] - acc) / (2.0 * r[0])
-    return Jet(r)
+    return r
 
 
-def jet_pow(u: Jet, exponent: float) -> Jet:
-    """u raised to a constant real power.
-
-    Every integer exponent, however large, goes by square-and-multiply, so
-    it takes any base, as the field duals' power does; fractional exponents
-    require a positive value coefficient.
-    """
+def _pow(x: np.ndarray, exponent: float) -> np.ndarray:
+    """x raised to a constant real power. Every integer exponent, however large, goes by square-and-multiply
+    from the constant series 1, so it takes any base, as the field duals' power does; fractional exponents
+    require a positive value coefficient."""
     if float(exponent).is_integer():
         p = int(exponent)
+        one = jet_constant(1.0, len(x) - 1).coeffs
         if p < 0:
-            return jet_div(jet_constant(1.0, u.order), jet_pow(u, -p))
-        result = jet_constant(1.0, u.order)
-        base = u
+            return _div(one, _pow(x, -p))
+        result, base = one, x
         while True:
             if p & 1:
-                result = result * base
+                result = _mul(result, base, 0 if result is one else None)
             p >>= 1
             if not p:
                 return result
-            base = base * base
-    x0 = u.coeffs[0]
-    raise_first(
-        x0 <= 0.0,
-        lambda i: EvalDomainError(
-            f"fractional power of non-positive jet value {value_at(x0, i)!r}"
-        ),
-    )
-    return jet_exp(jet_ln(u) * float(exponent))
+            base = _mul(base, base)
+    raise_first(x[0] <= 0.0, lambda i: EvalDomainError(f"fractional power of non-positive jet value {value_at(x[0], i)!r}"))
+    return _exp(_ln(x) * float(exponent))
+
+
+def _on_jets(f):
+    """``f`` of a coefficient array, and of further arguments, as a function of a jet."""
+    return lambda u, *args: Jet(f(u.coeffs, *args))
+
+
+jet_exp, jet_ln, jet_sqrt, jet_pow = map(_on_jets, (_exp, _ln, _sqrt, _pow))
+jet_sin, jet_cos = _on_jets(lambda x: _sin_cos(x)[0]), _on_jets(lambda x: _sin_cos(x)[1])
 
 
 # ------------------------------------------------------------ field duals
@@ -590,8 +580,7 @@ def _dual_ln(u: _FieldDual) -> _FieldDual:
 # The walker evaluates every distinct node once, in the order a
 # left-to-right post-order walk of the tree first meets it, so checks run
 # and raise in the tree's order. A subexpression free of s and x_i is
-# evaluated at batch shape (), where ``Jet.__mul__`` and ``jet_div`` see a
-# constant series.
+# evaluated at batch shape ().
 
 
 # The most points (arguments times batch) that one stacked sin/cos call takes;
@@ -604,42 +593,55 @@ _STACK_POINTS = 512
 
 
 class _JetAlgebra:
-    """Curve components: jets in the parameter s."""
+    """Curve components: jet coefficient arrays of one order in s; a constant's batch shape is ()."""
 
     unary = {
         "neg": operator.neg,
-        "sin": jet_sin,
-        "cos": jet_cos,
-        "exp": jet_exp,
-        "sqrt": jet_sqrt,
-        "ln": jet_ln,
+        "sin": lambda x: _sin_cos(x)[0],
+        "cos": lambda x: _sin_cos(x)[1],
+        "exp": _exp,
+        "sqrt": _sqrt,
+        "ln": _ln,
     }
-    power = staticmethod(jet_pow)
+    power = staticmethod(_pow)
 
     def __init__(self, s: np.ndarray, order: int):
         self.order = order
-        self.param = jet_param(s, order)
+        self.param = jet_param(s, order).coeffs
         self.stack_width = _STACK_POINTS // max(1, s.size)  # arguments per stacked sin/cos call
 
-    def constant(self, value: float) -> Jet:
-        return jet_constant(value, self.order)
+    def constant(self, value: float) -> np.ndarray:
+        return jet_constant(value, self.order).coeffs
 
-    def symbol(self, node: Expr) -> Jet:
+    def symbol(self, node: Expr) -> np.ndarray:
         if isinstance(node, Coord):
             raise EvalDomainError("coordinate symbol in a curve component")
         return self.param
 
     @staticmethod
-    def sin_cos(u: Jet) -> tuple[Jet, Jet]:
-        return _sin_cos(u)
+    def binary(op: str, x: np.ndarray, y: np.ndarray, x_series: bool, y_series: bool) -> np.ndarray:
+        """x op y for ``+ - * /``; a product with, or a quotient by, a constant series scales."""
+        if op == "*":
+            return _mul(x, y, 0 if x_series else 1 if y_series else None)
+        if op == "/":
+            return _div(x, y, y_series)
+        if x.ndim != y.ndim:  # a constant meets the batch of s
+            x, y = _pad(x, y)
+        return x + y if op == "+" else x - y
 
-    def sin_cos_stack(self, us: list[Jet]) -> list[tuple[Jet, Jet]]:
-        """sin and cos of each of ``us``, all of batch shape s's, in one
-        ``_sin_cos`` call over a stacked batch axis; each series keeps the
-        bits it has alone, and is copied out contiguous, as it was laid out
-        alone."""
-        sin, cos = _sin_cos(Jet(np.stack([u.coeffs for u in us], axis=1)))
-        return [(Jet(sin.coeffs[:, i].copy()), Jet(cos.coeffs[:, i].copy())) for i in range(len(us))]
+    @staticmethod
+    def series(x: np.ndarray, known: bool) -> bool:
+        """Whether a constant x has exact zeros past its value: ``known`` (a leaf, or a node other than ``^`` of
+        such operands) if x's value is finite, as only exact zeros then sum past it; else its coefficients tell."""
+        return known and math.isfinite(x[0]) or not np.count_nonzero(x[1:])
+
+    sin_cos = staticmethod(lambda x: tuple(_sin_cos(x)))
+
+    def sin_cos_stack(self, xs: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """sin and cos of each of ``xs``, all of batch shape s's, in one ``_sin_cos`` call over a stacked
+        batch axis; each pair keeps the bits it has alone, copied out contiguous as it was laid out alone."""
+        sc = _sin_cos(np.stack(xs, axis=1))
+        return [tuple(sc[:, :, i].copy()) for i in range(len(xs))]
 
 
 class _DualAlgebra:
@@ -664,6 +666,8 @@ class _DualAlgebra:
     power = staticmethod(_dual_pow)
     constant = staticmethod(_constant)
     stack_width = 1  # sin and cos act on values, with nothing to stack
+    series = staticmethod(lambda x, known: False)  # a product with a constant forms no Cauchy sum
+    binary = staticmethod(lambda op, x, y, x_series, y_series: BINARY_OPERATORS[op](x, y))
 
     def __init__(self, point: np.ndarray):
         self.point = point
@@ -690,14 +694,14 @@ class _Dag:
     evaluated again, to the same bits. ``nodes[i]`` is node i and
     ``args[i]`` the ids of its operands in the algebra (the exponent of
     ``^`` is read with ``constant_value``). ``const[i]`` says whether it is
-    free of s and x_i, which only ``stacked`` reads; ``uses[i]`` how many
-    operand slots and roots read it. Expression e has root id ``roots[e]``
-    and needs the ids below ``ends[e]``. ``trig`` maps each argument of
-    ``sin`` or ``cos`` to the ids of the nodes that take it, and ``paired``
-    holds the arguments that both ``sin`` and ``cos`` take. ``stacked`` lists, in ``trig``'s order, the
-    arguments that are not constant and are polynomials in s: built only
-    from ``+ - *``, ``neg``, ``s`` and constants. In the jet algebra such a
-    node cannot raise and has the batch shape of s.
+    free of s and x_i; ``uses[i]`` how many operand slots and roots read
+    it. Expression e has root id ``roots[e]`` and needs the ids below
+    ``ends[e]``. ``trig`` maps each argument of ``sin`` or ``cos`` to the
+    ids of the nodes that take it, and ``paired`` holds the arguments that
+    both ``sin`` and ``cos`` take. ``stacked`` lists, in ``trig``'s order,
+    the arguments that are not constant and are polynomials in s: built
+    only from ``+ - *``, ``neg``, ``s`` and constants. In the jet algebra
+    such a node cannot raise and has the batch shape of s.
     """
 
     def __init__(self, exprs):
@@ -710,7 +714,7 @@ class _Dag:
         trig: dict[int, list[int]] = {}
 
         def visit(node: Expr) -> int:
-            i = ids.get(id(node))
+            i = ids.get(key := id(node))
             if i is not None:
                 return i
             cls = type(node)
@@ -722,7 +726,7 @@ class _Dag:
                 args = ()
             else:
                 raise TypeError(f"not an Expr: {node!r}")
-            i = ids[id(node)] = len(nodes)
+            i = ids[key] = len(nodes)
             nodes.append(node)
             args_of.append(args)
             const.append(const[args[0]] and const[args[-1]] if args else cls is Constant)
@@ -748,9 +752,9 @@ class _Dag:
 
 
 def _evaluate(exprs, algebra):
-    """Yield the value of each expression in turn, in the jet or the dual
-    algebra; a constant comes out at batch shape (). Every ``+ - * /`` node
-    runs its operator, which scales by a constant series in ``Jet``.
+    """Yield the value of each expression in turn, in the jet or the dual algebra; a constant
+    comes out at batch shape (). Every ``+ - * /`` node runs ``algebra.binary``, told which
+    operands are constant series by ``algebra.series``, asked of constant nodes only.
 
     Each distinct node is evaluated once per call and dropped after its
     last use. ``sin`` and ``cos`` of one argument share one evaluation.
@@ -761,9 +765,10 @@ def _evaluate(exprs, algebra):
     cannot raise, so every check still raises in the tree's order.
     """
     dag = _Dag(exprs)
-    nodes, args_of, uses, paired = dag.nodes, dag.args, dag.uses, dag.paired
+    nodes, args_of, uses, paired, const = dag.nodes, dag.args, dag.uses, dag.paired, dag.const
     values: list = [None] * len(nodes)
     done = [False] * len(nodes)
+    series = [False] * len(nodes)
     pairs: dict[int, tuple] = {}
 
     def release(j: int) -> None:
@@ -779,7 +784,7 @@ def _evaluate(exprs, algebra):
             if node.op == "^":
                 value = algebra.power(x, constant_value(node.right))
             else:
-                value = BINARY_OPERATORS[node.op](x, values[args[1]])
+                value = algebra.binary(node.op, x, values[args[1]], series[args[0]], series[args[1]])
         elif cls is Unary:
             if args[0] in paired and node.op in ("sin", "cos"):
                 pair = pairs.pop(args[0], None)
@@ -793,6 +798,8 @@ def _evaluate(exprs, algebra):
         else:
             value = algebra.symbol(node)
         values[i] = value
+        if const[i]:
+            series[i] = algebra.series(value, cls is Constant or node.op != "^" and series[args[0]] and series[args[-1]])
         for j in args:
             release(j)
 
@@ -831,7 +838,7 @@ def _curve_jets(exprs, s, order: int) -> list[Jet]:
     with np.errstate(all="ignore"):
         try:
             for result in _evaluate(exprs, _JetAlgebra(s, order)):
-                coeffs[done] = _pad_batch(result.coeffs, s.ndim)
+                coeffs[done] = _pad_batch(result, s.ndim)
                 done += 1
         except Exception as exc:  # component `done` raised: the ones before it are checked first
             coeffs[done:], failure = 0.0, exc

@@ -13,7 +13,7 @@ sampler reports, and ``reference_curve_jets``/``reference_field_jet`` walk
 an expression as a tree, as the reference for the DAG walker, with every
 jet product a full Cauchy product and every jet quotient the division
 recurrence (``reference_jet_mul``/``reference_jet_div``), as the reference
-for the scaling by a constant series in ``Jet`` arithmetic; and
+for the walker's scaling by a constant series; and
 ``reference_to_json`` with ``reference_samples_payload`` is the report
 writer that passes every row dict through ``json.dumps``, as the reference
 for the one-join writer; ``reference_frenet_apparatus`` is the jet Gram-Schmidt
@@ -29,16 +29,19 @@ raise its order error too, and need no order guard of their own); ``ReferenceExp
 parser's one precedence-climbing loop; ``reference_tokenize`` and
 ``reference_split_list`` scan one character at a time, as the reference for
 the scanners' compiled patterns (a ``Token`` equals the plain
-``(kind, text, offset)`` tuple of ``dsl._scan``); and ``reference_format_curve_spec`` writes
+``(kind, text, offset)`` tuple that ``test_dsl`` rebuilds from the token
+strings of ``dsl._scan`` and the offsets of ``dsl._offsets``); and ``reference_format_curve_spec`` writes
 a document line by line, as the reference for the one document writer.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import operator
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -330,6 +333,15 @@ def reference_tokenize(source: str) -> list[Token]:
         raise IllegalCharacter(ch, i)
     tokens.append(Token("end", "", n))
     return tokens
+
+
+def bench_workloads():
+    """The benchmark's workload builder, which uses only the standard library."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    module_spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(workloads)
+    return workloads
 
 
 def reference_split_list(body: str, line: int) -> list[str]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import inspect
+import json
 import math
 import random
 import sys
@@ -24,7 +25,7 @@ from eikohelix.dsl import (
     CurveSpec,
     Param,
     Unary,
-    _ExprParser,
+    _offsets,
     _scan,
     _split_list,
     constant_value,
@@ -51,6 +52,7 @@ from eikohelix.jets import eval_expr_jet
 from helpers import (
     ReferenceExprParser,
     add_all,
+    bench_workloads,
     lift_helix_r4,
     nonhelix_r3,
     random_expr,
@@ -70,9 +72,25 @@ samples = 512
 """
 
 
+def _kind(text: str) -> str:
+    """A token's kind, read from its first character as the parser reads it."""
+    if not text:
+        return "end"
+    kinds = {"(": "lparen", ")": "rparen", **dict.fromkeys("+-*/^", "op")}
+    return kinds.get(text[0]) or ("num" if text[0].isdecimal() or text[0] == "." else "ident")
+
+
+def _tokens(source: str) -> list[tuple[str, str, int]]:
+    """``_scan``'s token strings as ``(kind, text, offset)``, the offsets from the second pass
+    an error makes; one '' ends the strings."""
+    texts = _scan(source)
+    assert all(isinstance(t, str) for t in texts) and texts.index("") == len(texts) - 1
+    return [(_kind(text), text, offset) for text, offset in zip(texts, _offsets(source), strict=True)]
+
+
 class TestTokenize:
     def test_function_call(self):
-        kinds_texts = [(kind, text) for kind, text, _ in _scan("cos(s/sqrt(2))")[:-1]]
+        kinds_texts = [(kind, text) for kind, text, _ in _tokens("cos(s/sqrt(2))")[:-1]]
         assert kinds_texts == [
             ("ident", "cos"),
             ("lparen", "("),
@@ -86,7 +104,7 @@ class TestTokenize:
         ]
 
     def test_field_polynomial(self):
-        tokens = _scan("x1^2 + x2 + x3^2")[:-1]
+        tokens = _tokens("x1^2 + x2 + x3^2")[:-1]
         assert [(kind, text) for kind, text, _ in tokens[-3:]] == [
             ("ident", "x3"),
             ("op", "^"),
@@ -96,25 +114,25 @@ class TestTokenize:
 
     def test_illegal_character_position(self):
         with pytest.raises(IllegalCharacter) as exc_info:
-            _scan("3 @ 4")
+            _tokens("3 @ 4")
         assert exc_info.value.position == 2
 
     def test_scientific_notation(self):
-        tokens = _scan("1.5e-3 + 2E6")[:-1]
+        tokens = _tokens("1.5e-3 + 2E6")[:-1]
         assert [text for _, text, _ in tokens] == ["1.5e-3", "+", "2E6"]
 
     def test_non_decimal_digits_are_illegal(self):
         # "²" passes str.isdigit but float() rejects it
         for source, position in (("s*²", 2), ("3²", 1), ("2.5²", 3)):
             with pytest.raises(IllegalCharacter) as exc_info:
-                _scan(source)
+                _tokens(source)
             assert exc_info.value.position == position, source
 
     def test_decimal_digits_beyond_ascii(self):
-        assert [text for _, text, _ in _scan("٣.٥e٢ + s")[:-1]] == ["٣.٥e٢", "+", "s"]
+        assert [text for _, text, _ in _tokens("٣.٥e٢ + s")[:-1]] == ["٣.٥e٢", "+", "s"]
 
     def test_positions_recorded(self):
-        tokens = _scan("s + 12")
+        tokens = _tokens("s + 12")
         assert [position for _, _, position in tokens[:-1]] == [0, 2, 4]
 
     @pytest.mark.parametrize(
@@ -134,7 +152,7 @@ class TestTokenize:
         ],
     )
     def test_token_boundaries(self, source, tokens):
-        assert _scan(source) == [*tokens, ("end", "", len(source))]
+        assert _tokens(source) == [*tokens, ("end", "", len(source))]
 
     @pytest.mark.parametrize(
         "source, char, position",
@@ -143,7 +161,7 @@ class TestTokenize:
     def test_illegal_first_characters(self, source, char, position):
         # a word starts with a letter or "_"; whitespace is " \t\r\n" only
         with pytest.raises(IllegalCharacter) as exc_info:
-            _scan(source)
+            _tokens(source)
         assert (exc_info.value.char, exc_info.value.position) == (char, position)
         assert str(exc_info.value) == f"illegal character {char!r} (at offset {position})"
 
@@ -316,6 +334,22 @@ class TestParseCurveSpec:
     def test_comments_and_blank_lines(self):
         doc = "# a comment\n\n" + EXAMPLE_DOC + "\ntol_const = 1e-9  # trailing\n"
         assert parse_curve_spec(doc).tol_const == 1e-9
+
+    def test_hash_inside_a_quoted_string_is_not_a_comment(self):
+        cases = [
+            ('"x1^2 + x2 + x3^2"', '"x3 # rise"', "in expression 'x3 # rise': illegal character '#' (at offset 3) (line 3)"),
+            ('"s/sqrt(2)"', '"s/sqrt(2) # x"', "in expression 's/sqrt(2) # x': illegal character '#' (at offset 10) (line 2)"),
+            # an unclosed string runs to the end of its line
+            ('"x1^2 + x2 + x3^2"', '"x3 # rise', "cannot parse value '\"x3 # rise' (line 3)"),
+        ]
+        for old, new, message in cases:
+            with pytest.raises(SpecDocumentError) as exc_info:
+                parse_curve_spec(EXAMPLE_DOC.replace(old, new))
+            assert str(exc_info.value) == message
+        # outside the quotes a "#" still starts a comment, also after a string that holds one
+        doc = EXAMPLE_DOC.replace('"x1^2 + x2 + x3^2"', '"x3"  # rise "x2" # more').replace("512", '512 # "')
+        spec = parse_curve_spec(doc)
+        assert (spec.field, spec.samples) == (Coord(3), 512)
 
     def test_bad_ranges_and_tolerances(self):
         with pytest.raises(SpecDocumentError):
@@ -508,10 +542,14 @@ def test_curvespec_validation():
 # ------------------------------------------ one operator loop, one writer
 
 
-def _outcome(parser, scanner, source: str, kind: str, dimension: int):
+def _reference_parse(source: str, kind: str, dimension: int):
+    return ReferenceExprParser(reference_tokenize(source), kind, dimension).parse()
+
+
+def _outcome(parse, source: str, kind: str, dimension: int):
     """The parsed tree, or the error's type, message and offset."""
     try:
-        return parser(scanner(source), kind, dimension).parse()
+        return parse(source, kind, dimension)
     except DslError as exc:
         return type(exc), str(exc), exc.position
 
@@ -569,8 +607,8 @@ class TestOneOperatorLoop:
         for _ in range(100_000):
             source = _random_source(rng)
             kind = rng.choice(["curve", "field"])
-            new = _outcome(_ExprParser, _scan, source, kind, 2)
-            if new != _outcome(ReferenceExprParser, reference_tokenize, source, kind, 2):
+            new = _outcome(parse_expr_text, source, kind, 2)
+            if new != _outcome(_reference_parse, source, kind, 2):
                 differences.append(source)
             parsed += not isinstance(new, tuple)
         assert differences == []
@@ -582,8 +620,8 @@ class TestOneOperatorLoop:
         make = DEEP_SHAPES[shape][0] if shape in DEEP_SHAPES else _MIXED_DEEP[shape]
         for k in (_MAX_DEPTH - 1, _MAX_DEPTH, _MAX_DEPTH + 1):
             source = make(k)
-            new = _outcome(_ExprParser, _scan, source, kind, 3)
-            assert new == _outcome(ReferenceExprParser, reference_tokenize, source, kind, 3), (shape, k)
+            new = _outcome(parse_expr_text, source, kind, 3)
+            assert new == _outcome(_reference_parse, source, kind, 3), (shape, k)
 
 
 # every branch of both scanners, with digits, letters and numerics beyond
@@ -600,6 +638,72 @@ def _scanned(scanner, *args):
         return type(exc), str(exc), exc.position
 
 
+class TestTokenStrings:
+    """The parser reads ``_scan``'s token strings and finds offsets only for
+    an error: every benchmark document (seeds 1-3) and catalog document
+    parses to the reference parser's trees, with every two equal
+    subexpressions of a document one object, and errors deep in long
+    expressions keep the reference's type, message and offset, also in a
+    document's quote of 40 characters around the offset."""
+
+    @staticmethod
+    def _documents() -> list[str]:
+        workloads = bench_workloads()
+        documents = [op["document"] for seed in (1, 2, 3) for w in workloads.WORKLOADS for op in workloads.build(w, seed)]
+        return documents + [catalog.get(name).document for name in catalog.names()]
+
+    def test_documents_parse_to_the_reference_trees(self):
+        documents = self._documents()
+        assert len(documents) == 3 * 217 + 6
+        for document in documents:
+            spec = parse_curve_spec(document)
+            values = dict(line.split(" = ", 1) for line in document.splitlines() if line)
+            sources = [*((text, "curve") for text in json.loads(values["curve"])), (json.loads(values["field"]), "field")]
+            trees = [*spec.components, spec.field]
+            for (source, kind), tree in zip(sources, trees, strict=True):
+                assert tree == _reference_parse(source, kind, spec.dimension), source
+            first: dict = {}  # each distinct subtree -> the first object met with its value
+            todo = list(trees)
+            while todo:
+                node = todo.pop()
+                assert first.setdefault(node, node) is node
+                todo.extend(getattr(node, name) for name in ("left", "right", "child") if hasattr(node, name))
+
+    # a legal prefix of 150 characters for each kind, and what follows it
+    PREFIX = {"curve": "0.25*sin(2*s) - 3*cos(s/5) + " * 5, "field": "0.25*sin(2*x1) - 3*cos(x3/5) + " * 5}
+    ERRORS = [
+        ("@ + s", "curve"),
+        ("²", "curve"),
+        ("s) + s", "curve"),
+        ("(s + 1", "curve"),
+        ("s s", "curve"),
+        ("q(s)", "curve"),
+        ("x2", "curve"),
+        ("sin s", "curve"),
+        ("s^s + 1", "curve"),
+        ("2^ln(0)", "curve"),
+        ("*s", "curve"),
+        ("(" * 101 + "s" + ")" * 101, "curve"),
+        ("s + x1", "field"),
+        ("x4 + x1", "field"),
+    ]
+
+    @pytest.mark.parametrize("suffix, kind", ERRORS)
+    @pytest.mark.parametrize("lead", ["", "  \t"])
+    def test_errors_deep_in_long_expressions(self, suffix, kind, lead):
+        source = lead + self.PREFIX[kind] + suffix
+        new = _outcome(parse_expr_text, source, kind, 3)
+        assert new == _outcome(_reference_parse, source, kind, 3)
+        error, message, offset = new
+        assert offset >= 60 and len(source) > 80
+        old, line = ('"s/sqrt(2)"', 2) if kind == "curve" else ('"x1^2 + x2 + x3^2"', 3)
+        with pytest.raises(SpecDocumentError) as exc_info:
+            parse_curve_spec(EXAMPLE_DOC.replace(old, f'"{source}"'))
+        start = min(max(offset - 20, 0), len(source) - 40)
+        assert str(exc_info.value) == f"in expression of {len(source)} characters, near {source[start:start + 40]!r}: {message} (line {line})"
+        assert type(exc_info.value.__cause__) is error
+
+
 class TestScanners:
     """The scanners' compiled patterns against the character loops of
     helpers.reference_tokenize and helpers.reference_split_list."""
@@ -609,7 +713,7 @@ class TestScanners:
         tokenized = 0
         for _ in range(30_000):
             source = "".join(rng.choice(_TOKEN_CHARS) for _ in range(rng.randint(0, 14)))
-            new = _scanned(_scan, source)
+            new = _scanned(_tokens, source)
             assert new == _scanned(reference_tokenize, source), source
             tokenized += isinstance(new, list)
         assert tokenized > 5_000

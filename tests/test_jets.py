@@ -18,7 +18,10 @@ from eikohelix.dsl import parse_curve_spec, parse_expr_text
 from eikohelix.errors import EvalDomainError, EvalOverflow, JetDivisionByZero
 from eikohelix.jets import (
     Jet,
+    _align,
+    _div,
     _JetAlgebra,
+    _mul,
     _sin_cos,
     default_jet_order,
     frame_jet_order,
@@ -146,7 +149,9 @@ def _outcome(op):
 class TestConstantSeries:
     """A product with, or a quotient by, a constant series (batch shape (),
     every higher coefficient an exact zero) scales coefficients, with the
-    bytes of the full Cauchy product and division recurrence."""
+    bytes of the full Cauchy product and division recurrence. The walker
+    asks ``_mul`` and ``_div`` to scale where ``_JetAlgebra.series`` holds;
+    ``Jet`` arithmetic always runs the full operation."""
 
     @staticmethod
     def _operands(point: bool) -> list[Jet]:
@@ -165,12 +170,15 @@ class TestConstantSeries:
     def test_scaling_keeps_the_bits(self, c0, tail, orders, point):
         c_order, u_order = orders
         c = Jet([c0] + [tail] * c_order)
+        series = _JetAlgebra.series(c.coeffs, known=False)
+        assert series == (tail == 0.0)
         for u in self._operands(point):
             u = Jet(u.coeffs[: u_order + 1])
-            assert _outcome(lambda: c * u) == _outcome(lambda: reference_jet_mul(c, u))
-            assert _outcome(lambda: u * c) == _outcome(lambda: reference_jet_mul(u, c))
+            for a, b, scale in ((c, u, 0), (u, c, 1)):
+                full = _outcome(lambda: reference_jet_mul(a, b))
+                assert _outcome(lambda: a * b) == _outcome(lambda: Jet(_mul(*_align(a, b), scale if series else None))) == full
             quotient = _outcome(lambda: u / c)
-            assert quotient == _outcome(lambda: reference_jet_div(u, c))
+            assert quotient == _outcome(lambda: Jet(_div(*_align(u, c), series))) == _outcome(lambda: reference_jet_div(u, c))
             assert isinstance(quotient, tuple) == (c0 == 0.0)  # a zero divisor raises
 
     @pytest.mark.parametrize("position", [1, 3, 5])
@@ -178,6 +186,10 @@ class TestConstantSeries:
         # such as the speed of a curve that is not unit-speed, at one point
         c = jet_constant(2.5, 5)
         c.coeffs[position] = 1.0
+        assert not _JetAlgebra.series(c.coeffs, known=False)
+        c.coeffs[0] = math.inf  # a value that is not finite: the data tell, whatever is known
+        assert not _JetAlgebra.series(c.coeffs, known=True)
+        c.coeffs[0] = 2.5
         for u in self._operands(False)[:1] + self._operands(True)[:1]:
             for result, full in (
                 (c * u, reference_jet_mul(c, u)),
@@ -490,20 +502,20 @@ class TestStackedSinCos:
             on_grid = [eval_expr_jet(e, grid, order) for e in exprs[:m]]
             algebra = _JetAlgebra(grid, order)
             assert algebra.stack_width >= m  # one call takes all m
-            stacked = algebra.sin_cos_stack(on_grid)
+            stacked = algebra.sin_cos_stack([u.coeffs for u in on_grid])
             for u, pair in zip(on_grid, stacked):
-                for got, want in zip(pair, _sin_cos(u)):
-                    assert got.coeffs.flags.c_contiguous
-                    assert got.coeffs.shape == want.coeffs.shape
-                    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+                for got, want in zip(pair, _sin_cos(u.coeffs)):
+                    assert got.flags.c_contiguous
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
             for p in (0, 4):
-                at_point = [Jet(u.coeffs[:, p].copy()) for u in on_grid]
+                at_point = [u.coeffs[:, p].copy() for u in on_grid]
                 at_point_stacked = _JetAlgebra(np.asarray(grid[p]), order).sin_cos_stack(at_point)
-                for u, pair, grid_pair in zip(at_point, at_point_stacked, stacked):
-                    for got, want, column in zip(pair, _sin_cos(u), grid_pair):
-                        assert got.shape == ()
-                        assert got.coeffs.tobytes() == want.coeffs.tobytes()
-                        assert got.coeffs.tobytes() == column.coeffs[:, p].tobytes()
+                for x, pair, grid_pair in zip(at_point, at_point_stacked, stacked):
+                    for got, want, column in zip(pair, _sin_cos(x), grid_pair):
+                        assert got.shape == (order + 1,)
+                        assert got.tobytes() == want.tobytes()
+                        assert got.tobytes() == column[:, p].tobytes()
 
 
 def check_jets_against_richardson(pairs: int, seed: int, rel_tol: float = 1e-6):

@@ -16,8 +16,6 @@ same message and ``grid_index``.
 from __future__ import annotations
 
 import copy
-import importlib.util
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +36,7 @@ from eikohelix.dsl import (
 from eikohelix.errors import EvalDomainError
 from eikohelix.jets import default_jet_order, eval_curve_jet, eval_expr_jet, eval_field_jet
 
-from helpers import reference_curve_jets, reference_field_jet, wcurve_lift
+from helpers import bench_workloads, reference_curve_jets, reference_field_jet, wcurve_lift
 
 CONSTANTS = (0.0, -0.0, 1.0, 2.0, 0.6, 2.5, 5.0, 1e200, 1e-300, 1e-320, float("inf"), np.pi)
 EXPONENTS = (2.0, 3.0, 0.0, 1.0, -1.0, -2.0, 0.5, 1.5, -0.5, 65.0)
@@ -307,9 +305,9 @@ class TestSharing:
         calls = []
         recurrence = jets._sin_cos
 
-        def counting(u):
-            calls.append(u.shape)
-            return recurrence(u)
+        def counting(x):
+            calls.append(x.shape[1:])  # the coefficient axis leads
+            return recurrence(x)
 
         monkeypatch.setattr(jets, "_sin_cos", counting)
         return calls
@@ -452,7 +450,7 @@ class TestSharing:
         sin/cos calls it makes by the stacking rule, and its jets match the
         tree walker bit for bit; a rule that stopped stacking these curves
         fails here."""
-        workloads = _bench_workloads()
+        workloads = bench_workloads()
         ops = [op for workload in workloads.WORKLOADS for op in workloads.build(workload, 1)]
         assert len(ops) == 217
         calls = self._count_sin_cos(monkeypatch)
@@ -472,7 +470,7 @@ class TestSharing:
         of g's six top-level terms, all lazy chains over R, where it meets
         the running sum that starts at x2. A change that expanded every
         node would expand dozens."""
-        (op,) = _bench_workloads().build("dense_table", 1)
+        (op,) = bench_workloads().build("dense_table", 1)
         spec = parse_curve_spec(op["document"])
         expanded = []
         expand = jets._Chain.expand
@@ -488,10 +486,39 @@ class TestSharing:
             assert expanded == [(3, *[1] * len(batch))] * 2 + [(3, *batch)] * 6
 
 
-def _bench_workloads():
-    """The benchmark's workload builder, which uses only the standard library."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    module_spec = importlib.util.spec_from_file_location("workloads", path)
-    workloads = importlib.util.module_from_spec(module_spec)
-    module_spec.loader.exec_module(workloads)
-    return workloads
+class TestArrayWalker:
+    """The curve walker runs on coefficient arrays and scales by a constant
+    series where the DAG's constant flag allows it; every workload curve
+    keeps the tree walker's bytes at its grid and at one grid point, and a
+    constant whose value is finite but whose series is not constant takes
+    the full product or quotient."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_workload_curves_at_the_grid_and_a_point(self, seed):
+        workloads = bench_workloads()
+        for op in [op for workload in workloads.WORKLOADS for op in workloads.build(workload, seed)]:
+            spec = parse_curve_spec(op["document"])
+            grid = np.linspace(spec.s_range[0], spec.s_range[1], spec.samples)
+            order = default_jet_order(spec.dimension)
+            for s in (grid, grid[len(grid) // 3]):
+                new = _outcome(lambda: eval_curve_jet(spec, s))
+                assert new == _outcome(lambda: reference_curve_jets(spec.components, s, order)), op["name"]
+
+    @pytest.mark.parametrize(
+        "constant",
+        [
+            "1/(1e999*1e999)",  # value 0.0 after an infinite product: the series is 0, nan, nan, ...
+            "(1e100)^-8",  # value 0.0 after squares that overflow
+            "(1e999 - 1e999)",  # nan
+            "1/1e999",  # value 0.0, and a constant series
+            "(1e154)^2",  # an overflowing square of a finite constant series
+            "sin(0.6)*exp(-1e999)",
+        ],
+    )
+    def test_constants_on_the_way_past_float_range(self, constant):
+        grid = np.linspace(-1.5, 2.0, 7)
+        for text in (f"sin(s)*({constant})", f"({constant})*s", f"s/({constant})", f"s*s*({constant}) + s"):
+            exprs = [parse_expr_text(text, "curve")]
+            for s in (grid, grid[2]):
+                new = _outcome(lambda: eval_curve_jet(_Spec(exprs), s, 4))
+                assert new == _outcome(lambda: reference_curve_jets(exprs, s, 4)), (text, np.shape(s))
