@@ -112,7 +112,9 @@ def frenet_apparatus(curve_jets: list[Jet], tol_frame: float, s=None) -> FrenetD
     Columns are checked in order: each raises EvalOverflow when a coefficient it carries is not
     finite, then DegenerateCurve(i) (NotRegular at i = 1, alpha' = 0) when the norm Gram-Schmidt
     leaves of alpha^(i) is at most ``tol_frame`` times |alpha^(i)|, for the first batch point that
-    fails it. Below n = 7, batch-first stacks for np.matmul cost more than BLAS gains over einsum.
+    fails it. einsum below n = 7 is measured (fresh processes, one BLAS thread, median of 5): it ran
+    x1.15-1.6 faster than batched matmul at n = 3 to 5 on 16 to 2,048 points and level at n = 6,
+    and matmul ran x1.1 faster at n = 7 on 24 and 512 points and x1.5 at n = 9 on 24.
     """
     n = len(curve_jets)
     if n < 2:

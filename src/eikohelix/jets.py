@@ -33,10 +33,12 @@ exact to rounding, and do not keep the sign of a zero entry.
 One expression walker serves both algebras, and it evaluates a list of
 expressions as a DAG (the evaluation procedure of reverse- and
 Taylor-mode differentiation): each node is evaluated once per call, across
-all components of a curve, and ``sin`` and ``cos`` of one argument share
-one recurrence. In a curve, the sines and cosines of all arguments that
-are polynomials in s run as one recurrence over a stacked axis when they
-fit one call, and each alone when they do not. The parser makes
+all components of a curve, and every ``sin`` and ``cos`` of one argument
+reads the argument's (sin, cos) pair from one cache, filled once: by one
+recurrence in a curve, by one ``np.sin`` and one ``np.cos`` in a field. In
+a curve, the pairs of all arguments that are polynomials in s come from
+one recurrence over a stacked axis when they fit one call, and each from
+its own when they do not. The parser makes
 equal subexpressions of one document one node; a tree built in Python
 evaluates an equal but distinct copy again, to the same bits. A curve is
 walked on coefficient arrays, by the functions :class:`Jet` arithmetic
@@ -586,23 +588,23 @@ def _dual_ln(u: _FieldDual) -> _FieldDual:
 # The most points (arguments times batch) that one stacked sin/cos call takes;
 # when a curve's polynomial arguments need more, none of them is stacked.
 # Stacking saves the Python loop over orders of each argument but not its
-# arithmetic; once the stacked series outgrow the cache it costs more than it
-# saves. On the W-curve lift at n = 13, curve jets on 512 points ran 1.2x
-# slower with two arguments per call than with one.
+# arithmetic, so it pays on small grids and can lose on large ones, the more
+# so at high order. Curve jets of the W-curve lift, all arguments stacked, in
+# units of one call per argument (fresh processes, median of 5 to 7): at
+# n = 13 (six arguments, order 24) x0.46 on 24 points, x0.68 on 85, x0.78 on
+# 128, x1.2-1.4 on 512 and x1.74 on 2,048; on 512 points x1.34 at n = 7 and
+# x1.57 at n = 9, but x0.92 at n = 5, and x0.88 for helix_r4's three
+# arguments at order 6. A rule in points alone cannot follow all of these.
 _STACK_POINTS = 512
+
+# The index of each function in an argument's (sin, cos) pair: an int, as a bool index adds an axis to an array.
+_TRIG = {"sin": 0, "cos": 1}
 
 
 class _JetAlgebra:
     """Curve components: jet coefficient arrays of one order in s; a constant's batch shape is ()."""
 
-    unary = {
-        "neg": operator.neg,
-        "sin": lambda x: _sin_cos(x)[0],
-        "cos": lambda x: _sin_cos(x)[1],
-        "exp": _exp,
-        "sqrt": _sqrt,
-        "ln": _ln,
-    }
+    unary = {"neg": operator.neg, "exp": _exp, "sqrt": _sqrt, "ln": _ln}
     power = staticmethod(_pow)
 
     def __init__(self, s: np.ndarray, order: int):
@@ -635,13 +637,13 @@ class _JetAlgebra:
         such operands) if x's value is finite, as only exact zeros then sum past it; else its coefficients tell."""
         return known and math.isfinite(x[0]) or not np.count_nonzero(x[1:])
 
-    sin_cos = staticmethod(lambda x: tuple(_sin_cos(x)))
+    sin_cos = staticmethod(lambda x: _sin_cos(x))  # the (sin, cos) pair on a leading axis; _sin_cos read at call time
 
-    def sin_cos_stack(self, xs: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
-        """sin and cos of each of ``xs``, all of batch shape s's, in one ``_sin_cos`` call over a stacked
-        batch axis; each pair keeps the bits it has alone, copied out contiguous as it was laid out alone."""
+    def sin_cos_stack(self, xs: list[np.ndarray]) -> list[np.ndarray]:
+        """The (sin, cos) pair of each of ``xs``, all of batch shape s's, from one ``_sin_cos`` call over a
+        stacked batch axis; each pair keeps the bits it has alone, copied out contiguous as it was laid out alone."""
         sc = _sin_cos(np.stack(xs, axis=1))
-        return [tuple(sc[:, :, i].copy()) for i in range(len(xs))]
+        return [sc[:, :, i].copy() for i in range(len(xs))]
 
 
 class _DualAlgebra:
@@ -655,17 +657,9 @@ class _DualAlgebra:
     until it meets another base or is the root (see :class:`_Chain`).
     """
 
-    unary = {
-        "neg": lambda u: u.chain(-u.v, -1.0, 0.0),
-        "sin": lambda u: u.chain(np.sin(u.v), np.cos(u.v), -np.sin(u.v)),
-        "cos": lambda u: u.chain(np.cos(u.v), -np.sin(u.v), -np.cos(u.v)),
-        "exp": _dual_exp,
-        "sqrt": _dual_sqrt,
-        "ln": _dual_ln,
-    }
+    unary = {"neg": lambda u: u.chain(-u.v, -1.0, 0.0), "exp": _dual_exp, "sqrt": _dual_sqrt, "ln": _dual_ln}
     power = staticmethod(_dual_pow)
     constant = staticmethod(_constant)
-    stack_width = 1  # sin and cos act on values, with nothing to stack
     series = staticmethod(lambda x, known: False)  # a product with a constant forms no Cauchy sum
     binary = staticmethod(lambda op, x, y, x_series, y_series: BINARY_OPERATORS[op](x, y))
 
@@ -696,12 +690,11 @@ class _Dag:
     ``^`` is read with ``constant_value``). ``const[i]`` says whether it is
     free of s and x_i; ``uses[i]`` how many operand slots and roots read
     it. Expression e has root id ``roots[e]`` and needs the ids below
-    ``ends[e]``. ``trig`` maps each argument of ``sin`` or ``cos`` to the
-    ids of the nodes that take it, and ``paired`` holds the arguments that
-    both ``sin`` and ``cos`` take. ``stacked`` lists, in ``trig``'s order,
-    the arguments that are not constant and are polynomials in s: built
-    only from ``+ - *``, ``neg``, ``s`` and constants. In the jet algebra
-    such a node cannot raise and has the batch shape of s.
+    ``ends[e]``. ``poly[i]`` says whether node i is a polynomial in s:
+    built only from ``+ - *``, ``neg``, ``s`` and constants. In the jet
+    algebra such a node cannot raise. ``stacked`` lists the arguments of
+    ``sin`` or ``cos`` that are polynomials in s and not constant, in the
+    order their first taker is met; each has the batch shape of s.
     """
 
     def __init__(self, exprs):
@@ -711,7 +704,7 @@ class _Dag:
         poly: list[bool] = []
         uses: list[int] = []
         ids: dict[int, int] = {}  # id(node) -> its number
-        trig: dict[int, list[int]] = {}
+        trig: dict[int, None] = {}  # the arguments of sin and cos, an ordered set
 
         def visit(node: Expr) -> int:
             i = ids.get(key := id(node))
@@ -735,8 +728,8 @@ class _Dag:
             uses.append(0)
             for j in args:
                 uses[j] += 1
-            if cls is Unary and node.op in ("sin", "cos"):
-                trig.setdefault(args[0], []).append(i)
+            if cls is Unary and node.op in _TRIG:
+                trig[args[0]] = None
             return i
 
         self.roots: list[int] = []
@@ -746,8 +739,7 @@ class _Dag:
             uses[root] += 1
             self.roots.append(root)
             self.ends.append(len(nodes))
-        self.nodes, self.args, self.const, self.uses, self.trig = nodes, args_of, const, uses, trig
-        self.paired = {a for a, takers in trig.items() if len({nodes[t].op for t in takers}) == 2}
+        self.nodes, self.args, self.const, self.poly, self.uses = nodes, args_of, const, poly, uses
         self.stacked = [a for a in trig if poly[a] and not const[a]]
 
 
@@ -757,24 +749,28 @@ def _evaluate(exprs, algebra):
     operands are constant series by ``algebra.series``, asked of constant nodes only.
 
     Each distinct node is evaluated once per call and dropped after its
-    last use. ``sin`` and ``cos`` of one argument share one evaluation.
-    When there are two or more arguments in ``_Dag.stacked`` and all of
-    them fit one call of ``algebra.stack_width``, they are evaluated first
-    and their sine and cosine series run as one stacked recurrence
-    (``_JetAlgebra.sin_cos_stack``); otherwise none is stacked. Those nodes
-    cannot raise, so every check still raises in the tree's order.
+    last use. A ``sin`` or ``cos`` node reads its argument's (sin, cos)
+    pair from one cache keyed by the argument's id: the first node that
+    takes the argument fills it with ``algebra.sin_cos``, and the entry
+    goes with the argument. When there are two or more arguments in
+    ``_Dag.stacked`` and all of them fit one call of
+    ``algebra.stack_width``, every polynomial node runs first, in
+    post-order, and one stacked recurrence (``_JetAlgebra.sin_cos_stack``)
+    fills the cache for all of them; otherwise none is stacked. Polynomial
+    nodes cannot raise, so every check still raises in the tree's order.
     """
     dag = _Dag(exprs)
-    nodes, args_of, uses, paired, const = dag.nodes, dag.args, dag.uses, dag.paired, dag.const
+    nodes, args_of, uses, const = dag.nodes, dag.args, dag.uses, dag.const
     values: list = [None] * len(nodes)
     done = [False] * len(nodes)
     series = [False] * len(nodes)
-    pairs: dict[int, tuple] = {}
+    pairs: dict = {}  # argument id -> its (sin, cos) pair
 
     def release(j: int) -> None:
         uses[j] -= 1
         if not uses[j]:
             values[j] = None
+            pairs.pop(j, None)
 
     def run(i: int) -> None:
         node, args = nodes[i], args_of[i]
@@ -786,13 +782,14 @@ def _evaluate(exprs, algebra):
             else:
                 value = algebra.binary(node.op, x, values[args[1]], series[args[0]], series[args[1]])
         elif cls is Unary:
-            if args[0] in paired and node.op in ("sin", "cos"):
-                pair = pairs.pop(args[0], None)
+            a = args[0]
+            if node.op in _TRIG:
+                pair = pairs.get(a)
                 if pair is None:
-                    pair = pairs[args[0]] = algebra.sin_cos(values[args[0]])
-                value = pair[node.op == "cos"]
+                    pair = pairs[a] = algebra.sin_cos(values[a])
+                value = pair[_TRIG[node.op]]
             else:
-                value = algebra.unary[node.op](values[args[0]])
+                value = algebra.unary[node.op](values[a])
         elif cls is Constant:
             value = algebra.constant(node.value)
         else:
@@ -804,20 +801,12 @@ def _evaluate(exprs, algebra):
             release(j)
 
     stacked = dag.stacked
-    if 1 < len(stacked) <= algebra.stack_width:
-        needed, todo = [], list(stacked)
-        while todo:
-            i = todo.pop()
-            if not done[i]:
-                done[i] = True
-                needed.append(i)
-                todo.extend(args_of[i])
-        for i in sorted(needed):
-            run(i)
-        for a, pair in zip(stacked, algebra.sin_cos_stack([values[a] for a in stacked])):
-            for t in dag.trig[a]:
-                values[t], done[t] = pair[nodes[t].op == "cos"], True
-                release(a)
+    if 1 < len(stacked) <= algebra.stack_width:  # a field's list is empty: it has no stack_width
+        done = dag.poly
+        for i in range(len(nodes)):
+            if done[i]:
+                run(i)
+        pairs.update(zip(stacked, algebra.sin_cos_stack([values[a] for a in stacked])))
     start = 0
     for root, end in zip(dag.roots, dag.ends):
         for i in range(start, end):

@@ -337,6 +337,12 @@ def _lift_run(n: int, quadratic: bool, family=wcurve_lift):
     return spec, classification, residuals, {name: v["verdict"] for name, v in payload.items()}
 
 
+def _print_closing_margins(label: str, spec, residuals) -> None:
+    """cor31 and cor41 over their scales next to tol_const: the float64 floor's margins (ROADMAP item 3)."""
+    ratios = ", ".join(f"{key} {residuals.values[key] / residuals.scales[key]:.3g}" for key in ("cor31", "cor41"))
+    print(f"{label}: {ratios} of the scale, tol_const {spec.tol_const:.3g}")
+
+
 class TestOddDimensions:
     """Verdicts of the W-curve lift at every odd n from 3 to 13, where both
     closing identities (cor31, cor41) are taken at their highest index."""
@@ -346,7 +352,8 @@ class TestOddDimensions:
     # a fix of the float64 floor (ROADMAP item 3)
     @pytest.mark.parametrize("n", range(3, 14, 2))
     def test_helix_passes_every_verdict(self, n):
-        _, classification, _, verdicts = _lift_run(n, quadratic=False)
+        spec, classification, residuals, verdicts = _lift_run(n, quadratic=False)
+        _print_closing_margins(f"lift n = {n}", spec, residuals)
         assert classification.helix and classification.slant
         assert verdicts == dict.fromkeys(RULES, PASS)
 
@@ -371,7 +378,8 @@ class TestEvenDimensions:
     # a fix of the float64 floor (ROADMAP item 3)
     @pytest.mark.parametrize("n", range(4, 13, 2))
     def test_helix_passes_the_helix_verdicts(self, n):
-        _, classification, _, verdicts = _lift_run(n, False, even_helix)
+        spec, classification, residuals, verdicts = _lift_run(n, False, even_helix)
+        _print_closing_margins(f"even_helix n = {n}", spec, residuals)
         assert classification.helix and not classification.slant
         assert abs(classification.ip_tangent - 0.8) <= 1e-12
         assert verdicts == {name: PASS if name in HELIX_VERDICTS else NOT_APPLICABLE for name in RULES}

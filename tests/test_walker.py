@@ -353,6 +353,37 @@ class TestSharing:
             lambda: reference_curve_jets(spec.components, grid, default_jet_order(13))
         )
 
+    def test_field_takes_sin_and_cos_once_per_argument(self, monkeypatch):
+        # a lone sin or cos of a field dual still needs both functions of
+        # its argument's value, for its derivatives; each is taken once
+        field = parse_expr_text("sin(x1*x2) + cos(x1)", "field", 3)
+        point = np.random.default_rng(3).normal(size=(5, 3))
+        assert _field_outcome(field, point)[0] == "field"
+        calls = {"sin": [], "cos": []}
+        for name, taken in calls.items():
+            function = getattr(np, name)
+            monkeypatch.setattr(np, name, lambda x, f=function, taken=taken: taken.append(x.tobytes()) or f(x))
+        eval_field_jet(_Spec([Param()] * 3, field), point)
+        arguments = sorted([(point[:, 0] * point[:, 1]).tobytes(), point[:, 0].tobytes()])
+        assert sorted(calls["sin"]) == sorted(calls["cos"]) == arguments
+
+    @pytest.mark.parametrize("samples, calls", [(16, [(2, 16)]), (600, [(600,), (600,)])], ids=["16", "600"])
+    def test_curve_takes_sin_and_cos_once_per_argument(self, monkeypatch, samples, calls):
+        # 2*s and 3*s each reach one sine and one cosine: one stacked call
+        # fills both pairs, or on a grid too large to stack one call each
+        spec = parse_curve_spec(
+            "dimension = 3\n"
+            'curve = ["sin(2*s)", "cos(3*s) + 1", "cos(2*s) + sin(3*s)"]\n'
+            'field = "x3"\n'
+            "s_range = [0, 2]\n"
+            f"samples = {samples}\n"
+        )
+        grid = np.linspace(0.0, 2.0, samples)
+        counted = self._count_sin_cos(monkeypatch)
+        new = _outcome(lambda: eval_curve_jet(spec, grid))
+        assert counted == calls
+        assert new == _outcome(lambda: reference_curve_jets(spec.components, grid, default_jet_order(3)))
+
     def test_only_polynomial_arguments_stack(self, monkeypatch):
         texts = ("sin(2*s) + cos(s)", "cos(sin(2*s) - s^2)", "sin(s*cos(s))")
         exprs = [parse_expr_text(text, "curve") for text in texts]
